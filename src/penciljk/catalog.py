@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InternalConsistencyError
-from .exactla import Mat, _bareiss_echelon, _int_rows, solve_unique
+from .exactla import Mat, pivot_columns, solve_unique
 from .lie import LieAlgebra, Representation, check_homomorphism, check_jacobi
 from .strata import BundleSig, SkewBundleSig
 
@@ -135,8 +135,8 @@ def _structure_entries(mats: list[Mat]) -> list[tuple[int, int, int, Fraction]]:
     dim = len(mats)
     nsq = mats[0].m * mats[0].n
     flat = Mat.from_cols([_flatten(x) for x in mats], nsq)
-    rk, pivots = _bareiss_echelon(_int_rows(flat.transpose()), nsq)
-    if rk != dim:
+    pivots = pivot_columns(flat.transpose())
+    if len(pivots) != dim:
         raise InternalConsistencyError("basis matrices are dependent")
     rows = sorted(pivots)
     square = flat.submatrix(rows, range(dim))

@@ -1,21 +1,28 @@
 """Exact linear algebra over the rationals.
 
-Matrices are dense, row major, with ``fractions.Fraction`` entries.  All
-rank-revealing routines go through a fraction-free (Bareiss) integer
-elimination: each row is scaled by the lcm of its denominators first, which
-changes neither the rank nor the right kernel.  Kernel vectors are returned
-as primitive integer vectors (content removed, first nonzero entry positive)
-so that results are canonical and cheap to feed back into integer
-elimination.
+A matrix is stored as integer rows over one positive common denominator:
+entry (i, j) is ``rows[i][j] / den``, and ``den`` shares no factor with
+all the entries at once, so equal matrices have equal storage.
+Constructors accept ints, Fractions and strings; ``entry``, ``row``,
+``col`` and ``tolist`` hand back Fractions.
+
+Rank, kernel, row space and determinant all go through one fraction-free
+(Bareiss) elimination of the integer rows.  The common denominator
+changes neither the rank nor the kernel, and only rescales the
+determinant.  Kernel and row-space vectors are returned as primitive
+integer vectors (content removed, first nonzero entry positive), so
+results are canonical and cheap to feed back into integer elimination.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
+IntVec = tuple[int, ...]
 
 
 def _frac(x) -> Fraction:
@@ -28,47 +35,74 @@ def _frac(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as a rational number")
 
 
+def _clear(values: Iterable) -> tuple[list[int], int]:
+    """Integers over the least common denominator of the given rationals."""
+    vals = [x if type(x) is int else _frac(x) for x in values]
+    den = lcm(*[x.denominator for x in vals])
+    if den == 1:
+        return [x.numerator for x in vals], 1
+    return [x.numerator * (den // x.denominator) for x in vals], den
+
+
 class Mat:
     """Immutable rational matrix.  Zero row or column counts are allowed."""
 
-    __slots__ = ("m", "n", "rows")
+    __slots__ = ("m", "n", "rows", "den")
 
     def __init__(self, rows: Sequence[Sequence], n: int | None = None):
-        data = tuple(tuple(_frac(x) for x in row) for row in rows)
+        data = [list(r) for r in rows]
         if data:
             width = len(data[0])
             if any(len(r) != width for r in data):
                 raise ValueError("ragged rows")
             if n is not None and n != width:
                 raise ValueError("explicit width disagrees with rows")
-            self.n = width
         else:
             if n is None:
                 raise ValueError("empty matrix needs an explicit column count")
-            self.n = n
+            width = n
+        flat, den = _clear(x for r in data for x in r)
         self.m = len(data)
-        self.rows = data
+        self.n = width
+        self.rows = tuple(tuple(flat[i * width : (i + 1) * width]) for i in range(self.m))
+        self.den = den
 
     # -- constructors -------------------------------------------------
 
     @classmethod
+    def from_ints(cls, rows: Sequence[Sequence[int]], n: int, den: int = 1) -> "Mat":
+        """The matrix rows / den, for integer rows of width n and a positive den."""
+        rows = tuple(tuple(r) for r in rows)
+        if den != 1:
+            g = gcd(den, *[x for r in rows for x in r])
+            if g != 1:
+                rows = tuple(tuple(x // g for x in r) for r in rows)
+                den //= g
+        out = object.__new__(cls)
+        out.m = len(rows)
+        out.n = n
+        out.rows = rows
+        out.den = den
+        return out
+
+    @classmethod
     def zeros(cls, m: int, n: int) -> "Mat":
-        return cls([[0] * n for _ in range(m)], n=n)
+        return cls.from_ints([[0] * n for _ in range(m)], n)
 
     @classmethod
     def identity(cls, n: int) -> "Mat":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], n=n)
+        return cls.from_ints([[int(i == j) for j in range(n)] for i in range(n)], n)
 
     @classmethod
     def from_cols(cls, cols: Sequence[Sequence], m: int | None = None) -> "Mat":
-        cols = [tuple(_frac(x) for x in c) for c in cols]
+        cols = [list(c) for c in cols]
         if cols:
             m = len(cols[0])
             if any(len(c) != m for c in cols):
                 raise ValueError("ragged columns")
         elif m is None:
             raise ValueError("empty column list needs an explicit row count")
-        return cls([[cols[j][i] for j in range(len(cols))] for i in range(m)], n=len(cols))
+        return cls(cols, n=m).transpose()
 
     # -- basic structure ----------------------------------------------
 
@@ -77,25 +111,27 @@ class Mat:
         return (self.m, self.n)
 
     def row(self, i: int) -> Vec:
-        return self.rows[i]
+        return tuple(Fraction(x, self.den) for x in self.rows[i])
 
     def col(self, j: int) -> Vec:
-        return tuple(r[j] for r in self.rows)
+        return tuple(Fraction(r[j], self.den) for r in self.rows)
 
     def entry(self, i: int, j: int) -> Fraction:
-        return self.rows[i][j]
+        return Fraction(self.rows[i][j], self.den)
 
     def transpose(self) -> "Mat":
-        return Mat([[self.rows[i][j] for i in range(self.m)] for j in range(self.n)], n=self.m)
+        rows = [[r[j] for r in self.rows] for j in range(self.n)]
+        return Mat.from_ints(rows, self.m, self.den)
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "Mat":
-        return Mat([[self.rows[i][j] for j in col_idx] for i in row_idx], n=len(col_idx))
+        rows = [[self.rows[i][j] for j in col_idx] for i in row_idx]
+        return Mat.from_ints(rows, len(col_idx), self.den)
 
     def tolist(self) -> list[list[Fraction]]:
-        return [list(r) for r in self.rows]
+        return [list(self.row(i)) for i in range(self.m)]
 
     def is_zero(self) -> bool:
-        return all(x == 0 for r in self.rows for x in r)
+        return not any(x for r in self.rows for x in r)
 
     def is_square(self) -> bool:
         return self.m == self.n
@@ -107,37 +143,42 @@ class Mat:
 
     # -- arithmetic ---------------------------------------------------
 
-    def __add__(self, other: "Mat") -> "Mat":
+    def _combine(self, other: "Mat", sign: int) -> "Mat":
         self._same_shape(other)
-        return Mat([[a + b for a, b in zip(r, s)] for r, s in zip(self.rows, other.rows)], n=self.n)
+        den = lcm(self.den, other.den)
+        s, o = den // self.den, sign * (den // other.den)
+        rows = [[s * a + o * b for a, b in zip(r, q)] for r, q in zip(self.rows, other.rows)]
+        return Mat.from_ints(rows, self.n, den)
+
+    def __add__(self, other: "Mat") -> "Mat":
+        return self._combine(other, 1)
 
     def __sub__(self, other: "Mat") -> "Mat":
-        self._same_shape(other)
-        return Mat([[a - b for a, b in zip(r, s)] for r, s in zip(self.rows, other.rows)], n=self.n)
+        return self._combine(other, -1)
 
     def __neg__(self) -> "Mat":
-        return Mat([[-a for a in r] for r in self.rows], n=self.n)
+        return Mat.from_ints([[-a for a in r] for r in self.rows], self.n, self.den)
 
     def scale(self, c) -> "Mat":
         c = _frac(c)
-        return Mat([[c * a for a in r] for r in self.rows], n=self.n)
+        rows = [[c.numerator * a for a in r] for r in self.rows]
+        return Mat.from_ints(rows, self.n, self.den * c.denominator)
 
     def __mul__(self, other: "Mat") -> "Mat":
         if not isinstance(other, Mat):
             return NotImplemented
         if self.n != other.m:
             raise ValueError(f"shape mismatch {self.m}x{self.n} * {other.m}x{other.n}")
-        ot = other.transpose().rows
-        return Mat(
-            [[sum(a * b for a, b in zip(row, col)) for col in ot] for row in self.rows],
-            n=other.n,
-        )
+        cols = [[r[j] for r in other.rows] for j in range(other.n)]
+        rows = [[sum(map(mul, row, col)) for col in cols] for row in self.rows]
+        return Mat.from_ints(rows, other.n, self.den * other.den)
 
     def apply(self, v: Sequence) -> Vec:
-        v = [_frac(x) for x in v]
-        if len(v) != self.n:
+        ints, vden = _clear(v)
+        if len(ints) != self.n:
             raise ValueError("vector length mismatch")
-        return tuple(sum(a * b for a, b in zip(row, v)) for row in self.rows)
+        den = self.den * vden
+        return tuple(Fraction(sum(map(mul, row, ints)), den) for row in self.rows)
 
     def _same_shape(self, other: "Mat") -> None:
         if self.m != other.m or self.n != other.n:
@@ -152,10 +193,9 @@ class Mat:
         m = blocks[0].m
         if any(b.m != m for b in blocks):
             raise ValueError("row count mismatch")
-        return Mat(
-            [[x for b in blocks for x in b.rows[i]] for i in range(m)],
-            n=sum(b.n for b in blocks),
-        )
+        den = lcm(*[b.den for b in blocks])
+        rows = [[den // b.den * x for b in blocks for x in b.rows[i]] for i in range(m)]
+        return Mat.from_ints(rows, sum(b.n for b in blocks), den)
 
     @staticmethod
     def vstack(blocks: Sequence["Mat"]) -> "Mat":
@@ -164,97 +204,104 @@ class Mat:
         n = blocks[0].n
         if any(b.n != n for b in blocks):
             raise ValueError("column count mismatch")
-        rows: list[Sequence] = []
-        for b in blocks:
-            rows.extend(b.rows)
-        return Mat(rows, n=n)
+        den = lcm(*[b.den for b in blocks])
+        rows = [[den // b.den * x for x in r] for b in blocks for r in b.rows]
+        return Mat.from_ints(rows, n, den)
 
     @staticmethod
     def block_diag(blocks: Sequence["Mat"]) -> "Mat":
-        m = sum(b.m for b in blocks)
         n = sum(b.n for b in blocks)
-        out = [[Fraction(0)] * n for _ in range(m)]
-        i0 = j0 = 0
+        den = lcm(*[b.den for b in blocks])
+        rows = []
+        j0 = 0
         for b in blocks:
-            for i in range(b.m):
-                for j in range(b.n):
-                    out[i0 + i][j0 + j] = b.rows[i][j]
-            i0 += b.m
+            left, right = [0] * j0, [0] * (n - j0 - b.n)
+            rows.extend(left + [den // b.den * x for x in r] + right for r in b.rows)
             j0 += b.n
-        return Mat(out, n=n)
+        return Mat.from_ints(rows, n, den)
 
     # -- misc ---------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Mat) and self.m == other.m and self.n == other.n and self.rows == other.rows
+        return (
+            isinstance(other, Mat)
+            and self.m == other.m
+            and self.n == other.n
+            and self.den == other.den
+            and self.rows == other.rows
+        )
 
     def __hash__(self) -> int:
-        return hash((self.m, self.n, self.rows))
+        return hash((self.m, self.n, self.den, self.rows))
 
     def __repr__(self) -> str:
-        return f"Mat({[[str(x) for x in r] for r in self.rows]})"
+        return f"Mat({[[str(x) for x in r] for r in self.tolist()]})"
 
 
 # ---------------------------------------------------------------------------
 # integer elimination core
 
 
-def _int_rows(mat: Mat) -> list[list[int]]:
-    """Scale each row to integers.  Row scalings preserve rank and kernel."""
-    out = []
-    for row in mat.rows:
-        mult = 1
-        for x in row:
-            mult = lcm(mult, x.denominator)
-        out.append([int(x * mult) for x in row])
-    return out
+def _echelon(rows: list[list[int]], n: int) -> tuple[int, list[int], int, int]:
+    """In-place fraction-free (Bareiss) row echelon form of integer rows.
 
-
-def _bareiss_echelon(rows: list[list[int]], n: int) -> tuple[int, list[int]]:
-    """In-place fraction-free row echelon form.
-
-    Returns (rank, pivot column list).  Entries stay integral: every
-    intermediate value is a minor of the scaled input (Sylvester identity),
-    so the division by the previous pivot is exact.
+    Returns (rank, pivot columns, sign of the row permutation, last pivot).
+    Every intermediate entry is a minor of the input (Sylvester's
+    identity), so the division by the previous pivot is exact, and for a
+    square matrix of full rank sign * last pivot is its determinant.  The
+    pivot of each column is its smallest nonzero entry in absolute value.
     """
     m = len(rows)
     r = 0
     prev = 1
+    sign = 1
     piv_cols: list[int] = []
     for c in range(n):
         best = -1
+        size = 0
         for i in range(r, m):
-            if rows[i][c]:
-                if best < 0 or abs(rows[i][c]) < abs(rows[best][c]):
-                    best = i
+            x = rows[i][c]
+            if x and (best < 0 or abs(x) < size):
+                best = i
+                size = abs(x)
         if best < 0:
             continue
         if best != r:
             rows[r], rows[best] = rows[best], rows[r]
-        pivot = rows[r][c]
-        # every remaining row picks up a factor of the pivot, even where the
-        # leading entry is zero; dropping it would break the exact divisions
+            sign = -sign
+        top = rows[r]
+        pivot = top[c]
+        # rows below r vanish left of c, so whole-row updates are exact; every
+        # row picks up a factor of the pivot, even where its head is zero,
+        # since dropping it would break the later exact divisions
         for i in range(r + 1, m):
-            head = rows[i][c]
-            ri = rows[i]
-            rr = rows[r]
-            for j in range(c + 1, n):
-                ri[j] = (ri[j] * pivot - head * rr[j]) // prev
-            ri[c] = 0
+            row = rows[i]
+            head = row[c]
+            if head:
+                rows[i] = [(x * pivot - head * y) // prev for x, y in zip(row, top)]
+            elif pivot != prev:
+                rows[i] = [x * pivot // prev for x in row]
         prev = pivot
         piv_cols.append(c)
         r += 1
         if r == m:
             break
-    return r, piv_cols
+    return r, piv_cols, sign, prev
+
+
+def _int_copy(mat: Mat) -> list[list[int]]:
+    return [list(r) for r in mat.rows]
+
+
+def pivot_columns(mat: Mat) -> list[int]:
+    """Columns where rank(mat[:, :j+1]) exceeds rank(mat[:, :j])."""
+    return _echelon(_int_copy(mat), mat.n)[1]
 
 
 def rank(mat: Mat) -> int:
     if mat.m == 0 or mat.n == 0:
         return 0
-    rows = _int_rows(mat)
-    r, _ = _bareiss_echelon(rows, mat.n)
-    return r
+    return _echelon(_int_copy(mat), mat.n)[0]
 
 
 def det(mat: Mat) -> Fraction:
@@ -262,95 +309,63 @@ def det(mat: Mat) -> Fraction:
         raise ValueError("determinant of a non-square matrix")
     if mat.m == 0:
         return Fraction(1)
-    scale = Fraction(1)
-    rows = []
-    for row in mat.rows:
-        mult = 1
-        for x in row:
-            mult = lcm(mult, x.denominator)
-        scale *= mult
-        rows.append([int(x * mult) for x in row])
-    # track row swaps through a signed Bareiss pass
-    n = mat.n
-    sign = 1
-    prev = 1
-    r = 0
-    for c in range(n):
-        best = -1
-        for i in range(r, n):
-            if rows[i][c]:
-                best = i
-                break
-        if best < 0:
-            return Fraction(0)
-        if best != r:
-            rows[r], rows[best] = rows[best], rows[r]
-            sign = -sign
-        pivot = rows[r][c]
-        for i in range(r + 1, n):
-            head = rows[i][c]
-            ri = rows[i]
-            rr = rows[r]
-            for j in range(c + 1, n):
-                ri[j] = (ri[j] * pivot - head * rr[j]) // prev
-            ri[c] = 0
-        prev = pivot
-        r += 1
-    return Fraction(sign * prev, 1) / scale
+    r, _, sign, last = _echelon(_int_copy(mat), mat.n)
+    if r < mat.n:
+        return Fraction(0)
+    return Fraction(sign * last, mat.den**mat.n)
 
 
-def _primitive(vec: Iterable[Fraction]) -> Vec:
-    """Clear denominators, remove content, make first nonzero entry positive."""
-    vec = list(vec)
-    mult = 1
-    for x in vec:
-        mult = lcm(mult, x.denominator)
-    ints = [int(x * mult) for x in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
+def _primitive(ints: list[int]) -> IntVec:
+    """Remove the content and make the first nonzero entry positive."""
+    g = gcd(*ints)
     if g == 0:
-        return tuple(Fraction(0) for _ in ints)
-    for v in ints:
-        if v:
-            if v < 0:
-                g = -g
-            break
-    return tuple(Fraction(v // g) for v in ints)
+        return tuple(ints)
+    if next(v for v in ints if v) < 0:
+        g = -g
+    return tuple(v // g for v in ints)
 
 
-def kernel_basis(mat: Mat) -> list[Vec]:
-    """Exact basis of the right kernel, as primitive integer vectors."""
-    if mat.n == 0:
+def kernel_basis(mat: Mat) -> list[IntVec]:
+    """Exact basis of the right kernel, as primitive integer vectors.
+
+    One vector per free column f: the solution with x_f = 1 and the other
+    free coordinates zero, back-substituted in integers and rescaled.
+    """
+    n = mat.n
+    if n == 0:
         return []
     if mat.m == 0:
-        return [tuple(Fraction(1 if i == j else 0) for i in range(mat.n)) for j in range(mat.n)]
-    rows = _int_rows(mat)
-    r, piv_cols = _bareiss_echelon(rows, mat.n)
+        return [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    rows = _int_copy(mat)
+    r, piv_cols, _, _ = _echelon(rows, n)
     piv_set = set(piv_cols)
-    free_cols = [j for j in range(mat.n) if j not in piv_set]
-    basis: list[Vec] = []
-    for f in free_cols:
-        x = [Fraction(0)] * mat.n
-        x[f] = Fraction(1)
+    basis: list[IntVec] = []
+    for f in range(n):
+        if f in piv_set:
+            continue
+        x = [0] * n
+        x[f] = 1
         for k in range(r - 1, -1, -1):
             c = piv_cols[k]
-            s = sum((Fraction(rows[k][j]) * x[j] for j in range(c + 1, mat.n) if x[j]), Fraction(0))
-            x[c] = -s / rows[k][c]
+            row = rows[k]
+            s = sum(row[j] * x[j] for j in range(c + 1, n) if x[j])
+            if s:
+                # x_c = -s / pivot: scale x so the quotient is an integer
+                p = row[c]
+                g = gcd(s, p)
+                if p != g:
+                    q = p // g
+                    x = [v * q for v in x]
+                x[c] = -s // g
         basis.append(_primitive(x))
     return basis
 
 
-def row_space_basis(vectors: Sequence[Sequence[Fraction]], n: int) -> list[Vec]:
+def row_space_basis(vectors: Sequence[Sequence], n: int) -> list[IntVec]:
     """Primitive basis of the span of the given row vectors."""
-    rows = []
-    for v in vectors:
-        mult = 1
-        for x in v:
-            mult = lcm(mult, _frac(x).denominator)
-        rows.append([int(_frac(x) * mult) for x in v])
-    r, _ = _bareiss_echelon(rows, n)
-    return [_primitive(Fraction(x) for x in rows[k]) for k in range(r)]
+    rows = [_clear(v)[0] for v in vectors]
+    r, _, _, _ = _echelon(rows, n)
+    return [_primitive(rows[k]) for k in range(r)]
 
 
 def solve_unique(a: Mat, b: Sequence) -> Vec:
@@ -358,11 +373,11 @@ def solve_unique(a: Mat, b: Sequence) -> Vec:
     b = [_frac(x) for x in b]
     if len(b) != a.m:
         raise ValueError("right-hand side length mismatch")
-    aug = Mat([list(row) + [-bv] for row, bv in zip(a.rows, b)], n=a.n + 1)
     if a.m == 0:
         if a.n == 0:
             return ()
         raise ValueError("underdetermined system")
+    aug = Mat([list(row) + [-bv] for row, bv in zip(a.tolist(), b)], n=a.n + 1)
     ker = kernel_basis(aug)
     sols = [v for v in ker if v[a.n] != 0]
     if not sols:
@@ -371,54 +386,4 @@ def solve_unique(a: Mat, b: Sequence) -> Vec:
         raise ValueError("underdetermined system")
     v = sols[0]
     t = v[a.n]
-    return tuple(x / t for x in v[: a.n])
-
-
-def pfaffian(mat: Mat) -> Fraction:
-    """Pfaffian of a skew-symmetric matrix of even size.
-
-    Congruence reduction: transvections have determinant one and leave the
-    pfaffian unchanged, a row/column pair swap flips its sign.
-    """
-    if not mat.is_square():
-        raise ValueError("pfaffian of a non-square matrix")
-    if mat.m % 2 != 0:
-        raise ValueError("pfaffian needs even size")
-    if not mat.is_skew():
-        raise ValueError("pfaffian of a non-skew matrix")
-    n = mat.m
-    if n == 0:
-        return Fraction(1)
-    a = [list(r) for r in mat.rows]
-    result = Fraction(1)
-    for k in range(0, n, 2):
-        piv = -1
-        for j in range(k + 1, n):
-            if a[k][j]:
-                piv = j
-                break
-        if piv < 0:
-            return Fraction(0)
-        if piv != k + 1:
-            a[k + 1], a[piv] = a[piv], a[k + 1]
-            for row in a:
-                row[k + 1], row[piv] = row[piv], row[k + 1]
-            result = -result
-        p = a[k][k + 1]
-        for j in range(k + 2, n):
-            c = a[k][j] / p
-            if c:
-                for i in range(n):
-                    a[i][j] -= c * a[i][k + 1]
-                for jj in range(n):
-                    a[j][jj] -= c * a[k + 1][jj]
-        q = a[k + 1][k]
-        for j in range(k + 2, n):
-            c = a[k + 1][j] / q
-            if c:
-                for i in range(n):
-                    a[i][j] -= c * a[i][k]
-                for jj in range(n):
-                    a[j][jj] -= c * a[k][jj]
-        result *= p
-    return result
+    return tuple(Fraction(x, t) for x in v[: a.n])

@@ -72,7 +72,7 @@ def _matrix_from_json(rows, m: int, n: int, where: str) -> Mat:
 
 
 def _matrix_to_json(mat: Mat) -> list[list[str]]:
-    return [[rat_to_str(x) for x in row] for row in mat.rows]
+    return [[rat_to_str(x) for x in row] for row in mat.tolist()]
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,13 @@ datum consists of
   of A + t0*B drops, or the infinite class, detected on the reversed
   pencil B + s*A at s = 0.
 
-Everything here is exact.  Ranks at specific parameter values are exact
-by construction; the normal rank is obtained by sampling min(m, n) + 1
-integer values, which is provably sufficient because every minor of
-A + t*B is a polynomial in t of degree at most min(m, n).
+Everything here is exact, and the work is done on integers.  Matrices are
+integer rows over a common denominator (see ``exactla``), so A + t*B at
+an integer t is an integer matrix up to one constant factor, which
+changes no rank and no kernel.  Ranks at specific parameter values are
+exact by construction; the normal rank is obtained by sampling
+min(m, n) + 1 integer values, which is provably sufficient because every
+minor of A + t*B is a polynomial in t of degree at most min(m, n).
 
 Minimal indices come from a nested-kernel chain at a regular parameter
 value mu: with M = A + mu*B,
@@ -30,8 +33,9 @@ chains (at a singular value the chain over-counts); it comes from ranks
 of constant matrices instead: candidate classes are the irreducible
 factors shared by two full-rank minors of A + t*B, and block sizes at a
 class are decoded from rank defects of block bidiagonal resolvents (see
-``_sizes_at_class``).  Eliminating A + t*B as a polynomial matrix would
-give the same answers but suffers badly from coefficient growth.
+``_sizes_at_class``), built directly as integer matrices.  Eliminating
+A + t*B as a polynomial matrix would give the same answers but suffers
+badly from coefficient growth.
 """
 
 from __future__ import annotations
@@ -39,15 +43,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial, gcd, lcm
+from operator import mul
 
 from .errors import InternalConsistencyError
 from .exactla import (
     Mat,
-    _bareiss_echelon,
     _frac,
-    _int_rows,
     det,
     kernel_basis,
+    pivot_columns,
     rank,
     row_space_basis,
 )
@@ -84,7 +89,13 @@ class Pencil:
 
     def at(self, t) -> Mat:
         """The matrix A + t*B."""
-        return self.a + self.b.scale(_frac(t))
+        if type(t) is not int:
+            t = _frac(t)
+        a, b = self.a, self.b
+        # A + (u/v)*B = (v*db*A_int + u*da*B_int) / (v*da*db)
+        ca, cb = t.denominator * b.den, t.numerator * a.den
+        rows = [[ca * x + cb * y for x, y in zip(r, s)] for r, s in zip(a.rows, b.rows)]
+        return Mat.from_ints(rows, self.n, t.denominator * a.den * b.den)
 
     def transposed(self) -> "Pencil":
         return Pencil(self.a.transpose(), self.b.transpose())
@@ -203,8 +214,12 @@ class StrictInvariants:
 # ---------------------------------------------------------------------------
 # rank and regular values
 
+# cached values are reused only within one request, so a few entries suffice;
+# an unbounded cache would keep every pencil for the life of the process
+_CACHE_SIZE = 8
 
-@lru_cache(maxsize=None)
+
+@lru_cache(maxsize=_CACHE_SIZE)
 def pencil_rank(p: Pencil) -> int:
     """Normal rank, via ranks at min(m, n) + 1 integer parameter values.
 
@@ -242,13 +257,13 @@ def is_regular_value(p: Pencil, t) -> bool:
     return rank(mat) == pencil_rank(p)
 
 
-def regular_value(p: Pencil) -> Fraction:
+def regular_value(p: Pencil) -> int:
     """Smallest non-negative integer at which the pencil has full normal rank."""
     r = pencil_rank(p)
     t = 0
     while True:
         if rank(p.at(t)) == r:
-            return Fraction(t)
+            return t
         t += 1
 
 
@@ -257,16 +272,26 @@ def regular_value(p: Pencil) -> Fraction:
 
 
 def _chain_dims(m_at_mu: Mat, b: Mat) -> list[int]:
-    """Dimensions of the nested kernel chain W_1 <= W_2 <= ... until stable."""
+    """Dimensions of the nested kernel chain W_1 <= W_2 <= ... until stable.
+
+    With M and B stored as integer rows over denominators dm and db, and
+    W the current basis as columns, M x = B W y holds exactly when
+    [db * M_int | -dm * B_int W] (x, y) = 0.
+    """
+    n = m_at_mu.n
     basis = kernel_basis(m_at_mu)
     dims = [len(basis)]
     if not basis:
         return dims
+    left = [[b.den * x for x in r] for r in m_at_mu.rows]
     while True:
-        bw = Mat.from_cols([b.apply(v) for v in basis], m_at_mu.m)
-        stacked = Mat.hstack([m_at_mu, bw.scale(-1)])
-        projected = [vec[: m_at_mu.n] for vec in kernel_basis(stacked)]
-        new_basis = row_space_basis(projected, m_at_mu.n)
+        rows = [
+            lr + [-m_at_mu.den * sum(map(mul, br, v)) for v in basis]
+            for lr, br in zip(left, b.rows)
+        ]
+        stacked = Mat.from_ints(rows, n + len(basis))
+        projected = [vec[:n] for vec in kernel_basis(stacked)]
+        new_basis = row_space_basis(projected, n)
         if len(new_basis) == len(basis):
             return dims
         dims.append(len(new_basis))
@@ -315,31 +340,40 @@ def _invertible_profile(mat: Mat, from_end: bool) -> tuple[list[int], list[int]]
     if from_end:
         row_order.reverse()
         col_order.reverse()
-    flipped = mat.submatrix(row_order, col_order)
-    _, piv = _bareiss_echelon(_int_rows(flipped.transpose()), flipped.m)
+    piv = pivot_columns(mat.submatrix(row_order, col_order).transpose())
     rows = sorted(row_order[i] for i in piv)
-    _, piv = _bareiss_echelon(_int_rows(mat.submatrix(rows, col_order)), mat.n)
+    piv = pivot_columns(mat.submatrix(rows, col_order))
     cols = sorted(col_order[j] for j in piv)
     return rows, cols
 
 
 def _interpolated_minor(p: Pencil, rows: list[int], cols: list[int]) -> Poly:
-    """det of the (rows, cols) submatrix of A + t*B, degree <= len(rows)."""
+    """A nonzero constant multiple of det of the (rows, cols) submatrix of A + t*B.
+
+    With D the product of the two denominators, D * (A + t*B) is an integer
+    matrix at integer t, so its minor takes integer values y_t at
+    t = 0..k.  Newton's forward differences d_j of those values give
+
+        k! * f(t) = sum_j d_j * (k!/j!) * t (t-1) ... (t-j+1)
+
+    in integers; the content is removed at the end.  Only the roots of the
+    minor matter to its callers.
+    """
     k = len(rows)
-    points = [Fraction(t) for t in range(k + 1)]
-    values = [det(p.at(t).submatrix(rows, cols)) for t in points]
-    out = Poly()
-    for i, (xi, yi) in enumerate(zip(points, values)):
-        if yi == 0:
-            continue
-        basis = Poly([1])
-        weight = Fraction(1)
-        for j, xj in enumerate(points):
-            if j != i:
-                basis = basis * Poly([-xj, 1])
-                weight *= xi - xj
-        out = out + basis * (yi / weight)
-    return out
+    scale = (p.a.den * p.b.den) ** k
+    values = [(det(p.at(t).submatrix(rows, cols)) * scale).numerator for t in range(k + 1)]
+    coeffs = [0] * (k + 1)
+    falling = [1]  # t (t-1) ... (t-j+1), lowest degree first
+    weight = factorial(k)
+    for j in range(k + 1):
+        if values[0]:
+            for i, c in enumerate(falling):
+                coeffs[i] += values[0] * weight * c
+        values = [y - x for x, y in zip(values, values[1:])]
+        falling = [x - j * y for x, y in zip([0] + falling, falling + [0])]
+        weight //= j + 1
+    content = gcd(*coeffs)
+    return Poly([c // content for c in coeffs])
 
 
 def _candidate_classes(p: Pencil, r: int) -> list[Poly]:
@@ -355,25 +389,36 @@ def _candidate_classes(p: Pencil, r: int) -> list[Poly]:
     return coprime_basis([g])
 
 
-def _kron(mat: Mat, block: Mat) -> Mat:
-    rows = [
-        Mat.hstack([block.scale(mat.entry(i, j)) for j in range(mat.n)])
-        for i in range(mat.m)
+def _resolvent_parts(p: Pencil, cls: Poly) -> tuple[list[list[int]], list[list[int]]]:
+    """Integer diagonal and superdiagonal blocks of the resolvents at cls.
+
+    With C the companion matrix of cls, scaled by the lcm L of the
+    denominators of its coefficients, the blocks are
+    D * (A (x) L*I + B (x) L*C) and D * (B (x) I), where D is the product of
+    the two denominators of the pencil.  Scaling diagonal and
+    superdiagonal blocks by separate nonzero constants leaves every
+    resolvent rank unchanged.  A rational class t - u/v has L = v and
+    C = (u/v), so its blocks are v*A + u*B and B.
+    """
+    d = cls.degree()
+    monic = cls.monic().coeffs
+    lcd = lcm(*[c.denominator for c in monic])
+    comp = [[lcd if s == t + 1 else 0 for t in range(d)] for s in range(d)]
+    for s in range(d):
+        comp[s][d - 1] = -(monic[s] * lcd).numerator
+    a_int = [[p.b.den * x for x in r] for r in p.a.rows]
+    b_int = [[p.a.den * y for y in r] for r in p.b.rows]
+    diag = [
+        [
+            (lcd * x if s == t else 0) + y * comp[s][t]
+            for x, y in zip(ra, rb)
+            for t in range(d)
+        ]
+        for ra, rb in zip(a_int, b_int)
+        for s in range(d)
     ]
-    return Mat.vstack(rows)
-
-
-def _block_bidiagonal(diag: Mat, sup: Mat, k: int) -> Mat:
-    """k x k block matrix with diag on the diagonal, sup above it."""
-    zero = Mat.zeros(diag.m, diag.n)
-    rows = []
-    for i in range(k):
-        blocks = [zero] * k
-        blocks[i] = diag
-        if i + 1 < k:
-            blocks[i + 1] = sup
-        rows.append(Mat.hstack(blocks))
-    return Mat.vstack(rows)
+    sup = [[y if s == t else 0 for y in rb for t in range(d)] for rb in b_int for s in range(d)]
+    return diag, sup
 
 
 def _sizes_at_class(p: Pencil, cls: Poly, r: int) -> tuple[int, ...]:
@@ -389,26 +434,21 @@ def _sizes_at_class(p: Pencil, cls: Poly, r: int) -> tuple[int, ...]:
     matrix of cls, which multiplies all ranks by the degree.
     """
     d = cls.degree()
-    if d == 1:
-        diag = p.at(-cls.coeffs[0] / cls.coeffs[1])
-        sup = p.b
-    else:
-        monic = cls.monic()
-        comp = Mat.from_cols(
-            [
-                [1 if i == j + 1 else 0 for i in range(d)]
-                for j in range(d - 1)
-            ]
-            + [[-c for c in monic.coeffs[:d]]],
-            d,
-        )
-        diag = _kron(p.a, Mat.identity(d)) + _kron(p.b, comp)
-        sup = _kron(p.b, Mat.identity(d))
+    diag, sup = _resolvent_parts(p, cls)
+    width = p.n * d
     defects: list[int] = []
     cap = min(p.m, p.n)
     k = 1
     while True:
-        scaled = rank(_block_bidiagonal(diag, sup, k))
+        rows = []
+        for i in range(k):
+            left = [0] * (width * i)
+            if i + 1 < k:
+                right = [0] * (width * (k - i - 2))
+                rows.extend(left + dr + sr + right for dr, sr in zip(diag, sup))
+            else:
+                rows.extend(left + dr for dr in diag)
+        scaled = rank(Mat.from_ints(rows, width * k))
         if scaled % d:
             raise InternalConsistencyError(
                 "resolvent rank not divisible by the class degree"
@@ -425,7 +465,7 @@ def _sizes_at_class(p: Pencil, cls: Poly, r: int) -> tuple[int, ...]:
     return _widths_from_dims(defects)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _jordan_structure(
     p: Pencil,
 ) -> tuple[tuple[tuple[Poly, tuple[int, ...]], ...], tuple[int, ...]]:
@@ -442,7 +482,7 @@ def _jordan_structure(
     return tuple(finite), inf_sizes
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def invariant_factors(p: Pencil) -> tuple[Poly, ...]:
     """Monic invariant factors of A + t*B over the polynomial ring."""
     r = pencil_rank(p)
@@ -537,9 +577,9 @@ def _vertical_block(height: int) -> tuple[Mat, Mat]:
 
 def _companion(f: Poly) -> Mat:
     k = f.degree()
-    rows = [[Fraction(0)] * k for _ in range(k)]
+    rows = [[0] * k for _ in range(k)]
     for i in range(1, k):
-        rows[i][i - 1] = Fraction(1)
+        rows[i][i - 1] = 1
     for i in range(k):
         rows[i][k - 1] = -f.coeffs[i]
     return Mat(rows)
@@ -551,11 +591,11 @@ def _finite_block(cls: Poly, size: int) -> tuple[Mat, Mat]:
     if cls.degree() == 1:
         root = -cls.coeffs[0]
         dim = size
-        rows = [[Fraction(0)] * dim for _ in range(dim)]
+        rows = [[0] * dim for _ in range(dim)]
         for i in range(dim):
             rows[i][i] = -root
             if i + 1 < dim:
-                rows[i][i + 1] = Fraction(1)
+                rows[i][i + 1] = 1
         a = Mat(rows)
     else:
         a = _companion(cls**size).scale(-1)
@@ -563,10 +603,7 @@ def _finite_block(cls: Poly, size: int) -> tuple[Mat, Mat]:
 
 
 def _infinite_block(size: int) -> tuple[Mat, Mat]:
-    rows = [
-        [Fraction(1) if j == i + 1 else Fraction(0) for j in range(size)]
-        for i in range(size)
-    ]
+    rows = [[1 if j == i + 1 else 0 for j in range(size)] for i in range(size)]
     return Mat.identity(size), Mat(rows)
 
 
@@ -636,5 +673,5 @@ def canonical_pencil(inv: StrictInvariants, assignment=None) -> Pencil:
             jordan.append((cls, sizes))
         else:
             mu = values[cls]
-            jordan.append((EigClass(Poly((-mu, Fraction(1)))), sizes))
+            jordan.append((EigClass(Poly((-mu, 1))), sizes))
     return _assemble_canonical(inv, jordan)

@@ -19,7 +19,7 @@ from .errors import (
     RegularPointHypothesisError,
     SparsityPatternError,
 )
-from .exactla import Mat, Vec, kernel_basis, row_space_basis
+from .exactla import IntVec, Mat, kernel_basis, row_space_basis
 from .pencils import (
     EigClass,
     Pencil,
@@ -111,20 +111,20 @@ def _regular_integers(p: Pencil, count: int) -> list[int]:
     return vals
 
 
-def core_subspace(p: Pencil) -> list[Vec]:
+def core_subspace(p: Pencil) -> list[IntVec]:
     """Span of the kernels of A + tB over regular values t.
 
     Kernel vectors depend polynomially on t with degree below dim, so
     dim + 1 regular sample points exhaust the span.
     """
     _require_skew(p)
-    vectors: list[Vec] = []
+    vectors: list[IntVec] = []
     for t in _regular_integers(p, p.n + 1):
         vectors.extend(kernel_basis(p.at(t)))
     return row_space_basis(vectors, p.n)
 
 
-def mantle_subspace(p: Pencil) -> list[Vec]:
+def mantle_subspace(p: Pencil) -> list[IntVec]:
     """Orthogonal complement of the core with respect to a regular form."""
     _require_skew(p)
     core = core_subspace(p)

@@ -9,7 +9,6 @@ from penciljk.exactla import (
     Mat,
     det,
     kernel_basis,
-    pfaffian,
     rank,
     row_space_basis,
     solve_unique,
@@ -34,6 +33,23 @@ def test_submatrix_and_entry():
     a = Mat([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
     s = a.submatrix([0, 2], [1, 2])
     assert s == Mat([[2, 3], [8, 9]])
+
+
+def test_rational_storage_is_canonical():
+    half = Fraction(1, 2)
+    a = Mat([[half, "1/3"], [2, 0]])
+    assert (a.rows, a.den) == (((3, 2), (12, 0)), 6)
+    assert a.entry(0, 1) == Fraction(1, 3) and a.row(0) == (half, Fraction(1, 3))
+    # equal matrices built along different routes share storage and hash
+    b = Mat([[3, 2], [12, 0]]).scale(Fraction(1, 6))
+    c = Mat([[half, 0], [2, 0]]) + Mat([[0, "2/6"], [0, 0]])
+    d = Mat.vstack([b.submatrix([0], [0, 1]), c.submatrix([1], [0, 1])])
+    for other in (b, c, d, b.transpose().transpose()):
+        assert other == a and hash(other) == hash(a)
+    assert Mat([[half, 1]]).scale(2) == Mat([[1, 2]])
+    assert Mat([[half]]).scale(0).den == 1
+    assert a.tolist() == [[half, Fraction(1, 3)], [2, 0]]
+    assert (a * Mat.identity(2)) == a and (Mat.identity(2) * a) == a
 
 
 def test_det_small_cases():
@@ -98,27 +114,3 @@ def test_solve_unique_rejects_singular():
     a = Mat([[1, 2], [2, 4]])
     with pytest.raises(ValueError):
         solve_unique(a, [1, 3])
-
-
-def test_pfaffian_squares_to_determinant():
-    rng = random.Random(SEED + 3)
-    for size in (2, 4, 6):
-        for _ in range(8):
-            raw = [[rng.randint(-4, 4) for _ in range(size)] for _ in range(size)]
-            a = Mat(
-                [
-                    [raw[i][j] if i < j else (-raw[j][i] if i > j else 0) for j in range(size)]
-                    for i in range(size)
-                ]
-            )
-            assert a.is_skew()
-            assert pfaffian(a) ** 2 == det(a)
-
-
-def test_pfaffian_known_value():
-    a = Mat([[0, 5], [-5, 0]])
-    assert pfaffian(a) == 5
-    with pytest.raises(ValueError):
-        pfaffian(Mat.identity(2))
-    with pytest.raises(ValueError):
-        pfaffian(Mat.zeros(3, 3))

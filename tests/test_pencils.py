@@ -9,9 +9,11 @@ import pytest
 
 from penciljk.errors import InternalConsistencyError
 from penciljk.pencils import (
+    _CACHE_SIZE,
     EigClass,
     Pencil,
     StrictInvariants,
+    _jordan_structure,
     are_strictly_equivalent,
     canonical_pencil,
     characteristic_polynomial,
@@ -39,9 +41,11 @@ def P(*coeffs):
 
 
 def random_pencil(rng, max_m=6, max_n=6, bound=3):
+    """Entries p/q with |p| <= bound and q in {1, 2, 3}."""
     m = rng.randint(1, max_m)
     n = rng.randint(1, max_n)
-    draw = lambda: [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(m)]
+    entry = lambda: Fraction(rng.randint(-bound, bound), rng.choice((1, 2, 3)))
+    draw = lambda: [[entry() for _ in range(n)] for _ in range(m)]
     return pencil_from_lists(draw(), draw())
 
 
@@ -121,6 +125,17 @@ def test_canonical_roundtrip_random():
         inv = random_strict_invariants(rng, max_m=8, max_n=8)
         p = canonical_of(inv)
         assert p.shape == (inv.m, inv.n)
+        assert strict_invariants(p) == inv
+    # a class with non-integer coefficients, t^2 - 1/2, next to singular blocks
+    inv = StrictInvariants(
+        m=8,
+        n=8,
+        rank=7,
+        horizontal=(2,),
+        vertical=(1,),
+        jordan=((EigClass(P(Fraction(-1, 2), 0, 1)), (2, 1)),),
+    )
+    for p in (canonical_of(inv), scramble(canonical_of(inv), rng)):
         assert strict_invariants(p) == inv
 
 
@@ -216,3 +231,17 @@ def test_zero_and_empty_pencils():
     wide = pencil_from_lists([[1, 1, 0]], [[0, 1, 1]])
     assert pencil_rank(wide) == 1
     assert strict_invariants(wide).horizontal == (2, 1)
+
+
+def test_pencil_caches_stay_bounded():
+    rng = random.Random(SEED + 6)
+    seen = set()
+    while len(seen) < 100:
+        p = random_pencil(rng)
+        if p not in seen:
+            seen.add(p)
+            strict_invariants(p)
+    for cached in (pencil_rank, _jordan_structure, invariant_factors):
+        info = cached.cache_info()
+        assert info.maxsize == _CACHE_SIZE
+        assert info.currsize <= _CACHE_SIZE
