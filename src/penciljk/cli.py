@@ -17,6 +17,7 @@ import argparse
 import os
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .catalog import build_classical, expected_lie_jk, expected_rep_jk, parse_family
 from .errors import (
@@ -320,7 +321,9 @@ def cmd_tables(args, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process; parse_args returns a fresh Namespace per call
     top = argparse.ArgumentParser(
         prog="penciljk",
         description="Exact pencil and Lie algebra invariants",

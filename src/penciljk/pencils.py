@@ -36,6 +36,17 @@ class are decoded from rank defects of block bidiagonal resolvents (see
 ``_sizes_at_class``), built directly as integer matrices.  Eliminating
 A + t*B as a polynomial matrix would give the same answers but suffers
 badly from coefficient growth.
+
+The same two minors bound the total block size at each class, because
+the exponent of a class in the gcd of all full-rank minors is exactly
+that total: at a finite class f the bound is the valuation at f of the
+gcd of the two minors, at infinity it is r minus the larger of their
+degrees.  The resolvent ranks stop as soon as the defect reaches the
+bound, which skips the largest, confirming rank whenever the bound is
+tight.  The bounds come from the minors alone, never from the minimal
+indices, so the dimension bookkeeping of ``StrictInvariants`` still
+checks the kernel chain against the resolvents, and a defect above its
+bound is an internal error.
 """
 
 from __future__ import annotations
@@ -376,17 +387,29 @@ def _interpolated_minor(p: Pencil, rows: list[int], cols: list[int]) -> Poly:
     return Poly([c // content for c in coeffs])
 
 
-def _candidate_classes(p: Pencil, r: int) -> list[Poly]:
-    """Monic irreducible polynomials covering every finite eigenvalue class."""
+def _candidate_classes(p: Pencil, r: int) -> tuple[list[tuple[Poly, int]], int]:
+    """Candidate finite classes with bounds on their total block size,
+    and the bound at infinity.
+
+    The candidates are monic irreducible polynomials covering every
+    finite eigenvalue class.  The total block size at a class f is its
+    exponent in the gcd of all r x r minors of A + t*B, hence at most the
+    valuation at f of the gcd g of the two minors used here.  Homogenized,
+    an r x r minor of degree e carries u**(r - e), so the total size of
+    the infinite blocks is at most r minus the larger degree.
+    """
     base = p.at(regular_value(p))
     rows, cols = _invertible_profile(base, from_end=False)
     g = _interpolated_minor(p, rows, cols)
+    top = g.degree()
     rows2, cols2 = _invertible_profile(base, from_end=True)
     if (rows2, cols2) != (rows, cols):
-        g = poly_gcd(g, _interpolated_minor(p, rows2, cols2))
+        g2 = _interpolated_minor(p, rows2, cols2)
+        top = max(top, g2.degree())
+        g = poly_gcd(g, g2)
     if g.degree() < 1:
-        return []
-    return coprime_basis([g])
+        return [], r - top
+    return [(f, g.valuation_at(f)) for f in coprime_basis([g])], r - top
 
 
 def _resolvent_parts(p: Pencil, cls: Poly) -> tuple[list[list[int]], list[list[int]]]:
@@ -421,7 +444,7 @@ def _resolvent_parts(p: Pencil, cls: Poly) -> tuple[list[list[int]], list[list[i
     return diag, sup
 
 
-def _sizes_at_class(p: Pencil, cls: Poly, r: int) -> tuple[int, ...]:
+def _sizes_at_class(p: Pencil, cls: Poly, r: int, bound: int) -> tuple[int, ...]:
     """Jordan block sizes of the pencil at a monic irreducible class.
 
     With alpha a root of cls, the k-fold block bidiagonal matrix T_k
@@ -432,12 +455,20 @@ def _sizes_at_class(p: Pencil, cls: Poly, r: int) -> tuple[int, ...]:
     while singular blocks and other classes contribute full rank.  For
     deg cls > 1 the root is adjoined by substituting the companion
     matrix of cls, which multiplies all ranks by the degree.
+
+    ``bound`` is an upper bound on the total size at the class, proved
+    independently (see ``_candidate_classes``).  A zero bound costs no
+    rank at all, and a defect above it is an internal error.  Once the
+    defect at k equals the bound, every size is at most k, since
+    sum of min(k, size) = bound >= sum of size, so the ranks stop there;
+    otherwise they stop when the defect repeats.
     """
+    if bound == 0:
+        return ()
     d = cls.degree()
     diag, sup = _resolvent_parts(p, cls)
     width = p.n * d
     defects: list[int] = []
-    cap = min(p.m, p.n)
     k = 1
     while True:
         rows = []
@@ -456,9 +487,15 @@ def _sizes_at_class(p: Pencil, cls: Poly, r: int) -> tuple[int, ...]:
         defect = k * r - scaled // d
         if defect == (defects[-1] if defects else 0):
             break
-        if defect > cap or (defects and defect < defects[-1]):
+        if defect > bound:
+            raise InternalConsistencyError(
+                "resolvent rank defect exceeds the bound from the minors"
+            )
+        if defects and defect < defects[-1]:
             raise InternalConsistencyError("resolvent rank defects not monotone")
         defects.append(defect)
+        if defect == bound:
+            break
         k += 1
     if not defects:
         return ()
@@ -473,12 +510,13 @@ def _jordan_structure(
     r = pencil_rank(p)
     if r == 0:
         return (), ()
+    candidates, inf_bound = _candidate_classes(p, r)
     finite = []
-    for cls in _candidate_classes(p, r):
-        sizes = _sizes_at_class(p, cls, r)
+    for cls, bound in candidates:
+        sizes = _sizes_at_class(p, cls, r, bound)
         if sizes:
             finite.append((cls, sizes))
-    inf_sizes = _sizes_at_class(p.reversed(), Poly.x(), r)
+    inf_sizes = _sizes_at_class(p.reversed(), Poly.x(), r, inf_bound)
     return tuple(finite), inf_sizes
 
 
@@ -534,7 +572,9 @@ def strict_invariants(p: Pencil) -> StrictInvariants:
     if inf_sizes:
         jordan.append((EigClass.infinite(), inf_sizes))
     jordan.sort(key=lambda cs: cs[0].sort_key())
-    inv = StrictInvariants(
+    # the construction cross-checks the kernel chain (minimal indices)
+    # against the resolvents (Jordan sizes) through the dimension counts
+    return StrictInvariants(
         m=p.m,
         n=p.n,
         rank=r,
@@ -542,13 +582,6 @@ def strict_invariants(p: Pencil) -> StrictInvariants:
         vertical=heights,
         jordan=tuple(jordan),
     )
-    # cross-check: the finite part comes from A + t*B, the infinite part
-    # from B + s*A; their degrees must add up to the total Jordan size
-    if characteristic_polynomial(p).degree != inv.jordan_dimension():
-        raise InternalConsistencyError(
-            "characteristic form degree disagrees with the Jordan dimension"
-        )
-    return inv
 
 
 def are_strictly_equivalent(p: Pencil, q: Pencil) -> bool:

@@ -66,6 +66,11 @@ def semidirect(g: LieAlgebra, rho: Representation) -> SemidirectSum:
     bad = check_homomorphism(rho)
     if bad:
         raise HomomorphismError("operators fail the bracket at pairs %r" % bad)
+    # with V abelian and rho a homomorphism, every Jacobi triple of g + V
+    # that involves V holds, so Jacobi on g + V reduces to Jacobi on g
+    bad = check_jacobi(g)
+    if bad:
+        raise JacobiError("algebra fails the Jacobi identity at triples %r" % bad)
     n = g.dim
     entries = []
     for i in range(n):
@@ -79,8 +84,6 @@ def semidirect(g: LieAlgebra, rho: Representation) -> SemidirectSum:
                 if c:
                     entries.append((i, n + b, n + a, c))
     q = LieAlgebra(n + rho.dim_v, entries)
-    if check_jacobi(q):
-        raise JacobiError("semi-direct structure constants fail the Jacobi identity")
     return SemidirectSum(g=g, rho=rho, q=q)
 
 

@@ -7,13 +7,16 @@ from fractions import Fraction
 
 import pytest
 
+import penciljk.pencils as pencils
 from penciljk.errors import InternalConsistencyError
 from penciljk.pencils import (
     _CACHE_SIZE,
     EigClass,
     Pencil,
     StrictInvariants,
+    _candidate_classes,
     _jordan_structure,
+    _sizes_at_class,
     are_strictly_equivalent,
     canonical_pencil,
     characteristic_polynomial,
@@ -245,3 +248,86 @@ def test_pencil_caches_stay_bounded():
         info = cached.cache_info()
         assert info.maxsize == _CACHE_SIZE
         assert info.currsize <= _CACHE_SIZE
+
+
+def test_minor_bound_stops_resolvent_ranks(monkeypatch):
+    # t^3 - 2 is irreducible over Q: two 3x3 companion blocks and a
+    # width-2 horizontal block, scrambled so that both minors reach full
+    # degree (in canonical form 0 is a regular value, and there every
+    # full-rank minor keeps the constant column of the [t, 1] block)
+    cubic = P(-2, 0, 0, 1)
+    inv = StrictInvariants(
+        m=7,
+        n=8,
+        rank=7,
+        horizontal=(2,),
+        vertical=(),
+        jordan=((EigClass(cubic), (1, 1)),),
+    )
+    p = scramble(canonical_of(inv), random.Random(SEED + 8))
+    r = pencil_rank(p)
+    candidates, inf_bound = _candidate_classes(p, r)
+    assert candidates == [(cubic, 2)]
+    assert inf_bound == 0
+    calls = []
+    real = pencils.rank
+
+    def counted(mat):
+        calls.append(mat.shape)
+        return real(mat)
+
+    monkeypatch.setattr(pencils, "rank", counted)
+    # defect 2 at k = 1 already meets the bound, so no T_2 is ranked
+    assert _sizes_at_class(p, cubic, r, 2) == (1, 1)
+    assert len(calls) == 1
+    assert _sizes_at_class(p.reversed(), Poly.x(), r, inf_bound) == ()
+    assert len(calls) == 1
+
+
+def test_sizes_without_a_tight_bound_agree():
+    rng = random.Random(SEED + 7)
+    checked = 0
+    while checked < 25:
+        p = random_pencil(rng, max_m=5, max_n=5, bound=2)
+        r = pencil_rank(p)
+        if r == 0:
+            continue
+        candidates, inf_bound = _candidate_classes(p, r)
+        loose = min(p.m, p.n)
+        for cls, bound in candidates:
+            assert _sizes_at_class(p, cls, r, loose) == _sizes_at_class(p, cls, r, bound)
+        q, x = p.reversed(), Poly.x()
+        assert _sizes_at_class(q, x, r, loose) == _sizes_at_class(q, x, r, inf_bound)
+        checked += 1
+
+
+@pytest.mark.parametrize("infinite", [False, True])
+def test_bound_below_the_truth_fails(monkeypatch, infinite):
+    # class t - 1 with sizes (2, 1), infinite sizes (1, 1), a height-2
+    # block; one case bounds t - 1 by 2, one below its total 3, the other
+    # bounds infinity by 1, one below its total 2
+    one = P(-1, 1)
+    inv = StrictInvariants(
+        m=7,
+        n=6,
+        rank=6,
+        horizontal=(),
+        vertical=(2,),
+        jordan=((EigClass(one), (2, 1)), (EigClass.infinite(), (1, 1))),
+    )
+    p = canonical_of(inv)
+    real = pencils._candidate_classes
+
+    def lowered(q, r):
+        candidates, inf_bound = real(q, r)
+        if infinite:
+            return candidates, 1
+        return [(f, 2 if f == one else b) for f, b in candidates], inf_bound
+
+    monkeypatch.setattr(pencils, "_candidate_classes", lowered)
+    _jordan_structure.cache_clear()
+    try:
+        with pytest.raises(InternalConsistencyError):
+            strict_invariants(p)
+    finally:
+        _jordan_structure.cache_clear()

@@ -4,7 +4,7 @@ prediction for their generic invariants."""
 import pytest
 
 from penciljk.catalog import Family, build_classical
-from penciljk.errors import HomomorphismError
+from penciljk.errors import HomomorphismError, JacobiError
 from penciljk.exactla import Mat
 from penciljk.lie import (
     CERTIFIED,
@@ -91,6 +91,15 @@ def test_semidirect_rejects_broken_action():
     )
     with pytest.raises(HomomorphismError):
         semidirect(g, tampered)
+
+
+def test_semidirect_rejects_broken_algebra():
+    # [e0, e1] = e0 and [e0, e2] = e1 fail Jacobi; the zero action is
+    # still a homomorphism, so only the Jacobi check can reject it
+    broken = LieAlgebra(3, [(0, 1, 0, 1), (0, 2, 1, 1)])
+    zero = Representation(broken, 1, (Mat.zeros(1, 1),) * 3)
+    with pytest.raises(JacobiError):
+        semidirect(broken, zero)
 
 
 def test_block_structure_at_sample_points():
