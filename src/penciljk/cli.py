@@ -133,19 +133,25 @@ def _print_report(report: dict, cfg_fmt: str) -> None:
     sys.stdout.write("\n".join(lines) + "\n")
 
 
-def _load_algebra(path: str):
-    g = lie_from_json(load_json(path))
+# Inputs are validated once, here, when they are loaded; the commands pass
+# validated=True to the package functions that would check them again.
+
+
+def _require_jacobi(g) -> None:
     bad = check_jacobi(g)
     if bad:
         raise JacobiError(f"jacobi identity fails at basis triples {bad[:3]!r}")
+
+
+def _load_algebra(path: str):
+    g = lie_from_json(load_json(path))
+    _require_jacobi(g)
     return g
 
 
 def _load_representation(path: str):
     rho = rep_from_json(load_json(path), os.path.dirname(path) or ".")
-    bad = check_jacobi(rho.algebra)
-    if bad:
-        raise JacobiError(f"jacobi identity fails at basis triples {bad[:3]!r}")
+    _require_jacobi(rho.algebra)
     bad = check_homomorphism(rho)
     if bad:
         raise HomomorphismError(f"operators fail the bracket at pairs {bad[:3]!r}")
@@ -159,13 +165,14 @@ def cmd_pencil(args, cfg: RunConfig) -> int:
             sys.stderr.write("pencil is not a pair of skew matrices\n")
             return EXIT_PRECONDITION
         jk = skew_jk_invariants(p)
+        core = core_subspace(p)
         report = {
             "command": "pencil",
             "skew": True,
             "pencil": {"m": p.m, "n": p.n},
             "invariants": skew_to_json(jk),
-            "coreDimension": len(core_subspace(p)),
-            "mantleDimension": len(mantle_subspace(p)),
+            "coreDimension": len(core),
+            "mantleDimension": len(mantle_subspace(p, core)),
         }
     else:
         inv = strict_invariants(p)
@@ -211,21 +218,25 @@ def cmd_rep(args, cfg: RunConfig) -> int:
 
 def cmd_semidirect(args, cfg: RunConfig) -> int:
     rho = _load_representation(args.rep)
+    g = rho.algebra
     if args.lie is not None:
-        g = _load_algebra(args.lie)
-        if g.table != rho.algebra.table:
+        lie = lie_from_json(load_json(args.lie))
+        if lie.table != g.table:
+            # a table other than the one already checked: a broken algebra
+            # is reported as such before the disagreement
+            _require_jacobi(lie)
             raise InputFormatError(
                 "--lie brackets disagree with the representation's algebra"
             )
-    else:
-        g = rho.algebra
-    sd = semidirect(g, rho)
+        g = lie
     code = EXIT_OK
     if args.verify_dual:
-        verdict = check_dual_theorem(g, rho, cfg.sampler(), samples=cfg.samples)
+        verdict = check_dual_theorem(
+            g, rho, cfg.sampler(), samples=cfg.samples, validated=True
+        )
         report = {
             "command": "semidirect",
-            "dim": sd.q.dim,
+            "dim": g.dim + rho.dim_v,
             "invariants": skew_to_json(verdict.lie.invariants),
             "genericityStatus": verdict.lie.genericity_status,
             "samplesUsed": verdict.lie.samples_used,
@@ -241,10 +252,11 @@ def cmd_semidirect(args, cfg: RunConfig) -> int:
         if verdict.verdict == MISMATCH:
             code = EXIT_MISMATCH
     else:
-        jk = jk_invariants_of_lie(sd.q, cfg.sampler(), samples=cfg.samples)
+        q = semidirect(g, rho, validated=True).q
+        jk = jk_invariants_of_lie(q, cfg.sampler(), samples=cfg.samples)
         report = {
             "command": "semidirect",
-            "dim": sd.q.dim,
+            "dim": q.dim,
             "invariants": skew_to_json(jk.invariants),
             "genericityStatus": jk.genericity_status,
             "samplesUsed": jk.samples_used,
@@ -292,7 +304,9 @@ def cmd_tables(args, cfg: RunConfig) -> int:
     lie_block: dict = {"known": lie_expected is not None}
     lie_match = True
     if lie_expected is not None:
-        q = semidirect(g, stacked).q
+        # build_classical checked g and rho, and a direct sum of copies of
+        # a representation is one
+        q = semidirect(g, stacked, validated=True).q
         lie_jk = jk_invariants_of_lie(q, cfg.sampler(), samples=cfg.samples)
         lie_sampled = skew_abstract_signature(lie_jk.invariants)
         lie_match = lie_sampled == lie_expected

@@ -19,7 +19,10 @@ an integer t is an integer matrix up to one constant factor, which
 changes no rank and no kernel.  Ranks at specific parameter values are
 exact by construction; the normal rank is obtained by sampling
 min(m, n) + 1 integer values, which is provably sufficient because every
-minor of A + t*B is a polynomial in t of degree at most min(m, n).
+minor of A + t*B is a polynomial in t of degree at most min(m, n).  The
+same scan records the smallest sampled t that reaches the normal rank,
+and that t is the regular value every later stage uses, so no second
+scan runs.
 
 Minimal indices come from a nested-kernel chain at a regular parameter
 value mu: with M = A + mu*B,
@@ -37,16 +40,19 @@ class are decoded from rank defects of block bidiagonal resolvents (see
 A + t*B as a polynomial matrix would give the same answers but suffers
 badly from coefficient growth.
 
-The same two minors bound the total block size at each class, because
-the exponent of a class in the gcd of all full-rank minors is exactly
-that total: at a finite class f the bound is the valuation at f of the
-gcd of the two minors, at infinity it is r minus the larger of their
-degrees.  The resolvent ranks stop as soon as the defect reaches the
-bound, which skips the largest, confirming rank whenever the bound is
-tight.  The bounds come from the minors alone, never from the minimal
-indices, so the dimension bookkeeping of ``StrictInvariants`` still
-checks the kernel chain against the resolvents, and a defect above its
-bound is an internal error.
+The two minors are integer polynomials (interpolated from integer
+determinants), so the candidates come from Z[t]: their integer gcd is
+factored once over Z, and the multiplicity of each irreducible factor is
+its valuation in that gcd.  The same minors bound the total block size
+at each class, because the exponent of a class in the gcd of all
+full-rank minors is exactly that total: at a finite class f the bound is
+the multiplicity of f in the gcd of the two minors, at infinity it is r
+minus the larger of their degrees.  The resolvent ranks stop as soon as
+the defect reaches the bound, which skips the largest, confirming rank
+whenever the bound is tight.  The bounds come from the minors alone,
+never from the minimal indices, so the dimension bookkeeping of
+``StrictInvariants`` still checks the kernel chain against the
+resolvents, and a defect above its bound is an internal error.
 """
 
 from __future__ import annotations
@@ -60,8 +66,8 @@ from operator import mul
 from .errors import InternalConsistencyError
 from .exactla import (
     Mat,
+    _echelon,
     _frac,
-    det,
     kernel_basis,
     pivot_columns,
     rank,
@@ -70,10 +76,11 @@ from .exactla import (
 from .polys import (
     BinForm,
     Poly,
-    coprime_basis,
+    ZPoly,
     format_poly,
-    poly_gcd,
+    integer_factors,
     poly_sort_key,
+    zpoly_gcd,
 )
 
 
@@ -231,19 +238,29 @@ _CACHE_SIZE = 8
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def pencil_rank(p: Pencil) -> int:
-    """Normal rank, via ranks at min(m, n) + 1 integer parameter values.
+def _rank_scan(p: Pencil) -> tuple[int, int]:
+    """Normal rank, and the smallest integer t >= 0 at which it is reached.
 
-    An r x r minor of A + t*B has degree at most min(m, n) in t, so it
-    cannot vanish at all sampled values unless it is identically zero.
+    The ranks at t = 0..min(m, n) suffice: an r x r minor of A + t*B has
+    degree at most min(m, n) in t, so it cannot vanish at all of those
+    values unless it is identically zero.  The rank never exceeds its
+    normal value, so the last t at which the running maximum rose is the
+    smallest regular one.
     """
-    best = 0
+    best, at = 0, 0
     bound = min(p.m, p.n)
     for t in range(bound + 1):
-        best = max(best, rank(p.at(t)))
-        if best == bound:
-            break
-    return best
+        k = rank(p.at(t))
+        if k > best:
+            best, at = k, t
+            if best == bound:
+                break
+    return best, at
+
+
+def pencil_rank(p: Pencil) -> int:
+    """Normal rank: the maximum of rank(A + t*B) over all t."""
+    return _rank_scan(p)[0]
 
 
 class _Infinity:
@@ -270,12 +287,7 @@ def is_regular_value(p: Pencil, t) -> bool:
 
 def regular_value(p: Pencil) -> int:
     """Smallest non-negative integer at which the pencil has full normal rank."""
-    r = pencil_rank(p)
-    t = 0
-    while True:
-        if rank(p.at(t)) == r:
-            return t
-        t += 1
+    return _rank_scan(p)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -358,21 +370,30 @@ def _invertible_profile(mat: Mat, from_end: bool) -> tuple[list[int], list[int]]
     return rows, cols
 
 
-def _interpolated_minor(p: Pencil, rows: list[int], cols: list[int]) -> Poly:
-    """A nonzero constant multiple of det of the (rows, cols) submatrix of A + t*B.
+def _interpolated_minor(p: Pencil, rows: list[int], cols: list[int]) -> ZPoly:
+    """A primitive integer multiple of det of the (rows, cols) submatrix of
+    A + t*B, lowest degree first.
 
-    With D the product of the two denominators, D * (A + t*B) is an integer
-    matrix at integer t, so its minor takes integer values y_t at
-    t = 0..k.  Newton's forward differences d_j of those values give
+    With D the product of the two denominators, D * (A + t*B) is an
+    integer matrix at integer t, built here directly from the integer
+    rows of A and B, so its minor takes integer values y_t at t = 0..k,
+    each read off one Bareiss elimination.  Newton's forward differences
+    d_j of those values give
 
         k! * f(t) = sum_j d_j * (k!/j!) * t (t-1) ... (t-j+1)
 
     in integers; the content is removed at the end.  Only the roots of the
-    minor matter to its callers.
+    minor, with their multiplicities, matter to its callers.
     """
     k = len(rows)
-    scale = (p.a.den * p.b.den) ** k
-    values = [(det(p.at(t).submatrix(rows, cols)) * scale).numerator for t in range(k + 1)]
+    da, db = p.a.den, p.b.den
+    a_sub = [[db * p.a.rows[i][j] for j in cols] for i in rows]
+    b_sub = [[da * p.b.rows[i][j] for j in cols] for i in rows]
+    values = []
+    for t in range(k + 1):
+        sub = [[x + t * y for x, y in zip(ra, rb)] for ra, rb in zip(a_sub, b_sub)]
+        r, _, sign, last = _echelon(sub, k)
+        values.append(sign * last if r == k else 0)
     coeffs = [0] * (k + 1)
     falling = [1]  # t (t-1) ... (t-j+1), lowest degree first
     weight = factorial(k)
@@ -383,8 +404,10 @@ def _interpolated_minor(p: Pencil, rows: list[int], cols: list[int]) -> Poly:
         values = [y - x for x, y in zip(values, values[1:])]
         falling = [x - j * y for x, y in zip([0] + falling, falling + [0])]
         weight //= j + 1
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
     content = gcd(*coeffs)
-    return Poly([c // content for c in coeffs])
+    return [c // content for c in coeffs]
 
 
 def _candidate_classes(p: Pencil, r: int) -> tuple[list[tuple[Poly, int]], int]:
@@ -392,24 +415,23 @@ def _candidate_classes(p: Pencil, r: int) -> tuple[list[tuple[Poly, int]], int]:
     and the bound at infinity.
 
     The candidates are monic irreducible polynomials covering every
-    finite eigenvalue class.  The total block size at a class f is its
-    exponent in the gcd of all r x r minors of A + t*B, hence at most the
-    valuation at f of the gcd g of the two minors used here.  Homogenized,
+    finite eigenvalue class: the irreducible factors over Z of the integer
+    gcd g of two full-rank minors, found in one factorization.  The total
+    block size at a class f is its exponent in the gcd of all r x r minors
+    of A + t*B, hence at most the multiplicity of f in g.  Homogenized,
     an r x r minor of degree e carries u**(r - e), so the total size of
     the infinite blocks is at most r minus the larger degree.
     """
     base = p.at(regular_value(p))
     rows, cols = _invertible_profile(base, from_end=False)
     g = _interpolated_minor(p, rows, cols)
-    top = g.degree()
+    top = len(g) - 1
     rows2, cols2 = _invertible_profile(base, from_end=True)
     if (rows2, cols2) != (rows, cols):
         g2 = _interpolated_minor(p, rows2, cols2)
-        top = max(top, g2.degree())
-        g = poly_gcd(g, g2)
-    if g.degree() < 1:
-        return [], r - top
-    return [(f, g.valuation_at(f)) for f in coprime_basis([g])], r - top
+        top = max(top, len(g2) - 1)
+        g = zpoly_gcd(g, g2)
+    return integer_factors(g), r - top
 
 
 def _resolvent_parts(p: Pencil, cls: Poly) -> tuple[list[list[int]], list[list[int]]]:

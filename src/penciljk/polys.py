@@ -1,12 +1,15 @@
 """Univariate polynomials over the rationals and polynomial matrix tools.
 
 ``Poly`` stores coefficients lowest degree first, trailing zeros stripped,
-so the representation of each polynomial is unique.  The Smith form of a
-polynomial matrix is computed fraction-free: rows are scaled to integer
-coefficients and all reductions use pseudo-division in Z[x] followed by
-content removal, which keeps coefficient growth in check.  Unit factors are
-irrelevant for invariant factors, so results are normalized monic at the
-end.
+so the representation of each polynomial is unique.  Integer polynomials
+(``ZPoly``, plain lists of ints, lowest degree first) carry the hot path:
+``zpoly_gcd`` and ``integer_factors`` find the shared irreducible factors
+of integer minors, with multiplicities, without any Fraction arithmetic.
+The Smith form of a polynomial matrix is computed fraction-free: rows are
+scaled to integer coefficients and all reductions use pseudo-division in
+Z[x] followed by content removal, which keeps coefficient growth in
+check.  Unit factors are irrelevant for invariant factors, so results are
+normalized monic at the end.
 """
 
 from __future__ import annotations
@@ -17,8 +20,6 @@ from math import gcd as int_gcd, lcm as int_lcm
 from typing import Sequence
 
 from .exactla import _frac
-
-_FACTOR_CACHE: dict[tuple[Fraction, ...], tuple["Poly", ...]] = {}
 
 
 class Poly:
@@ -155,25 +156,6 @@ class Poly:
             return self
         return Poly([c / lead for c in self.coeffs])
 
-    def shift(self, k: int) -> "Poly":
-        """Multiply by x**k."""
-        if self.is_zero():
-            return self
-        return Poly([Fraction(0)] * k + list(self.coeffs))
-
-    def valuation_at(self, other: "Poly") -> int:
-        """Largest e with other**e dividing self (self nonzero, other nonconstant)."""
-        if self.is_zero() or other.degree() < 1:
-            raise ValueError("valuation needs a nonzero polynomial and a nonconstant divisor")
-        e = 0
-        cur = self
-        while True:
-            q, r = divmod(cur, other)
-            if not r.is_zero():
-                return e
-            cur = q
-            e += 1
-
     def divides(self, other: "Poly") -> bool:
         if self.is_zero():
             return other.is_zero()
@@ -228,10 +210,6 @@ def squarefree_part(p: Poly) -> Poly:
 
 def _factor_squarefree(p: Poly) -> tuple[Poly, ...]:
     """Split a squarefree monic polynomial into its irreducible monic factors."""
-    key = p.coeffs
-    hit = _FACTOR_CACHE.get(key)
-    if hit is not None:
-        return hit
     import sympy
 
     x = sympy.Symbol("x")
@@ -241,9 +219,7 @@ def _factor_squarefree(p: Poly) -> tuple[Poly, ...]:
     for f, mult in parts:
         cs = [Fraction(c.p, c.q) for c in reversed(f.monic().all_coeffs())]
         out.extend([Poly(cs)] * mult)
-    result = tuple(sorted(out, key=poly_sort_key))
-    _FACTOR_CACHE[key] = result
-    return result
+    return tuple(sorted(out, key=poly_sort_key))
 
 
 def coprime_basis(polys: Sequence[Poly]) -> list[Poly]:
@@ -455,6 +431,45 @@ def _zpseudo_divmod(a: ZPoly, b: ZPoly) -> tuple[int, ZPoly, ZPoly]:
     return s, _ztrim(q), r
 
 
+def _zprimitive(p: ZPoly) -> ZPoly:
+    g = _zcontent(p)
+    return [c // g for c in p] if g > 1 else p
+
+
+def zpoly_gcd(a: ZPoly, b: ZPoly) -> ZPoly:
+    """Gcd over Q of two nonzero integer polynomials, as a primitive integer
+    polynomial (primitive remainder sequence: each pseudo-remainder is
+    divided by its content, which keeps the coefficients small)."""
+    a, b = _zprimitive(_ztrim(list(a))), _zprimitive(_ztrim(list(b)))
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        _, _, r = _zpseudo_divmod(a, b)
+        a, b = b, _zprimitive(r)
+    return a
+
+
+def integer_factors(p: ZPoly) -> list[tuple[Poly, int]]:
+    """Monic irreducible factors over Q of a nonzero integer polynomial,
+    each with its multiplicity, sorted by ``poly_sort_key``.
+
+    One factorization over Z (Gauss's lemma makes it one over Q), so each
+    multiplicity is the valuation of ``p`` at its factor.  A constant
+    ``p`` has no factors.
+    """
+    if len(p) < 2:
+        return []
+    from sympy import Poly as SymPoly, Symbol  # imported late: sympy loads slowly
+
+    _, parts = SymPoly(list(reversed(p)), Symbol("t"), domain="ZZ").factor_list()
+    out = []
+    for f, mult in parts:
+        cs = [int(c) for c in f.all_coeffs()]
+        out.append((Poly([Fraction(c, cs[0]) for c in reversed(cs)]), mult))
+    out.sort(key=lambda fm: poly_sort_key(fm[0]))
+    return out
+
+
 def _zdivides(p: ZPoly, q: ZPoly) -> bool:
     """Does p divide q over Q?"""
     if not q:
@@ -561,47 +576,3 @@ def smith_invariant_factors(entries: Sequence[Sequence[Poly]]) -> list[Poly]:
         if not factors[k - 1].divides(factors[k]):
             raise AssertionError("invariant factor chain broken")
     return factors
-
-
-def poly_matrix_det(entries: Sequence[Sequence[Poly]]) -> Poly:
-    """Determinant by cofactor expansion; intended for small matrices."""
-    k = len(entries)
-    if k == 0:
-        return Poly([1])
-    if any(len(r) != k for r in entries):
-        raise ValueError("determinant of a non-square matrix")
-    if k == 1:
-        return entries[0][0]
-    out = Poly()
-    for j in range(k):
-        if entries[0][j].is_zero():
-            continue
-        minor = [[entries[i][jj] for jj in range(k) if jj != j] for i in range(1, k)]
-        term = entries[0][j] * poly_matrix_det(minor)
-        out = out + term if j % 2 == 0 else out - term
-    return out
-
-
-def smith_via_minor_gcds(entries: Sequence[Sequence[Poly]]) -> list[Poly]:
-    """Invariant factors through gcds of k x k minors (small-shape oracle)."""
-    from itertools import combinations
-
-    m = len(entries)
-    n = len(entries[0]) if m else 0
-    if m > 4 or n > 4:
-        raise ValueError("minor-gcd oracle is restricted to shapes up to 4x4")
-    dets_prev = Poly([1])
-    out: list[Poly] = []
-    for k in range(1, min(m, n) + 1):
-        g = Poly()
-        for rows in combinations(range(m), k):
-            for cols in combinations(range(n), k):
-                sub = [[entries[i][j] for j in cols] for i in rows]
-                d = poly_matrix_det(sub)
-                if not d.is_zero():
-                    g = poly_gcd(g, d) if not g.is_zero() else d.monic()
-        if g.is_zero():
-            break
-        out.append((g // dets_prev).monic())
-        dets_prev = g
-    return out

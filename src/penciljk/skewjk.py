@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import (
     ConstantRankHypothesisError,
@@ -25,8 +26,8 @@ from .pencils import (
     Pencil,
     _finite_block,
     _infinite_block,
-    is_regular_value,
     pencil_rank,
+    regular_value,
     strict_invariants,
 )
 
@@ -101,37 +102,51 @@ def skew_jk_invariants(p: Pencil) -> SkewJK:
 # core and mantle
 
 
-def _regular_integers(p: Pencil, count: int) -> list[int]:
-    vals: list[int] = []
-    t = 0
-    while len(vals) < count:
-        if is_regular_value(p, t):
-            vals.append(t)
-        t += 1
-    return vals
-
-
 def core_subspace(p: Pencil) -> list[IntVec]:
     """Span of the kernels of A + tB over regular values t.
 
-    Kernel vectors depend polynomially on t with degree below dim, so
-    dim + 1 regular sample points exhaust the span.
+    The integers t = 0, 1, 2, ... are tried in turn, with one kernel per
+    point: t is regular exactly when its kernel has dimension n - r, with
+    r the normal rank.  The scan stops at the first regular point whose
+    kernel adds nothing to the span gathered so far.
+
+    That stop is exact.  In Kronecker form (a fixed change of coordinates,
+    which changes no dimension) the kernel at a regular t is spanned by
+    the vectors (1, t, ..., t^e), up to signs, one per horizontal block
+    L_e, in disjoint coordinates.  By Vandermonde, s distinct regular points
+    therefore span sum over blocks of min(s, e + 1) dimensions.  That count
+    grows at every new point while s <= max e and is constant from
+    s = max e + 1 on, where it is the whole core.  So the first regular
+    point that adds nothing comes right after the span is complete.
     """
     _require_skew(p)
-    vectors: list[IntVec] = []
-    for t in _regular_integers(p, p.n + 1):
-        vectors.extend(kernel_basis(p.at(t)))
-    return row_space_basis(vectors, p.n)
+    nullity = p.n - pencil_rank(p)
+    span: list[IntVec] = []
+    t = 0
+    while True:
+        kernel = kernel_basis(p.at(t))
+        if len(kernel) == nullity:
+            grown = row_space_basis(span + kernel, p.n)
+            if len(grown) == len(span):
+                return span
+            span = grown
+        t += 1
 
 
-def mantle_subspace(p: Pencil) -> list[IntVec]:
-    """Orthogonal complement of the core with respect to a regular form."""
+def mantle_subspace(p: Pencil, core: list[IntVec] | None = None) -> list[IntVec]:
+    """Orthogonal complement of the core with respect to a regular form.
+
+    ``core`` is the result of ``core_subspace(p)``, when the caller has
+    it already.
+    """
     _require_skew(p)
-    core = core_subspace(p)
-    mu = _regular_integers(p, 1)[0]
-    form = p.at(mu)
-    constraints = Mat([form.transpose().apply(k) for k in core], n=p.n)
-    return kernel_basis(constraints)
+    if core is None:
+        core = core_subspace(p)
+    # the rows form^T k, scaled by the denominator of the form, which
+    # changes no kernel
+    cols = list(zip(*p.at(regular_value(p)).rows))
+    rows = [[sum(map(mul, col, k)) for col in cols] for k in core]
+    return kernel_basis(Mat.from_ints(rows, p.n))
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ from penciljk.lie import (
 from penciljk.pencils import (
     EigClass,
     StrictInvariants,
-    characteristic_polynomial,
     strict_invariants,
 )
 from penciljk.semidirect import (
@@ -62,6 +61,7 @@ from helpers import (
     scramble,
     skew_canonical,
 )
+from oracles import interp_det
 
 GRID = [
     Family("gl", 2),
@@ -191,16 +191,36 @@ def test_criterion_06_block_structure():
     print(f"criterion 6: block shape verified on {checked} instances")
 
 
+def _degree_identity(det_poly, n, jordan) -> bool:
+    """deg det(A + tB) equals the finite Jordan dimension, and n minus it
+    the total size of the infinite blocks."""
+    finite = sum(c.root_count * sum(s) for c, s in jordan if not c.is_infinite)
+    infinite = sum(sum(s) for c, s in jordan if c.is_infinite)
+    return det_poly.degree() == finite and n - det_poly.degree() == infinite
+
+
 def test_criterion_07_characteristic_degree():
-    # the same identity guards every invariant computation internally;
-    # here it is recomputed from scratch on a fresh batch
+    # on square regular pencils, det(A + tB) comes from Fraction
+    # determinants at n + 1 points, independently of the invariants
     rng = random.Random(SEED + 4)
-    for _ in range(40):
+    checked = 0
+    while checked < 40:
         inv = random_strict_invariants(rng, max_m=8, max_n=8)
+        if inv.m != inv.n or inv.rank != inv.n:
+            continue
         p = scramble(canonical_of(inv), rng)
-        form = characteristic_polynomial(p)
-        assert form.degree == strict_invariants(p).jordan_dimension()
-    print("criterion 7: degree identity holds on 40 fresh pencils")
+        det_poly = interp_det(p)
+        jordan = strict_invariants(p).jordan
+        assert _degree_identity(det_poly, p.n, jordan)
+        # the identity can fail: changing any one reported size breaks it
+        for k, (cls, sizes) in enumerate(jordan):
+            for i in range(len(sizes)):
+                for step in (1, -1):
+                    changed = sizes[:i] + (sizes[i] + step,) + sizes[i + 1 :]
+                    wrong = jordan[:k] + ((cls, changed),) + jordan[k + 1 :]
+                    assert not _degree_identity(det_poly, p.n, wrong)
+        checked += 1
+    print(f"criterion 7: det degree matches the Jordan sizes on {checked} regular pencils")
 
 
 def test_criterion_08_core_mantle():

@@ -211,6 +211,47 @@ def test_semidirect_command(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_semidirect_validates_each_input_once(tmp_path, capsys, monkeypatch):
+    import penciljk.catalog as catalog
+    import penciljk.cli as cli
+    import penciljk.lie as lie
+    import penciljk.semidirect as semidirect
+
+    counts = {"check_jacobi": 0, "check_homomorphism": 0}
+    for name in counts:
+        real = getattr(lie, name)
+
+        def counted(*args, _name=name, _real=real):
+            counts[_name] += 1
+            return _real(*args)
+
+        for mod in (catalog, cli, lie, semidirect):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, counted)
+
+    rep = write(tmp_path, "rep2.json", SL2_STD2)
+    lie_path = write(tmp_path, "sl2.json", SL2)
+    for argv in (
+        ["--samples", "2", "semidirect", "--rep", rep, "--verify-dual"],
+        ["--samples", "2", "semidirect", "--lie", lie_path, "--rep", rep, "--verify-dual"],
+        ["--samples", "2", "semidirect", "--rep", rep],
+        ["--samples", "2", "tables", "--family", "sl", "--n", "2", "--m", "2"],
+    ):
+        counts.update(check_jacobi=0, check_homomorphism=0)
+        assert main(argv) == 0
+        assert counts == {"check_jacobi": 1, "check_homomorphism": 1}, argv
+    capsys.readouterr()
+    # a broken --lie that disagrees with the representation is still
+    # reported as a broken algebra
+    broken = write(
+        tmp_path,
+        "broken.json",
+        {"dim": 3, "brackets": [{"i": 0, "j": 1, "k": 0, "c": 1}, {"i": 0, "j": 2, "k": 1, "c": 1}]},
+    )
+    assert main(["semidirect", "--lie", broken, "--rep", rep]) == 5
+    capsys.readouterr()
+
+
 def test_bundle_leq_command(tmp_path, capsys):
     upper = write(
         tmp_path,

@@ -7,7 +7,10 @@ from fractions import Fraction
 
 import pytest
 
+import penciljk.exactla as exactla
 import penciljk.pencils as pencils
+import penciljk.polys as polys
+import penciljk.skewjk as skewjk
 from penciljk.errors import InternalConsistencyError
 from penciljk.pencils import (
     _CACHE_SIZE,
@@ -16,6 +19,7 @@ from penciljk.pencils import (
     StrictInvariants,
     _candidate_classes,
     _jordan_structure,
+    _rank_scan,
     _sizes_at_class,
     are_strictly_equivalent,
     canonical_pencil,
@@ -25,18 +29,20 @@ from penciljk.pencils import (
     minimal_indices,
     pencil_from_lists,
     pencil_rank,
+    regular_value,
     strict_invariants,
 )
 from penciljk.polys import Poly, smith_invariant_factors
 
 from helpers import (
+    CLASS_POOL,
     SEED,
     canonical_of,
     random_invertible,
     random_strict_invariants,
     scramble,
 )
-from oracles import eval_rank, interp_det, stacked_minimal_indices
+from oracles import eval_rank, fraction_candidates, interp_det, stacked_minimal_indices
 
 
 def P(*coeffs):
@@ -57,6 +63,37 @@ def test_rank_matches_evaluation_oracle():
     for _ in range(40):
         p = random_pencil(rng)
         assert pencil_rank(p) == eval_rank(p)
+
+
+def test_regular_value_comes_from_the_rank_scan(monkeypatch):
+    rng = random.Random(SEED + 9)
+    for _ in range(40):
+        p = random_pencil(rng)
+        # stacking p on itself keeps its rank below min(m, n) when n > m
+        doubled = Pencil(exactla.Mat.vstack([p.a, p.a]), exactla.Mat.vstack([p.b, p.b]))
+        for q in (p, doubled):
+            r = eval_rank(q)
+            assert pencil_rank(q) == r
+            first = next(t for t in range(min(q.m, q.n) + 1) if exactla.rank(q.at(t)) == r)
+            assert regular_value(q) == first
+    # eigenvalues 0 and 1 next to singular blocks: rank 4 of 5, first reached at 2
+    inv = StrictInvariants(
+        m=5,
+        n=5,
+        rank=4,
+        horizontal=(2,),
+        vertical=(2,),
+        jordan=((EigClass(P(-1, 1)), (1,)), (EigClass(P(0, 1)), (1,))),
+    )
+    assert regular_value(scramble(canonical_of(inv), rng)) == 2
+    # once the normal rank is known, the regular value costs no rank
+    p = random_pencil(rng)
+    pencil_rank(p)
+    calls = []
+    real = pencils.rank
+    monkeypatch.setattr(pencils, "rank", lambda mat: calls.append(mat) or real(mat))
+    regular_value(p)
+    assert calls == []
 
 
 def test_minimal_indices_match_stacked_kernel_oracle():
@@ -244,10 +281,25 @@ def test_pencil_caches_stay_bounded():
         if p not in seen:
             seen.add(p)
             strict_invariants(p)
-    for cached in (pencil_rank, _jordan_structure, invariant_factors):
+    for cached in (_rank_scan, _jordan_structure, invariant_factors):
         info = cached.cache_info()
         assert info.maxsize == _CACHE_SIZE
         assert info.currsize <= _CACHE_SIZE
+    # no other cache on the invariant path may grow without bound either
+    cached = {
+        f
+        for m in (exactla, pencils, polys, skewjk)
+        for f in vars(m).values()
+        if hasattr(f, "cache_info")
+    }
+    assert cached == {_rank_scan, _jordan_structure, invariant_factors}
+    # nor a module-level dict used as a cache
+    assert not [
+        name
+        for m in (exactla, pencils, polys, skewjk)
+        for name, v in vars(m).items()
+        if type(v) is dict and not name.startswith("__")
+    ]
 
 
 def test_minor_bound_stops_resolvent_ranks(monkeypatch):
@@ -331,3 +383,44 @@ def test_bound_below_the_truth_fails(monkeypatch, infinite):
             strict_invariants(p)
     finally:
         _jordan_structure.cache_clear()
+
+
+def test_integer_candidates_match_fraction_path():
+    # random draws: mostly linear candidates, some shared by accident
+    rng = random.Random(SEED + 10)
+    checked = 0
+    while checked < 40:
+        p = random_pencil(rng, max_m=5, max_n=5, bound=3)
+        r = pencil_rank(p)
+        if r == 0:
+            continue
+        assert _candidate_classes(p, r) == fraction_candidates(p, r)
+        checked += 1
+    # quadratic and cubic classes with repeated sizes, next to singular
+    # and infinite blocks, scrambled
+    higher = [c for c in CLASS_POOL if c.root_count > 1 and not c.is_infinite]
+    for i in range(12):
+        picked = rng.sample(higher, 2) + [EigClass(P(rng.randint(-3, 3), 1)), EigClass.infinite()]
+        jordan = sorted(
+            ((c, tuple(sorted((rng.randint(1, 2) for _ in range(rng.randint(1, 2))), reverse=True)))
+             for c in picked[: 2 + i % 3]),
+            key=lambda cs: cs[0].sort_key(),
+        )
+        horizontal = (2,) if i % 2 else ()
+        jdim = sum(c.root_count * sum(s) for c, s in jordan)
+        inv = StrictInvariants(
+            m=jdim + len(horizontal),
+            n=jdim + 2 * len(horizontal),
+            rank=jdim + len(horizontal),
+            horizontal=horizontal,
+            vertical=(),
+            jordan=tuple(jordan),
+        )
+        p = scramble(canonical_of(inv), rng, bound=3)
+        candidates, inf_bound = _candidate_classes(p, inv.rank)
+        assert (candidates, inf_bound) == fraction_candidates(p, inv.rank)
+        found = dict(candidates)
+        for c, sizes in inv.jordan:
+            if not c.is_infinite:
+                assert found[c.poly] >= sum(sizes)
+        assert strict_invariants(p) == inv

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -10,13 +11,17 @@ from penciljk.polys import (
     Poly,
     coprime_basis,
     format_poly,
+    integer_factors,
     parse_poly,
     poly_gcd,
     poly_lcm,
     smith_invariant_factors,
     squarefree_decomposition,
     squarefree_part,
+    zpoly_gcd,
 )
+
+from oracles import valuation
 
 
 def P(*coeffs):
@@ -93,6 +98,39 @@ def test_coprime_basis_handles_powers_and_fractions():
     f = P(Fraction(1, 2), 1) ** 2
     basis = coprime_basis([f])
     assert basis == [P(Fraction(1, 2), 1)]
+
+
+def _as_ints(f: Poly) -> list[int]:
+    den = lcm(*[c.denominator for c in f.coeffs])
+    return [int(c * den) for c in f.coeffs]
+
+
+def test_integer_factors_match_fraction_path():
+    # products of linear, quadratic and cubic irreducibles with random
+    # multiplicities and integer scalings; two products share some factors
+    pool = [
+        P(0, 1), P(-1, 1), P(3, 1), P(Fraction(1, 2), 1), P(Fraction(-2, 3), 1),
+        P(1, 0, 1), P(-2, 0, 1), P(-1, -1, 1), P(Fraction(-1, 2), 0, 1),
+        P(-2, 0, 0, 1), P(1, 1, 0, 1),
+    ]
+    rng = random.Random(11)
+    for _ in range(60):
+        shared = rng.sample(pool, rng.randint(0, 3))
+        f, g = P(rng.choice((1, -2, 3))), P(rng.choice((1, -1, 6)))
+        for q in shared:
+            f = f * q ** rng.randint(1, 3)
+            g = g * q ** rng.randint(1, 3)
+        for q in rng.sample(pool, 2):
+            f = f * q ** rng.randint(0, 2)
+        if rng.random() < 0.5:
+            g = g * rng.choice(pool)
+        d = poly_gcd(f, g)
+        expected = [] if d.is_constant() else [(q, valuation(d, q)) for q in coprime_basis([d])]
+        z = zpoly_gcd(_as_ints(f), _as_ints(g))
+        assert Poly(z).monic() == d
+        assert integer_factors(z) == expected
+    assert integer_factors([5]) == []
+    assert integer_factors([0, 0, 4]) == [(P(0, 1), 2)]
 
 
 def test_format_and_parse_roundtrip():

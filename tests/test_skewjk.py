@@ -5,12 +5,14 @@ import random
 
 import pytest
 
+import penciljk.skewjk as skewjk
 from penciljk.errors import (
     ConstantRankHypothesisError,
     InternalConsistencyError,
     RegularPointHypothesisError,
     SparsityPatternError,
 )
+from penciljk.exactla import row_space_basis
 from penciljk.pencils import EigClass, pencil_from_lists
 from penciljk.polys import Poly
 from penciljk.skewjk import (
@@ -22,7 +24,8 @@ from penciljk.skewjk import (
     skew_jk_invariants,
 )
 
-from helpers import SEED, congruent, random_skew_jk, skew_canonical
+from helpers import CLASS_POOL, SEED, congruent, random_skew_jk, skew_canonical
+from oracles import dense_core
 
 
 def P(*coeffs):
@@ -101,6 +104,56 @@ def test_core_and_mantle_are_congruence_invariant():
         p = congruent(skew_canonical(jk), rng)
         assert len(core_subspace(p)) == 3
         assert len(mantle_subspace(p)) == 5
+
+
+def _core_case(rng, i):
+    """Kronecker indices up to 4, dimension up to 14; every third case has
+    eigenvalues at t = 0 and t = 1, the first integers the core scan tries."""
+    zero_one = [EigClass(P(0, 1)), EigClass(P(-1, 1))]
+    while True:
+        kron = tuple(sorted((rng.randint(1, 4) for _ in range(rng.randint(1, 3))), reverse=True))
+        classes = zero_one if i % 3 == 0 else rng.sample(CLASS_POOL, rng.randint(0, 2))
+        jordan = sorted(
+            ((c, tuple(sorted((2 * rng.randint(1, 2) for _ in range(rng.randint(1, 2))), reverse=True)))
+             for c in classes),
+            key=lambda cs: cs[0].sort_key(),
+        )
+        dim = sum(2 * k - 1 for k in kron) + sum(c.root_count * sum(s) for c, s in jordan)
+        if dim <= 14:
+            return SkewJK(dim=dim, kronecker=kron, jordan=tuple(jordan))
+
+
+def test_early_stopped_core_matches_dense_oracle():
+    rng = random.Random(SEED + 2)
+    for i in range(102):
+        jk = _core_case(rng, i)
+        p = congruent(skew_canonical(jk), rng, bound=3)
+        core = core_subspace(p)
+        dense = dense_core(p)
+        assert len(core) == len(dense) == sum(jk.kronecker)
+        # same span: neither adds anything to the other
+        assert len(row_space_basis(core + dense, p.n)) == len(core)
+
+
+def test_core_stops_after_the_span_is_complete(monkeypatch):
+    # widths 3 and 1 (largest e = 2) and a class at t = 1: t = 0, 2, 3
+    # complete the span, t = 4 adds nothing, t = 1 is singular
+    jk = SkewJK(dim=10, kronecker=(3, 1), jordan=((EigClass(P(-1, 1)), (2, 2)),))
+    p = skew_canonical(jk)
+    calls = []
+    real = skewjk.kernel_basis
+
+    def counted(mat):
+        calls.append(mat)
+        return real(mat)
+
+    monkeypatch.setattr(skewjk, "kernel_basis", counted)
+    core = core_subspace(p)
+    assert len(core) == 4
+    assert len(calls) == 5
+    calls.clear()
+    assert len(mantle_subspace(p, core)) == len(mantle_subspace(p)) == 4 + 4
+    assert len(calls) == 1 + 6
 
 
 def _block_example():
