@@ -31,28 +31,34 @@ value mu: with M = A + mu*B,
 
 At a regular value only horizontal blocks feed this chain, and a block
 of width w contributes min(k, w) to dim W_k, so consecutive differences
-count blocks of width >= k.  Eigenvalue data deliberately does not use
-chains (at a singular value the chain over-counts); it comes from ranks
-of constant matrices instead: candidate classes are the irreducible
-factors shared by two full-rank minors of A + t*B, and block sizes at a
-class are decoded from rank defects of block bidiagonal resolvents (see
-``_sizes_at_class``), built directly as integer matrices.  Eliminating
-A + t*B as a polynomial matrix would give the same answers but suffers
-badly from coefficient growth.
+count blocks of width >= k.  The chain of the transposed pencil gives
+the heights the same way.  For a skew pencil the transposed pencil is
+the negated one, whose chain is the same computation, so it runs once.
 
-The two minors are integer polynomials (interpolated from integer
-determinants), so the candidates come from Z[t]: their integer gcd is
-factored once over Z, and the multiplicity of each irreducible factor is
-its valuation in that gcd.  The same minors bound the total block size
-at each class, because the exponent of a class in the gcd of all
-full-rank minors is exactly that total: at a finite class f the bound is
-the multiplicity of f in the gcd of the two minors, at infinity it is r
-minus the larger of their degrees.  The resolvent ranks stop as soon as
-the defect reaches the bound, which skips the largest, confirming rank
-whenever the bound is tight.  The bounds come from the minors alone,
-never from the minimal indices, so the dimension bookkeeping of
-``StrictInvariants`` still checks the kernel chain against the
-resolvents, and a defect above its bound is an internal error.
+The limits of the two chains are Wong limits (Berger, Ilchmann and
+Trenn 2012): the right one spans exactly the columns of the horizontal
+blocks, the left one the rows of the vertical blocks.  Together with
+their images under A and B they split the singular part off, as in Van
+Dooren's (1979) staircase reduction but in exact arithmetic: two
+complements chosen by pivot columns give a square pencil
+Q (A + t*B) P, of size n minus sum(w) minus sum(u - 1), that is strictly
+equivalent to the Jordan part of the Kronecker form (see
+``_regular_part``).  Eigenvalue data is read off that regular part.
+Its determinant, interpolated from integer determinants, is factored
+once over Z: each irreducible factor is a finite class, its
+multiplicity is the exact total block size there, and the dimension
+minus the degree is the exact infinite total.  No class without blocks
+arises.  Block sizes at a class are decoded from rank defects of block
+bidiagonal resolvents of the regular part (see ``_sizes_at_class``),
+built directly as integer matrices, and stop when the defect reaches
+the total.  Eliminating A + t*B as a polynomial matrix would give the
+same answers but suffers badly from coefficient growth.
+
+Each step checks itself: the two image dimensions against the indices,
+the regular part's size and its nonzero determinant, and each class's
+defects against its total.  The rank comes from the independent rank
+scan, so the dimension bookkeeping of ``StrictInvariants`` still checks
+the chains against the rank.
 """
 
 from __future__ import annotations
@@ -62,9 +68,11 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd, lcm
 from operator import mul
+from typing import Sequence
 
 from .errors import InternalConsistencyError
 from .exactla import (
+    IntVec,
     Mat,
     _echelon,
     _frac,
@@ -80,7 +88,6 @@ from .polys import (
     format_poly,
     integer_factors,
     poly_sort_key,
-    zpoly_gcd,
 )
 
 
@@ -294,8 +301,9 @@ def regular_value(p: Pencil) -> int:
 # minimal indices
 
 
-def _chain_dims(m_at_mu: Mat, b: Mat) -> list[int]:
-    """Dimensions of the nested kernel chain W_1 <= W_2 <= ... until stable.
+def _kernel_chain(m_at_mu: Mat, b: Mat) -> tuple[list[int], list[IntVec]]:
+    """Dimensions of the nested kernel chain W_1 <= W_2 <= ... until stable,
+    and a basis of its limit.
 
     With M and B stored as integer rows over denominators dm and db, and
     W the current basis as columns, M x = B W y holds exactly when
@@ -305,7 +313,7 @@ def _chain_dims(m_at_mu: Mat, b: Mat) -> list[int]:
     basis = kernel_basis(m_at_mu)
     dims = [len(basis)]
     if not basis:
-        return dims
+        return dims, basis
     left = [[b.den * x for x in r] for r in m_at_mu.rows]
     while True:
         rows = [
@@ -316,7 +324,7 @@ def _chain_dims(m_at_mu: Mat, b: Mat) -> list[int]:
         projected = [vec[:n] for vec in kernel_basis(stacked)]
         new_basis = row_space_basis(projected, n)
         if len(new_basis) == len(basis):
-            return dims
+            return dims, basis
         dims.append(len(new_basis))
         basis = new_basis
 
@@ -331,68 +339,133 @@ def _widths_from_dims(dims: list[int]) -> tuple[int, ...]:
     return tuple(widths)
 
 
+def _is_skew(p: Pencil) -> bool:
+    return p.a.is_skew() and p.b.is_skew()
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _kernel_chains(
+    p: Pencil,
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[IntVec, ...], tuple[IntVec, ...]]:
+    """Widths and heights, with the limits of the right and left chains.
+
+    The right limit spans the columns of the horizontal blocks, the left
+    one (the chain of the transposed pencil) the rows of the vertical
+    blocks.  A skew pencil's transpose is its negative, whose chain is the
+    same computation, so there the left chain is the right one.
+    """
+    mu = regular_value(p)
+    right_dims, right = _kernel_chain(p.at(mu), p.b)
+    if _is_skew(p):
+        left_dims, left = right_dims, right
+    else:
+        pt = p.transposed()
+        left_dims, left = _kernel_chain(pt.at(mu), pt.b)
+    return (
+        _widths_from_dims(right_dims),
+        _widths_from_dims(left_dims),
+        tuple(right),
+        tuple(left),
+    )
+
+
 def minimal_indices(p: Pencil) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(horizontal widths, vertical heights), each sorted descending."""
-    mu = regular_value(p)
-    widths = _widths_from_dims(_chain_dims(p.at(mu), p.b))
-    pt = p.transposed()
-    heights = _widths_from_dims(_chain_dims(pt.at(mu), pt.b))
+    widths, heights, _, _ = _kernel_chains(p)
     return widths, heights
 
 
 # ---------------------------------------------------------------------------
 # eigenvalue structure
-#
-# Strategy: every finite eigenvalue class divides every maximal minor of
-# A + t*B, so factoring the gcd of two such minors yields a candidate
-# superset of the classes.  The sizes at each candidate then come from
-# exact ranks of constant matrices, which is far cheaper than polynomial
-# elimination; candidates whose size list is empty are discarded.
 
 
-def _invertible_profile(mat: Mat, from_end: bool) -> tuple[list[int], list[int]]:
-    """Row and column indices of an invertible rank(mat) x rank(mat) submatrix.
+def _complement(inside: Sequence[IntVec], basis: list[IntVec], n: int) -> list[IntVec]:
+    """Vectors of ``basis`` completing the independent ``inside`` to a basis
+    of their joint span: the pivots of [inside | basis] beyond ``inside``."""
+    vectors = list(inside) + list(basis)
+    rows = [[v[i] for v in vectors] for i in range(n)]
+    skip = len(inside)
+    return [basis[j - skip] for j in pivot_columns(Mat.from_ints(rows, len(vectors))) if j >= skip]
 
-    Rows are chosen first (pivots of the transposed echelon form), then
-    columns inside those rows, which makes the intersection invertible.
-    ``from_end`` flips the scan order so a second call can find a
-    different witness.
+
+def _restricted(mat: Mat, left: list[IntVec], right: list[IntVec], scale: int) -> list[list[int]]:
+    """The integer rows of scale * Q mat_int P, with Q's rows ``left`` and
+    P's columns ``right``."""
+    images = [[sum(map(mul, row, v)) for row in mat.rows] for v in right]
+    return [[scale * sum(map(mul, q, w)) for w in images] for q in left]
+
+
+def _regular_part(p: Pencil) -> Pencil:
+    """A square regular pencil Q (A + tB) P strictly equivalent to the
+    Jordan part of the Kronecker form.
+
+    In Kronecker coordinates the columns split as C_H + C_V + C_J
+    (horizontal, vertical and Jordan blocks) and the rows as
+    R_H + R_V + R_J, and A and B map each column part into the row part of
+    the same name.  The right chain limit V is C_H, so W = AV + BV is R_H,
+    of dimension sum(w - 1).  The left limit Z is the set of row
+    functionals vanishing on R_H + R_J, and U = Z^T A + Z^T B those
+    vanishing on C_H + C_J, of dimension sum(u - 1).  So ker U is
+    C_H + C_J, a complement P of V inside it projects isomorphically onto
+    C_J, and likewise a complement Q of Z inside Ann W consists of
+    functionals vanishing on R_H whose restrictions to R_J form a basis of
+    its dual.  Q (A + tB) P then sees only the Jordan blocks, through two
+    invertible changes of basis.  For a skew pencil Z = V, U = W and
+    hence Q = P.
     """
-    row_order = list(range(mat.m))
-    col_order = list(range(mat.n))
-    if from_end:
-        row_order.reverse()
-        col_order.reverse()
-    piv = pivot_columns(mat.submatrix(row_order, col_order).transpose())
-    rows = sorted(row_order[i] for i in piv)
-    piv = pivot_columns(mat.submatrix(rows, col_order))
-    cols = sorted(col_order[j] for j in piv)
-    return rows, cols
+    widths, heights, right, left = _kernel_chains(p)
+    if not right and not left:
+        return p
+    skew = _is_skew(p)
+    image = [
+        [sum(map(mul, row, v)) for row in mat.rows] for v in right for mat in (p.a, p.b)
+    ]
+    ann_image = kernel_basis(Mat.from_ints(image, p.m))
+    if p.m - len(ann_image) != sum(w - 1 for w in widths):
+        raise InternalConsistencyError("the horizontal blocks' image has the wrong dimension")
+    if skew:
+        ker_coimage = ann_image
+    else:
+        coimage = [
+            [sum(map(mul, col, z)) for col in zip(*mat.rows)] for z in left for mat in (p.a, p.b)
+        ]
+        ker_coimage = kernel_basis(Mat.from_ints(coimage, p.n))
+        if p.n - len(ker_coimage) != sum(u - 1 for u in heights):
+            raise InternalConsistencyError("the vertical blocks' coimage has the wrong dimension")
+    cols = _complement(right, ker_coimage, p.n)
+    rows = cols if skew else _complement(left, ann_image, p.m)
+    size = p.n - sum(widths) - sum(u - 1 for u in heights)
+    if len(cols) != size or len(rows) != size:
+        raise InternalConsistencyError("the regular part is not square of the Jordan dimension")
+    return Pencil(
+        Mat.from_ints(_restricted(p.a, rows, cols, p.b.den), size),
+        Mat.from_ints(_restricted(p.b, rows, cols, p.a.den), size),
+    )
 
 
-def _interpolated_minor(p: Pencil, rows: list[int], cols: list[int]) -> ZPoly:
-    """A primitive integer multiple of det of the (rows, cols) submatrix of
-    A + t*B, lowest degree first.
+def _det_poly(reg: Pencil) -> ZPoly:
+    """A primitive integer multiple of det(A + t*B) for a square pencil,
+    lowest degree first; the zero polynomial is [].
 
     With D the product of the two denominators, D * (A + t*B) is an
     integer matrix at integer t, built here directly from the integer
-    rows of A and B, so its minor takes integer values y_t at t = 0..k,
-    each read off one Bareiss elimination.  Newton's forward differences
-    d_j of those values give
+    rows of A and B, so its determinant takes integer values y_t at
+    t = 0..k, each read off one Bareiss elimination.  Newton's forward
+    differences d_j of those values give
 
         k! * f(t) = sum_j d_j * (k!/j!) * t (t-1) ... (t-j+1)
 
     in integers; the content is removed at the end.  Only the roots of the
-    minor, with their multiplicities, matter to its callers.
+    determinant, with their multiplicities, matter to its callers.
     """
-    k = len(rows)
-    da, db = p.a.den, p.b.den
-    a_sub = [[db * p.a.rows[i][j] for j in cols] for i in rows]
-    b_sub = [[da * p.b.rows[i][j] for j in cols] for i in rows]
+    k = reg.n
+    da, db = reg.a.den, reg.b.den
+    a_int = [[db * x for x in r] for r in reg.a.rows]
+    b_int = [[da * y for y in r] for r in reg.b.rows]
     values = []
     for t in range(k + 1):
-        sub = [[x + t * y for x, y in zip(ra, rb)] for ra, rb in zip(a_sub, b_sub)]
-        r, _, sign, last = _echelon(sub, k)
+        mat = [[x + t * y for x, y in zip(ra, rb)] for ra, rb in zip(a_int, b_int)]
+        r, _, sign, last = _echelon(mat, k)
         values.append(sign * last if r == k else 0)
     coeffs = [0] * (k + 1)
     falling = [1]  # t (t-1) ... (t-j+1), lowest degree first
@@ -406,32 +479,25 @@ def _interpolated_minor(p: Pencil, rows: list[int], cols: list[int]) -> ZPoly:
         weight //= j + 1
     while coeffs and not coeffs[-1]:
         coeffs.pop()
+    if not coeffs:
+        return []
     content = gcd(*coeffs)
     return [c // content for c in coeffs]
 
 
-def _candidate_classes(p: Pencil, r: int) -> tuple[list[tuple[Poly, int]], int]:
-    """Candidate finite classes with bounds on their total block size,
-    and the bound at infinity.
+def _class_totals(reg: Pencil) -> tuple[list[tuple[Poly, int]], int]:
+    """Every finite class of a square regular pencil with its total block
+    size, and the total size of its infinite blocks.
 
-    The candidates are monic irreducible polynomials covering every
-    finite eigenvalue class: the irreducible factors over Z of the integer
-    gcd g of two full-rank minors, found in one factorization.  The total
-    block size at a class f is its exponent in the gcd of all r x r minors
-    of A + t*B, hence at most the multiplicity of f in g.  Homogenized,
-    an r x r minor of degree e carries u**(r - e), so the total size of
-    the infinite blocks is at most r minus the larger degree.
+    det(A + t*B) is a constant times the product of the finite elementary
+    divisors, so its one factorization over Z gives each class with its
+    exact total, and its degree falls short of the dimension by the
+    infinite total.
     """
-    base = p.at(regular_value(p))
-    rows, cols = _invertible_profile(base, from_end=False)
-    g = _interpolated_minor(p, rows, cols)
-    top = len(g) - 1
-    rows2, cols2 = _invertible_profile(base, from_end=True)
-    if (rows2, cols2) != (rows, cols):
-        g2 = _interpolated_minor(p, rows2, cols2)
-        top = max(top, len(g2) - 1)
-        g = zpoly_gcd(g, g2)
-    return integer_factors(g), r - top
+    det = _det_poly(reg)
+    if not det:
+        raise InternalConsistencyError("the regular part is singular")
+    return integer_factors(det), reg.n - (len(det) - 1)
 
 
 def _resolvent_parts(p: Pencil, cls: Poly) -> tuple[list[list[int]], list[list[int]]]:
@@ -466,30 +532,29 @@ def _resolvent_parts(p: Pencil, cls: Poly) -> tuple[list[list[int]], list[list[i
     return diag, sup
 
 
-def _sizes_at_class(p: Pencil, cls: Poly, r: int, bound: int) -> tuple[int, ...]:
-    """Jordan block sizes of the pencil at a monic irreducible class.
+def _sizes_at_class(reg: Pencil, cls: Poly, total: int) -> tuple[int, ...]:
+    """Jordan block sizes of a square regular pencil at a monic irreducible
+    class whose total block size is ``total``.
 
-    With alpha a root of cls, the k-fold block bidiagonal matrix T_k
-    built from diag = A + alpha*B and sup = B satisfies
+    With alpha a root of cls and n the dimension, the k-fold block
+    bidiagonal matrix T_k built from diag = A + alpha*B and sup = B
+    satisfies
 
-        k*r - rank(T_k) = sum over blocks at alpha of min(k, size),
+        k*n - rank(T_k) = sum over blocks at alpha of min(k, size),
 
-    while singular blocks and other classes contribute full rank.  For
-    deg cls > 1 the root is adjoined by substituting the companion
-    matrix of cls, which multiplies all ranks by the degree.
+    while other classes contribute full rank.  For deg cls > 1 the root
+    is adjoined by substituting the companion matrix of cls, which
+    multiplies all ranks by the degree.
 
-    ``bound`` is an upper bound on the total size at the class, proved
-    independently (see ``_candidate_classes``).  A zero bound costs no
-    rank at all, and a defect above it is an internal error.  Once the
-    defect at k equals the bound, every size is at most k, since
-    sum of min(k, size) = bound >= sum of size, so the ranks stop there;
-    otherwise they stop when the defect repeats.
+    The defect grows strictly until it reaches the total, at the largest
+    size, so the ranks stop there; a defect above the total, or one that
+    repeats below it, is an internal error.
     """
-    if bound == 0:
+    if total == 0:
         return ()
     d = cls.degree()
-    diag, sup = _resolvent_parts(p, cls)
-    width = p.n * d
+    diag, sup = _resolvent_parts(reg, cls)
+    width = reg.n * d
     defects: list[int] = []
     k = 1
     while True:
@@ -506,22 +571,19 @@ def _sizes_at_class(p: Pencil, cls: Poly, r: int, bound: int) -> tuple[int, ...]
             raise InternalConsistencyError(
                 "resolvent rank not divisible by the class degree"
             )
-        defect = k * r - scaled // d
-        if defect == (defects[-1] if defects else 0):
-            break
-        if defect > bound:
+        defect = k * reg.n - scaled // d
+        if defect > total:
             raise InternalConsistencyError(
-                "resolvent rank defect exceeds the bound from the minors"
+                "resolvent rank defect exceeds the total from the determinant"
             )
-        if defects and defect < defects[-1]:
-            raise InternalConsistencyError("resolvent rank defects not monotone")
+        if defect <= (defects[-1] if defects else 0):
+            raise InternalConsistencyError(
+                "resolvent rank defects stop below the total from the determinant"
+            )
         defects.append(defect)
-        if defect == bound:
-            break
+        if defect == total:
+            return _widths_from_dims(defects)
         k += 1
-    if not defects:
-        return ()
-    return _widths_from_dims(defects)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -529,17 +591,10 @@ def _jordan_structure(
     p: Pencil,
 ) -> tuple[tuple[tuple[Poly, tuple[int, ...]], ...], tuple[int, ...]]:
     """Finite classes with size multisets, plus infinite block sizes."""
-    r = pencil_rank(p)
-    if r == 0:
-        return (), ()
-    candidates, inf_bound = _candidate_classes(p, r)
-    finite = []
-    for cls, bound in candidates:
-        sizes = _sizes_at_class(p, cls, r, bound)
-        if sizes:
-            finite.append((cls, sizes))
-    inf_sizes = _sizes_at_class(p.reversed(), Poly.x(), r, inf_bound)
-    return tuple(finite), inf_sizes
+    reg = _regular_part(p)
+    totals, inf_total = _class_totals(reg)
+    finite = tuple((cls, _sizes_at_class(reg, cls, total)) for cls, total in totals)
+    return finite, _sizes_at_class(reg.reversed(), Poly.x(), inf_total)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)

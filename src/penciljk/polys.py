@@ -3,8 +3,9 @@
 ``Poly`` stores coefficients lowest degree first, trailing zeros stripped,
 so the representation of each polynomial is unique.  Integer polynomials
 (``ZPoly``, plain lists of ints, lowest degree first) carry the hot path:
-``zpoly_gcd`` and ``integer_factors`` find the shared irreducible factors
-of integer minors, with multiplicities, without any Fraction arithmetic.
+``integer_factors`` splits the integer determinant of a pencil's regular
+part into its irreducible factors, with multiplicities, in one
+factorization over Z and without any Fraction arithmetic.
 The Smith form of a polynomial matrix is computed fraction-free: rows are
 scaled to integer coefficients and all reductions use pseudo-division in
 Z[x] followed by content removal, which keeps coefficient growth in
@@ -429,24 +430,6 @@ def _zpseudo_divmod(a: ZPoly, b: ZPoly) -> tuple[int, ZPoly, ZPoly]:
             r[i - db + j] -= c * bc
         _ztrim(r)
     return s, _ztrim(q), r
-
-
-def _zprimitive(p: ZPoly) -> ZPoly:
-    g = _zcontent(p)
-    return [c // g for c in p] if g > 1 else p
-
-
-def zpoly_gcd(a: ZPoly, b: ZPoly) -> ZPoly:
-    """Gcd over Q of two nonzero integer polynomials, as a primitive integer
-    polynomial (primitive remainder sequence: each pseudo-remainder is
-    divided by its content, which keeps the coefficients small)."""
-    a, b = _zprimitive(_ztrim(list(a))), _zprimitive(_ztrim(list(b)))
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        _, _, r = _zpseudo_divmod(a, b)
-        a, b = b, _zprimitive(r)
-    return a
 
 
 def integer_factors(p: ZPoly) -> list[tuple[Poly, int]]:

@@ -83,9 +83,9 @@ class SkewJK:
 def skew_jk_invariants(p: Pencil) -> SkewJK:
     """Fold the strict invariants of a skew pencil into congruence data."""
     _require_skew(p)
+    # the heights of a skew pencil are its widths by construction: its
+    # transposed kernel chain is the same computation (see pencils)
     inv = strict_invariants(p)
-    if inv.horizontal != inv.vertical:
-        raise InternalConsistencyError("index pairing failed on a skew pencil")
     jordan = []
     for cls, sizes in inv.jordan:
         counts = Counter(sizes)

@@ -5,18 +5,29 @@ the implementation under test: minimal indices come from nullities of
 stacked coefficient matrices instead of kernel chains, determinants come
 from Fraction elimination and Lagrange interpolation, the pencil rank
 comes from direct evaluation at many integer parameters, eigenvalue
-candidates come from Euclid, Yun and repeated division over Q instead of
-one factorization over Z, and the core of a skew pencil is spanned at
-dim + 1 regular points instead of stopping early.
+totals come from the gcd of every full-rank minor over Q instead of one
+determinant of the regular part factored over Z, block sizes come from
+resolvents of the whole pencil instead of its regular part, and the core
+of a skew pencil is spanned at dim + 1 regular points instead of
+stopping early.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
-from penciljk.exactla import IntVec, Mat, kernel_basis, rank, row_space_basis
-from penciljk.pencils import Pencil, _invertible_profile
-from penciljk.polys import Poly, coprime_basis, poly_gcd
+from penciljk.exactla import IntVec, Mat, kernel_basis, pivot_columns, rank, row_space_basis
+from penciljk.pencils import Pencil
+from penciljk.polys import (
+    Poly,
+    ZPoly,
+    _zcontent,
+    _zpseudo_divmod,
+    _ztrim,
+    coprime_basis,
+    poly_gcd,
+)
 
 
 def eval_rank(p: Pencil) -> int:
@@ -137,24 +148,127 @@ def valuation(g: Poly, f: Poly) -> int:
         e += 1
 
 
-def fraction_candidates(p: Pencil, r: int) -> tuple[list[tuple[Poly, int]], int]:
-    """Candidate classes with minor bounds, and the bound at infinity, by
-    the Fraction route: the same two full-rank minors, interpolated from
-    Fraction determinants, then Euclid over Q (``poly_gcd``), Yun and
-    per-factor splitting (``coprime_basis``) and repeated division
-    (``valuation``)."""
-    base = p.at(_first_regular(p, r))
-    minors = []
-    for from_end in (False, True):
-        rows, cols = _invertible_profile(base, from_end)
-        points = list(range(len(rows) + 1))
-        values = [fraction_det(p.at(t).submatrix(rows, cols).tolist()) for t in points]
-        minors.append(_lagrange(points, values))
-    g = poly_gcd(*minors)
-    top = max(f.degree() for f in minors)
+def _zprimitive(p: ZPoly) -> ZPoly:
+    g = _zcontent(p)
+    return [c // g for c in p] if g > 1 else p
+
+
+def zpoly_gcd(a: ZPoly, b: ZPoly) -> ZPoly:
+    """Gcd over Q of two nonzero integer polynomials, as a primitive integer
+    polynomial (primitive remainder sequence: each pseudo-remainder is
+    divided by its content, which keeps the coefficients small)."""
+    a, b = _zprimitive(_ztrim(list(a))), _zprimitive(_ztrim(list(b)))
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        _, _, r = _zpseudo_divmod(a, b)
+        a, b = b, _zprimitive(r)
+    return a
+
+
+def _invertible_profile(mat: Mat, from_end: bool) -> tuple[list[int], list[int]]:
+    """Row and column indices of an invertible rank(mat) x rank(mat) submatrix.
+
+    Rows are chosen first (pivots of the transposed echelon form), then
+    columns inside those rows, which makes the intersection invertible.
+    ``from_end`` flips the scan order so a second call can find a
+    different witness.
+    """
+    row_order = list(range(mat.m))
+    col_order = list(range(mat.n))
+    if from_end:
+        row_order.reverse()
+        col_order.reverse()
+    piv = pivot_columns(mat.submatrix(row_order, col_order).transpose())
+    rows = sorted(row_order[i] for i in piv)
+    piv = pivot_columns(mat.submatrix(rows, col_order))
+    cols = sorted(col_order[j] for j in piv)
+    return rows, cols
+
+
+def _minor_poly(p: Pencil, rows, cols) -> Poly:
+    points = list(range(len(rows) + 1))
+    values = [fraction_det(p.at(t).submatrix(rows, cols).tolist()) for t in points]
+    return _lagrange(points, values)
+
+
+def _totals_of_gcd(g: Poly, top: int, r: int) -> tuple[list[tuple[Poly, int]], int]:
     if g.degree() < 1:
         return [], r - top
     return [(f, valuation(g, f)) for f in coprime_basis([g])], r - top
+
+
+def fraction_candidates(p: Pencil, r: int) -> tuple[list[tuple[Poly, int]], int]:
+    """Candidate classes with bounds on their totals, and the bound at
+    infinity, from two full-rank minors only: interpolated from Fraction
+    determinants, then Euclid over Q (``poly_gcd``), Yun and per-factor
+    splitting (``coprime_basis``) and repeated division (``valuation``).
+    Every class is a candidate, but a candidate may carry no blocks."""
+    base = p.at(_first_regular(p, r))
+    minors = [_minor_poly(p, *_invertible_profile(base, from_end)) for from_end in (False, True)]
+    return _totals_of_gcd(poly_gcd(*minors), max(f.degree() for f in minors), r)
+
+
+def all_minor_totals(p: Pencil, r: int) -> tuple[list[tuple[Poly, int]], int]:
+    """Exact total block size of every finite class, and of infinity.
+
+    The gcd of all r x r minors of A + t*B is the product of the finite
+    elementary divisors (up to a constant), and the homogenized minors
+    share exactly u**(infinite total), which is r minus the largest minor
+    degree.  Every minor is interpolated from Fraction determinants.
+    """
+    points = list(range(r + 1))
+    values = [p.at(t).tolist() for t in points]
+    g = Poly(())
+    top = -1
+    for rows in combinations(range(p.m), r):
+        for cols in combinations(range(p.n), r):
+            dets = [fraction_det([[v[i][j] for j in cols] for i in rows]) for v in values]
+            if any(dets):
+                f = _lagrange(points, dets)
+                g = poly_gcd(g, f)
+                top = max(top, f.degree())
+    return _totals_of_gcd(g, top, r)
+
+
+def resolvent_sizes(p: Pencil, cls: Poly, r: int) -> tuple[int, ...]:
+    """Jordan sizes at a class from resolvents of the whole pencil, built
+    as Fraction matrices with the companion matrix of cls, ranked until the
+    defect repeats; ``r`` is the normal rank."""
+    d = cls.degree()
+    comp = [[Fraction(int(s == t + 1)) for t in range(d)] for s in range(d)]
+    for s in range(d):
+        comp[s][d - 1] = -cls.monic().coeffs[s]
+    a, b = p.a.tolist(), p.b.tolist()
+    diag = [
+        [(a[i][j] if s == t else 0) + b[i][j] * comp[s][t] for j in range(p.n) for t in range(d)]
+        for i in range(p.m)
+        for s in range(d)
+    ]
+    sup = [[b[i][j] if s == t else 0 for j in range(p.n) for t in range(d)] for i in range(p.m) for s in range(d)]
+    width = p.n * d
+    defects = [0]
+    k = 1
+    while True:
+        rows = []
+        for i in range(k):
+            for dr, sr in zip(diag, sup):
+                row = [0] * (width * k)
+                row[i * width : (i + 1) * width] = dr
+                if i + 1 < k:
+                    row[(i + 1) * width : (i + 2) * width] = sr
+                rows.append(row)
+        defect = k * r - rank(Mat(rows, n=width * k)) // d
+        if defect == defects[-1]:
+            break
+        defects.append(defect)
+        k += 1
+    # defects[k] - defects[k-1] counts the blocks of size >= k
+    counts = [defects[k] - defects[k - 1] for k in range(1, len(defects))] + [0]
+    sizes: list[int] = []
+    for k in range(len(counts) - 1, 0, -1):
+        sizes.extend([k] * (counts[k - 1] - counts[k]))
+    return tuple(sizes)
 
 
 def dense_core(p: Pencil) -> list[IntVec]:

@@ -1,0 +1,76 @@
+"""Byte-for-byte replay of recorded CLI reports.
+
+``data/golden_cli.json`` holds the input files of 63 fast requests
+(``pencil``, ``pencil --skew``, ``lie``, ``rep``, small ``semidirect``
+cells with and without ``--verify-dual``, ``bundle-leq``, and a few
+malformed inputs) with the stdout and exit code each one produced when it
+was recorded.  A change of any report, however small, fails here.  A
+change that is meant to alter reports re-records them with
+
+    PYTHONPATH=src python tests/test_golden.py --record
+"""
+
+import contextlib
+import io
+import json
+import os
+import sys
+
+import pytest
+
+from penciljk import cli
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "golden_cli.json")
+
+
+def _load() -> dict:
+    with open(GOLDEN, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _write_inputs(folder: str, files: dict) -> None:
+    for name, text in files.items():
+        with open(os.path.join(folder, name), "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+
+def _run(argv: list[str]) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+GOLDEN_DATA = _load()
+
+
+@pytest.mark.parametrize(
+    "request_",
+    GOLDEN_DATA["requests"],
+    ids=[" ".join(r["argv"]) for r in GOLDEN_DATA["requests"]],
+)
+def test_golden_report(request_, tmp_path, monkeypatch):
+    _write_inputs(str(tmp_path), GOLDEN_DATA["files"])
+    monkeypatch.chdir(tmp_path)
+    assert _run(request_["argv"]) == (request_["code"], request_["stdout"])
+
+
+def _record() -> None:
+    import tempfile
+
+    data = _load()
+    here = os.getcwd()
+    with tempfile.TemporaryDirectory() as folder:
+        _write_inputs(folder, data["files"])
+        os.chdir(folder)
+        try:
+            for request in data["requests"]:
+                request["code"], request["stdout"] = _run(request["argv"])
+        finally:
+            os.chdir(here)
+    with open(GOLDEN, "w", encoding="utf-8") as fh:
+        json.dump(data, fh, indent=1, sort_keys=True)
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--record"]:
+    _record()

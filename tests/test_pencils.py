@@ -17,9 +17,11 @@ from penciljk.pencils import (
     EigClass,
     Pencil,
     StrictInvariants,
-    _candidate_classes,
+    _class_totals,
     _jordan_structure,
+    _kernel_chains,
     _rank_scan,
+    _regular_part,
     _sizes_at_class,
     are_strictly_equivalent,
     canonical_pencil,
@@ -33,16 +35,26 @@ from penciljk.pencils import (
     strict_invariants,
 )
 from penciljk.polys import Poly, smith_invariant_factors
+from penciljk.skewjk import skew_jk_invariants
 
 from helpers import (
     CLASS_POOL,
     SEED,
     canonical_of,
-    random_invertible,
+    congruent,
+    random_skew_jk,
     random_strict_invariants,
     scramble,
+    skew_canonical,
 )
-from oracles import eval_rank, fraction_candidates, interp_det, stacked_minimal_indices
+from oracles import (
+    all_minor_totals,
+    eval_rank,
+    fraction_candidates,
+    interp_det,
+    resolvent_sizes,
+    stacked_minimal_indices,
+)
 
 
 def P(*coeffs):
@@ -281,7 +293,8 @@ def test_pencil_caches_stay_bounded():
         if p not in seen:
             seen.add(p)
             strict_invariants(p)
-    for cached in (_rank_scan, _jordan_structure, invariant_factors):
+    bounded = (_rank_scan, _kernel_chains, _jordan_structure, invariant_factors)
+    for cached in bounded:
         info = cached.cache_info()
         assert info.maxsize == _CACHE_SIZE
         assert info.currsize <= _CACHE_SIZE
@@ -292,7 +305,7 @@ def test_pencil_caches_stay_bounded():
         for f in vars(m).values()
         if hasattr(f, "cache_info")
     }
-    assert cached == {_rank_scan, _jordan_structure, invariant_factors}
+    assert cached == set(bounded)
     # nor a module-level dict used as a cache
     assert not [
         name
@@ -304,9 +317,8 @@ def test_pencil_caches_stay_bounded():
 
 def test_minor_bound_stops_resolvent_ranks(monkeypatch):
     # t^3 - 2 is irreducible over Q: two 3x3 companion blocks and a
-    # width-2 horizontal block, scrambled so that both minors reach full
-    # degree (in canonical form 0 is a regular value, and there every
-    # full-rank minor keeps the constant column of the [t, 1] block)
+    # width-2 horizontal block, scrambled.  The regular part is 6 x 6, and
+    # its determinant gives the exact totals: 2 at the cubic, 0 at infinity
     cubic = P(-2, 0, 0, 1)
     inv = StrictInvariants(
         m=7,
@@ -317,10 +329,9 @@ def test_minor_bound_stops_resolvent_ranks(monkeypatch):
         jordan=((EigClass(cubic), (1, 1)),),
     )
     p = scramble(canonical_of(inv), random.Random(SEED + 8))
-    r = pencil_rank(p)
-    candidates, inf_bound = _candidate_classes(p, r)
-    assert candidates == [(cubic, 2)]
-    assert inf_bound == 0
+    reg = _regular_part(p)
+    assert reg.shape == (6, 6)
+    assert _class_totals(reg) == ([(cubic, 2)], 0)
     calls = []
     real = pencils.rank
 
@@ -329,14 +340,25 @@ def test_minor_bound_stops_resolvent_ranks(monkeypatch):
         return real(mat)
 
     monkeypatch.setattr(pencils, "rank", counted)
-    # defect 2 at k = 1 already meets the bound, so no T_2 is ranked
-    assert _sizes_at_class(p, cubic, r, 2) == (1, 1)
-    assert len(calls) == 1
-    assert _sizes_at_class(p.reversed(), Poly.x(), r, inf_bound) == ()
-    assert len(calls) == 1
+    # defect 2 at k = 1 already meets the total, so no T_2 is ranked, and
+    # T_1 is 3 * 6 = 18 wide where the whole pencil would give 3 * 8
+    assert _sizes_at_class(reg, cubic, 2) == (1, 1)
+    assert calls == [(18, 18)]
+    assert _sizes_at_class(reg.reversed(), Poly.x(), 0) == ()
+    assert calls == [(18, 18)]
+    # once the rank scan and the chains are done, that one resolvent is all
+    # the eigenvalue stage ranks
+    _jordan_structure.cache_clear()
+    minimal_indices(p)
+    calls.clear()
+    assert _jordan_structure(p) == (((cubic, (1, 1)),), ())
+    assert calls == [(18, 18)]
 
 
 def test_sizes_without_a_tight_bound_agree():
+    # sizes on the regular part, stopped at the exact total, against
+    # resolvents of the whole pencil ranked until the defect repeats; a
+    # total one above the truth fails
     rng = random.Random(SEED + 7)
     checked = 0
     while checked < 25:
@@ -344,39 +366,52 @@ def test_sizes_without_a_tight_bound_agree():
         r = pencil_rank(p)
         if r == 0:
             continue
-        candidates, inf_bound = _candidate_classes(p, r)
-        loose = min(p.m, p.n)
-        for cls, bound in candidates:
-            assert _sizes_at_class(p, cls, r, loose) == _sizes_at_class(p, cls, r, bound)
-        q, x = p.reversed(), Poly.x()
-        assert _sizes_at_class(q, x, r, loose) == _sizes_at_class(q, x, r, inf_bound)
+        reg = _regular_part(p)
+        totals, inf_total = _class_totals(reg)
+        cases = [(reg, cls, p, total) for cls, total in totals]
+        cases.append((reg.reversed(), Poly.x(), p.reversed(), inf_total))
+        for q, cls, whole, total in cases:
+            expected = resolvent_sizes(whole, cls, r)
+            assert sum(expected) == total
+            assert _sizes_at_class(q, cls, total) == expected
+            with pytest.raises(InternalConsistencyError):
+                _sizes_at_class(q, cls, total + 1)
         checked += 1
 
 
-@pytest.mark.parametrize("infinite", [False, True])
-def test_bound_below_the_truth_fails(monkeypatch, infinite):
-    # class t - 1 with sizes (2, 1), infinite sizes (1, 1), a height-2
-    # block; one case bounds t - 1 by 2, one below its total 3, the other
-    # bounds infinity by 1, one below its total 2
-    one = P(-1, 1)
+def _mixed_case() -> tuple[EigClass, Pencil]:
+    # class t - 1 with sizes (2, 1), infinite sizes (1, 1), a height-2 block
+    one = EigClass(P(-1, 1))
     inv = StrictInvariants(
         m=7,
         n=6,
         rank=6,
         horizontal=(),
         vertical=(2,),
-        jordan=((EigClass(one), (2, 1)), (EigClass.infinite(), (1, 1))),
+        jordan=((one, (2, 1)), (EigClass.infinite(), (1, 1))),
     )
-    p = canonical_of(inv)
-    real = pencils._candidate_classes
+    return one, canonical_of(inv)
 
-    def lowered(q, r):
-        candidates, inf_bound = real(q, r)
+
+def _shift_totals(monkeypatch, one: EigClass, infinite: bool, shift: int) -> None:
+    real = pencils._class_totals
+
+    def shifted(reg):
+        totals, inf_total = real(reg)
         if infinite:
-            return candidates, 1
-        return [(f, 2 if f == one else b) for f, b in candidates], inf_bound
+            return totals, inf_total + shift
+        return [(f, t + shift if f == one.poly else t) for f, t in totals], inf_total
 
-    monkeypatch.setattr(pencils, "_candidate_classes", lowered)
+    monkeypatch.setattr(pencils, "_class_totals", shifted)
+
+
+@pytest.mark.parametrize("infinite", [False, True])
+def test_bound_below_the_truth_fails(monkeypatch, infinite):
+    # one total below the truth: t - 1 given 2 instead of 3 (its defect
+    # meets 2 at k = 1, so the sizes come out (1, 1) and the bookkeeping
+    # fails), or infinity given 1 instead of 2 (its first defect exceeds it)
+    one, p = _mixed_case()
+    _shift_totals(monkeypatch, one, infinite, -1)
     _jordan_structure.cache_clear()
     try:
         with pytest.raises(InternalConsistencyError):
@@ -385,8 +420,23 @@ def test_bound_below_the_truth_fails(monkeypatch, infinite):
         _jordan_structure.cache_clear()
 
 
+@pytest.mark.parametrize("infinite", [False, True])
+def test_total_above_the_truth_fails(monkeypatch, infinite):
+    # one total above the truth: the defects stop growing below it
+    one, p = _mixed_case()
+    _shift_totals(monkeypatch, one, infinite, 1)
+    _jordan_structure.cache_clear()
+    try:
+        with pytest.raises(InternalConsistencyError, match="stop below the total"):
+            strict_invariants(p)
+    finally:
+        _jordan_structure.cache_clear()
+
+
 def test_integer_candidates_match_fraction_path():
-    # random draws: mostly linear candidates, some shared by accident
+    # random draws: the totals from the regular part's integer determinant
+    # equal those from the gcd of every full-rank minor over Q, and sit
+    # inside the two-minor candidates, which may hold extra classes
     rng = random.Random(SEED + 10)
     checked = 0
     while checked < 40:
@@ -394,10 +444,16 @@ def test_integer_candidates_match_fraction_path():
         r = pencil_rank(p)
         if r == 0:
             continue
-        assert _candidate_classes(p, r) == fraction_candidates(p, r)
+        totals, inf_total = _class_totals(_regular_part(p))
+        assert (totals, inf_total) == all_minor_totals(p, r)
+        candidates, inf_bound = fraction_candidates(p, r)
+        bounds = dict(candidates)
+        assert all(total <= bounds[f] for f, total in totals)
+        assert inf_total <= inf_bound
         checked += 1
     # quadratic and cubic classes with repeated sizes, next to singular
-    # and infinite blocks, scrambled
+    # and infinite blocks, scrambled: the totals are exactly the sums of
+    # the sizes, class by class
     higher = [c for c in CLASS_POOL if c.root_count > 1 and not c.is_infinite]
     for i in range(12):
         picked = rng.sample(higher, 2) + [EigClass(P(rng.randint(-3, 3), 1)), EigClass.infinite()]
@@ -417,10 +473,189 @@ def test_integer_candidates_match_fraction_path():
             jordan=tuple(jordan),
         )
         p = scramble(canonical_of(inv), rng, bound=3)
-        candidates, inf_bound = _candidate_classes(p, inv.rank)
-        assert (candidates, inf_bound) == fraction_candidates(p, inv.rank)
-        found = dict(candidates)
-        for c, sizes in inv.jordan:
-            if not c.is_infinite:
-                assert found[c.poly] >= sum(sizes)
+        reg = _regular_part(p)
+        assert reg.shape == (jdim, jdim)
+        totals, inf_total = _class_totals(reg)
+        assert totals == [(c.poly, sum(s)) for c, s in inv.jordan if not c.is_infinite]
+        assert inf_total == sum(inv.infinite_sizes())
+        candidates, inf_bound = fraction_candidates(p, inv.rank)
+        bounds = dict(candidates)
+        assert all(total <= bounds[f] for f, total in totals)
+        assert inf_total <= inf_bound
         assert strict_invariants(p) == inv
+
+
+def test_no_candidate_without_blocks(monkeypatch):
+    # among these, the two-minor candidates of the random 1 x 3 draw and of
+    # the skew pencil with the single Kronecker index 2 held a class that
+    # carries no block
+    returned = []
+    real = pencils._sizes_at_class
+
+    def recorded(reg, cls, total):
+        sizes = real(reg, cls, total)
+        returned.append((cls, sizes))
+        return sizes
+
+    monkeypatch.setattr(pencils, "_sizes_at_class", recorded)
+    rng = random.Random(SEED + 11)
+    cases = [random_pencil(rng, max_m=5, max_n=5, bound=2) for _ in range(40)]
+    rng = random.Random(SEED + 12)
+    cases += [congruent(skew_canonical(random_skew_jk(rng)), rng) for _ in range(40)]
+    for p in cases:
+        _jordan_structure.cache_clear()
+        start = len(returned)
+        finite, inf_sizes = _jordan_structure(p)
+        calls = returned[start:]
+        # one call per finite class, each with blocks, then one for infinity
+        assert calls[:-1] == list(finite)
+        assert all(sizes for _, sizes in calls[:-1])
+        assert calls[-1] == (Poly.x(), inf_sizes)
+    _jordan_structure.cache_clear()
+
+
+def _transposed_invariants(inv: StrictInvariants) -> StrictInvariants:
+    return StrictInvariants(
+        m=inv.n,
+        n=inv.m,
+        rank=inv.rank,
+        horizontal=inv.vertical,
+        vertical=inv.horizontal,
+        jordan=inv.jordan,
+    )
+
+
+def _infinite_sizes_by_smith(p: Pencil) -> tuple[int, ...]:
+    # the elementary divisors s**k of B + s*A are the infinite blocks of A + t*B
+    sizes = []
+    for f in smith_invariant_factors(p.reversed().entries()):
+        k = next(i for i, c in enumerate(f.coeffs) if c)
+        if k:
+            sizes.append(k)
+    return tuple(sorted(sizes, reverse=True))
+
+
+def test_regular_part_is_the_jordan_part():
+    # the regular part is square of the Jordan dimension, of full normal
+    # rank, and the invariants read off it are the pencil's
+    rng = random.Random(SEED + 13)
+
+    def check(p: Pencil, jdim: int) -> Pencil:
+        reg = _regular_part(p)
+        assert reg.shape == (jdim, jdim)
+        assert eval_rank(reg) == jdim
+        return reg
+
+    for _ in range(150):
+        inv = random_strict_invariants(rng)
+        p = scramble(canonical_of(inv), rng)
+        for q, expected in ((p, inv), (p.transposed(), _transposed_invariants(inv))):
+            check(q, inv.jordan_dimension())
+            assert strict_invariants(q) == expected
+    for _ in range(100):
+        jk = random_skew_jk(rng)
+        p = congruent(skew_canonical(jk), rng)
+        reg = check(p, jk.jordan_dimension())
+        assert reg.a.is_skew() and reg.b.is_skew()
+        assert skew_jk_invariants(p) == jk
+    # rational draws against the Smith form of the pencil and of its
+    # reversal, and the Fraction determinant of the regular part
+    checked = 0
+    while checked < 30:
+        p = random_pencil(rng, max_m=4, max_n=4, bound=2)
+        inv = strict_invariants(p)
+        if inv.rank == 0:
+            continue
+        reg = check(p, inv.jordan_dimension())
+        smith = [f.monic() for f in smith_invariant_factors(p.entries())]
+        assert list(invariant_factors(p)) == smith
+        product = Poly([1])
+        for f in smith:
+            product = product * f
+        det = interp_det(reg)
+        assert det.monic() == product.monic()
+        assert inv.infinite_sizes() == _infinite_sizes_by_smith(p)
+        assert reg.n - det.degree() == sum(inv.infinite_sizes())
+        checked += 1
+
+
+def test_skew_pencils_run_one_chain(monkeypatch):
+    calls = []
+    real = pencils._kernel_chain
+
+    def counted(mat, b):
+        calls.append(mat.shape)
+        return real(mat, b)
+
+    monkeypatch.setattr(pencils, "_kernel_chain", counted)
+    rng = random.Random(SEED + 14)
+    jk = random_skew_jk(rng)
+    while len(jk.kronecker) < 2:
+        jk = random_skew_jk(rng)
+    p = congruent(skew_canonical(jk), rng)
+    _kernel_chains.cache_clear()
+    widths, heights, right, left = _kernel_chains(p)
+    assert len(calls) == 1
+    assert widths == heights == jk.kronecker
+    assert left == right
+    # a strictly equivalent pencil that is not skew runs both chains
+    calls.clear()
+    q = scramble(p, rng)
+    assert not q.a.is_skew()
+    assert _kernel_chains(q)[:2] == (widths, heights)
+    assert len(calls) == 2
+    _kernel_chains.cache_clear()
+
+
+def _deflation_case() -> Pencil:
+    # widths (3, 1), heights (2,), class t - 1 with sizes (2, 1), scrambled
+    inv = StrictInvariants(
+        m=7,
+        n=8,
+        rank=6,
+        horizontal=(3, 1),
+        vertical=(2,),
+        jordan=((EigClass(P(-1, 1)), (2, 1)),),
+    )
+    return scramble(canonical_of(inv), random.Random(SEED + 15))
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        ("right", "image has the wrong dimension"),
+        ("left", "coimage has the wrong dimension"),
+        ("drop", "not square"),
+        ("singular", "regular part is singular"),
+    ],
+)
+def test_deflation_checks_can_fail(monkeypatch, fault, message):
+    p = _deflation_case()
+    widths, heights, right, left = _kernel_chains(p)
+    # a vector outside the horizontal (or vertical) blocks in place of the
+    # last one of the chain limit, the limit short of one vector, or a
+    # regular part with a zero column
+    outside = tuple([1] * p.n)
+    if fault == "right":
+        chains = (widths, heights, right[:-1] + (outside,), left)
+    elif fault == "left":
+        chains = (widths, heights, right, left[:-1] + (tuple([1] * p.m),))
+    elif fault == "drop":
+        chains = (widths, heights, right[:-1], left)
+    if fault == "singular":
+        real = pencils._regular_part
+
+        def zero_column(q):
+            reg = real(q)
+            cut = lambda mat: exactla.Mat([r[:-1] + (0,) for r in mat.rows], n=mat.n)
+            return Pencil(cut(reg.a), cut(reg.b))
+
+        monkeypatch.setattr(pencils, "_regular_part", zero_column)
+    else:
+        monkeypatch.setattr(pencils, "_kernel_chains", lambda q: chains)
+    _jordan_structure.cache_clear()
+    try:
+        with pytest.raises(InternalConsistencyError, match=message):
+            _jordan_structure(p)
+    finally:
+        _jordan_structure.cache_clear()

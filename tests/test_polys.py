@@ -18,10 +18,9 @@ from penciljk.polys import (
     smith_invariant_factors,
     squarefree_decomposition,
     squarefree_part,
-    zpoly_gcd,
 )
 
-from oracles import valuation
+from oracles import valuation, zpoly_gcd
 
 
 def P(*coeffs):
