@@ -9,6 +9,7 @@ from .errors import (
     CertificateNotApplicableError,
     ConstantRankHypothesisError,
     DominanceSelectionError,
+    FactorizationLimitError,
     HomomorphismError,
     InputFormatError,
     InternalConsistencyError,

@@ -9,6 +9,8 @@ canonical report to stdout.  Exit codes are part of the contract:
   4  a precondition failed (--skew on a pencil that is not skew)
   5  the input is not a Lie algebra or not a representation
   6  no closed-form expectation is known for the requested cell
+  7  refused: the input exceeds a fixed work limit (a factorization over Z
+     that would recombine too many modular factors)
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from functools import lru_cache
 
 from .catalog import build_classical, expected_lie_jk, expected_rep_jk, parse_family
 from .errors import (
+    FactorizationLimitError,
     HomomorphismError,
     InputFormatError,
     JacobiError,
@@ -65,6 +68,7 @@ EXIT_MISMATCH = 3
 EXIT_PRECONDITION = 4
 EXIT_BAD_ALGEBRA = 5
 EXIT_UNKNOWN = 6
+EXIT_REFUSED = 7
 
 
 @dataclass(frozen=True)
@@ -400,6 +404,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         sys.stderr.write(f"invalid input values: {exc}\n")
         return EXIT_BAD_ALGEBRA
+    except FactorizationLimitError as exc:
+        sys.stderr.write(f"refused: {exc}\n")
+        return EXIT_REFUSED
     except PencilJKError as exc:
         sys.stderr.write(f"computation failed: {exc}\n")
         return 1

@@ -42,5 +42,10 @@ class DominanceSelectionError(PencilJKError):
     """Sampled invariants admit no dominance-maximal element."""
 
 
+class FactorizationLimitError(PencilJKError):
+    """Factoring a polynomial over Z would recombine more modular factors
+    than the fixed work limit allows."""
+
+
 class InputFormatError(PencilJKError):
     """A JSON payload or command-line argument is malformed."""

@@ -6,9 +6,11 @@ stacked coefficient matrices instead of kernel chains, determinants come
 from Fraction elimination and Lagrange interpolation, the pencil rank
 comes from direct evaluation at many integer parameters, eigenvalue
 totals come from the gcd of every full-rank minor over Q instead of one
-determinant of the regular part factored over Z, block sizes come from
-resolvents of the whole pencil instead of its regular part, and the core
-of a skew pencil is spanned at dim + 1 regular points instead of
+determinant of the regular part factored over Z, irreducible factors
+come from sympy instead of the package's Zassenhaus factorizer, squarefree
+parts come from Yun's algorithm over Q instead of over Z, block sizes come
+from resolvents of the whole pencil instead of its regular part, and the
+core of a skew pencil is spanned at dim + 1 regular points instead of
 stopping early.
 """
 
@@ -16,18 +18,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from penciljk.exactla import IntVec, Mat, kernel_basis, pivot_columns, rank, row_space_basis
 from penciljk.pencils import Pencil
-from penciljk.polys import (
-    Poly,
-    ZPoly,
-    _zcontent,
-    _zpseudo_divmod,
-    _ztrim,
-    coprime_basis,
-    poly_gcd,
-)
+from penciljk.polys import Poly, ZPoly, poly_gcd, poly_sort_key
 
 
 def eval_rank(p: Pencil) -> int:
@@ -148,22 +143,56 @@ def valuation(g: Poly, f: Poly) -> int:
         e += 1
 
 
-def _zprimitive(p: ZPoly) -> ZPoly:
-    g = _zcontent(p)
-    return [c // g for c in p] if g > 1 else p
+def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
+    """Yun's algorithm over Q; returns [(monic squarefree factor, multiplicity)]."""
+    if p.degree() < 1:
+        return []
+    p = p.monic()
+    d = p.derivative()
+    a = poly_gcd(p, d)
+    b = p // a
+    c = d // a
+    out: list[tuple[Poly, int]] = []
+    i = 1
+    while b.degree() >= 1:
+        z = c - b.derivative()
+        f = poly_gcd(b, z)
+        if f.degree() >= 1:
+            out.append((f.monic(), i))
+        b = b // f
+        c = z // f
+        i += 1
+    return out
 
 
-def zpoly_gcd(a: ZPoly, b: ZPoly) -> ZPoly:
-    """Gcd over Q of two nonzero integer polynomials, as a primitive integer
-    polynomial (primitive remainder sequence: each pseudo-remainder is
-    divided by its content, which keeps the coefficients small)."""
-    a, b = _zprimitive(_ztrim(list(a))), _zprimitive(_ztrim(list(b)))
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        _, _, r = _zpseudo_divmod(a, b)
-        a, b = b, _zprimitive(r)
-    return a
+def squarefree_part(p: Poly) -> Poly:
+    out = Poly([1])
+    for f, _ in squarefree_decomposition(p):
+        out = out * f
+    return out.monic()
+
+
+def sympy_factors(p: ZPoly) -> list[tuple[Poly, int]]:
+    """``polys.integer_factors`` recomputed by sympy's ``factor_list`` over
+    ZZ: monic irreducible factors with multiplicities, sorted by
+    ``poly_sort_key``, none for a constant."""
+    from sympy import Poly as SymPoly, Symbol
+
+    if len(p) < 2:
+        return []
+    _, parts = SymPoly(list(reversed(p)), Symbol("t"), domain="ZZ").factor_list()
+    out = []
+    for f, mult in parts:
+        cs = [int(c) for c in f.all_coeffs()]
+        out.append((Poly([Fraction(c, cs[0]) for c in reversed(cs)]), mult))
+    out.sort(key=lambda fm: poly_sort_key(fm[0]))
+    return out
+
+
+def cleared(p: Poly) -> ZPoly:
+    """p scaled by the lcm of its denominators, as integer coefficients."""
+    den = lcm(*(c.denominator for c in p.coeffs))
+    return [int(c * den) for c in p.coeffs]
 
 
 def _invertible_profile(mat: Mat, from_end: bool) -> tuple[list[int], list[int]]:
@@ -195,14 +224,14 @@ def _minor_poly(p: Pencil, rows, cols) -> Poly:
 def _totals_of_gcd(g: Poly, top: int, r: int) -> tuple[list[tuple[Poly, int]], int]:
     if g.degree() < 1:
         return [], r - top
-    return [(f, valuation(g, f)) for f in coprime_basis([g])], r - top
+    return [(f, valuation(g, f)) for f, _ in sympy_factors(cleared(g))], r - top
 
 
 def fraction_candidates(p: Pencil, r: int) -> tuple[list[tuple[Poly, int]], int]:
     """Candidate classes with bounds on their totals, and the bound at
     infinity, from two full-rank minors only: interpolated from Fraction
-    determinants, then Euclid over Q (``poly_gcd``), Yun and per-factor
-    splitting (``coprime_basis``) and repeated division (``valuation``).
+    determinants, then Euclid over Q (``poly_gcd``), irreducible factors
+    from sympy and repeated division (``valuation``).
     Every class is a candidate, but a candidate may carry no blocks."""
     base = p.at(_first_regular(p, r))
     minors = [_minor_poly(p, *_invertible_profile(base, from_end)) for from_end in (False, True)]

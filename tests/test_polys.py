@@ -2,13 +2,15 @@
 
 import random
 from fractions import Fraction
-from math import lcm
 
 import pytest
 
 from penciljk.polys import (
     BinForm,
     Poly,
+    _zgcd,
+    _zprimitive,
+    _zsquarefree,
     coprime_basis,
     format_poly,
     integer_factors,
@@ -16,11 +18,9 @@ from penciljk.polys import (
     poly_gcd,
     poly_lcm,
     smith_invariant_factors,
-    squarefree_decomposition,
-    squarefree_part,
 )
 
-from oracles import valuation, zpoly_gcd
+from oracles import cleared, squarefree_decomposition, squarefree_part, sympy_factors, valuation
 
 
 def P(*coeffs):
@@ -79,6 +79,17 @@ def test_squarefree_decomposition():
     parts = dict(squarefree_decomposition(f))
     assert parts == {P(1, 1): 1, P(-1, 1): 3}
     assert squarefree_part(f) == (P(-1, 1) * P(1, 1)).monic()
+    # Yun over Z in the package against Yun over Q here
+    rng = random.Random(5)
+    for _ in range(30):
+        g = P(rng.choice((1, -2, 3)))
+        for _ in range(rng.randint(1, 4)):
+            g = g * P(*[rng.randint(-4, 4) for _ in range(rng.randint(1, 3))], 1) ** rng.randint(1, 3)
+        z = cleared(g)
+        low = next(i for i, c in enumerate(z) if c)
+        mine = [(Poly(part).monic(), mult) for part, mult in _zsquarefree(_zprimitive(z[low:]))]
+        theirs = squarefree_decomposition(Poly(z[low:]))
+        assert mine == theirs
 
 
 def test_coprime_basis_splits_shared_factors():
@@ -97,11 +108,6 @@ def test_coprime_basis_handles_powers_and_fractions():
     f = P(Fraction(1, 2), 1) ** 2
     basis = coprime_basis([f])
     assert basis == [P(Fraction(1, 2), 1)]
-
-
-def _as_ints(f: Poly) -> list[int]:
-    den = lcm(*[c.denominator for c in f.coeffs])
-    return [int(c * den) for c in f.coeffs]
 
 
 def test_integer_factors_match_fraction_path():
@@ -124,8 +130,8 @@ def test_integer_factors_match_fraction_path():
         if rng.random() < 0.5:
             g = g * rng.choice(pool)
         d = poly_gcd(f, g)
-        expected = [] if d.is_constant() else [(q, valuation(d, q)) for q in coprime_basis([d])]
-        z = zpoly_gcd(_as_ints(f), _as_ints(g))
+        expected = [(q, valuation(d, q)) for q, _ in sympy_factors(cleared(d))]
+        z = _zgcd(cleared(f), cleared(g))
         assert Poly(z).monic() == d
         assert integer_factors(z) == expected
     assert integer_factors([5]) == []
