@@ -10,7 +10,7 @@ canonical report to stdout.  Exit codes are part of the contract:
   5  the input is not a Lie algebra or not a representation
   6  no closed-form expectation is known for the requested cell
   7  refused: the input exceeds a fixed work limit (a factorization over Z
-     that would recombine too many modular factors)
+     whose recombination tries too many subsets of modular factors)
 """
 
 from __future__ import annotations

@@ -43,8 +43,8 @@ class DominanceSelectionError(PencilJKError):
 
 
 class FactorizationLimitError(PencilJKError):
-    """Factoring a polynomial over Z would recombine more modular factors
-    than the fixed work limit allows."""
+    """Factoring a polynomial over Z tried more subsets of its modular
+    factors than the fixed work limit allows."""
 
 
 class InputFormatError(PencilJKError):

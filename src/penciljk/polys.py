@@ -19,9 +19,9 @@ often proves a part irreducible at once.  Equal-degree (Cantor and
 Zassenhaus) splitting gives the factors mod p, multifactor Hensel lifting
 on a balanced factor tree carries them past twice the leading coefficient
 times the Mignotte bound, and subsets of the lifted factors are tried by
-increasing size, keeping the ones that divide exactly.  That search is
-exponential in the number of modular factors, so above
-``MAX_MODULAR_FACTORS`` it is refused with
+increasing size, keeping the ones that divide exactly.  That search can
+be exponential in the number of modular factors, so once it has tried
+``MAX_RECOMBINATION_SUBSETS`` subsets it is refused with
 :class:`~penciljk.errors.FactorizationLimitError`.
 
 The Smith form of a polynomial matrix is computed fraction-free: rows are
@@ -520,10 +520,11 @@ def smith_invariant_factors(entries: Sequence[Sequence[Poly]]) -> list[Poly]:
 # ---------------------------------------------------------------------------
 # factorization over Z (Zassenhaus: factor mod p, Hensel-lift, recombine)
 
-# Recombination tries subsets of the modular factors, so its cost grows
-# like 2**r in the number r of factors mod the chosen prime.  Above this r
-# the factorization is refused rather than left to run for hours.
-MAX_MODULAR_FACTORS = 20
+# Recombination tries subsets of the modular factors, so its cost can grow
+# like 2**r in the number r of factors mod the chosen prime.  Past this
+# many subsets tried (a few seconds of work) the factorization is refused
+# rather than left to run for hours.
+MAX_RECOMBINATION_SUBSETS = 400_000
 # good primes whose factor counts are compared before one is chosen
 _PRIMES_TRIED = 3
 
@@ -750,13 +751,6 @@ def _zfactor_squarefree(f: ZPoly) -> list[ZPoly]:
     n = len(f) - 1
     if n == 1:
         return [f]
-    if n == 2:
-        c, b, a = f
-        disc = b * b - 4 * a * c
-        root = isqrt(disc) if disc >= 0 else -1
-        if root * root != disc:
-            return [f]
-        return sorted(_zprimitive([b + sg * root, 2 * a]) for sg in (1, -1))
     # choose among a few good primes the one with the fewest factors; a
     # factor over Z is a product of factors mod every prime, so its degree
     # is a subset sum of the factor degrees mod each of them
@@ -779,12 +773,7 @@ def _zfactor_squarefree(f: ZPoly) -> list[ZPoly]:
         tried += 1
         if tried == _PRIMES_TRIED:
             break
-    r, p, ddf = best
-    if r > MAX_MODULAR_FACTORS:
-        raise FactorizationLimitError(
-            f"factoring a degree-{n} polynomial over Z would recombine {r} factors "
-            f"mod {p}; the limit is {MAX_MODULAR_FACTORS}"
-        )
+    _, p, ddf = best
     rng = random.Random(n)
     modular = [u for g, d in ddf for u in _equal_degree(g, d, p, rng)]
     # a factor's coefficients are at most the Mignotte bound
@@ -806,12 +795,23 @@ def _symmetric(a: ZPoly, m: int) -> ZPoly:
 def _recombine(f: ZPoly, lifted: list[ZPoly], m: int, mask: int) -> list[ZPoly]:
     """True factors from products of the lifted modular factors, trying
     subsets by increasing size (von zur Gathen & Gerhard, Algorithm 15.19);
-    ``mask`` holds the degrees a factor can have."""
+    ``mask`` holds the degrees a factor can have.  Raises
+    :class:`FactorizationLimitError` past ``MAX_RECOMBINATION_SUBSETS``
+    subsets tried."""
+    n, r = len(f) - 1, len(lifted)
     out: list[ZPoly] = []
+    tried = 0
     size = 1
     while 2 * size <= len(lifted):
         lead, const = f[-1], f[0]
         for subset in combinations(range(len(lifted)), size):
+            tried += 1
+            if tried > MAX_RECOMBINATION_SUBSETS:
+                raise FactorizationLimitError(
+                    f"factoring a degree-{n} polynomial over Z tried "
+                    f"{MAX_RECOMBINATION_SUBSETS} subsets of its {r} modular factors "
+                    "without finishing"
+                )
             if not (mask >> sum(len(lifted[i]) - 1 for i in subset)) & 1:
                 continue
             # cheap necessary test first: the constant term of lead * the
@@ -846,8 +846,8 @@ def integer_factors(p: ZPoly) -> list[tuple[Poly, int]]:
     One factorization over Z (Gauss's lemma makes it one over Q), so each
     multiplicity is the valuation of ``p`` at its factor.  A constant
     ``p`` has no factors.  Raises :class:`FactorizationLimitError` when
-    recombination would need more than ``MAX_MODULAR_FACTORS`` modular
-    factors.
+    recombination needs more than ``MAX_RECOMBINATION_SUBSETS`` subsets of
+    the modular factors.
     """
     p = _ztrim(list(p))
     if len(p) < 2:

@@ -1,7 +1,7 @@
 """The pure-Python factorization over Z against sympy as an oracle."""
 
-import contextlib
 import io
+import json
 import os
 import random
 import re
@@ -15,7 +15,6 @@ import pytest
 
 import penciljk.pencils as pencils
 import penciljk.polys as polys
-from penciljk import cli
 from penciljk.errors import FactorizationLimitError
 from penciljk.polys import Poly, _zmul, integer_factors
 
@@ -100,14 +99,28 @@ def test_golden_replay_determinants_match_sympy(tmp_path, monkeypatch):
     assert len(seen) > 50 and max(seen) >= 6
 
 
+def test_many_modular_factors_with_cheap_recombination():
+    # 21 distinct integer roots: every modular factor is a true factor, so
+    # 21 subsets of size 1 finish the recombination
+    f = [1]
+    for k in range(1, 22):
+        f = _zmul(f, [k, 1])
+    assert integer_factors(f) == sympy_factors(f) == [(Poly([k, 1]), 1) for k in range(1, 22)]
+    # t**60 - 1: 12 cyclotomic factors, at least 21 factors mod every prime
+    f = [-1] + [0] * 59 + [1]
+    assert integer_factors(f) == sympy_factors(f)
+    assert len(integer_factors(f)) == 12
+
+
 def test_factorization_limit_is_refused(monkeypatch):
+    # 8 quadratic factors mod the chosen prime: 162 subsets of size <= 4
     f = swinnerton_dyer(4)
-    monkeypatch.setattr(polys, "MAX_MODULAR_FACTORS", 4)
+    monkeypatch.setattr(polys, "MAX_RECOMBINATION_SUBSETS", 100)
     with pytest.raises(FactorizationLimitError) as exc:
         integer_factors(f)
     message = str(exc.value)
-    assert "degree-16" in message
-    r = int(re.search(r"recombine (\d+) factors", message).group(1))
+    assert "degree-16" in message and "tried 100 subsets" in message
+    r = int(re.search(r"of its (\d+) modular factors", message).group(1))
     assert r >= 8  # at most quadratic factors mod every prime
 
 
@@ -123,20 +136,26 @@ def test_refusal_exit_code(tmp_path, monkeypatch):
         a[i][n - 1] = c
     path = tmp_path / "sd.json"
     path.write_text('{"m": %d, "n": %d, "A": %s, "B": %s}' % (n, n, a, b))
+    err = io.StringIO()
     with monkeypatch.context() as patch:
-        patch.setattr(polys, "MAX_MODULAR_FACTORS", 1)
-        code, out, err = _main(["pencil", str(path)])
-    assert (code, out) == (7, "")
-    assert err.startswith("refused: factoring a degree-4 polynomial")
-    code, out, _ = _main(["pencil", str(path)])
+        patch.setattr(polys, "MAX_RECOMBINATION_SUBSETS", 0)
+        assert _run(["pencil", str(path)], err) == (7, "")
+    assert err.getvalue().startswith("refused: factoring a degree-4 polynomial")
+    code, out = _run(["pencil", str(path)])
     assert code == 0 and '"class": "t^4-10*t^2+1"' in out
 
 
-def _main(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
-    return code, out.getvalue(), err.getvalue()
+def test_pencil_with_21_distinct_integer_eigenvalues(tmp_path):
+    n = 21
+    a = [[-(i + 1) if i == j else 0 for j in range(n)] for i in range(n)]
+    b = [[int(i == j) for j in range(n)] for i in range(n)]
+    path = tmp_path / "diag21.json"
+    path.write_text(json.dumps({"m": n, "n": n, "A": a, "B": b}))
+    code, out = _run(["pencil", str(path)])
+    assert code == 0
+    jordan = json.loads(out)["invariants"]["jordan"]
+    assert sorted(c["class"] for c in jordan) == sorted(f"t-{k}" for k in range(1, n + 1))
+    assert all(c["sizes"] == [1] for c in jordan)
 
 
 def test_fresh_cli_process_does_not_import_sympy(tmp_path):

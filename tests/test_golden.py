@@ -34,9 +34,11 @@ def _write_inputs(folder: str, files: dict) -> None:
             fh.write(text)
 
 
-def _run(argv: list[str]) -> tuple[int, str]:
+def _run(argv: list[str], err: io.StringIO | None = None) -> tuple[int, str]:
+    """Exit code and stdout of one in-process CLI request; stderr goes to
+    ``err`` when one is given."""
     out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO() if err is None else err):
         code = cli.main(argv)
     return code, out.getvalue()
 
