@@ -24,8 +24,6 @@ from .pencils import (
     Pencil,
     StrictInvariants,
     are_strictly_equivalent,
-    canonical_pencil,
-    characteristic_polynomial,
     elementary_divisors,
     minimal_indices,
     pencil_rank,

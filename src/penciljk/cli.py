@@ -48,7 +48,7 @@ from .lie import (
     jk_invariants_of_lie,
     jk_invariants_of_rep,
 )
-from .pencils import strict_invariants
+from .pencils import _is_skew, strict_invariants
 from .semidirect import (
     MISMATCH,
     check_dual_theorem,
@@ -165,7 +165,7 @@ def _load_representation(path: str):
 def cmd_pencil(args, cfg: RunConfig) -> int:
     p = pencil_from_json(load_json(args.input))
     if args.skew:
-        if p.m != p.n or not (p.a.is_skew() and p.b.is_skew()):
+        if not _is_skew(p):
             sys.stderr.write("pencil is not a pair of skew matrices\n")
             return EXIT_PRECONDITION
         jk = skew_jk_invariants(p)

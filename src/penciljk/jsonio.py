@@ -208,12 +208,7 @@ def lie_from_json(obj) -> LieAlgebra:
 
 
 def lie_to_json(g: LieAlgebra) -> dict:
-    brackets = []
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            for k, c in enumerate(g.bracket_basis(i, j)):
-                if c:
-                    brackets.append({"i": i, "j": j, "k": k, "c": rat_to_str(c)})
+    brackets = [{"i": i, "j": j, "k": k, "c": rat_to_str(c)} for i, j, k, c in g.entries()]
     return {"dim": g.dim, "brackets": brackets}
 
 

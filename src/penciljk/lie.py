@@ -83,24 +83,6 @@ class LieAlgebra:
                         out.append((i, j, k, c))
         return out
 
-    def change_basis(self, s: Mat) -> "LieAlgebra":
-        """The same algebra written on the basis given by the columns of s."""
-        from .exactla import solve_unique
-
-        n = self.dim
-        if s.m != n or s.n != n:
-            raise ValueError("basis matrix must be square of the algebra dimension")
-        cols = [tuple(s.entry(r, c) for r in range(n)) for c in range(n)]
-        entries = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                w = self.bracket(cols[i], cols[j])
-                coords = solve_unique(s, w)
-                for k, c in enumerate(coords):
-                    if c:
-                        entries.append((i, j, k, c))
-        return LieAlgebra(n, entries)
-
 
 def check_jacobi(g: LieAlgebra):
     """All basis triples (i, j, k) violating the Jacobi identity."""

@@ -64,7 +64,6 @@ the chains against the rank.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd, lcm
 from operator import mul
@@ -82,7 +81,6 @@ from .exactla import (
     row_space_basis,
 )
 from .polys import (
-    BinForm,
     Poly,
     ZPoly,
     format_poly,
@@ -128,13 +126,6 @@ class Pencil:
     def reversed(self) -> "Pencil":
         """The pencil B + s*A; its eigenvalue at 0 is this pencil's infinity."""
         return Pencil(self.b, self.a)
-
-    def entries(self) -> list[list[Poly]]:
-        """Entries of A + t*B as degree <= 1 polynomials in t."""
-        return [
-            [Poly([self.a.entry(i, j), self.b.entry(i, j)]) for j in range(self.n)]
-            for i in range(self.m)
-        ]
 
     def __repr__(self) -> str:
         return f"Pencil(a={self.a.tolist()}, b={self.b.tolist()})"
@@ -225,9 +216,6 @@ class StrictInvariants:
     def jordan_dimension(self) -> int:
         """Total dimension occupied by eigenvalue blocks, counting conjugates."""
         return sum(c.root_count * sum(sizes) for c, sizes in self.jordan)
-
-    def finite_classes(self) -> list[tuple[EigClass, tuple[int, ...]]]:
-        return [(c, s) for c, s in self.jordan if not c.is_infinite]
 
     def infinite_sizes(self) -> tuple[int, ...]:
         for c, s in self.jordan:
@@ -597,19 +585,6 @@ def _jordan_structure(
     return finite, _sizes_at_class(reg.reversed(), Poly.x(), inf_total)
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def invariant_factors(p: Pencil) -> tuple[Poly, ...]:
-    """Monic invariant factors of A + t*B over the polynomial ring."""
-    r = pencil_rank(p)
-    finite, _ = _jordan_structure(p)
-    out = [Poly([1]) for _ in range(r)]
-    for cls, sizes in finite:
-        for i, s in enumerate(sizes):
-            # largest sizes land in the last factor: d_1 | d_2 | ... | d_r
-            out[r - 1 - i] = out[r - 1 - i] * cls**s
-    return tuple(out)
-
-
 def elementary_divisors(
     p: Pencil,
 ) -> tuple[list[tuple[Poly, tuple[int, ...]]], tuple[int, ...]]:
@@ -621,20 +596,6 @@ def elementary_divisors(
     """
     finite, inf_sizes = _jordan_structure(p)
     return [(cls, sizes) for cls, sizes in finite], inf_sizes
-
-
-def characteristic_polynomial(p: Pencil) -> BinForm:
-    """Gcd of the top-rank minors of the homogenized pencil u*A + t*B.
-
-    Equals u**e times the homogenization of the product of the invariant
-    factors of A + t*B, where e is the total size of infinite blocks.
-    """
-    finite, inf_sizes = elementary_divisors(p)
-    prod = Poly([1])
-    for f in invariant_factors(p):
-        if f.degree() >= 1:
-            prod = prod * f
-    return BinForm.from_parts(sum(inf_sizes), prod.monic())
 
 
 # ---------------------------------------------------------------------------
@@ -665,123 +626,3 @@ def are_strictly_equivalent(p: Pencil, q: Pencil) -> bool:
     if p.shape != q.shape:
         return False
     return strict_invariants(p) == strict_invariants(q)
-
-
-# ---------------------------------------------------------------------------
-# canonical representatives
-
-
-def _horizontal_block(width: int) -> tuple[Mat, Mat]:
-    rows = width - 1
-    a = [[1 if j == i + 1 else 0 for j in range(width)] for i in range(rows)]
-    b = [[1 if j == i else 0 for j in range(width)] for i in range(rows)]
-    return Mat(a, n=width), Mat(b, n=width)
-
-
-def _vertical_block(height: int) -> tuple[Mat, Mat]:
-    cols = height - 1
-    a = [[1 if i == j + 1 else 0 for j in range(cols)] for i in range(height)]
-    b = [[1 if i == j else 0 for j in range(cols)] for i in range(height)]
-    return Mat(a, n=cols), Mat(b, n=cols)
-
-
-def _companion(f: Poly) -> Mat:
-    k = f.degree()
-    rows = [[0] * k for _ in range(k)]
-    for i in range(1, k):
-        rows[i][i - 1] = 1
-    for i in range(k):
-        rows[i][k - 1] = -f.coeffs[i]
-    return Mat(rows)
-
-
-def _finite_block(cls: Poly, size: int) -> tuple[Mat, Mat]:
-    # invariant factors of t*I - M are those of M, so M = -A must have the
-    # single invariant factor cls**size
-    if cls.degree() == 1:
-        root = -cls.coeffs[0]
-        dim = size
-        rows = [[0] * dim for _ in range(dim)]
-        for i in range(dim):
-            rows[i][i] = -root
-            if i + 1 < dim:
-                rows[i][i + 1] = 1
-        a = Mat(rows)
-    else:
-        a = _companion(cls**size).scale(-1)
-    return a, Mat.identity(a.m)
-
-
-def _infinite_block(size: int) -> tuple[Mat, Mat]:
-    rows = [[1 if j == i + 1 else 0 for j in range(size)] for i in range(size)]
-    return Mat.identity(size), Mat(rows)
-
-
-def _assemble_canonical(inv: StrictInvariants, jordan) -> Pencil:
-    ablocks: list[Mat] = []
-    bblocks: list[Mat] = []
-    for w in inv.horizontal:
-        a, b = _horizontal_block(w)
-        ablocks.append(a)
-        bblocks.append(b)
-    for u in inv.vertical:
-        a, b = _vertical_block(u)
-        ablocks.append(a)
-        bblocks.append(b)
-    for cls, sizes in jordan:
-        for s in sizes:
-            if cls.is_infinite:
-                a, b = _infinite_block(s)
-            else:
-                a, b = _finite_block(cls.poly, s)
-            ablocks.append(a)
-            bblocks.append(b)
-    p = Pencil(Mat.block_diag(ablocks), Mat.block_diag(bblocks))
-    if p.shape != (inv.m, inv.n):
-        raise InternalConsistencyError("canonical pencil has the wrong shape")
-    return p
-
-
-def _canonical_pencil_any(inv: StrictInvariants) -> Pencil:
-    """Canonical pencil for arbitrary classes, via companion blocks.
-
-    Accepts classes of any degree; test-support path with no eigenvalue
-    relabeling.
-    """
-    return _assemble_canonical(inv, inv.jordan)
-
-
-def canonical_pencil(inv: StrictInvariants, assignment=None) -> Pencil:
-    """Block-diagonal pencil realizing ``inv`` with explicit eigenvalues.
-
-    Every finite class of ``inv`` must carry a single rational root.
-    ``assignment`` optionally relabels those roots: a mapping from each
-    finite class to the rational eigenvalue its Jordan blocks should use,
-    required to be injective.  By default each class keeps its own root,
-    and then ``strict_invariants`` of the result is exactly ``inv``.
-    """
-    finite = [(cls, sizes) for cls, sizes in inv.jordan if not cls.is_infinite]
-    for cls, _ in finite:
-        if cls.root_count != 1:
-            raise ValueError(
-                "class %s has %d conjugate roots; explicit construction "
-                "needs one rational eigenvalue per class" % (cls.label(), cls.root_count)
-            )
-    if assignment is None:
-        values = {cls: -cls.poly.coeffs[0] for cls, _ in finite}
-    else:
-        values = {}
-        for cls, _ in finite:
-            if cls not in assignment:
-                raise ValueError("assignment missing class %s" % cls.label())
-            values[cls] = Fraction(assignment[cls])
-    if len(set(values.values())) != len(values):
-        raise ValueError("assignment is not injective")
-    jordan = []
-    for cls, sizes in inv.jordan:
-        if cls.is_infinite:
-            jordan.append((cls, sizes))
-        else:
-            mu = values[cls]
-            jordan.append((EigClass(Poly((-mu, 1))), sizes))
-    return _assemble_canonical(inv, jordan)

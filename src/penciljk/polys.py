@@ -1,4 +1,4 @@
-"""Univariate polynomials over the rationals and polynomial matrix tools.
+"""Univariate polynomials over the rationals and their factorization over Z.
 
 ``Poly`` stores coefficients lowest degree first, trailing zeros stripped,
 so the representation of each polynomial is unique.  Integer polynomials
@@ -23,17 +23,10 @@ increasing size, keeping the ones that divide exactly.  That search can
 be exponential in the number of modular factors, so once it has tried
 ``MAX_RECOMBINATION_SUBSETS`` subsets it is refused with
 :class:`~penciljk.errors.FactorizationLimitError`.
-
-The Smith form of a polynomial matrix is computed fraction-free: rows are
-scaled to integer coefficients and all reductions use pseudo-division in
-Z[x] followed by content removal, which keeps coefficient growth in
-check.  Unit factors are irrelevant for invariant factors, so results are
-normalized monic at the end.
 """
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd as int_gcd, isqrt, lcm as int_lcm
@@ -55,10 +48,6 @@ class Poly:
         self.coeffs: tuple[Fraction, ...] = tuple(cs)
 
     # -- constructors -------------------------------------------------
-
-    @classmethod
-    def constant(cls, c) -> "Poly":
-        return cls([c])
 
     @classmethod
     def x(cls) -> "Poly":
@@ -193,13 +182,6 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return a.monic()
 
 
-def poly_lcm(a: Poly, b: Poly) -> Poly:
-    if a.is_zero() or b.is_zero():
-        return Poly()
-    g = poly_gcd(a, b)
-    return ((a * b) // g).monic()
-
-
 def coprime_basis(polys: Sequence[Poly]) -> list[Poly]:
     """Monic irreducible polynomials generating the inputs multiplicatively.
 
@@ -291,43 +273,6 @@ def parse_poly(s: str, var: str = "x") -> Poly:
 
 
 # ---------------------------------------------------------------------------
-# homogeneous binary forms
-
-
-@dataclass(frozen=True)
-class BinForm:
-    """Homogeneous binary form of the stated total degree.
-
-    ``coeffs[j]`` multiplies ``beta**j * alpha**(degree-j)``.  The form is
-    normalized so that the polynomial part in beta is monic.
-    """
-
-    degree: int
-    coeffs: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if len(self.coeffs) != self.degree + 1:
-            raise ValueError("coefficient count disagrees with degree")
-
-    @classmethod
-    def from_parts(cls, alpha_power: int, affine: Poly) -> "BinForm":
-        """alpha**alpha_power times the homogenization of ``affine``."""
-        if affine.is_zero():
-            raise ValueError("zero binary form")
-        affine = affine.monic()
-        deg = alpha_power + affine.degree()
-        cs = list(affine.coeffs) + [Fraction(0)] * alpha_power
-        return cls(deg, tuple(cs))
-
-    def dehomogenized(self) -> Poly:
-        """The polynomial obtained by setting alpha = 1."""
-        return Poly(self.coeffs)
-
-    def alpha_valuation(self) -> int:
-        return self.degree - self.dehomogenized().degree()
-
-
-# ---------------------------------------------------------------------------
 # fraction-free integer polynomial helpers
 
 ZPoly = list[int]
@@ -360,17 +305,6 @@ def _zadd(a: ZPoly, b: ZPoly) -> ZPoly:
         out.extend([0] * (len(b) - len(out)))
     for i, c in enumerate(b):
         out[i] += c
-    return _ztrim(out)
-
-
-def _zscale_sub(a: ZPoly, s: int, b: ZPoly, q: ZPoly) -> ZPoly:
-    """s*a - q*b."""
-    qb = _zmul(q, b)
-    out = [s * c for c in a]
-    if len(out) < len(qb):
-        out.extend([0] * (len(qb) - len(out)))
-    for i, c in enumerate(qb):
-        out[i] -= c
     return _ztrim(out)
 
 
@@ -409,112 +343,12 @@ def _zpseudo_divmod(a: ZPoly, b: ZPoly) -> tuple[int, ZPoly, ZPoly]:
     return s, _ztrim(q), r
 
 
-def _zdivides(p: ZPoly, q: ZPoly) -> bool:
-    """Does p divide q over Q?"""
-    if not q:
-        return True
-    if not p:
-        return False
-    _, _, r = _zpseudo_divmod(q, p)
-    return not r
-
-
-def _z_to_poly(p: ZPoly) -> Poly:
-    return Poly([Fraction(c) for c in p])
-
-
 def _poly_row_to_z(row: Sequence[Poly]) -> list[ZPoly]:
     mult = 1
     for p in row:
         for c in p.coeffs:
             mult = int_lcm(mult, c.denominator)
     return [_ztrim([int(c * mult) for c in p.coeffs]) for p in row]
-
-
-def smith_invariant_factors(entries: Sequence[Sequence[Poly]]) -> list[Poly]:
-    """Monic invariant factors d_1 | d_2 | ... of a polynomial matrix.
-
-    Row/column swaps, constant row scalings and adding a polynomial
-    multiple of one row/column to another are the only operations used,
-    all unimodular over Q[x].
-    """
-    m = len(entries)
-    n = len(entries[0]) if m else 0
-    a: list[list[ZPoly]] = [_poly_row_to_z(row) for row in entries]
-    factors: list[Poly] = []
-    top = 0
-    while top < m and top < n:
-        # locate a pivot of minimal degree in the remaining block
-        best = None
-        for i in range(top, m):
-            for j in range(top, n):
-                if a[i][j]:
-                    key = (_zdeg(a[i][j]), max(abs(c) for c in a[i][j]))
-                    if best is None or key < best[0]:
-                        best = (key, i, j)
-        if best is None:
-            break
-        _, pi, pj = best
-        a[top], a[pi] = a[pi], a[top]
-        for row in a:
-            row[top], row[pj] = row[pj], row[top]
-        while True:
-            # clear the pivot column
-            dirty = False
-            for i in range(top + 1, m):
-                if a[i][top]:
-                    s, q, r = _zpseudo_divmod(a[i][top], a[top][top])
-                    a[i] = [_zscale_sub(x, s, a[top][k], q) for k, x in enumerate(a[i])]
-                    g = _zcontent([c for p in a[i] for c in p])
-                    if g > 1:
-                        a[i] = [[c // g for c in p] for p in a[i]]
-                    if r:
-                        # remainder has lower degree: promote it to pivot
-                        a[top], a[i] = a[i], a[top]
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            # clear the pivot row
-            for j in range(top + 1, n):
-                if a[top][j]:
-                    s, q, r = _zpseudo_divmod(a[top][j], a[top][top])
-                    for i2 in range(top, m):
-                        a[i2][j] = _zscale_sub(a[i2][j], s, a[i2][top], q)
-                    col = [c for i2 in range(m) for c in a[i2][j]]
-                    g = _zcontent(col)
-                    if g > 1:
-                        for i2 in range(m):
-                            a[i2][j] = [c // g for c in a[i2][j]]
-                    if r:
-                        for i2 in range(m):
-                            a[i2][top], a[i2][j] = a[i2][j], a[i2][top]
-                        dirty = True
-                        break
-            if dirty:
-                continue
-            if any(a[i][top] for i in range(top + 1, m)):
-                continue
-            # pivot must divide the rest of the matrix
-            witness = None
-            for i in range(top + 1, m):
-                for j in range(top + 1, n):
-                    if a[i][j] and not _zdivides(a[top][top], a[i][j]):
-                        witness = i
-                        break
-                if witness is not None:
-                    break
-            if witness is None:
-                break
-            # fold the offending row into the pivot row; the next reduction
-            # pass strictly lowers the pivot degree, so this terminates
-            a[top] = [_zadd(p, q) for p, q in zip(a[top], a[witness])]
-        factors.append(_z_to_poly(a[top][top]).monic())
-        top += 1
-    for k in range(1, len(factors)):
-        if not factors[k - 1].divides(factors[k]):
-            raise AssertionError("invariant factor chain broken")
-    return factors
 
 
 # ---------------------------------------------------------------------------

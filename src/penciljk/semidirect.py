@@ -81,12 +81,8 @@ def semidirect(
         if bad:
             raise JacobiError("algebra fails the Jacobi identity at triples %r" % bad)
     n = g.dim
-    entries = []
+    entries = g.entries()
     for i in range(n):
-        for j in range(i + 1, n):
-            for k, c in enumerate(g.bracket_basis(i, j)):
-                if c:
-                    entries.append((i, j, k, c))
         for b in range(rho.dim_v):
             col = rho.mats[i].col(b)
             for a, c in enumerate(col):

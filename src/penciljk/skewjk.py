@@ -24,21 +24,17 @@ from .exactla import IntVec, Mat, kernel_basis, row_space_basis
 from .pencils import (
     EigClass,
     Pencil,
-    _finite_block,
-    _infinite_block,
+    _is_skew,
     pencil_rank,
     regular_value,
     strict_invariants,
 )
+from .strata import _is_desc
 
 
 def _require_skew(p: Pencil) -> None:
-    if p.m != p.n or not (p.a.is_skew() and p.b.is_skew()):
+    if not _is_skew(p):
         raise ValueError("both coefficient matrices must be skew-symmetric")
-
-
-def _check_desc(values) -> bool:
-    return all(values[i] >= values[i + 1] for i in range(len(values) - 1))
 
 
 @dataclass(frozen=True)
@@ -55,14 +51,14 @@ class SkewJK:
     jordan: tuple[tuple[EigClass, tuple[int, ...]], ...]
 
     def __post_init__(self) -> None:
-        if not _check_desc(self.kronecker) or any(k < 1 for k in self.kronecker):
+        if not _is_desc(self.kronecker) or any(k < 1 for k in self.kronecker):
             raise InternalConsistencyError("kronecker indices must be positive descending")
         classes = [cls for cls, _ in self.jordan]
         keys = [cls.sort_key() for cls in classes]
         if keys != sorted(keys) or len(set(keys)) != len(keys):
             raise InternalConsistencyError("eigenvalue classes must be sorted and distinct")
         for _, sizes in self.jordan:
-            if not sizes or not _check_desc(sizes):
+            if not sizes or not _is_desc(sizes):
                 raise InternalConsistencyError("jordan sizes must be non-empty descending")
             if any(s < 2 or s % 2 for s in sizes):
                 raise InternalConsistencyError("skew jordan sizes must be even and >= 2")
@@ -147,46 +143,6 @@ def mantle_subspace(p: Pencil, core: list[IntVec] | None = None) -> list[IntVec]
     cols = list(zip(*p.at(regular_value(p)).rows))
     rows = [[sum(map(mul, col, k)) for col in cols] for k in core]
     return kernel_basis(Mat.from_ints(rows, p.n))
-
-
-# ---------------------------------------------------------------------------
-# canonical skew pencils
-
-
-def _skew_double(block: tuple[Mat, Mat]) -> tuple[Mat, Mat]:
-    # X -> [[0, X], [-X^T, 0]]
-    out = []
-    for x in block:
-        top = Mat.hstack([Mat.zeros(x.m, x.m), x])
-        bottom = Mat.hstack([x.transpose().scale(-1), Mat.zeros(x.n, x.n)])
-        out.append(Mat.vstack([top, bottom]))
-    return out[0], out[1]
-
-
-def canonical_skew_pencil(jk: SkewJK) -> Pencil:
-    """Block-diagonal skew pencil whose folded invariants are ``jk``."""
-    ablocks: list[Mat] = []
-    bblocks: list[Mat] = []
-    for k in jk.kronecker:
-        rows = k - 1
-        xa = Mat([[1 if j == i + 1 else 0 for j in range(k)] for i in range(rows)], n=k)
-        xb = Mat([[1 if j == i else 0 for j in range(k)] for i in range(rows)], n=k)
-        a, b = _skew_double((xa, xb))
-        ablocks.append(a)
-        bblocks.append(b)
-    for cls, sizes in jk.jordan:
-        for s2 in sizes:
-            s = s2 // 2
-            if cls.is_infinite:
-                a, b = _skew_double(_infinite_block(s))
-            else:
-                a, b = _skew_double(_finite_block(cls.poly, s))
-            ablocks.append(a)
-            bblocks.append(b)
-    p = Pencil(Mat.block_diag(ablocks), Mat.block_diag(bblocks))
-    if p.n != jk.dim:
-        raise InternalConsistencyError("canonical skew pencil has the wrong dimension")
-    return p
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Shared generators for the test suite.
 
 Random objects are always drawn from a seeded random.Random so every test
-run sees the same data.  Canonical skew pencils are built here from
-scratch rather than through the package's own assemblers, so recovery
-tests do not depend on the code they are checking.
+run sees the same data.  All canonical pencils, strict and skew, are built
+here from scratch out of the same chain and Jordan blocks; the package has
+no canonical-form assembler, so recovery tests do not depend on the code
+they are checking.
 """
 
 from __future__ import annotations
@@ -13,12 +14,7 @@ from fractions import Fraction
 
 from penciljk.exactla import Mat, det, solve_unique
 from penciljk.lie import LieAlgebra, Representation, check_homomorphism, check_jacobi
-from penciljk.pencils import (
-    EigClass,
-    Pencil,
-    StrictInvariants,
-    _canonical_pencil_any,
-)
+from penciljk.pencils import EigClass, Pencil, StrictInvariants
 from penciljk.polys import Poly
 from penciljk.skewjk import SkewJK
 
@@ -89,28 +85,25 @@ def random_strict_invariants(
         )
 
 
-def canonical_of(inv: StrictInvariants) -> Pencil:
-    return _canonical_pencil_any(inv)
-
-
 # ---------------------------------------------------------------------------
-# skew pencils, built independently of the package assemblers
+# canonical pencils, strict and skew
 
 
-def _embed_skew(fa: Mat, fb: Mat) -> Pencil:
+def _embed_skew(fa: Mat, fb: Mat) -> tuple[Mat, Mat]:
     """[[0, F], [-F^T, 0]] for both coefficients; always a skew pair."""
     p, q = fa.m, fa.n
     za = Mat.zeros(p, p)
     zb = Mat.zeros(q, q)
     a = Mat.vstack([Mat.hstack([za, fa]), Mat.hstack([fa.transpose().scale(-1), zb])])
     b = Mat.vstack([Mat.hstack([za, fb]), Mat.hstack([fb.transpose().scale(-1), zb])])
-    return Pencil(a, b)
+    return a, b
 
 
 def _chain_pair(width: int) -> tuple[Mat, Mat]:
-    """A (width-1) x width pair whose only invariant is one width index."""
-    a = Mat([[1 if j == i else 0 for j in range(width)] for i in range(width - 1)])
-    b = Mat([[1 if j == i + 1 else 0 for j in range(width)] for i in range(width - 1)])
+    """A (width-1) x width pair whose only invariant is one width index;
+    width 1 gives the 0 x 1 pair."""
+    a = Mat([[1 if j == i else 0 for j in range(width)] for i in range(width - 1)], n=width)
+    b = Mat([[1 if j == i + 1 else 0 for j in range(width)] for i in range(width - 1)], n=width)
     return a, b
 
 
@@ -136,24 +129,28 @@ def _jordan_pair(cls: EigClass, size: int) -> tuple[Mat, Mat]:
     return Mat(rows), Mat.identity(dim)
 
 
+def _block_diag(pairs: list[tuple[Mat, Mat]]) -> Pencil:
+    return Pencil(Mat.block_diag([a for a, _ in pairs]), Mat.block_diag([b for _, b in pairs]))
+
+
+def canonical_of(inv: StrictInvariants) -> Pencil:
+    """A block-diagonal pencil whose strict invariants are exactly ``inv``;
+    classes of any degree are realized by companion blocks."""
+    pairs = [_chain_pair(w) for w in inv.horizontal]
+    pairs += [(a.transpose(), b.transpose()) for a, b in map(_chain_pair, inv.vertical)]
+    pairs += [_jordan_pair(cls, s) for cls, sizes in inv.jordan for s in sizes]
+    p = _block_diag(pairs)
+    assert p.shape == (inv.m, inv.n)
+    return p
+
+
 def skew_canonical(jk: SkewJK) -> Pencil:
     """A skew pencil whose folded invariants are exactly ``jk``."""
-    pieces: list[Pencil] = []
-    for k in jk.kronecker:
-        if k == 1:
-            pieces.append(Pencil(Mat.zeros(1, 1), Mat.zeros(1, 1)))
-        else:
-            fa, fb = _chain_pair(k)
-            pieces.append(_embed_skew(fa, fb))
-    for cls, sizes in jk.jordan:
-        for s2 in sizes:
-            fa, fb = _jordan_pair(cls, s2 // 2)
-            pieces.append(_embed_skew(fa, fb))
-    if not pieces:
-        return Pencil(Mat.zeros(0, 0), Mat.zeros(0, 0))
-    a = Mat.block_diag([p.a for p in pieces])
-    b = Mat.block_diag([p.b for p in pieces])
-    return Pencil(a, b)
+    pairs = [_chain_pair(k) for k in jk.kronecker]
+    pairs += [_jordan_pair(cls, s2 // 2) for cls, sizes in jk.jordan for s2 in sizes]
+    p = _block_diag([_embed_skew(fa, fb) for fa, fb in pairs])
+    assert p.n == jk.dim
+    return p
 
 
 def congruent(p: Pencil, rng: random.Random, bound: int = 5) -> Pencil:

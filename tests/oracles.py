@@ -9,9 +9,10 @@ totals come from the gcd of every full-rank minor over Q instead of one
 determinant of the regular part factored over Z, irreducible factors
 come from sympy instead of the package's Zassenhaus factorizer, squarefree
 parts come from Yun's algorithm over Q instead of over Z, block sizes come
-from resolvents of the whole pencil instead of its regular part, and the
+from resolvents of the whole pencil instead of its regular part, the
 core of a skew pencil is spanned at dim + 1 regular points instead of
-stopping early.
+stopping early, and invariant factors come from a Smith form of A + t*B
+over Q[t] instead of the elementary divisors of the regular part.
 """
 
 from __future__ import annotations
@@ -22,7 +23,19 @@ from math import lcm
 
 from penciljk.exactla import IntVec, Mat, kernel_basis, pivot_columns, rank, row_space_basis
 from penciljk.pencils import Pencil
-from penciljk.polys import Poly, ZPoly, poly_gcd, poly_sort_key
+from penciljk.polys import (
+    Poly,
+    ZPoly,
+    _poly_row_to_z,
+    _zadd,
+    _zcontent,
+    _zdeg,
+    _zmul,
+    _zpseudo_divmod,
+    _ztrim,
+    poly_gcd,
+    poly_sort_key,
+)
 
 
 def eval_rank(p: Pencil) -> int:
@@ -317,3 +330,126 @@ def dense_core(p: Pencil) -> list[IntVec]:
             found += 1
         t += 1
     return row_space_basis(vectors, p.n)
+
+
+# ---------------------------------------------------------------------------
+# Smith form over Q[t], fraction-free: rows are scaled to integer
+# coefficients and all reductions use pseudo-division in Z[t] followed by
+# content removal, which keeps coefficient growth in check.  Unit factors
+# are irrelevant for invariant factors, so results are made monic at the end.
+
+
+def pencil_entries(p: Pencil) -> list[list[Poly]]:
+    """Entries of A + t*B as degree <= 1 polynomials in t."""
+    return [[Poly([p.a.entry(i, j), p.b.entry(i, j)]) for j in range(p.n)] for i in range(p.m)]
+
+
+def _zscale_sub(a: ZPoly, s: int, b: ZPoly, q: ZPoly) -> ZPoly:
+    """s*a - q*b."""
+    qb = _zmul(q, b)
+    out = [s * c for c in a]
+    if len(out) < len(qb):
+        out.extend([0] * (len(qb) - len(out)))
+    for i, c in enumerate(qb):
+        out[i] -= c
+    return _ztrim(out)
+
+
+def _zdivides(p: ZPoly, q: ZPoly) -> bool:
+    """Does p divide q over Q?"""
+    if not q:
+        return True
+    if not p:
+        return False
+    _, _, r = _zpseudo_divmod(q, p)
+    return not r
+
+
+def _z_to_poly(p: ZPoly) -> Poly:
+    return Poly([Fraction(c) for c in p])
+
+
+def smith_invariant_factors(entries) -> list[Poly]:
+    """Monic invariant factors d_1 | d_2 | ... of a polynomial matrix.
+
+    Row/column swaps, constant row scalings and adding a polynomial
+    multiple of one row/column to another are the only operations used,
+    all unimodular over Q[t].
+    """
+    m = len(entries)
+    n = len(entries[0]) if m else 0
+    a: list[list[ZPoly]] = [_poly_row_to_z(row) for row in entries]
+    factors: list[Poly] = []
+    top = 0
+    while top < m and top < n:
+        # locate a pivot of minimal degree in the remaining block
+        best = None
+        for i in range(top, m):
+            for j in range(top, n):
+                if a[i][j]:
+                    key = (_zdeg(a[i][j]), max(abs(c) for c in a[i][j]))
+                    if best is None or key < best[0]:
+                        best = (key, i, j)
+        if best is None:
+            break
+        _, pi, pj = best
+        a[top], a[pi] = a[pi], a[top]
+        for row in a:
+            row[top], row[pj] = row[pj], row[top]
+        while True:
+            # clear the pivot column
+            dirty = False
+            for i in range(top + 1, m):
+                if a[i][top]:
+                    s, q, r = _zpseudo_divmod(a[i][top], a[top][top])
+                    a[i] = [_zscale_sub(x, s, a[top][k], q) for k, x in enumerate(a[i])]
+                    g = _zcontent([c for p in a[i] for c in p])
+                    if g > 1:
+                        a[i] = [[c // g for c in p] for p in a[i]]
+                    if r:
+                        # remainder has lower degree: promote it to pivot
+                        a[top], a[i] = a[i], a[top]
+                        dirty = True
+                        break
+            if dirty:
+                continue
+            # clear the pivot row
+            for j in range(top + 1, n):
+                if a[top][j]:
+                    s, q, r = _zpseudo_divmod(a[top][j], a[top][top])
+                    for i2 in range(top, m):
+                        a[i2][j] = _zscale_sub(a[i2][j], s, a[i2][top], q)
+                    col = [c for i2 in range(m) for c in a[i2][j]]
+                    g = _zcontent(col)
+                    if g > 1:
+                        for i2 in range(m):
+                            a[i2][j] = [c // g for c in a[i2][j]]
+                    if r:
+                        for i2 in range(m):
+                            a[i2][top], a[i2][j] = a[i2][j], a[i2][top]
+                        dirty = True
+                        break
+            if dirty:
+                continue
+            if any(a[i][top] for i in range(top + 1, m)):
+                continue
+            # pivot must divide the rest of the matrix
+            witness = None
+            for i in range(top + 1, m):
+                for j in range(top + 1, n):
+                    if a[i][j] and not _zdivides(a[top][top], a[i][j]):
+                        witness = i
+                        break
+                if witness is not None:
+                    break
+            if witness is None:
+                break
+            # fold the offending row into the pivot row; the next reduction
+            # pass strictly lowers the pivot degree, so this terminates
+            a[top] = [_zadd(p, q) for p, q in zip(a[top], a[witness])]
+        factors.append(_z_to_poly(a[top][top]).monic())
+        top += 1
+    for k in range(1, len(factors)):
+        if not factors[k - 1].divides(factors[k]):
+            raise AssertionError("invariant factor chain broken")
+    return factors

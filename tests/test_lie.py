@@ -23,7 +23,7 @@ from penciljk.lie import (
 from penciljk.skewjk import SkewJK
 from penciljk.strata import abstract_signature
 
-from helpers import SEED, _sl2, random_invertible
+from helpers import SEED, _sl2, change_basis, random_invertible
 
 
 def euclidean2():
@@ -62,7 +62,9 @@ def test_change_basis_keeps_jacobi_and_index():
     sampler = Sampler(SEED)
     g = euclidean2()
     s = Mat(random_invertible(rng, 3).rows)
-    moved = g.change_basis(s)
+    # the zero representation on a line carries the algebra along
+    zero = Representation(g, 1, (Mat.zeros(1, 1),) * 3)
+    moved, _ = change_basis(g, zero, s, Mat.identity(1))
     assert check_jacobi(moved) == []
     assert lie_index(moved, sampler) == lie_index(g, Sampler(SEED))
 

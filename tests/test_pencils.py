@@ -24,17 +24,14 @@ from penciljk.pencils import (
     _regular_part,
     _sizes_at_class,
     are_strictly_equivalent,
-    canonical_pencil,
-    characteristic_polynomial,
     elementary_divisors,
-    invariant_factors,
     minimal_indices,
     pencil_from_lists,
     pencil_rank,
     regular_value,
     strict_invariants,
 )
-from penciljk.polys import Poly, smith_invariant_factors
+from penciljk.polys import Poly
 from penciljk.skewjk import skew_jk_invariants
 
 from helpers import (
@@ -52,7 +49,9 @@ from oracles import (
     eval_rank,
     fraction_candidates,
     interp_det,
+    pencil_entries,
     resolvent_sizes,
+    smith_invariant_factors,
     stacked_minimal_indices,
 )
 
@@ -68,6 +67,18 @@ def random_pencil(rng, max_m=6, max_n=6, bound=3):
     entry = lambda: Fraction(rng.randint(-bound, bound), rng.choice((1, 2, 3)))
     draw = lambda: [[entry() for _ in range(n)] for _ in range(m)]
     return pencil_from_lists(draw(), draw())
+
+
+def invariant_factors(p: Pencil) -> list[Poly]:
+    """Monic invariant factors d_1 | ... | d_r of A + t*B, assembled from
+    the elementary divisors: the i-th largest size of every class goes
+    into d_(r+1-i)."""
+    r = pencil_rank(p)
+    out = [Poly([1])] * r
+    for cls, sizes in elementary_divisors(p)[0]:
+        for i, s in enumerate(sizes):
+            out[r - 1 - i] = out[r - 1 - i] * cls**s
+    return out
 
 
 def test_rank_matches_evaluation_oracle():
@@ -123,8 +134,8 @@ def test_invariant_factors_match_smith_form():
         r = pencil_rank(p)
         if r == 0:
             continue
-        smith = [f.monic() for f in smith_invariant_factors(p.entries())]
-        assert list(invariant_factors(p)) == smith
+        smith = smith_invariant_factors(pencil_entries(p))
+        assert invariant_factors(p) == smith
         checked += 1
 
 
@@ -164,10 +175,12 @@ def test_characteristic_form_against_interpolated_determinant():
         det = interp_det(p)
         if det.is_zero():
             continue
-        form = characteristic_polynomial(p)
-        assert form.dehomogenized() == det.monic()
-        assert form.alpha_valuation() == p.n - det.degree()
-        assert form.degree == p.n
+        finite, inf_sizes = elementary_divisors(p)
+        product = Poly([1])
+        for cls, sizes in finite:
+            product = product * cls ** sum(sizes)
+        assert product == det.monic()
+        assert sum(inf_sizes) == p.n - det.degree()
         checked += 1
 
 
@@ -189,6 +202,16 @@ def test_canonical_roundtrip_random():
     )
     for p in (canonical_of(inv), scramble(canonical_of(inv), rng)):
         assert strict_invariants(p) == inv
+    # an irrational class, t^2 - 2, alone
+    inv = StrictInvariants(
+        m=2,
+        n=2,
+        rank=2,
+        horizontal=(),
+        vertical=(),
+        jordan=((EigClass(P(-2, 0, 1)), (1,)),),
+    )
+    assert strict_invariants(canonical_of(inv)) == inv
 
 
 def test_strict_equivalence_under_basis_change():
@@ -207,42 +230,6 @@ def test_strict_equivalence_negative():
     assert not are_strictly_equivalent(a, b)
     c = pencil_from_lists([[1]], [[1]])
     assert not are_strictly_equivalent(a, c)
-
-
-def test_canonical_pencil_assignment():
-    inv = StrictInvariants(
-        m=3,
-        n=3,
-        rank=3,
-        horizontal=(),
-        vertical=(),
-        jordan=((EigClass(P(-1, 1)), (1,)), (EigClass(P(0, 1)), (2,))),
-    )
-    relabeled = canonical_pencil(
-        inv, {EigClass(P(0, 1)): 5, EigClass(P(-1, 1)): Fraction(1, 2)}
-    )
-    divisors, _ = elementary_divisors(relabeled)
-    assert {cls: sizes for cls, sizes in divisors} == {
-        P(-5, 1): (2,),
-        P(Fraction(-1, 2), 1): (1,),
-    }
-    with pytest.raises(ValueError):
-        canonical_pencil(inv, {EigClass(P(0, 1)): 3, EigClass(P(-1, 1)): 3})
-
-
-def test_canonical_pencil_rejects_irrational_classes():
-    inv = StrictInvariants(
-        m=2,
-        n=2,
-        rank=2,
-        horizontal=(),
-        vertical=(),
-        jordan=((EigClass(P(-2, 0, 1)), (1,)),),
-    )
-    with pytest.raises(ValueError):
-        canonical_pencil(inv)
-    # the degree-agnostic builder still realizes it
-    assert strict_invariants(canonical_of(inv)) == inv
 
 
 def test_reversed_swaps_zero_and_infinity():
@@ -293,7 +280,7 @@ def test_pencil_caches_stay_bounded():
         if p not in seen:
             seen.add(p)
             strict_invariants(p)
-    bounded = (_rank_scan, _kernel_chains, _jordan_structure, invariant_factors)
+    bounded = (_rank_scan, _kernel_chains, _jordan_structure)
     for cached in bounded:
         info = cached.cache_info()
         assert info.maxsize == _CACHE_SIZE
@@ -528,7 +515,7 @@ def _transposed_invariants(inv: StrictInvariants) -> StrictInvariants:
 def _infinite_sizes_by_smith(p: Pencil) -> tuple[int, ...]:
     # the elementary divisors s**k of B + s*A are the infinite blocks of A + t*B
     sizes = []
-    for f in smith_invariant_factors(p.reversed().entries()):
+    for f in smith_invariant_factors(pencil_entries(p.reversed())):
         k = next(i for i, c in enumerate(f.coeffs) if c)
         if k:
             sizes.append(k)
@@ -567,8 +554,8 @@ def test_regular_part_is_the_jordan_part():
         if inv.rank == 0:
             continue
         reg = check(p, inv.jordan_dimension())
-        smith = [f.monic() for f in smith_invariant_factors(p.entries())]
-        assert list(invariant_factors(p)) == smith
+        smith = smith_invariant_factors(pencil_entries(p))
+        assert invariant_factors(p) == smith
         product = Poly([1])
         for f in smith:
             product = product * f

@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from penciljk.polys import (
-    BinForm,
     Poly,
     _zgcd,
     _zprimitive,
@@ -16,11 +15,16 @@ from penciljk.polys import (
     integer_factors,
     parse_poly,
     poly_gcd,
-    poly_lcm,
-    smith_invariant_factors,
 )
 
-from oracles import cleared, squarefree_decomposition, squarefree_part, sympy_factors, valuation
+from oracles import (
+    cleared,
+    smith_invariant_factors,
+    squarefree_decomposition,
+    squarefree_part,
+    sympy_factors,
+    valuation,
+)
 
 
 def P(*coeffs):
@@ -58,7 +62,6 @@ def test_gcd_and_lcm():
     f = P(-1, 1) * P(1, 1)
     g = P(-1, 1) * P(2, 1)
     assert poly_gcd(f, g) == P(-1, 1)
-    assert poly_lcm(f, g).degree() == 3
     assert poly_gcd(P(), f) == f.monic()
     assert poly_gcd(f, P(3)).is_constant()
 
@@ -156,15 +159,6 @@ def test_parse_poly_rejects_garbage():
         parse_poly("t^", "t")
     with pytest.raises(ValueError):
         parse_poly("", "t")
-
-
-def test_binform_parts():
-    bf = BinForm.from_parts(2, P(-1, 1))
-    assert bf.degree == 3
-    assert bf.alpha_valuation() == 2
-    assert bf.dehomogenized() == P(-1, 1)
-    with pytest.raises(ValueError):
-        BinForm.from_parts(1, P())
 
 
 def test_smith_chain_divisibility_and_content():

@@ -17,7 +17,6 @@ from penciljk.pencils import EigClass, pencil_from_lists
 from penciljk.polys import Poly
 from penciljk.skewjk import (
     SkewJK,
-    canonical_skew_pencil,
     core_subspace,
     jk_of_block_pencil,
     mantle_subspace,
@@ -40,8 +39,6 @@ def test_fold_of_canonical_examples():
     )
     p = skew_canonical(jk)
     assert skew_jk_invariants(p) == jk
-    # the packaged canonical builder agrees with the test-side one
-    assert skew_jk_invariants(canonical_skew_pencil(jk)) == jk
 
 
 def test_fold_roundtrip_random():
