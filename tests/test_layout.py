@@ -1,0 +1,91 @@
+"""Checks on the package's source layout rather than its answers: no
+module imports a name it never uses, and every function the benchmark
+tracer wraps by name still exists."""
+
+import ast
+import importlib
+import os
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PACKAGE = os.path.join(ROOT, "src", "penciljk")
+
+
+def _used_names(tree: ast.Module) -> set[str]:
+    """Every bare name the module reads, including those inside string
+    annotations such as ``-> "Pencil"``."""
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotation = node.returns
+        elif isinstance(node, (ast.arg, ast.AnnAssign)):
+            annotation = node.annotation
+        else:
+            continue
+        for part in ast.walk(annotation) if annotation else ():
+            if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                inner = ast.parse(part.value, mode="eval")
+                used.update(n.id for n in ast.walk(inner) if isinstance(n, ast.Name))
+    return used
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by top-level imports of ``source`` that it never uses;
+    ``from __future__`` imports are exempt."""
+    tree = ast.parse(source)
+    used = _used_names(tree)
+    unused = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used:
+                    unused.append(name)
+    return unused
+
+
+def test_unused_import_check_can_fail():
+    source = "from itertools import combinations\nimport os as system\nimport sys\nsys.exit\n"
+    assert unused_imports(source) == ["combinations", "system"]
+    assert unused_imports('from typing import Sequence\ndef f() -> "Sequence[int]": ...\n') == []
+
+
+def test_package_modules_use_every_import():
+    found = {}
+    for name in sorted(os.listdir(PACKAGE)):
+        if name.endswith(".py") and name != "__init__.py":
+            with open(os.path.join(PACKAGE, name), encoding="utf-8") as fh:
+                unused = unused_imports(fh.read())
+            if unused:
+                found[name] = unused
+    assert found == {}
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    """``bench/tracer.py``, imported without writing bytecode next to it."""
+    bench = os.path.join(ROOT, "bench")
+    sys.path.insert(0, bench)
+    dont_write = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        yield importlib.import_module("tracer")
+    finally:
+        sys.dont_write_bytecode = dont_write
+        sys.path.remove(bench)
+        sys.modules.pop("tracer", None)
+
+
+def test_tracer_targets_exist(tracer):
+    targets = set(tracer.LAYERS)
+    assert {("jsonio", name) for name in tracer.JSONIO_FUNCTIONS} <= targets
+    missing = [
+        f"{module}.{func}"
+        for module, func in sorted(targets)
+        if not callable(getattr(importlib.import_module(f"penciljk.{module}"), func, None))
+    ]
+    assert missing == []
