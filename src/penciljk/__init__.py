@@ -59,7 +59,6 @@ from .lie import (
     check_jacobi,
     jk_invariants_of_lie,
     jk_invariants_of_rep,
-    lie_index,
     lie_pencil,
     lie_poisson_matrix,
     rep_pencil,

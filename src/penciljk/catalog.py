@@ -78,52 +78,44 @@ def _unit(n: int, a: int, b: int) -> Mat:
     return Mat([[1 if (i, j) == (a, b) else 0 for j in range(n)] for i in range(n)])
 
 
-def _basis_matrices(fam: Family) -> tuple[list[Mat], list[str]]:
+def _basis_matrices(fam: Family) -> list[Mat]:
     n = fam.n
     mats: list[Mat] = []
-    labels: list[str] = []
     if fam.name == "gl":
         for a in range(n):
             for b in range(n):
                 mats.append(_unit(n, a, b))
-                labels.append(f"E{a + 1}{b + 1}")
     elif fam.name == "sl":
         for a in range(n):
             for b in range(n):
                 if a != b:
                     mats.append(_unit(n, a, b))
-                    labels.append(f"E{a + 1}{b + 1}")
         for i in range(n - 1):
             mats.append(_unit(n, i, i) - _unit(n, i + 1, i + 1))
-            labels.append(f"H{i + 1}")
     elif fam.name == "so":
         # antisymmetric matrices: the form is the identity
         for a in range(n):
             for b in range(a + 1, n):
                 mats.append(_unit(n, a, b) - _unit(n, b, a))
-                labels.append(f"F{a + 1}{b + 1}")
     else:
         # block form [[P, Q], [R, -P^T]] with Q, R symmetric, k = n/2
         k = n // 2
         for a in range(k):
             for b in range(k):
                 mats.append(_unit(n, a, b) - _unit(n, k + b, k + a))
-                labels.append(f"P{a + 1}{b + 1}")
         for a in range(k):
             for b in range(a, k):
                 q = _unit(n, a, k + b)
                 if a != b:
                     q = q + _unit(n, b, k + a)
                 mats.append(q)
-                labels.append(f"Q{a + 1}{b + 1}")
         for a in range(k):
             for b in range(a, k):
                 r = _unit(n, k + a, b)
                 if a != b:
                     r = r + _unit(n, k + b, a)
                 mats.append(r)
-                labels.append(f"R{a + 1}{b + 1}")
-    return mats, labels
+    return mats
 
 
 def _flatten(mat: Mat) -> list[Fraction]:
@@ -158,10 +150,10 @@ def _structure_entries(mats: list[Mat]) -> list[tuple[int, int, int, Fraction]]:
 
 def build_classical(fam: Family) -> tuple[LieAlgebra, Representation]:
     """The algebra on its standard basis and its action on column vectors."""
-    mats, labels = _basis_matrices(fam)
+    mats = _basis_matrices(fam)
     if len(mats) != fam.dim:
         raise InternalConsistencyError("basis size does not match the dimension")
-    g = LieAlgebra(fam.dim, _structure_entries(mats), labels=labels)
+    g = LieAlgebra(fam.dim, _structure_entries(mats))
     bad = check_jacobi(g)
     if bad:
         raise InternalConsistencyError(f"jacobi identity fails at {bad[0]}")

@@ -137,8 +137,9 @@ def _print_report(report: dict, cfg_fmt: str) -> None:
     sys.stdout.write("\n".join(lines) + "\n")
 
 
-# Inputs are validated once, here, when they are loaded; the commands pass
-# validated=True to the package functions that would check them again.
+# Inputs are validated once, here, when they are loaded (and by
+# build_classical for the catalog); the package functions that take a
+# validated algebra or representation check nothing again.
 
 
 def _require_jacobi(g) -> None:
@@ -225,19 +226,16 @@ def cmd_semidirect(args, cfg: RunConfig) -> int:
     g = rho.algebra
     if args.lie is not None:
         lie = lie_from_json(load_json(args.lie))
-        if lie.table != g.table:
-            # a table other than the one already checked: a broken algebra
+        if lie.ad != g.ad:
+            # brackets other than the ones already checked: a broken algebra
             # is reported as such before the disagreement
             _require_jacobi(lie)
             raise InputFormatError(
                 "--lie brackets disagree with the representation's algebra"
             )
-        g = lie
     code = EXIT_OK
     if args.verify_dual:
-        verdict = check_dual_theorem(
-            g, rho, cfg.sampler(), samples=cfg.samples, validated=True
-        )
+        verdict = check_dual_theorem(rho, cfg.sampler(), samples=cfg.samples)
         report = {
             "command": "semidirect",
             "dim": g.dim + rho.dim_v,
@@ -256,7 +254,7 @@ def cmd_semidirect(args, cfg: RunConfig) -> int:
         if verdict.verdict == MISMATCH:
             code = EXIT_MISMATCH
     else:
-        q = semidirect(g, rho, validated=True).q
+        q = semidirect(rho).q
         jk = jk_invariants_of_lie(q, cfg.sampler(), samples=cfg.samples)
         report = {
             "command": "semidirect",
@@ -296,7 +294,7 @@ def cmd_tables(args, cfg: RunConfig) -> int:
         raise InputFormatError(str(exc)) from None
     if args.m < 1:
         raise InputFormatError("--m must be at least 1")
-    g, rho = build_classical(fam)
+    _, rho = build_classical(fam)
     stacked = direct_sum(rho, args.m)
 
     rep_expected = expected_rep_jk(fam, args.m)
@@ -308,9 +306,9 @@ def cmd_tables(args, cfg: RunConfig) -> int:
     lie_block: dict = {"known": lie_expected is not None}
     lie_match = True
     if lie_expected is not None:
-        # build_classical checked g and rho, and a direct sum of copies of
-        # a representation is one
-        q = semidirect(g, stacked, validated=True).q
+        # build_classical checked the algebra and rho, and a direct sum of
+        # copies of a representation is one
+        q = semidirect(stacked).q
         lie_jk = jk_invariants_of_lie(q, cfg.sampler(), samples=cfg.samples)
         lie_sampled = skew_abstract_signature(lie_jk.invariants)
         lie_match = lie_sampled == lie_expected

@@ -1,10 +1,14 @@
 """Lie algebras, linear representations, and their sampled invariants.
 
-An algebra is a structure-constant tensor; a representation is one
-operator per basis element.  Both give rise to matrix pencils: the pair
-of Poisson matrices at two sampled covectors, or the pair of contraction
-operators at two sampled vectors.  Invariants of a generic pair are
-estimated by sampling integer points and keeping the signature that
+An algebra is held as its adjoint operators ad(e_i) = [e_i, -] and a
+representation as one operator per basis element, all ``Mat``s.  Both
+structure checks read one integer defect, rho([e_i, e_j]) - [rho(e_i),
+rho(e_j)]; on the adjoint operators its column k is minus the Jacobiator
+of (e_i, e_j, e_k).  Both pencils come from one contraction, the matrix
+whose column i is the i-th operator applied to a vector: of the operators
+of a representation, or of the coadjoint operators -ad(e_i)^T, which
+gives the Poisson matrix <x, [e_i, e_j]>.  Invariants of a generic pair
+are estimated by sampling integer points and keeping the signature that
 dominates all others under bundle closure.
 """
 
@@ -12,14 +16,16 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property
+from math import lcm
+from operator import mul
 
 from .errors import (
     CertificateNotApplicableError,
     DominanceSelectionError,
     InternalConsistencyError,
 )
-from .exactla import Mat, Vec, _frac, rank
+from .exactla import IntVec, Mat, _clear
 from .pencils import Pencil, StrictInvariants, pencil_rank, strict_invariants
 from .skewjk import SkewJK, skew_jk_invariants
 from .strata import (
@@ -36,71 +42,100 @@ EMPIRICAL = "empirical"
 
 
 # ---------------------------------------------------------------------------
+# integer operators
+
+
+def _int_ops(mats) -> tuple[list[list[list[int]]], int]:
+    """The operators as integer rows over their least common denominator."""
+    den = lcm(*[m.den for m in mats])
+    return [[[den // m.den * x for x in r] for r in m.rows] for m in mats], den
+
+
+def _contract(ops, den: int, x) -> Mat:
+    """The matrix whose column i is the i-th integer operator applied to x."""
+    xs, xden = _clear(x)
+    rows = [[sum(map(mul, op[a], xs)) for op in ops] for a in range(len(xs))]
+    return Mat.from_ints(rows, len(ops), den * xden)
+
+
+def _matmul(a, b):
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
+
+
+def _defects(ad, mats):
+    """Yield (i, j, D) for each basis pair i < j, where D is the integer
+    matrix e r^2 (rho([e_i, e_j]) - [rho(e_i), rho(e_j)]).
+
+    ad are the adjoint operators of an algebra, c^k_ij = C[i][k][j] / e,
+    and mats are rho(e_k) = R[k] / r, so
+    D = r sum_k C[i][k][j] R[k] - e [R[i], R[j]].
+    """
+    cs, e = _int_ops(ad)
+    rs, r = _int_ops(mats)
+    size = range(len(rs[0]) if rs else 0)
+    for i in range(len(cs)):
+        for j in range(i + 1, len(cs)):
+            terms = [(c, rs[k]) for k, c in enumerate(row[j] for row in cs[i]) if c]
+            ij, ji = _matmul(rs[i], rs[j]), _matmul(rs[j], rs[i])
+            yield i, j, [
+                [
+                    r * sum(c * op[a][b] for c, op in terms) - e * (ij[a][b] - ji[a][b])
+                    for b in size
+                ]
+                for a in size
+            ]
+
+
+# ---------------------------------------------------------------------------
 # structures
 
 
 class LieAlgebra:
-    """Structure constants c^k_{ij} on a fixed basis, antisymmetric in i, j."""
+    """An algebra on a fixed basis, held as its adjoint operators.
 
-    def __init__(self, dim: int, entries, labels=None):
+    Column j of ``ad[i]`` is the coordinate vector of [e_i, e_j], so entry
+    (k, j) of ``ad[i]`` is the structure constant c^k_ij.
+    """
+
+    def __init__(self, dim: int, entries):
         """entries: iterable of (i, j, k, coefficient) with 0 <= i < j < dim."""
         self.dim = dim
-        table = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
-        for i, j, k, c in entries:
+        items = list(entries)
+        for i, j, k, _ in items:
             if not (0 <= i < j < dim and 0 <= k < dim):
                 raise ValueError("bracket entry out of range or not upper (i < j)")
-            c = _frac(c)
-            table[i][j][k] += c
-            table[j][i][k] -= c
-        self.table = tuple(
-            tuple(tuple(row) for row in plane) for plane in table
-        )
-        self.labels = tuple(labels) if labels else None
+        coeffs, den = _clear(c for *_, c in items)
+        planes = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
+        for (i, j, k, _), c in zip(items, coeffs):
+            planes[i][k][j] += c
+            planes[j][k][i] -= c
+        self.ad = tuple(Mat.from_ints(rows, dim, den) for rows in planes)
 
-    def bracket_basis(self, i: int, j: int) -> Vec:
-        return self.table[i][j]
-
-    def bracket(self, u: Vec, v: Vec) -> Vec:
-        out = [Fraction(0)] * self.dim
-        for i, ui in enumerate(u):
-            if not ui:
-                continue
-            for j, vj in enumerate(v):
-                if not vj:
-                    continue
-                for k, c in enumerate(self.table[i][j]):
-                    if c:
-                        out[k] += ui * vj * c
-        return tuple(out)
+    @cached_property
+    def _coadjoint(self):
+        """The operators -ad(e_i)^T as integer rows over one denominator."""
+        return _int_ops([-m.transpose() for m in self.ad])
 
     def entries(self):
         """The sparse (i, j, k, c) list with i < j, sorted."""
         out = []
-        for i in range(self.dim):
+        for i, op in enumerate(self.ad):
             for j in range(i + 1, self.dim):
-                for k, c in enumerate(self.table[i][j]):
-                    if c:
-                        out.append((i, j, k, c))
+                for k in range(self.dim):
+                    if op.rows[k][j]:
+                        out.append((i, j, k, op.entry(k, j)))
         return out
 
 
 def check_jacobi(g: LieAlgebra):
-    """All basis triples (i, j, k) violating the Jacobi identity."""
-    bad = []
-    n = g.dim
-    basis = [tuple(Fraction(int(i == t)) for t in range(n)) for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                acc = [Fraction(0)] * n
-                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                    inner = g.bracket_basis(a, b)
-                    outer = g.bracket(inner, basis[c])
-                    for t in range(n):
-                        acc[t] += outer[t]
-                if any(acc):
-                    bad.append((i, j, k))
-    return bad
+    """All basis triples (i, j, k), i < j < k, violating the Jacobi identity."""
+    return [
+        (i, j, k)
+        for i, j, d in _defects(g.ad, g.ad)
+        for k in range(j + 1, g.dim)
+        if any(r[k] for r in d)
+    ]
 
 
 @dataclass(frozen=True)
@@ -118,25 +153,18 @@ class Representation:
             if m.shape != (self.dim_v, self.dim_v):
                 raise ValueError("operators must be square of the space dimension")
 
-    def operator(self, xi: Vec) -> Mat:
-        out = Mat.zeros(self.dim_v, self.dim_v)
-        for i, c in enumerate(xi):
-            if c:
-                out = out + self.mats[i].scale(c)
-        return out
+    @cached_property
+    def _ints(self):
+        return _int_ops(self.mats)
 
 
 def check_homomorphism(rho: Representation):
     """All basis pairs (i, j) where the bracket is not matched."""
-    bad = []
-    g = rho.algebra
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            lhs = rho.operator(g.bracket_basis(i, j))
-            rhs = rho.mats[i] * rho.mats[j] - rho.mats[j] * rho.mats[i]
-            if lhs != rhs:
-                bad.append((i, j))
-    return bad
+    return [
+        (i, j)
+        for i, j, d in _defects(rho.algebra.ad, rho.mats)
+        if any(any(r) for r in d)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -144,26 +172,21 @@ def check_homomorphism(rho: Representation):
 
 
 def lie_poisson_matrix(g: LieAlgebra, x) -> Mat:
-    """The skew matrix pairing x with brackets: entry (i, j) = <x, [e_i, e_j]>."""
-    x = tuple(_frac(c) for c in x)
+    """The skew matrix pairing x with brackets: entry (i, j) = <x, [e_i, e_j]>.
+
+    It is the contraction of x with the coadjoint operators: column i is
+    -ad(e_i)^T x, whose entry j is -<x, [e_i, e_j]> = <x, [e_j, e_i]>.
+    """
     if len(x) != g.dim:
         raise ValueError("covector length must match the algebra dimension")
-    rows = []
-    for i in range(g.dim):
-        row = []
-        for j in range(g.dim):
-            row.append(sum((c * x[k] for k, c in enumerate(g.table[i][j]) if c), Fraction(0)))
-        rows.append(row)
-    return Mat(rows, n=g.dim)
+    return _contract(*g._coadjoint, x)
 
 
 def rep_operator(rho: Representation, x) -> Mat:
     """The dimV x dim matrix whose i-th column is the i-th operator applied to x."""
-    x = tuple(_frac(c) for c in x)
     if len(x) != rho.dim_v:
         raise ValueError("vector length must match the space dimension")
-    cols = [m.apply(x) for m in rho.mats]
-    return Mat.from_cols(cols, rho.dim_v)
+    return _contract(*rho._ints, x)
 
 
 def lie_pencil(g: LieAlgebra, x, a) -> Pencil:
@@ -190,24 +213,10 @@ class Sampler:
             raise ValueError("height must be positive")
         self._rng = random.Random(self.seed)
 
-    def covector(self, length: int) -> Vec:
+    def covector(self, length: int) -> IntVec:
         return tuple(
-            Fraction(self._rng.randint(-self.height, self.height))
-            for _ in range(length)
+            self._rng.randint(-self.height, self.height) for _ in range(length)
         )
-
-
-def lie_index(g: LieAlgebra, sampler: Sampler, samples: int = 25) -> int:
-    """Minimal corank of the Poisson matrix over sampled covectors."""
-    if samples < 1:
-        raise ValueError("at least one sample is required")
-    best = g.dim
-    for _ in range(samples):
-        x = sampler.covector(g.dim)
-        best = min(best, g.dim - rank(lie_poisson_matrix(g, x)))
-        if best == 0:
-            break
-    return best
 
 
 def _select_maximal(signatures, contains):

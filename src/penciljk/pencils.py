@@ -83,7 +83,6 @@ from .exactla import (
 from .polys import (
     Poly,
     ZPoly,
-    format_poly,
     integer_factors,
     poly_sort_key,
 )
@@ -159,9 +158,6 @@ class EigClass:
         if self.poly is None:
             return (1, ())
         return (0,) + poly_sort_key(self.poly)
-
-    def label(self) -> str:
-        return "inf" if self.poly is None else format_poly(self.poly, "t")
 
     @classmethod
     def infinite(cls) -> "EigClass":

@@ -12,8 +12,15 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from penciljk.exactla import Mat, det, solve_unique
-from penciljk.lie import LieAlgebra, Representation, check_homomorphism, check_jacobi
+from penciljk.exactla import Mat, det, rank, solve_unique
+from penciljk.lie import (
+    LieAlgebra,
+    Representation,
+    Sampler,
+    check_homomorphism,
+    check_jacobi,
+    lie_poisson_matrix,
+)
 from penciljk.pencils import EigClass, Pencil, StrictInvariants
 from penciljk.polys import Poly
 from penciljk.skewjk import SkewJK
@@ -201,21 +208,14 @@ def change_basis(
     """The same pair written on new bases of the algebra and the space."""
     n = g.dim
     pg_inv = inverse(pg)
+    brackets = g.entries()
     entries = []
     for a in range(n):
         for b in range(a + 1, n):
             w = [Fraction(0)] * n
-            for i in range(n):
-                ca = pg.entry(i, a)
-                if not ca:
-                    continue
-                for j in range(n):
-                    cb = pg.entry(j, b)
-                    if not cb:
-                        continue
-                    for k, c in enumerate(g.bracket_basis(i, j)):
-                        if c:
-                            w[k] += ca * cb * c
+            for i, j, k, c in brackets:
+                # [e_i, e_j] = c e_k and [e_j, e_i] = -c e_k
+                w[k] += (pg.entry(i, a) * pg.entry(j, b) - pg.entry(j, a) * pg.entry(i, b)) * c
             coords = pg_inv.apply(w)
             for k, c in enumerate(coords):
                 if c:
@@ -234,6 +234,19 @@ def change_basis(
     rho2 = Representation(g2, rho.dim_v, tuple(mats))
     assert not check_homomorphism(rho2)
     return g2, rho2
+
+
+def lie_index(g: LieAlgebra, sampler: Sampler, samples: int = 25) -> int:
+    """Minimal corank of the Poisson matrix over sampled covectors."""
+    if samples < 1:
+        raise ValueError("at least one sample is required")
+    best = g.dim
+    for _ in range(samples):
+        x = sampler.covector(g.dim)
+        best = min(best, g.dim - rank(lie_poisson_matrix(g, x)))
+        if best == 0:
+            break
+    return best
 
 
 def _diag(values) -> Mat:

@@ -11,8 +11,10 @@ come from sympy instead of the package's Zassenhaus factorizer, squarefree
 parts come from Yun's algorithm over Q instead of over Z, block sizes come
 from resolvents of the whole pencil instead of its regular part, the
 core of a skew pencil is spanned at dim + 1 regular points instead of
-stopping early, and invariant factors come from a Smith form of A + t*B
-over Q[t] instead of the elementary divisors of the regular part.
+stopping early, invariant factors come from a Smith form of A + t*B
+over Q[t] instead of the elementary divisors of the regular part, and
+Jacobi violations come from a cyclic sum of Fraction brackets instead of
+the defect of the adjoint operators.
 """
 
 from __future__ import annotations
@@ -453,3 +455,39 @@ def smith_invariant_factors(entries) -> list[Poly]:
         if not factors[k - 1].divides(factors[k]):
             raise AssertionError("invariant factor chain broken")
     return factors
+
+
+# ---------------------------------------------------------------------------
+# Jacobi identity from a Fraction bracket table
+
+
+def cyclic_jacobi(dim: int, entries) -> list[tuple[int, int, int]]:
+    """Basis triples i < j < k where [[e_i, e_j], e_k] + [[e_j, e_k], e_i]
+    + [[e_k, e_i], e_j] is nonzero, for the antisymmetric brackets given by
+    the (i, j, k, c) list with i < j."""
+    table = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
+    for i, j, k, c in entries:
+        table[i][j][k] += Fraction(c)
+        table[j][i][k] -= Fraction(c)
+
+    def bracket(u, v):
+        out = [Fraction(0)] * dim
+        for i, ui in enumerate(u):
+            for j, vj in enumerate(v):
+                if ui and vj:
+                    for k, c in enumerate(table[i][j]):
+                        out[k] += ui * vj * c
+        return out
+
+    basis = [[Fraction(int(i == t)) for t in range(dim)] for i in range(dim)]
+    bad = []
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            for k in range(j + 1, dim):
+                acc = [Fraction(0)] * dim
+                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                    for t, v in enumerate(bracket(table[a][b], basis[c])):
+                        acc[t] += v
+                if any(acc):
+                    bad.append((i, j, k))
+    return bad

@@ -22,7 +22,6 @@ from penciljk.lie import (
     Sampler,
     jk_invariants_of_lie,
     jk_invariants_of_rep,
-    lie_index,
 )
 from penciljk.pencils import (
     EigClass,
@@ -54,6 +53,7 @@ from helpers import (
     canonical_of,
     change_basis,
     congruent,
+    lie_index,
     pair_pool,
     random_invertible,
     random_skew_jk,
@@ -130,8 +130,8 @@ def test_criterion_04_lie_table_minimum():
     ]
     for fam, m, literal in cells:
         assert expected_lie_jk(fam, m) == literal
-        g, rho = build_classical(fam)
-        q = semidirect(g, direct_sum(rho, m)).q
+        _, rho = build_classical(fam)
+        q = semidirect(direct_sum(rho, m)).q
         report = jk_invariants_of_lie(q, Sampler(SEED + m), samples=25)
         assert skew_abstract_signature(report.invariants) == literal, fam.label
     print("criterion 4: 4 semi-direct cells match")
@@ -149,7 +149,7 @@ def test_criterion_05_dual_theorem():
         # invariants are discrete, so agreement does not depend on the
         # sample count; 5 pairs keep the largest algebras affordable
         samples = 25 if dim_q <= 20 else 5
-        report = check_dual_theorem(g, stacked, Sampler(SEED + dim_q), samples)
+        report = check_dual_theorem(stacked, Sampler(SEED + dim_q), samples)
         assert report.verdict == MATCH, (fam.label, m)
         checked += 1
     assert checked == 24
@@ -161,7 +161,7 @@ def test_criterion_05_dual_theorem():
             pg = random_invertible(rng, g.dim, bound=2)
             pv = random_invertible(rng, rho.dim_v, bound=2)
             g2, rho2 = change_basis(g, rho, pg, pv)
-            report = check_dual_theorem(g2, rho2, Sampler(SEED + k), samples=10)
+            report = check_dual_theorem(rho2, Sampler(SEED + k), samples=10)
             assert report.dual.invariants.horizontal == (), name
             assert report.verdict == MATCH, (name, k)
             matches += 1
@@ -183,7 +183,7 @@ def test_criterion_06_block_structure():
         pg = random_invertible(rng, g.dim, bound=2)
         pv = random_invertible(rng, rho.dim_v, bound=2)
         g2, rho2 = change_basis(g, rho, pg, pv)
-        sd = semidirect(g2, rho2)
+        sd = semidirect(rho2)
         x = sampler.covector(g2.dim)
         a = sampler.covector(rho2.dim_v)
         assert verify_block_structure(sd, x, a), name
@@ -328,8 +328,8 @@ def test_criterion_10_genericity_certificates():
             continue
         assert certify_generic_lie(exp, len(exp.kronecker)), (fam.label, m)
         if fam.dim + m * fam.n <= 12:
-            g, rho = build_classical(fam)
-            q = semidirect(g, direct_sum(rho, m)).q
+            _, rho = build_classical(fam)
+            q = semidirect(direct_sum(rho, m)).q
             assert lie_index(q, Sampler(SEED + m), samples=5) == len(exp.kronecker)
         balanced += 1
     assert balanced >= 10

@@ -133,13 +133,13 @@ def test_small_cells_end_to_end():
     assert abstract_signature(rep.invariants) == expected_rep_jk(fam, 1)
 
     so3 = Family("so", 3)
-    g, rho3 = build_classical(so3)
-    q = semidirect(g, rho3).q
+    _, rho3 = build_classical(so3)
+    q = semidirect(rho3).q
     lie = jk_invariants_of_lie(q, sampler, samples=5)
     assert skew_abstract_signature(lie.invariants) == expected_lie_jk(so3, 1)
 
     sl2 = Family("sl", 2)
-    g2, rho2 = build_classical(sl2)
-    q2 = semidirect(g2, direct_sum(rho2, 2)).q
+    _, rho2 = build_classical(sl2)
+    q2 = semidirect(direct_sum(rho2, 2)).q
     lie2 = jk_invariants_of_lie(q2, sampler, samples=5)
     assert skew_abstract_signature(lie2.invariants) == expected_lie_jk(sl2, 2)

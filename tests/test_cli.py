@@ -136,17 +136,15 @@ def test_lie_command(tmp_path, capsys):
 
 
 def test_bad_algebra_exit_codes(tmp_path, capsys):
-    bad = write(
-        tmp_path,
-        "bad.json",
-        {
-            "dim": 3,
-            "brackets": [
-                {"i": 0, "j": 1, "k": 0, "c": 1},
-                {"i": 0, "j": 2, "k": 1, "c": 1},
-            ],
-        },
-    )
+    # [e0, e1] = e0 and [e0, e2] = e1 fail Jacobi
+    broken = {
+        "dim": 3,
+        "brackets": [
+            {"i": 0, "j": 1, "k": 0, "c": 1},
+            {"i": 0, "j": 2, "k": 1, "c": 1},
+        ],
+    }
+    bad = write(tmp_path, "bad.json", broken)
     assert main(["lie", bad]) == 5
     out_of_range = write(
         tmp_path,
@@ -160,7 +158,13 @@ def test_bad_algebra_exit_codes(tmp_path, capsys):
         [["0", "0"], ["1", "0"]],
         [["1", "0"], ["0", "-1"]],
     ]
-    assert main(["rep", write(tmp_path, "nh.json", not_hom)]) == 5
+    nh = write(tmp_path, "nh.json", not_hom)
+    assert main(["rep", nh]) == 5
+    assert main(["semidirect", "--rep", nh]) == 5
+    # the zero action is a homomorphism of any bracket, so only the
+    # Jacobi check can reject this input
+    zero = {"algebra": broken, "dimV": 1, "mats": [[["0"]]] * 3}
+    assert main(["semidirect", "--rep", write(tmp_path, "zero.json", zero)]) == 5
     capsys.readouterr()
 
 

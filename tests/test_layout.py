@@ -1,6 +1,7 @@
 """Checks on the package's source layout rather than its answers: no
-module imports a name it never uses, and every function the benchmark
-tracer wraps by name still exists."""
+module imports a name it never uses, the Lie layer does not import
+``fractions``, and every function the benchmark tracer wraps by name
+still exists."""
 
 import ast
 import importlib
@@ -63,6 +64,26 @@ def test_package_modules_use_every_import():
             if unused:
                 found[name] = unused
     assert found == {}
+
+
+def _imported_modules(source: str) -> set[str]:
+    """The top-level names of every module the source imports, anywhere."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_lie_layer_runs_on_integer_matrices():
+    """The Lie layer holds its data as ``Mat``s; Fractions come back only
+    through ``Mat`` accessors."""
+    assert _imported_modules("from fractions import Fraction\nfrom .exactla import Mat\n") == {"fractions"}
+    for name in ("lie.py", "semidirect.py"):
+        with open(os.path.join(PACKAGE, name), encoding="utf-8") as fh:
+            assert "fractions" not in _imported_modules(fh.read()), name
 
 
 @pytest.fixture(scope="module")

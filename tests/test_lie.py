@@ -1,6 +1,7 @@
 """Lie algebra structure checks, Poisson pencils, and sampled invariants."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -17,13 +18,13 @@ from penciljk.lie import (
     check_jacobi,
     jk_invariants_of_lie,
     jk_invariants_of_rep,
-    lie_index,
     lie_poisson_matrix,
 )
 from penciljk.skewjk import SkewJK
 from penciljk.strata import abstract_signature
 
-from helpers import SEED, _sl2, change_basis, random_invertible
+from helpers import SEED, _sl2, change_basis, lie_index, random_invertible
+from oracles import cyclic_jacobi
 
 
 def euclidean2():
@@ -37,12 +38,12 @@ def heisenberg():
 
 def test_constructor_and_bracket():
     g = _sl2()
-    e = (1, 0, 0)
-    f = (0, 1, 0)
-    h = (0, 0, 1)
-    assert g.bracket(e, f) == h
-    assert g.bracket(f, e) == tuple(-x for x in h)
-    assert g.bracket(h, e) == (2, 0, 0)
+    e, f, h = range(3)
+    # column j of ad[i] is [e_i, e_j]
+    assert g.ad[e].col(f) == (0, 0, 1)
+    assert g.ad[f].col(e) == (0, 0, -1)
+    assert g.ad[h].col(e) == (2, 0, 0)
+    assert g.ad[e] == Mat([[0, 0, -2], [0, 0, 0], [0, 1, 0]])
     assert g.entries() == [(0, 1, 2, 1), (0, 2, 0, -2), (1, 2, 1, 2)]
     with pytest.raises(ValueError):
         LieAlgebra(3, [(1, 1, 2, 1)])  # needs i < j
@@ -55,6 +56,29 @@ def test_check_jacobi():
     assert check_jacobi(euclidean2()) == []
     broken = LieAlgebra(3, [(0, 1, 0, 1), (0, 2, 1, 1)])
     assert (0, 1, 2) in check_jacobi(broken)
+
+
+def _random_entries(rng, dim):
+    """A sparse list of rational structure constants, duplicates allowed."""
+    out = []
+    for _ in range(rng.randint(0, dim + 2)):
+        i, j = sorted(rng.sample(range(dim), 2))
+        c = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+        out.append((i, j, rng.randrange(dim), c))
+    return out
+
+
+def test_check_jacobi_matches_cyclic_sum_oracle():
+    rng = random.Random(SEED)
+    broken = 0
+    for _ in range(300):
+        dim = rng.randint(2, 5)
+        entries = _random_entries(rng, dim)
+        expected = cyclic_jacobi(dim, entries)
+        assert check_jacobi(LieAlgebra(dim, entries)) == expected, entries
+        broken += bool(expected)
+    # both verdicts occur, so the comparison is not vacuous either way
+    assert 50 < broken < 250
 
 
 def test_change_basis_keeps_jacobi_and_index():
@@ -75,13 +99,31 @@ def test_check_homomorphism():
     tampered = Representation(
         g, 2, (rho.mats[0] + Mat([[0, 0], [1, 0]]),) + rho.mats[1:]
     )
-    assert tampered.operator((1, 0, 0)) != rho.mats[0]
     assert check_homomorphism(tampered) != []
 
 
 def test_poisson_matrix_heisenberg():
     m = lie_poisson_matrix(heisenberg(), (5, 7, 3))
     assert m.tolist() == [[0, 3, 0], [-3, 0, 0], [0, 0, 0]]
+
+
+def test_poisson_matrix_reads_structure_constants():
+    rng = random.Random(SEED + 1)
+    for _ in range(60):
+        dim = rng.randint(2, 5)
+        entries = _random_entries(rng, dim)
+        g = LieAlgebra(dim, entries)
+        consts = {}
+        for i, j, k, c in entries:
+            consts[i, j, k] = consts.get((i, j, k), 0) + c
+        assert g.entries() == sorted((*ijk, c) for ijk, c in consts.items() if c)
+        x = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(dim))
+        expected = [[Fraction(0)] * dim for _ in range(dim)]
+        for i, j, k, c in g.entries():
+            expected[i][j] += c * x[k]
+            expected[j][i] -= c * x[k]
+        m = lie_poisson_matrix(g, x)
+        assert [[m.entry(i, j) for j in range(dim)] for i in range(dim)] == expected
 
 
 def test_lie_index_examples():

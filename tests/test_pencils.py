@@ -12,6 +12,7 @@ import penciljk.pencils as pencils
 import penciljk.polys as polys
 import penciljk.skewjk as skewjk
 from penciljk.errors import InternalConsistencyError
+from penciljk.jsonio import class_to_str
 from penciljk.pencils import (
     _CACHE_SIZE,
     EigClass,
@@ -249,7 +250,7 @@ def test_eigclass_validation():
         EigClass(P(3))  # constant
     assert EigClass.infinite().root_count == 1
     assert EigClass(P(-2, 0, 1)).root_count == 2
-    assert EigClass.at_root(Fraction(1, 2)).label() == "t-1/2"
+    assert class_to_str(EigClass.at_root(Fraction(1, 2))) == "t-1/2"
 
 
 def test_invariants_validation():
