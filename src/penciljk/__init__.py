@@ -2,7 +2,9 @@
 
 Everything is computed over the rationals with fraction-free elimination;
 no floating point is used anywhere.  The public surface re-exports the
-main entry points of each module.
+main entry points of each module.  The function ``semidirect`` is not
+re-exported: it would hide the submodule of the same name, so it is
+reached as ``penciljk.semidirect.semidirect``.
 """
 
 from .errors import (
@@ -70,7 +72,6 @@ from .semidirect import (
     direct_sum,
     dual_representation,
     predict_semidirect_jk,
-    semidirect,
     verify_block_structure,
 )
 from .catalog import (

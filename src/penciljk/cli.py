@@ -170,14 +170,13 @@ def cmd_pencil(args, cfg: RunConfig) -> int:
             sys.stderr.write("pencil is not a pair of skew matrices\n")
             return EXIT_PRECONDITION
         jk = skew_jk_invariants(p)
-        core = core_subspace(p)
         report = {
             "command": "pencil",
             "skew": True,
             "pencil": {"m": p.m, "n": p.n},
             "invariants": skew_to_json(jk),
-            "coreDimension": len(core),
-            "mantleDimension": len(mantle_subspace(p, core)),
+            "coreDimension": len(core_subspace(p)),
+            "mantleDimension": len(mantle_subspace(p)),
         }
     else:
         inv = strict_invariants(p)

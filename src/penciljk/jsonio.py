@@ -17,7 +17,7 @@ from .errors import InputFormatError
 from .exactla import Mat
 from .lie import LieAlgebra, Representation
 from .pencils import EigClass, Pencil, StrictInvariants
-from .polys import format_poly, parse_poly
+from .polys import format_poly
 from .skewjk import SkewJK
 from .strata import BundleSig, SkewBundleSig
 
@@ -97,15 +97,6 @@ def class_to_str(cls: EigClass) -> str:
     if cls.is_infinite:
         return "inf"
     return format_poly(cls.poly, "t")
-
-
-def class_from_str(text: str) -> EigClass:
-    if text == "inf":
-        return EigClass()
-    try:
-        return EigClass(parse_poly(text, "t"))
-    except ValueError as exc:
-        raise InputFormatError(f"bad eigenvalue class {text!r}: {exc}") from None
 
 
 def _jordan_to_json(jordan) -> list[dict]:

@@ -54,6 +54,14 @@ built directly as integer matrices, and stop when the defect reaches
 the total.  Eliminating A + t*B as a polynomial matrix would give the
 same answers but suffers badly from coefficient growth.
 
+One cache holds a pencil's singular structure: ``_kernel_chains`` runs
+the rank scan and both chains once and keeps the normal rank, the
+regular value, the widths, the heights and the two limits.  The rank,
+the regular value, the minimal indices, the regular part and the skew
+core (``skewjk.core_subspace``) all read it.  The eigenvalue stage runs
+once per pencil and is not cached.  The cache is bounded, since its
+entries are reused only within one request.
+
 Each step checks itself: the two image dimensions against the indices,
 the regular part's size and its nonzero determinant, and each class's
 defects against its total.  The rank comes from the independent rank
@@ -67,14 +75,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial, gcd, lcm
 from operator import mul
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import InternalConsistencyError
 from .exactla import (
     IntVec,
     Mat,
     _echelon,
-    _frac,
     kernel_basis,
     pivot_columns,
     rank,
@@ -109,15 +116,13 @@ class Pencil:
     def shape(self) -> tuple[int, int]:
         return (self.a.m, self.a.n)
 
-    def at(self, t) -> Mat:
-        """The matrix A + t*B."""
-        if type(t) is not int:
-            t = _frac(t)
+    def at(self, t: int) -> Mat:
+        """The matrix A + t*B at an integer t."""
         a, b = self.a, self.b
-        # A + (u/v)*B = (v*db*A_int + u*da*B_int) / (v*da*db)
-        ca, cb = t.denominator * b.den, t.numerator * a.den
+        # A + t*B = (db*A_int + t*da*B_int) / (da*db)
+        ca, cb = b.den, t * a.den
         rows = [[ca * x + cb * y for x, y in zip(r, s)] for r, s in zip(a.rows, b.rows)]
-        return Mat.from_ints(rows, self.n, t.denominator * a.den * b.den)
+        return Mat.from_ints(rows, self.n, a.den * b.den)
 
     def transposed(self) -> "Pencil":
         return Pencil(self.a.transpose(), self.b.transpose())
@@ -221,14 +226,9 @@ class StrictInvariants:
 
 
 # ---------------------------------------------------------------------------
-# rank and regular values
-
-# cached values are reused only within one request, so a few entries suffice;
-# an unbounded cache would keep every pencil for the life of the process
-_CACHE_SIZE = 8
+# the singular structure, computed once per pencil
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def _rank_scan(p: Pencil) -> tuple[int, int]:
     """Normal rank, and the smallest integer t >= 0 at which it is reached.
 
@@ -247,42 +247,6 @@ def _rank_scan(p: Pencil) -> tuple[int, int]:
             if best == bound:
                 break
     return best, at
-
-
-def pencil_rank(p: Pencil) -> int:
-    """Normal rank: the maximum of rank(A + t*B) over all t."""
-    return _rank_scan(p)[0]
-
-
-class _Infinity:
-    """Sentinel for the parameter value at infinity."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "inf"
-
-
-INFINITY = _Infinity()
-
-
-def is_regular_value(p: Pencil, t) -> bool:
-    """True when the pencil attains its normal rank at parameter t.
-
-    t may be INFINITY, in which case the degree-one coefficient alone is
-    tested.
-    """
-    mat = p.b if t is INFINITY else p.at(t)
-    return rank(mat) == pencil_rank(p)
-
-
-def regular_value(p: Pencil) -> int:
-    """Smallest non-negative integer at which the pencil has full normal rank."""
-    return _rank_scan(p)[1]
-
-
-# ---------------------------------------------------------------------------
-# minimal indices
 
 
 def _kernel_chain(m_at_mu: Mat, b: Mat) -> tuple[list[int], list[IntVec]]:
@@ -327,25 +291,42 @@ def _is_skew(p: Pencil) -> bool:
     return p.a.is_skew() and p.b.is_skew()
 
 
+class _Chains(NamedTuple):
+    """A pencil's singular structure: normal rank, regular value, widths,
+    heights, and the limits of the right and left kernel chains."""
+
+    rank: int
+    regular: int
+    widths: tuple[int, ...]
+    heights: tuple[int, ...]
+    right: tuple[IntVec, ...]
+    left: tuple[IntVec, ...]
+
+
+# cached values are reused only within one request, so a few entries suffice;
+# an unbounded cache would keep every pencil for the life of the process
+_CACHE_SIZE = 8
+
+
 @lru_cache(maxsize=_CACHE_SIZE)
-def _kernel_chains(
-    p: Pencil,
-) -> tuple[tuple[int, ...], tuple[int, ...], tuple[IntVec, ...], tuple[IntVec, ...]]:
-    """Widths and heights, with the limits of the right and left chains.
+def _kernel_chains(p: Pencil) -> _Chains:
+    """The rank scan, then both kernel chains at its regular value.
 
     The right limit spans the columns of the horizontal blocks, the left
     one (the chain of the transposed pencil) the rows of the vertical
     blocks.  A skew pencil's transpose is its negative, whose chain is the
     same computation, so there the left chain is the right one.
     """
-    mu = regular_value(p)
+    r, mu = _rank_scan(p)
     right_dims, right = _kernel_chain(p.at(mu), p.b)
     if _is_skew(p):
         left_dims, left = right_dims, right
     else:
         pt = p.transposed()
         left_dims, left = _kernel_chain(pt.at(mu), pt.b)
-    return (
+    return _Chains(
+        r,
+        mu,
         _widths_from_dims(right_dims),
         _widths_from_dims(left_dims),
         tuple(right),
@@ -353,10 +334,25 @@ def _kernel_chains(
     )
 
 
+def pencil_rank(p: Pencil) -> int:
+    """Normal rank: the maximum of rank(A + t*B) over all t."""
+    return _kernel_chains(p).rank
+
+
+def is_regular_value(p: Pencil, t: int) -> bool:
+    """True when the pencil attains its normal rank at parameter t."""
+    return rank(p.at(t)) == pencil_rank(p)
+
+
+def regular_value(p: Pencil) -> int:
+    """Smallest non-negative integer at which the pencil has full normal rank."""
+    return _kernel_chains(p).regular
+
+
 def minimal_indices(p: Pencil) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(horizontal widths, vertical heights), each sorted descending."""
-    widths, heights, _, _ = _kernel_chains(p)
-    return widths, heights
+    chains = _kernel_chains(p)
+    return chains.widths, chains.heights
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +377,7 @@ def _restricted(mat: Mat, left: list[IntVec], right: list[IntVec], scale: int) -
 
 def _regular_part(p: Pencil) -> Pencil:
     """A square regular pencil Q (A + tB) P strictly equivalent to the
-    Jordan part of the Kronecker form.
+    Jordan part of the Kronecker form, as integer rows over denominator 1.
 
     In Kronecker coordinates the columns split as C_H + C_V + C_J
     (horizontal, vertical and Jordan blocks) and the rows as
@@ -396,10 +392,16 @@ def _regular_part(p: Pencil) -> Pencil:
     its dual.  Q (A + tB) P then sees only the Jordan blocks, through two
     invertible changes of basis.  For a skew pencil Z = V, U = W and
     hence Q = P.
+
+    Both parts are scaled by the product D of the pencil's denominators,
+    D * (A + tB) having integer rows, which changes no eigenvalue data.
     """
-    widths, heights, right, left = _kernel_chains(p)
+    _, _, widths, heights, right, left = _kernel_chains(p)
     if not right and not left:
-        return p
+        return Pencil(
+            Mat.from_ints([[p.b.den * x for x in r] for r in p.a.rows], p.n),
+            Mat.from_ints([[p.a.den * y for y in r] for r in p.b.rows], p.n),
+        )
     skew = _is_skew(p)
     image = [
         [sum(map(mul, row, v)) for row in mat.rows] for v in right for mat in (p.a, p.b)
@@ -428,14 +430,13 @@ def _regular_part(p: Pencil) -> Pencil:
 
 
 def _det_poly(reg: Pencil) -> ZPoly:
-    """A primitive integer multiple of det(A + t*B) for a square pencil,
-    lowest degree first; the zero polynomial is [].
+    """A primitive integer multiple of det(A + t*B) for a square pencil of
+    integer rows (see ``_regular_part``), lowest degree first; the zero
+    polynomial is [].
 
-    With D the product of the two denominators, D * (A + t*B) is an
-    integer matrix at integer t, built here directly from the integer
-    rows of A and B, so its determinant takes integer values y_t at
-    t = 0..k, each read off one Bareiss elimination.  Newton's forward
-    differences d_j of those values give
+    At integer t, A + t*B is an integer matrix, so its determinant takes
+    integer values y_t at t = 0..k, each read off one Bareiss elimination.
+    Newton's forward differences d_j of those values give
 
         k! * f(t) = sum_j d_j * (k!/j!) * t (t-1) ... (t-j+1)
 
@@ -443,12 +444,9 @@ def _det_poly(reg: Pencil) -> ZPoly:
     determinant, with their multiplicities, matter to its callers.
     """
     k = reg.n
-    da, db = reg.a.den, reg.b.den
-    a_int = [[db * x for x in r] for r in reg.a.rows]
-    b_int = [[da * y for y in r] for r in reg.b.rows]
     values = []
     for t in range(k + 1):
-        mat = [[x + t * y for x, y in zip(ra, rb)] for ra, rb in zip(a_int, b_int)]
+        mat = [[x + t * y for x, y in zip(ra, rb)] for ra, rb in zip(reg.a.rows, reg.b.rows)]
         r, _, sign, last = _echelon(mat, k)
         values.append(sign * last if r == k else 0)
     coeffs = [0] * (k + 1)
@@ -485,15 +483,15 @@ def _class_totals(reg: Pencil) -> tuple[list[tuple[Poly, int]], int]:
 
 
 def _resolvent_parts(p: Pencil, cls: Poly) -> tuple[list[list[int]], list[list[int]]]:
-    """Integer diagonal and superdiagonal blocks of the resolvents at cls.
+    """Integer diagonal and superdiagonal blocks of the resolvents at cls,
+    for a pencil of integer rows (see ``_regular_part``).
 
     With C the companion matrix of cls, scaled by the lcm L of the
-    denominators of its coefficients, the blocks are
-    D * (A (x) L*I + B (x) L*C) and D * (B (x) I), where D is the product of
-    the two denominators of the pencil.  Scaling diagonal and
-    superdiagonal blocks by separate nonzero constants leaves every
-    resolvent rank unchanged.  A rational class t - u/v has L = v and
-    C = (u/v), so its blocks are v*A + u*B and B.
+    denominators of its coefficients, the blocks are A (x) L*I + B (x) L*C
+    and B (x) I.  Scaling diagonal and superdiagonal blocks by separate
+    nonzero constants leaves every resolvent rank unchanged.  A rational
+    class t - u/v has L = v and C = (u/v), so its blocks are v*A + u*B
+    and B.
     """
     d = cls.degree()
     monic = cls.monic().coeffs
@@ -501,18 +499,16 @@ def _resolvent_parts(p: Pencil, cls: Poly) -> tuple[list[list[int]], list[list[i
     comp = [[lcd if s == t + 1 else 0 for t in range(d)] for s in range(d)]
     for s in range(d):
         comp[s][d - 1] = -(monic[s] * lcd).numerator
-    a_int = [[p.b.den * x for x in r] for r in p.a.rows]
-    b_int = [[p.a.den * y for y in r] for r in p.b.rows]
     diag = [
         [
             (lcd * x if s == t else 0) + y * comp[s][t]
             for x, y in zip(ra, rb)
             for t in range(d)
         ]
-        for ra, rb in zip(a_int, b_int)
+        for ra, rb in zip(p.a.rows, p.b.rows)
         for s in range(d)
     ]
-    sup = [[y if s == t else 0 for y in rb for t in range(d)] for rb in b_int for s in range(d)]
+    sup = [[y if s == t else 0 for y in rb for t in range(d)] for rb in p.b.rows for s in range(d)]
     return diag, sup
 
 
@@ -570,17 +566,6 @@ def _sizes_at_class(reg: Pencil, cls: Poly, total: int) -> tuple[int, ...]:
         k += 1
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def _jordan_structure(
-    p: Pencil,
-) -> tuple[tuple[tuple[Poly, tuple[int, ...]], ...], tuple[int, ...]]:
-    """Finite classes with size multisets, plus infinite block sizes."""
-    reg = _regular_part(p)
-    totals, inf_total = _class_totals(reg)
-    finite = tuple((cls, _sizes_at_class(reg, cls, total)) for cls, total in totals)
-    return finite, _sizes_at_class(reg.reversed(), Poly.x(), inf_total)
-
-
 def elementary_divisors(
     p: Pencil,
 ) -> tuple[list[tuple[Poly, tuple[int, ...]]], tuple[int, ...]]:
@@ -590,8 +575,10 @@ def elementary_divisors(
     eigenvalues; infinite sizes are read off the reversed pencil B + s*A
     at s = 0.
     """
-    finite, inf_sizes = _jordan_structure(p)
-    return [(cls, sizes) for cls, sizes in finite], inf_sizes
+    reg = _regular_part(p)
+    totals, inf_total = _class_totals(reg)
+    finite = [(cls, _sizes_at_class(reg, cls, total)) for cls, total in totals]
+    return finite, _sizes_at_class(reg.reversed(), Poly.x(), inf_total)
 
 
 # ---------------------------------------------------------------------------

@@ -228,50 +228,6 @@ def format_poly(p: Poly, var: str = "x") -> str:
     return "".join(parts)
 
 
-def parse_poly(s: str, var: str = "x") -> Poly:
-    """Inverse of :func:`format_poly` (accepts any sum of c*x^d terms)."""
-    s = s.replace(" ", "")
-    if not s:
-        raise ValueError("empty polynomial string")
-    terms: list[tuple[Fraction, int]] = []
-    i = 0
-    while i < len(s):
-        sign = 1
-        if s[i] == "+":
-            i += 1
-        elif s[i] == "-":
-            sign = -1
-            i += 1
-        j = i
-        while j < len(s) and s[j] not in "+-":
-            j += 1
-        term = s[i:j]
-        if not term:
-            raise ValueError(f"bad polynomial string {s!r}")
-        if var in term:
-            head, _, tail = term.partition(var)
-            if head in ("", "*"):
-                coeff = Fraction(1)
-            else:
-                coeff = Fraction(head.rstrip("*"))
-            if tail.startswith("^"):
-                deg = int(tail[1:])
-            elif tail == "":
-                deg = 1
-            else:
-                raise ValueError(f"bad polynomial term {term!r}")
-        else:
-            coeff = Fraction(term)
-            deg = 0
-        terms.append((sign * coeff, deg))
-        i = j
-    top = max(d for _, d in terms)
-    cs = [Fraction(0)] * (top + 1)
-    for c, d in terms:
-        cs[d] += c
-    return Poly(cs)
-
-
 # ---------------------------------------------------------------------------
 # fraction-free integer polynomial helpers
 

@@ -20,13 +20,13 @@ from .errors import (
     RegularPointHypothesisError,
     SparsityPatternError,
 )
-from .exactla import IntVec, Mat, kernel_basis, row_space_basis
+from .exactla import IntVec, Mat, kernel_basis
 from .pencils import (
     EigClass,
     Pencil,
     _is_skew,
+    _kernel_chains,
     pencil_rank,
-    regular_value,
     strict_invariants,
 )
 from .strata import _is_desc
@@ -101,47 +101,28 @@ def skew_jk_invariants(p: Pencil) -> SkewJK:
 def core_subspace(p: Pencil) -> list[IntVec]:
     """Span of the kernels of A + tB over regular values t.
 
-    The integers t = 0, 1, 2, ... are tried in turn, with one kernel per
-    point: t is regular exactly when its kernel has dimension n - r, with
-    r the normal rank.  The scan stops at the first regular point whose
-    kernel adds nothing to the span gathered so far.
-
-    That stop is exact.  In Kronecker form (a fixed change of coordinates,
-    which changes no dimension) the kernel at a regular t is spanned by
-    the vectors (1, t, ..., t^e), up to signs, one per horizontal block
-    L_e, in disjoint coordinates.  By Vandermonde, s distinct regular points
-    therefore span sum over blocks of min(s, e + 1) dimensions.  That count
-    grows at every new point while s <= max e and is constant from
-    s = max e + 1 on, where it is the whole core.  So the first regular
-    point that adds nothing comes right after the span is complete.
+    In Kronecker form (a fixed change of coordinates, which changes no
+    dimension) the kernel at a regular t is spanned by the vectors
+    (1, t, ..., t^e), up to signs, one per horizontal block L_e, and the
+    other blocks add nothing.  By Vandermonde, e + 1 distinct values of t
+    reach every column of L_e, so the core is exactly the span of the
+    columns of the horizontal blocks.  That span is the limit of the right
+    kernel chain, a Wong limit (see ``pencils``), which the pencil layer
+    caches for every pencil it classifies, so the core costs no
+    elimination of its own.
     """
     _require_skew(p)
-    nullity = p.n - pencil_rank(p)
-    span: list[IntVec] = []
-    t = 0
-    while True:
-        kernel = kernel_basis(p.at(t))
-        if len(kernel) == nullity:
-            grown = row_space_basis(span + kernel, p.n)
-            if len(grown) == len(span):
-                return span
-            span = grown
-        t += 1
+    return list(_kernel_chains(p).right)
 
 
-def mantle_subspace(p: Pencil, core: list[IntVec] | None = None) -> list[IntVec]:
-    """Orthogonal complement of the core with respect to a regular form.
-
-    ``core`` is the result of ``core_subspace(p)``, when the caller has
-    it already.
-    """
+def mantle_subspace(p: Pencil) -> list[IntVec]:
+    """Orthogonal complement of the core with respect to a regular form."""
     _require_skew(p)
-    if core is None:
-        core = core_subspace(p)
+    chains = _kernel_chains(p)
     # the rows form^T k, scaled by the denominator of the form, which
     # changes no kernel
-    cols = list(zip(*p.at(regular_value(p)).rows))
-    rows = [[sum(map(mul, col, k)) for col in cols] for k in core]
+    cols = list(zip(*p.at(chains.regular).rows))
+    rows = [[sum(map(mul, col, k)) for col in cols] for k in chains.right]
     return kernel_basis(Mat.from_ints(rows, p.n))
 
 

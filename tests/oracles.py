@@ -11,7 +11,7 @@ come from sympy instead of the package's Zassenhaus factorizer, squarefree
 parts come from Yun's algorithm over Q instead of over Z, block sizes come
 from resolvents of the whole pencil instead of its regular part, the
 core of a skew pencil is spanned at dim + 1 regular points instead of
-stopping early, invariant factors come from a Smith form of A + t*B
+read off the kernel chain's limit, invariant factors come from a Smith form of A + t*B
 over Q[t] instead of the elementary divisors of the regular part, and
 Jacobi violations come from a cyclic sum of Fraction brackets instead of
 the defect of the adjoint operators.

@@ -91,7 +91,6 @@ def test_golden_replay_determinants_match_sympy(tmp_path, monkeypatch):
         return got
 
     monkeypatch.setattr(pencils, "integer_factors", checked)
-    pencils._jordan_structure.cache_clear()  # so no earlier request answers from it
     _write_inputs(str(tmp_path), GOLDEN_DATA["files"])
     monkeypatch.chdir(tmp_path)
     for request in GOLDEN_DATA["requests"]:

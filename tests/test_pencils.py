@@ -19,9 +19,7 @@ from penciljk.pencils import (
     Pencil,
     StrictInvariants,
     _class_totals,
-    _jordan_structure,
     _kernel_chains,
-    _rank_scan,
     _regular_part,
     _sizes_at_class,
     are_strictly_equivalent,
@@ -281,19 +279,17 @@ def test_pencil_caches_stay_bounded():
         if p not in seen:
             seen.add(p)
             strict_invariants(p)
-    bounded = (_rank_scan, _kernel_chains, _jordan_structure)
-    for cached in bounded:
-        info = cached.cache_info()
-        assert info.maxsize == _CACHE_SIZE
-        assert info.currsize <= _CACHE_SIZE
-    # no other cache on the invariant path may grow without bound either
+    info = _kernel_chains.cache_info()
+    assert info.maxsize == _CACHE_SIZE
+    assert info.currsize <= _CACHE_SIZE
+    # it is the only cache on the invariant path
     cached = {
         f
         for m in (exactla, pencils, polys, skewjk)
         for f in vars(m).values()
         if hasattr(f, "cache_info")
     }
-    assert cached == set(bounded)
+    assert cached == {_kernel_chains}
     # nor a module-level dict used as a cache
     assert not [
         name
@@ -336,10 +332,9 @@ def test_minor_bound_stops_resolvent_ranks(monkeypatch):
     assert calls == [(18, 18)]
     # once the rank scan and the chains are done, that one resolvent is all
     # the eigenvalue stage ranks
-    _jordan_structure.cache_clear()
     minimal_indices(p)
     calls.clear()
-    assert _jordan_structure(p) == (((cubic, (1, 1)),), ())
+    assert elementary_divisors(p) == ([(cubic, (1, 1))], ())
     assert calls == [(18, 18)]
 
 
@@ -400,12 +395,8 @@ def test_bound_below_the_truth_fails(monkeypatch, infinite):
     # fails), or infinity given 1 instead of 2 (its first defect exceeds it)
     one, p = _mixed_case()
     _shift_totals(monkeypatch, one, infinite, -1)
-    _jordan_structure.cache_clear()
-    try:
-        with pytest.raises(InternalConsistencyError):
-            strict_invariants(p)
-    finally:
-        _jordan_structure.cache_clear()
+    with pytest.raises(InternalConsistencyError):
+        strict_invariants(p)
 
 
 @pytest.mark.parametrize("infinite", [False, True])
@@ -413,12 +404,8 @@ def test_total_above_the_truth_fails(monkeypatch, infinite):
     # one total above the truth: the defects stop growing below it
     one, p = _mixed_case()
     _shift_totals(monkeypatch, one, infinite, 1)
-    _jordan_structure.cache_clear()
-    try:
-        with pytest.raises(InternalConsistencyError, match="stop below the total"):
-            strict_invariants(p)
-    finally:
-        _jordan_structure.cache_clear()
+    with pytest.raises(InternalConsistencyError, match="stop below the total"):
+        strict_invariants(p)
 
 
 def test_integer_candidates_match_fraction_path():
@@ -491,15 +478,13 @@ def test_no_candidate_without_blocks(monkeypatch):
     rng = random.Random(SEED + 12)
     cases += [congruent(skew_canonical(random_skew_jk(rng)), rng) for _ in range(40)]
     for p in cases:
-        _jordan_structure.cache_clear()
         start = len(returned)
-        finite, inf_sizes = _jordan_structure(p)
+        finite, inf_sizes = elementary_divisors(p)
         calls = returned[start:]
         # one call per finite class, each with blocks, then one for infinity
-        assert calls[:-1] == list(finite)
+        assert calls[:-1] == finite
         assert all(sizes for _, sizes in calls[:-1])
         assert calls[-1] == (Poly.x(), inf_sizes)
-    _jordan_structure.cache_clear()
 
 
 def _transposed_invariants(inv: StrictInvariants) -> StrictInvariants:
@@ -582,7 +567,7 @@ def test_skew_pencils_run_one_chain(monkeypatch):
         jk = random_skew_jk(rng)
     p = congruent(skew_canonical(jk), rng)
     _kernel_chains.cache_clear()
-    widths, heights, right, left = _kernel_chains(p)
+    _, _, widths, heights, right, left = _kernel_chains(p)
     assert len(calls) == 1
     assert widths == heights == jk.kronecker
     assert left == right
@@ -590,7 +575,7 @@ def test_skew_pencils_run_one_chain(monkeypatch):
     calls.clear()
     q = scramble(p, rng)
     assert not q.a.is_skew()
-    assert _kernel_chains(q)[:2] == (widths, heights)
+    assert minimal_indices(q) == (widths, heights)
     assert len(calls) == 2
     _kernel_chains.cache_clear()
 
@@ -619,17 +604,18 @@ def _deflation_case() -> Pencil:
 )
 def test_deflation_checks_can_fail(monkeypatch, fault, message):
     p = _deflation_case()
-    widths, heights, right, left = _kernel_chains(p)
+    real_chains = _kernel_chains(p)
+    right, left = real_chains.right, real_chains.left
     # a vector outside the horizontal (or vertical) blocks in place of the
     # last one of the chain limit, the limit short of one vector, or a
     # regular part with a zero column
     outside = tuple([1] * p.n)
     if fault == "right":
-        chains = (widths, heights, right[:-1] + (outside,), left)
+        chains = real_chains._replace(right=right[:-1] + (outside,))
     elif fault == "left":
-        chains = (widths, heights, right, left[:-1] + (tuple([1] * p.m),))
+        chains = real_chains._replace(left=left[:-1] + (tuple([1] * p.m),))
     elif fault == "drop":
-        chains = (widths, heights, right[:-1], left)
+        chains = real_chains._replace(right=right[:-1])
     if fault == "singular":
         real = pencils._regular_part
 
@@ -641,9 +627,5 @@ def test_deflation_checks_can_fail(monkeypatch, fault, message):
         monkeypatch.setattr(pencils, "_regular_part", zero_column)
     else:
         monkeypatch.setattr(pencils, "_kernel_chains", lambda q: chains)
-    _jordan_structure.cache_clear()
-    try:
-        with pytest.raises(InternalConsistencyError, match=message):
-            _jordan_structure(p)
-    finally:
-        _jordan_structure.cache_clear()
+    with pytest.raises(InternalConsistencyError, match=message):
+        elementary_divisors(p)

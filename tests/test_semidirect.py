@@ -1,6 +1,8 @@
 """Semi-direct sums with an abelian part and the dual-representation
 prediction for their generic invariants."""
 
+import types
+
 import pytest
 
 from penciljk.catalog import Family, build_classical
@@ -29,6 +31,14 @@ def P(*coeffs):
 
 def sl2_standard():
     return build_classical(Family("sl", 2))
+
+
+def test_semidirect_names_the_module():
+    # the package does not re-export the function under the module's name
+    import penciljk.semidirect as module
+
+    assert isinstance(module, types.ModuleType)
+    assert module.semidirect is semidirect
 
 
 def test_dual_representation_negates_transposes():

@@ -5,6 +5,8 @@ import random
 
 import pytest
 
+import penciljk.exactla as exactla
+import penciljk.pencils as pencils
 import penciljk.skewjk as skewjk
 from penciljk.errors import (
     ConstantRankHypothesisError,
@@ -105,7 +107,7 @@ def test_core_and_mantle_are_congruence_invariant():
 
 def _core_case(rng, i):
     """Kronecker indices up to 4, dimension up to 14; every third case has
-    eigenvalues at t = 0 and t = 1, the first integers the core scan tries."""
+    eigenvalues at t = 0 and t = 1, the first integers the rank scan tries."""
     zero_one = [EigClass(P(0, 1)), EigClass(P(-1, 1))]
     while True:
         kron = tuple(sorted((rng.randint(1, 4) for _ in range(rng.randint(1, 3))), reverse=True))
@@ -120,7 +122,7 @@ def _core_case(rng, i):
             return SkewJK(dim=dim, kronecker=kron, jordan=tuple(jordan))
 
 
-def test_early_stopped_core_matches_dense_oracle():
+def test_core_matches_dense_oracle():
     rng = random.Random(SEED + 2)
     for i in range(102):
         jk = _core_case(rng, i)
@@ -132,25 +134,33 @@ def test_early_stopped_core_matches_dense_oracle():
         assert len(row_space_basis(core + dense, p.n)) == len(core)
 
 
-def test_core_stops_after_the_span_is_complete(monkeypatch):
-    # widths 3 and 1 (largest e = 2) and a class at t = 1: t = 0, 2, 3
-    # complete the span, t = 4 adds nothing, t = 1 is singular
+def test_core_and_mantle_reuse_the_kernel_chain(monkeypatch):
+    # widths 3 and 1 and a class at t = 1: once the invariants are known,
+    # the core is the cached limit of the kernel chain and costs no
+    # elimination, and the mantle costs one kernel
     jk = SkewJK(dim=10, kronecker=(3, 1), jordan=((EigClass(P(-1, 1)), (2, 2)),))
-    p = skew_canonical(jk)
-    calls = []
-    real = skewjk.kernel_basis
+    p = congruent(skew_canonical(jk), random.Random(SEED + 3))
+    assert skew_jk_invariants(p) == jk
+    eliminations, kernels = [], []
+    real_echelon, real_kernel = exactla._echelon, skewjk.kernel_basis
 
-    def counted(mat):
-        calls.append(mat)
-        return real(mat)
+    def echelon(rows, n):
+        eliminations.append(n)
+        return real_echelon(rows, n)
 
-    monkeypatch.setattr(skewjk, "kernel_basis", counted)
+    def kernel(mat):
+        kernels.append(mat.shape)
+        return real_kernel(mat)
+
+    for mod in (exactla, pencils):
+        monkeypatch.setattr(mod, "_echelon", echelon)
+    monkeypatch.setattr(skewjk, "kernel_basis", kernel)
     core = core_subspace(p)
     assert len(core) == 4
-    assert len(calls) == 5
-    calls.clear()
-    assert len(mantle_subspace(p, core)) == len(mantle_subspace(p)) == 4 + 4
-    assert len(calls) == 1 + 6
+    assert eliminations == []
+    assert len(mantle_subspace(p)) == 4 + 4
+    assert kernels == [(4, 10)]
+    assert eliminations == [10]
 
 
 def _block_example():
