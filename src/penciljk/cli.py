@@ -4,6 +4,7 @@ Subcommands read JSON files, run the exact computations, and print one
 canonical report to stdout.  Exit codes are part of the contract:
 
   0  success (including a dual verdict of not-applicable)
+  1  the computation failed (an internal error; never bad input)
   2  malformed input or bad flags
   3  a comparison failed (mismatch, or a false containment)
   4  a precondition failed (--skew on a pencil that is not skew)
@@ -63,6 +64,7 @@ from .strata import (
 )
 
 EXIT_OK = 0
+EXIT_FAILED = 1
 EXIT_INPUT = 2
 EXIT_MISMATCH = 3
 EXIT_PRECONDITION = 4
@@ -142,20 +144,35 @@ def _print_report(report: dict, cfg_fmt: str) -> None:
 # validated algebra or representation check nothing again.
 
 
+class _InvalidValues(PencilJKError):
+    """A Lie algebra or representation constructor refused its values."""
+
+
 def _require_jacobi(g) -> None:
     bad = check_jacobi(g)
     if bad:
         raise JacobiError(f"jacobi identity fails at basis triples {bad[:3]!r}")
 
 
+def _construct(build, *args):
+    """Run ``lie_from_json`` or ``rep_from_json``.  The constructors they
+    call raise ValueError for values that describe no algebra or
+    representation, such as an out-of-range bracket index; a ValueError
+    raised anywhere else is an internal failure."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise _InvalidValues(str(exc)) from None
+
+
 def _load_algebra(path: str):
-    g = lie_from_json(load_json(path))
+    g = _construct(lie_from_json, load_json(path))
     _require_jacobi(g)
     return g
 
 
 def _load_representation(path: str):
-    rho = rep_from_json(load_json(path), os.path.dirname(path) or ".")
+    rho = _construct(rep_from_json, load_json(path), os.path.dirname(path) or ".")
     _require_jacobi(rho.algebra)
     bad = check_homomorphism(rho)
     if bad:
@@ -224,7 +241,7 @@ def cmd_semidirect(args, cfg: RunConfig) -> int:
     rho = _load_representation(args.rep)
     g = rho.algebra
     if args.lie is not None:
-        lie = lie_from_json(load_json(args.lie))
+        lie = _construct(lie_from_json, load_json(args.lie))
         if lie.ad != g.ad:
             # brackets other than the ones already checked: a broken algebra
             # is reported as such before the disagreement
@@ -398,15 +415,15 @@ def main(argv=None) -> int:
     except (JacobiError, HomomorphismError) as exc:
         sys.stderr.write(f"invalid algebra: {exc}\n")
         return EXIT_BAD_ALGEBRA
-    except ValueError as exc:
+    except _InvalidValues as exc:
         sys.stderr.write(f"invalid input values: {exc}\n")
         return EXIT_BAD_ALGEBRA
     except FactorizationLimitError as exc:
         sys.stderr.write(f"refused: {exc}\n")
         return EXIT_REFUSED
-    except PencilJKError as exc:
+    except (PencilJKError, ValueError) as exc:
         sys.stderr.write(f"computation failed: {exc}\n")
-        return 1
+        return EXIT_FAILED
 
 
 if __name__ == "__main__":

@@ -17,12 +17,16 @@ Everything here is exact, and the work is done on integers.  Matrices are
 integer rows over a common denominator (see ``exactla``), so A + t*B at
 an integer t is an integer matrix up to one constant factor, which
 changes no rank and no kernel.  Ranks at specific parameter values are
-exact by construction; the normal rank is obtained by sampling
-min(m, n) + 1 integer values, which is provably sufficient because every
-minor of A + t*B is a polynomial in t of degree at most min(m, n).  The
-same scan records the smallest sampled t that reaches the normal rank,
-and that t is the regular value every later stage uses, so no second
-scan runs.
+exact by construction; the normal rank is obtained by ranking A + t*B at
+t = 0, 1, ... until the points seen prove the largest rank so far
+generic: with best that rank, every (best + 1)-minor is a polynomial in t
+of degree at most best + 1, so best + 2 points at which all of them
+vanish prove them zero.  A skew pencil needs only (best + 2)/2 + 1
+points, since a higher rank needs a nonzero principal Pfaffian of order
+best + 2, of degree at most (best + 2)/2 (see ``_rank_scan``).  The same
+scan records the smallest sampled t that reaches the normal rank, and
+that t is the regular value every later stage uses, so no second scan
+runs.
 
 Minimal indices come from a nested-kernel chain at a regular parameter
 value mu: with M = A + mu*B,
@@ -48,11 +52,14 @@ Its determinant, interpolated from integer determinants, is factored
 once over Z: each irreducible factor is a finite class, its
 multiplicity is the exact total block size there, and the dimension
 minus the degree is the exact infinite total.  No class without blocks
-arises.  Block sizes at a class are decoded from rank defects of block
-bidiagonal resolvents of the regular part (see ``_sizes_at_class``),
-built directly as integer matrices, and stop when the defect reaches
-the total.  Eliminating A + t*B as a polynomial matrix would give the
-same answers but suffers badly from coefficient growth.
+arises.  Block sizes at a class are read off the same nested-kernel
+chain, run on the regular part at the class with its root adjoined as a
+companion matrix (see ``_sizes_at_class``): a block of size s adds
+min(k, s) to the k-th dimension, times the class degree.  Every matrix
+this eliminates has n_R*d rows, for a regular part of size n_R and a
+class of degree d, and the chain stops when the defect reaches the
+total.  Eliminating A + t*B as a polynomial matrix would give the same
+answers but suffers badly from coefficient growth.
 
 One cache holds a pencil's singular structure: ``_kernel_chains`` runs
 the rank scan and both chains once and keeps the normal rank, the
@@ -75,7 +82,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial, gcd, lcm
 from operator import mul
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import InternalConsistencyError
 from .exactla import (
@@ -232,49 +239,65 @@ class StrictInvariants:
 def _rank_scan(p: Pencil) -> tuple[int, int]:
     """Normal rank, and the smallest integer t >= 0 at which it is reached.
 
-    The ranks at t = 0..min(m, n) suffice: an r x r minor of A + t*B has
-    degree at most min(m, n) in t, so it cannot vanish at all of those
-    values unless it is identically zero.  The rank never exceeds its
-    normal value, so the last t at which the running maximum rose is the
-    smallest regular one.
+    The ranks at t = 0, 1, ... are scanned until the points seen prove
+    that no higher rank exists.  With best the largest rank so far, every
+    (best + 1)-minor of A + t*B vanishes at every scanned point and has
+    degree at most best + 1 in t, so best + 2 points prove it identically
+    zero.  A skew matrix has even rank, and a skew pencil of rank at least
+    best + 2 has a nonzero principal Pfaffian of order best + 2, of degree
+    at most (best + 2)/2, so there (best + 2)/2 + 1 points suffice.  The
+    scan also stops once best reaches min(m, n).  The rank never exceeds
+    its normal value, so the last t at which the running maximum rose is
+    the smallest regular one.
     """
-    best, at = 0, 0
     bound = min(p.m, p.n)
-    for t in range(bound + 1):
+    skew = _is_skew(p)
+    best = at = t = 0
+    while best < bound and t < (best // 2 + 2 if skew else best + 2):
         k = rank(p.at(t))
         if k > best:
             best, at = k, t
-            if best == bound:
-                break
+        t += 1
     return best, at
 
 
-def _kernel_chain(m_at_mu: Mat, b: Mat) -> tuple[list[int], list[IntVec]]:
-    """Dimensions of the nested kernel chain W_1 <= W_2 <= ... until stable,
-    and a basis of its limit.
+def _chain(m: Mat, b: Mat, basis: list[IntVec]) -> Iterator[list[IntVec]]:
+    """Bases of W_2, W_3, ... of the nested kernel chain
+
+        W_1 = ker M,   W_{k+1} = preimage under M of B(W_k),
+
+    given a basis of W_1; the caller decides where to stop.
 
     With M and B stored as integer rows over denominators dm and db, and
     W the current basis as columns, M x = B W y holds exactly when
-    [db * M_int | -dm * B_int W] (x, y) = 0.
+    [db * M_int | -dm * B_int W] (x, y) = 0, so each step eliminates a
+    matrix of M's rows and M's columns plus dim W_k.
     """
-    n = m_at_mu.n
-    basis = kernel_basis(m_at_mu)
-    dims = [len(basis)]
-    if not basis:
-        return dims, basis
-    left = [[b.den * x for x in r] for r in m_at_mu.rows]
+    n = m.n
+    left = [[b.den * x for x in r] for r in m.rows]
     while True:
         rows = [
-            lr + [-m_at_mu.den * sum(map(mul, br, v)) for v in basis]
+            lr + [-m.den * sum(map(mul, br, v)) for v in basis]
             for lr, br in zip(left, b.rows)
         ]
         stacked = Mat.from_ints(rows, n + len(basis))
         projected = [vec[:n] for vec in kernel_basis(stacked)]
-        new_basis = row_space_basis(projected, n)
-        if len(new_basis) == len(basis):
-            return dims, basis
-        dims.append(len(new_basis))
-        basis = new_basis
+        basis = row_space_basis(projected, n)
+        yield basis
+
+
+def _kernel_chain(m_at_mu: Mat, b: Mat) -> tuple[list[int], list[IntVec]]:
+    """Dimensions of the nested kernel chain W_1 <= W_2 <= ... until stable,
+    and a basis of its limit."""
+    basis = kernel_basis(m_at_mu)
+    dims = [len(basis)]
+    if basis:
+        for new_basis in _chain(m_at_mu, b, basis):
+            if len(new_basis) == len(basis):
+                break
+            dims.append(len(new_basis))
+            basis = new_basis
+    return dims, basis
 
 
 def _widths_from_dims(dims: list[int]) -> tuple[int, ...]:
@@ -482,16 +505,16 @@ def _class_totals(reg: Pencil) -> tuple[list[tuple[Poly, int]], int]:
     return integer_factors(det), reg.n - (len(det) - 1)
 
 
-def _resolvent_parts(p: Pencil, cls: Poly) -> tuple[list[list[int]], list[list[int]]]:
-    """Integer diagonal and superdiagonal blocks of the resolvents at cls,
-    for a pencil of integer rows (see ``_regular_part``).
+def _resolvent_parts(p: Pencil, cls: Poly) -> tuple[Mat, Mat]:
+    """Integer matrices M and N of the Jordan chain at cls, for a pencil of
+    integer rows (see ``_regular_part``).
 
     With C the companion matrix of cls, scaled by the lcm L of the
-    denominators of its coefficients, the blocks are A (x) L*I + B (x) L*C
-    and B (x) I.  Scaling diagonal and superdiagonal blocks by separate
-    nonzero constants leaves every resolvent rank unchanged.  A rational
-    class t - u/v has L = v and C = (u/v), so its blocks are v*A + u*B
-    and B.
+    denominators of its coefficients, M = A (x) L*I + B (x) L*C and
+    N = B (x) I, so M is L times A + t*B with the root of cls adjoined as
+    C.  Scaling M by a nonzero constant changes no preimage, so the chain
+    is that of A (x) I + B (x) C.  A rational class t - u/v has L = v and
+    C = (u/v), so M and N are v*A + u*B and B.
     """
     d = cls.degree()
     monic = cls.monic().coeffs
@@ -509,61 +532,68 @@ def _resolvent_parts(p: Pencil, cls: Poly) -> tuple[list[list[int]], list[list[i
         for s in range(d)
     ]
     sup = [[y if s == t else 0 for y in rb for t in range(d)] for rb in p.b.rows for s in range(d)]
-    return diag, sup
+    width = p.n * d
+    return Mat.from_ints(diag, width), Mat.from_ints(sup, width)
 
 
 def _sizes_at_class(reg: Pencil, cls: Poly, total: int) -> tuple[int, ...]:
     """Jordan block sizes of a square regular pencil at a monic irreducible
     class whose total block size is ``total``.
 
-    With alpha a root of cls and n the dimension, the k-fold block
-    bidiagonal matrix T_k built from diag = A + alpha*B and sup = B
-    satisfies
+    With M and N from ``_resolvent_parts`` and d the degree of cls, the
+    chain W_1 = ker M, W_{k+1} = M^-1(N W_k) of ``_chain`` has
 
-        k*n - rank(T_k) = sum over blocks at alpha of min(k, size),
+        dim W_k = d * sum over blocks at cls of min(k, size).
 
-    while other classes contribute full rank.  For deg cls > 1 the root
-    is adjoined by substituting the companion matrix of cls, which
-    multiplies all ranks by the degree.
+    Proof: a strict equivalence Q (A + tB) P carries the chain of the
+    pencil onto P^-1 applied to the chain of Q (A + tB) P, so it may be
+    read in Kronecker form, where M and N are block diagonal and the chain
+    splits block by block.  Over the splitting field C is diagonal with
+    the d distinct roots of cls, so A (x) I + B (x) C is the direct sum of
+    A + alpha*B over those roots alpha, with N the direct sum of copies of
+    B.  For one root, a Jordan block at alpha of size s has A + alpha*B
+    nilpotent of index s and B invertible, so its part of W_k is the
+    kernel of the k-th power, of dimension min(k, s); on every other
+    block (another finite eigenvalue, or an infinite block, where B is
+    nilpotent and A invertible) A + alpha*B is invertible and the chain
+    stays zero.  The roots are conjugate, so each contributes the same
+    dimensions, and dimensions over Q equal those over the extension.
 
-    The defect grows strictly until it reaches the total, at the largest
-    size, so the ranks stop there; a defect above the total, or one that
-    repeats below it, is an internal error.
+    The first dimension comes from one rank of M, and a kernel is taken
+    only when that falls short of the total.  Each later step eliminates
+    a matrix of n*d rows and n*d + dim W_k columns.  The defect
+    dim W_k / d grows strictly until it reaches the total, at the largest
+    size, so the chain stops there; a dimension not divisible by d, a
+    defect above the total, or one that repeats below it, is an internal
+    error.
     """
     if total == 0:
         return ()
     d = cls.degree()
-    diag, sup = _resolvent_parts(reg, cls)
-    width = reg.n * d
+    m, n = _resolvent_parts(reg, cls)
+    dim = m.n - rank(m)
+    chain = None
     defects: list[int] = []
-    k = 1
     while True:
-        rows = []
-        for i in range(k):
-            left = [0] * (width * i)
-            if i + 1 < k:
-                right = [0] * (width * (k - i - 2))
-                rows.extend(left + dr + sr + right for dr, sr in zip(diag, sup))
-            else:
-                rows.extend(left + dr for dr in diag)
-        scaled = rank(Mat.from_ints(rows, width * k))
-        if scaled % d:
+        if dim % d:
             raise InternalConsistencyError(
-                "resolvent rank not divisible by the class degree"
+                "Jordan chain dimension not divisible by the class degree"
             )
-        defect = k * reg.n - scaled // d
+        defect = dim // d
         if defect > total:
             raise InternalConsistencyError(
-                "resolvent rank defect exceeds the total from the determinant"
+                "Jordan chain defect exceeds the total from the determinant"
             )
         if defect <= (defects[-1] if defects else 0):
             raise InternalConsistencyError(
-                "resolvent rank defects stop below the total from the determinant"
+                "Jordan chain defects stop below the total from the determinant"
             )
         defects.append(defect)
         if defect == total:
             return _widths_from_dims(defects)
-        k += 1
+        if chain is None:
+            chain = _chain(m, n, kernel_basis(m))
+        dim = len(next(chain))
 
 
 def elementary_divisors(
@@ -593,8 +623,8 @@ def strict_invariants(p: Pencil) -> StrictInvariants:
     if inf_sizes:
         jordan.append((EigClass.infinite(), inf_sizes))
     jordan.sort(key=lambda cs: cs[0].sort_key())
-    # the construction cross-checks the kernel chain (minimal indices)
-    # against the resolvents (Jordan sizes) through the dimension counts
+    # the construction cross-checks the kernel chains (minimal indices)
+    # against the Jordan chains (Jordan sizes) through the dimension counts
     return StrictInvariants(
         m=p.m,
         n=p.n,

@@ -9,7 +9,8 @@ totals come from the gcd of every full-rank minor over Q instead of one
 determinant of the regular part factored over Z, irreducible factors
 come from sympy instead of the package's Zassenhaus factorizer, squarefree
 parts come from Yun's algorithm over Q instead of over Z, block sizes come
-from resolvents of the whole pencil instead of its regular part, the
+from ranks of k-fold block bidiagonal resolvents of the whole pencil
+instead of the Jordan chain of its regular part, the
 core of a skew pencil is spanned at dim + 1 regular points instead of
 read off the kernel chain's limit, invariant factors come from a Smith form of A + t*B
 over Q[t] instead of the elementary divisors of the regular part, and

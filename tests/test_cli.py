@@ -166,6 +166,24 @@ def test_bad_algebra_exit_codes(tmp_path, capsys):
     zero = {"algebra": broken, "dimV": 1, "mats": [[["0"]]] * 3}
     assert main(["semidirect", "--rep", write(tmp_path, "zero.json", zero)]) == 5
     capsys.readouterr()
+    # the constructor's refusal of the out-of-range index is reported as such
+    rep_oor = write(tmp_path, "rep_oor.json", {**SL2_STD, "algebra": "oor.json"})
+    assert main(["semidirect", "--rep", rep_oor]) == 5
+    assert "invalid input values" in capsys.readouterr().err
+
+
+def test_internal_value_error_is_a_failed_computation(tmp_path, capsys, monkeypatch):
+    # a ValueError outside the algebra and representation loaders is a bug,
+    # not an invalid algebra
+    import penciljk.cli as cli
+
+    def broken(p):
+        raise ValueError("raised inside the computation")
+
+    monkeypatch.setattr(cli, "strict_invariants", broken)
+    path = write(tmp_path, "p.json", {"m": 1, "n": 1, "A": [[1]], "B": [[0]]})
+    assert main(["pencil", path]) == 1
+    assert capsys.readouterr().err == "computation failed: raised inside the computation\n"
 
 
 def test_rep_command(tmp_path, capsys):

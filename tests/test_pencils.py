@@ -118,6 +118,53 @@ def test_regular_value_comes_from_the_rank_scan(monkeypatch):
     assert calls == []
 
 
+def _scan_counted(monkeypatch, p: Pencil) -> tuple[tuple[int, int], int]:
+    calls = []
+    real = exactla.rank
+    monkeypatch.setattr(pencils, "rank", lambda mat: calls.append(mat) or real(mat))
+    result = pencils._rank_scan(p)
+    monkeypatch.setattr(pencils, "rank", real)
+    return result, len(calls)
+
+
+def test_rank_scan_stops_at_the_degree_bound(monkeypatch):
+    # diag(t, t-1, ..., t-(n-1)) has rank n-1 at t = 0..n-1, so it must be
+    # scanned up to t = n: n+1 points, the bound for rank n-1
+    for n in range(1, 6):
+        p = pencil_from_lists(
+            [[-i if i == j else 0 for j in range(n)] for i in range(n)],
+            [[int(i == j) for j in range(n)] for i in range(n)],
+        )
+        assert _scan_counted(monkeypatch, p) == ((n, n), n + 1)
+    # the skew sum of [[0, t-a], [a-t, 0]] for a = 0..k-1 has rank 2k-2 at
+    # t = 0..k-1, so it must be scanned up to t = k: (2k-2)/2 + 2 points
+    for k in range(1, 5):
+        a = exactla.Mat.block_diag([exactla.Mat([[0, -i], [i, 0]]) for i in range(k)])
+        b = exactla.Mat.block_diag([exactla.Mat([[0, 1], [-1, 0]])] * k)
+        assert _scan_counted(monkeypatch, Pencil(a, b)) == ((2 * k, k), k + 1)
+    # an odd-dimensional skew pencil never reaches min(m, n): at rank R it
+    # stops after (R+2)/2 + 1 points, where the general bound needs R + 2
+    rng = random.Random(SEED + 18)
+    checked = 0
+    while checked < 10:
+        jk = random_skew_jk(rng)
+        if jk.dim % 2 == 0:
+            continue
+        p = congruent(skew_canonical(jk), rng)
+        r = jk.dim - len(jk.kronecker)
+        (found, _), count = _scan_counted(monkeypatch, p)
+        assert (found, count) == (r, (r + 2) // 2 + 1)
+        checked += 1
+    # a pencil of rank r < min(m, n) that is not skew needs r + 2 points;
+    # one that reaches min(m, n) stops there, and an empty one at once
+    zero = pencil_from_lists([[0, 0], [0, 0], [0, 0]], [[0, 0], [0, 0], [0, 0]])
+    assert _scan_counted(monkeypatch, zero) == ((0, 0), 2)
+    wide = pencil_from_lists([[1, 1, 0]], [[0, 1, 1]])
+    assert _scan_counted(monkeypatch, wide) == ((1, 0), 1)
+    empty = Pencil(exactla.Mat.zeros(0, 3), exactla.Mat.zeros(0, 3))
+    assert _scan_counted(monkeypatch, empty)[0] == (0, 0)
+
+
 def test_minimal_indices_match_stacked_kernel_oracle():
     rng = random.Random(SEED + 1)
     for _ in range(30):
@@ -324,14 +371,15 @@ def test_minor_bound_stops_resolvent_ranks(monkeypatch):
         return real(mat)
 
     monkeypatch.setattr(pencils, "rank", counted)
-    # defect 2 at k = 1 already meets the total, so no T_2 is ranked, and
-    # T_1 is 3 * 6 = 18 wide where the whole pencil would give 3 * 8
+    # defect 2 at k = 1 already meets the total, so no kernel is taken and
+    # the chain runs no step; M is 3 * 6 = 18 wide where the whole pencil
+    # would give 3 * 8
     assert _sizes_at_class(reg, cubic, 2) == (1, 1)
     assert calls == [(18, 18)]
     assert _sizes_at_class(reg.reversed(), Poly.x(), 0) == ()
     assert calls == [(18, 18)]
-    # once the rank scan and the chains are done, that one resolvent is all
-    # the eigenvalue stage ranks
+    # once the rank scan and the chains are done, that one M is all the
+    # eigenvalue stage ranks
     minimal_indices(p)
     calls.clear()
     assert elementary_divisors(p) == ([(cubic, (1, 1))], ())
@@ -360,6 +408,105 @@ def test_sizes_without_a_tight_bound_agree():
             with pytest.raises(InternalConsistencyError):
                 _sizes_at_class(q, cls, total + 1)
         checked += 1
+
+
+def _chain_cases(p: Pencil) -> list[tuple[Pencil, Poly, Pencil, int]]:
+    # every class of the pencil, finite and infinite, with its total: the
+    # regular part (reversed at infinity), and the whole pencil for the oracle
+    reg = _regular_part(p)
+    totals, inf_total = _class_totals(reg)
+    cases = [(reg, cls, p, total) for cls, total in totals]
+    if inf_total:
+        cases.append((reg.reversed(), Poly.x(), p.reversed(), inf_total))
+    return cases
+
+
+# classes of degree 1 to 3 and infinity, with sizes up to 4 and repeats
+_JORDAN_DRAWS = (
+    ((P(-1, 1), (3, 3, 1)), (None, (2, 1))),
+    ((P(Fraction(1, 2), 1), (4, 1)), (P(-2, 0, 1), (2, 2))),
+    ((P(-2, 0, 0, 1), (2, 1)), (None, (3,))),
+    ((P(1, 0, 1), (3, 1, 1)),),
+    ((P(0, 1), (4, 2, 2)), (P(-1, -1, 1), (1,)), (None, (1, 1))),
+    ((P(-2, 0, 0, 1), (1, 1)), (None, (4, 2))),
+)
+
+
+def test_jordan_chain_matches_resolvent_oracle():
+    # sizes read off the Jordan chain of the regular part against k-fold
+    # Fraction resolvents of the whole pencil, on scrambled canonical
+    # pencils (some with singular blocks next to the classes) and on
+    # congruence-scrambled skew pencils, whose folded blocks come in pairs
+    rng = random.Random(SEED + 16)
+    cases = []
+    for i, draw in enumerate(_JORDAN_DRAWS):
+        jordan = tuple(
+            sorted(((EigClass(cls), sizes) for cls, sizes in draw), key=lambda cs: cs[0].sort_key())
+        )
+        # every other draw gets a width-2 and a height-1 block: two more
+        # rows and columns, one more rank
+        singular = i % 2
+        jdim = sum(c.root_count * sum(sizes) for c, sizes in jordan)
+        inv = StrictInvariants(
+            m=jdim + 2 * singular,
+            n=jdim + 2 * singular,
+            rank=jdim + singular,
+            horizontal=(2,) * singular,
+            vertical=(1,) * singular,
+            jordan=jordan,
+        )
+        p = scramble(canonical_of(inv), rng, bound=3)
+        expected = {c.poly or Poly.x(): sizes for c, sizes in jordan}
+        cases.append((p, inv.rank, expected))
+    while len(cases) < len(_JORDAN_DRAWS) + 25:
+        jk = random_skew_jk(rng, max_dim=10)
+        if not jk.jordan:
+            continue
+        p = congruent(skew_canonical(jk), rng, bound=3)
+        r = jk.dim - len(jk.kronecker)
+        # a folded size s2 stands for two blocks of size s2 / 2
+        expected = {
+            c.poly or Poly.x(): tuple(s2 // 2 for s2 in sizes for _ in range(2))
+            for c, sizes in jk.jordan
+        }
+        cases.append((p, r, expected))
+    for p, r, expected in cases:
+        found = {}
+        for q, cls, whole, total in _chain_cases(p):
+            sizes = _sizes_at_class(q, cls, total)
+            assert sizes == resolvent_sizes(whole, cls, r)
+            with pytest.raises(InternalConsistencyError, match="stop below the total"):
+                _sizes_at_class(q, cls, total + 1)
+            found[cls] = sizes
+        assert found == expected
+
+
+def test_jordan_chain_eliminates_only_regular_part_rows(monkeypatch):
+    # t^3 - 2 with sizes (3, 1) on a 12 x 12 regular part: the companion
+    # expansion is 36 x 36, and the chain runs to its third step with at
+    # most 3 * 4 = 12 extra columns; k-fold resolvents would rank 72 x 72
+    # and then 108 x 108 matrices
+    cubic = P(-2, 0, 0, 1)
+    inv = StrictInvariants(
+        m=12, n=12, rank=12, horizontal=(), vertical=(), jordan=((EigClass(cubic), (3, 1)),)
+    )
+    reg = _regular_part(scramble(canonical_of(inv), random.Random(SEED + 17)))
+    assert reg.shape == (12, 12)
+    shapes = []
+    real = exactla._echelon
+
+    def recorded(rows, n):
+        shapes.append((len(rows), n))
+        return real(rows, n)
+
+    monkeypatch.setattr(exactla, "_echelon", recorded)
+    monkeypatch.setattr(pencils, "_echelon", recorded)
+    assert _sizes_at_class(reg, cubic, 4) == (3, 1)
+    assert max(m for m, _ in shapes) <= 36
+    assert max(n for _, n in shapes) <= 36 + 12
+    # one rank and one kernel of M, then a kernel and a row space per step
+    assert shapes[:2] == [(36, 36), (36, 36)]
+    assert len(shapes) == 6
 
 
 def _mixed_case() -> tuple[EigClass, Pencil]:
