@@ -25,7 +25,6 @@ from .pencils import (
     EigClass,
     Pencil,
     StrictInvariants,
-    are_strictly_equivalent,
     elementary_divisors,
     minimal_indices,
     pencil_rank,

@@ -12,6 +12,15 @@ changes neither the rank nor the kernel, and only rescales the
 determinant.  Kernel and row-space vectors are returned as primitive
 integer vectors (content removed, first nonzero entry positive), so
 results are canonical and cheap to feed back into integer elimination.
+
+An elimination can be stopped after some columns and continued later.
+Its start state is the column to go on from, the rank reached before
+that column and the last pivot.  Columns may be appended to the rows in
+between.  When they are the columns that the first part carried along,
+times a fixed matrix, the continued rows are those that one elimination
+of the whole matrix gives: each row operation is a linear combination of
+two rows, with coefficients read from the columns already eliminated,
+followed by an exact division, so it commutes with that product.
 """
 
 from __future__ import annotations
@@ -242,7 +251,9 @@ class Mat:
 # integer elimination core
 
 
-def _echelon(rows: list[list[int]], n: int) -> tuple[int, list[int], int, int]:
+def _echelon(
+    rows: list[list[int]], n: int, start: int = 0, r: int = 0, prev: int = 1
+) -> tuple[int, list[int], int, int]:
     """In-place fraction-free (Bareiss) row echelon form of integer rows.
 
     Returns (rank, pivot columns, sign of the row permutation, last pivot).
@@ -250,13 +261,20 @@ def _echelon(rows: list[list[int]], n: int) -> tuple[int, list[int], int, int]:
     identity), so the division by the previous pivot is exact, and for a
     square matrix of full rank sign * last pivot is its determinant.  The
     pivot of each column is its smallest nonzero entry in absolute value.
+    Pivots are sought in the first n columns, but rows are updated whole,
+    so any columns past n are carried along.
+
+    ``start``, ``r`` and ``prev`` continue an elimination that stopped at
+    column ``start`` with rank ``r`` and last pivot ``prev`` (see the
+    module docstring); then only the pivot columns from ``start`` on are
+    returned, and the sign is that of this call's row swaps.
     """
     m = len(rows)
-    r = 0
-    prev = 1
     sign = 1
     piv_cols: list[int] = []
-    for c in range(n):
+    for c in range(start, n):
+        if r == m:
+            break
         best = -1
         size = 0
         for i in range(r, m):
@@ -284,8 +302,6 @@ def _echelon(rows: list[list[int]], n: int) -> tuple[int, list[int], int, int]:
         prev = pivot
         piv_cols.append(c)
         r += 1
-        if r == m:
-            break
     return r, piv_cols, sign, prev
 
 
@@ -325,6 +341,27 @@ def _primitive(ints: list[int]) -> IntVec:
     return tuple(v // g for v in ints)
 
 
+def _back_substitute(rows: list[list[int]], piv_cols: list[int], f: int, n: int) -> IntVec:
+    """The kernel vector of echelon rows with x_f = 1 at the free column f
+    and every other free coordinate zero, as a primitive integer vector of
+    length n; ``rows[k]`` is the row of the pivot in column ``piv_cols[k]``."""
+    x = [0] * n
+    x[f] = 1
+    for k in range(len(piv_cols) - 1, -1, -1):
+        c = piv_cols[k]
+        row = rows[k]
+        s = sum(row[j] * x[j] for j in range(c + 1, n) if x[j])
+        if s:
+            # x_c = -s / pivot: scale x so the quotient is an integer
+            p = row[c]
+            g = gcd(s, p)
+            if p != g:
+                q = p // g
+                x = [v * q for v in x]
+            x[c] = -s // g
+    return _primitive(x)
+
+
 def kernel_basis(mat: Mat) -> list[IntVec]:
     """Exact basis of the right kernel, as primitive integer vectors.
 
@@ -332,33 +369,10 @@ def kernel_basis(mat: Mat) -> list[IntVec]:
     free coordinates zero, back-substituted in integers and rescaled.
     """
     n = mat.n
-    if n == 0:
-        return []
-    if mat.m == 0:
-        return [tuple(int(i == j) for i in range(n)) for j in range(n)]
     rows = _int_copy(mat)
-    r, piv_cols, _, _ = _echelon(rows, n)
+    _, piv_cols, _, _ = _echelon(rows, n)
     piv_set = set(piv_cols)
-    basis: list[IntVec] = []
-    for f in range(n):
-        if f in piv_set:
-            continue
-        x = [0] * n
-        x[f] = 1
-        for k in range(r - 1, -1, -1):
-            c = piv_cols[k]
-            row = rows[k]
-            s = sum(row[j] * x[j] for j in range(c + 1, n) if x[j])
-            if s:
-                # x_c = -s / pivot: scale x so the quotient is an integer
-                p = row[c]
-                g = gcd(s, p)
-                if p != g:
-                    q = p // g
-                    x = [v * q for v in x]
-                x[c] = -s // g
-        basis.append(_primitive(x))
-    return basis
+    return [_back_substitute(rows, piv_cols, f, n) for f in range(n) if f not in piv_set]
 
 
 def row_space_basis(vectors: Sequence[Sequence], n: int) -> list[IntVec]:

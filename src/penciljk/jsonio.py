@@ -61,14 +61,22 @@ def _require(obj: dict, key: str, kind, where: str):
 
 
 def _matrix_from_json(rows, m: int, n: int, where: str) -> Mat:
+    """A matrix of plain JSON integers becomes integer rows as they are;
+    any other entry is read by ``str_to_rat``, row by row, so a bad entry
+    and a bad row are reported in the order they appear."""
     if not isinstance(rows, list) or len(rows) != m:
         raise InputFormatError(f"{where} must be a list of {m} rows")
     out = []
+    plain = True
     for row in rows:
         if not isinstance(row, list) or len(row) != n:
             raise InputFormatError(f"each row of {where} must have {n} entries")
-        out.append([str_to_rat(x) for x in row])
-    return Mat(out, n=n)
+        if plain and all(type(x) is int for x in row):
+            out.append(row)
+        else:
+            plain = False
+            out.append([str_to_rat(x) for x in row])
+    return Mat.from_ints(out, n) if plain else Mat(out, n=n)
 
 
 def _matrix_to_json(mat: Mat) -> list[list[str]]:
@@ -87,10 +95,6 @@ def pencil_from_json(obj) -> Pencil:
     a = _matrix_from_json(_require(obj, "A", list, "pencil"), m, n, "pencil.A")
     b = _matrix_from_json(_require(obj, "B", list, "pencil"), m, n, "pencil.B")
     return Pencil(a, b)
-
-
-def pencil_to_json(p: Pencil) -> dict:
-    return {"m": p.m, "n": p.n, "A": _matrix_to_json(p.a), "B": _matrix_to_json(p.b)}
 
 
 def class_to_str(cls: EigClass) -> str:

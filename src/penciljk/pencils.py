@@ -38,6 +38,18 @@ of width w contributes min(k, w) to dim W_k, so consecutive differences
 count blocks of width >= k.  The chain of the transposed pencil gives
 the heights the same way.  For a skew pencil the transposed pencil is
 the negated one, whose chain is the same computation, so it runs once.
+A chain whose first kernel the rank scan proves zero (n = rank on the
+right, m = rank on the left) is not run.
+
+M is eliminated once per chain (see ``_chain``).  Step k solves
+M x = B W_k y, the kernel of the stacked matrix [M | -B W_k].  One
+Bareiss elimination of [M | -B] pivots in M's columns and carries B's
+along; each step multiplies the carried part by W_k and continues the
+elimination from there.  Every Bareiss step replaces a row by a linear
+combination of two rows, with coefficients read from M's columns and an
+exact division, so it commutes with multiplying columns on the right by
+W_k: the continued rows are those that eliminating each stacked matrix
+from scratch would give, and so are the kernel vectors.
 
 The limits of the two chains are Wong limits (Berger, Ilchmann and
 Trenn 2012): the right one spans exactly the columns of the horizontal
@@ -57,9 +69,10 @@ chain, run on the regular part at the class with its root adjoined as a
 companion matrix (see ``_sizes_at_class``): a block of size s adds
 min(k, s) to the k-th dimension, times the class degree.  Every matrix
 this eliminates has n_R*d rows, for a regular part of size n_R and a
-class of degree d, and the chain stops when the defect reaches the
-total.  Eliminating A + t*B as a polynomial matrix would give the same
-answers but suffers badly from coefficient growth.
+class of degree d.  The chain runs only when the first defect, from one
+rank, falls short of the total, and stops when it reaches the total.
+Eliminating A + t*B as a polynomial matrix would give the same answers
+but suffers badly from coefficient growth.
 
 One cache holds a pencil's singular structure: ``_kernel_chains`` runs
 the rank scan and both chains once and keeps the normal rank, the
@@ -88,6 +101,7 @@ from .errors import InternalConsistencyError
 from .exactla import (
     IntVec,
     Mat,
+    _back_substitute,
     _echelon,
     kernel_basis,
     pivot_columns,
@@ -142,10 +156,6 @@ class Pencil:
         return f"Pencil(a={self.a.tolist()}, b={self.b.tolist()})"
 
 
-def pencil_from_lists(a_rows, b_rows) -> Pencil:
-    return Pencil(Mat(a_rows), Mat(b_rows))
-
-
 @dataclass(frozen=True)
 class EigClass:
     """An eigenvalue class: a monic irreducible polynomial, or infinity."""
@@ -174,10 +184,6 @@ class EigClass:
     @classmethod
     def infinite(cls) -> "EigClass":
         return cls(None)
-
-    @classmethod
-    def at_root(cls, root) -> "EigClass":
-        return cls(Poly.linear_root(root))
 
 
 @dataclass(frozen=True)
@@ -261,42 +267,70 @@ def _rank_scan(p: Pencil) -> tuple[int, int]:
     return best, at
 
 
-def _chain(m: Mat, b: Mat, basis: list[IntVec]) -> Iterator[list[IntVec]]:
-    """Bases of W_2, W_3, ... of the nested kernel chain
+def _chain(m: Mat, b: Mat) -> Iterator[list[IntVec]]:
+    """Bases of W_1, W_2, ... of the nested kernel chain
 
-        W_1 = ker M,   W_{k+1} = preimage under M of B(W_k),
+        W_1 = ker M,   W_{k+1} = preimage under M of B(W_k);
 
-    given a basis of W_1; the caller decides where to stop.
+    the caller decides where to stop.
 
     With M and B stored as integer rows over denominators dm and db, and
     W the current basis as columns, M x = B W y holds exactly when
-    [db * M_int | -dm * B_int W] (x, y) = 0, so each step eliminates a
-    matrix of M's rows and M's columns plus dim W_k.
+    [db * M_int | -dm * B_int W] (x, y) = 0.  M is eliminated once per
+    chain: the Bareiss elimination of [db * M_int | -dm * B_int] pivots in
+    M's n columns and carries the B part along, and W_1 = ker M is read
+    off its echelon form.  Each step appends the carried B part times W_k
+    as new columns and continues the same elimination from column n, at
+    the rank and last pivot where it stopped.
+
+    The continued rows are those that eliminating the stacked matrix from
+    scratch gives.  The stacked matrix's first n columns are M's, so that
+    elimination picks the same pivots and replaces each row by the same linear combination of rows,
+    with coefficients read from M's columns.  Such a combination commutes
+    with multiplying the B part by W_k on the right, and its division by
+    the previous pivot is exact in both matrices, so it yields the carried
+    rows times W_k.  The kernel vectors are therefore those of the stacked
+    matrix.  The free columns below n give the ker M vectors found at the
+    start, so only the free columns from n on are back-substituted.  Each
+    step eliminates M's rows below its rank, in the dim W_k new columns.
     """
     n = m.n
-    left = [[b.den * x for x in r] for r in m.rows]
+    rows = [[b.den * x for x in rm] + [-m.den * y for y in rb] for rm, rb in zip(m.rows, b.rows)]
+    r, pivots, _, prev = _echelon(rows, n)
+    heads = [row[:n] for row in rows]
+    carried = [row[n:] for row in rows]
+    kept = set(pivots)
+    kernel = [_back_substitute(heads, pivots, f, n) for f in range(n) if f not in kept]
+    basis = kernel
     while True:
-        rows = [
-            lr + [-m.den * sum(map(mul, br, v)) for v in basis]
-            for lr, br in zip(left, b.rows)
-        ]
-        stacked = Mat.from_ints(rows, n + len(basis))
-        projected = [vec[:n] for vec in kernel_basis(stacked)]
-        basis = row_space_basis(projected, n)
         yield basis
+        width = n + len(basis)
+        rows = [h + [sum(map(mul, c, v)) for v in basis] for h, c in zip(heads, carried)]
+        _, added, _, _ = _echelon(rows, width, n, r, prev)
+        free = [f for f in range(n, width) if f not in added]
+        every = pivots + added
+        new = [_back_substitute(rows, every, f, width)[:n] for f in free]
+        basis = row_space_basis(kernel + new, n)
 
 
-def _kernel_chain(m_at_mu: Mat, b: Mat) -> tuple[list[int], list[IntVec]]:
+def _kernel_chain(m_at_mu: Mat, b: Mat, dim: int) -> tuple[list[int], list[IntVec]]:
     """Dimensions of the nested kernel chain W_1 <= W_2 <= ... until stable,
-    and a basis of its limit."""
-    basis = kernel_basis(m_at_mu)
-    dims = [len(basis)]
-    if basis:
-        for new_basis in _chain(m_at_mu, b, basis):
-            if len(new_basis) == len(basis):
-                break
-            dims.append(len(new_basis))
-            basis = new_basis
+    and a basis of its limit, given dim W_1 from the rank scan.
+
+    A chain with dim W_1 = 0 stays zero and is not run.
+    """
+    if not dim:
+        return [0], []
+    chain = _chain(m_at_mu, b)
+    basis = next(chain)
+    if len(basis) != dim:
+        raise InternalConsistencyError("the kernel at the regular value disagrees with the rank scan")
+    dims = [dim]
+    for new_basis in chain:
+        if len(new_basis) == len(basis):
+            break
+        dims.append(len(new_basis))
+        basis = new_basis
     return dims, basis
 
 
@@ -341,12 +375,12 @@ def _kernel_chains(p: Pencil) -> _Chains:
     same computation, so there the left chain is the right one.
     """
     r, mu = _rank_scan(p)
-    right_dims, right = _kernel_chain(p.at(mu), p.b)
+    right_dims, right = _kernel_chain(p.at(mu), p.b, p.n - r)
     if _is_skew(p):
         left_dims, left = right_dims, right
     else:
         pt = p.transposed()
-        left_dims, left = _kernel_chain(pt.at(mu), pt.b)
+        left_dims, left = _kernel_chain(pt.at(mu), pt.b, p.m - r)
     return _Chains(
         r,
         mu,
@@ -559,9 +593,10 @@ def _sizes_at_class(reg: Pencil, cls: Poly, total: int) -> tuple[int, ...]:
     stays zero.  The roots are conjugate, so each contributes the same
     dimensions, and dimensions over Q equal those over the extension.
 
-    The first dimension comes from one rank of M, and a kernel is taken
-    only when that falls short of the total.  Each later step eliminates
-    a matrix of n*d rows and n*d + dim W_k columns.  The defect
+    The first dimension comes from one rank of M, and the chain runs only
+    when that falls short of the total: it eliminates [M | N] once and
+    then continues that elimination in dim W_k new columns per step, so no
+    matrix it eliminates has more than n*d rows.  The defect
     dim W_k / d grows strictly until it reaches the total, at the largest
     size, so the chain stops there; a dimension not divisible by d, a
     defect above the total, or one that repeats below it, is an internal
@@ -592,7 +627,9 @@ def _sizes_at_class(reg: Pencil, cls: Poly, total: int) -> tuple[int, ...]:
         if defect == total:
             return _widths_from_dims(defects)
         if chain is None:
-            chain = _chain(m, n, kernel_basis(m))
+            chain = _chain(m, n)
+            if len(next(chain)) != dim:
+                raise InternalConsistencyError("the Jordan chain's kernel disagrees with the rank of M")
         dim = len(next(chain))
 
 
@@ -633,9 +670,3 @@ def strict_invariants(p: Pencil) -> StrictInvariants:
         vertical=heights,
         jordan=tuple(jordan),
     )
-
-
-def are_strictly_equivalent(p: Pencil, q: Pencil) -> bool:
-    if p.shape != q.shape:
-        return False
-    return strict_invariants(p) == strict_invariants(q)

@@ -53,11 +53,6 @@ class Poly:
     def x(cls) -> "Poly":
         return cls([0, 1])
 
-    @classmethod
-    def linear_root(cls, root) -> "Poly":
-        """Monic degree-one polynomial vanishing at ``root``."""
-        return cls([-_frac(root), 1])
-
     # -- structure ----------------------------------------------------
 
     def degree(self) -> int:
@@ -66,9 +61,6 @@ class Poly:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
 
     def leading(self) -> Fraction:
         if not self.coeffs:
@@ -148,16 +140,6 @@ class Poly:
             k >>= 1
         return out
 
-    def eval(self, x) -> Fraction:
-        x = _frac(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def derivative(self) -> "Poly":
-        return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
-
     def monic(self) -> "Poly":
         if self.is_zero():
             return self
@@ -165,11 +147,6 @@ class Poly:
         if lead == 1:
             return self
         return Poly([c / lead for c in self.coeffs])
-
-    def divides(self, other: "Poly") -> bool:
-        if self.is_zero():
-            return other.is_zero()
-        return (other % self).is_zero()
 
     def __repr__(self) -> str:
         return f"Poly({format_poly(self)!r})"

@@ -13,6 +13,7 @@ import random
 from fractions import Fraction
 
 from penciljk.exactla import Mat, det, rank, solve_unique
+from penciljk.jsonio import _matrix_to_json
 from penciljk.lie import (
     LieAlgebra,
     Representation,
@@ -21,7 +22,7 @@ from penciljk.lie import (
     check_jacobi,
     lie_poisson_matrix,
 )
-from penciljk.pencils import EigClass, Pencil, StrictInvariants
+from penciljk.pencils import EigClass, Pencil, StrictInvariants, strict_invariants
 from penciljk.polys import Poly
 from penciljk.skewjk import SkewJK
 
@@ -39,6 +40,42 @@ CLASS_POOL = (
     EigClass(Poly((-2, 0, 0, 1))),        # t^3 - 2
     EigClass(None),                       # infinity
 )
+
+
+def pencil_from_lists(a_rows, b_rows) -> Pencil:
+    return Pencil(Mat(a_rows), Mat(b_rows))
+
+
+def pencil_to_json(p: Pencil) -> dict:
+    return {"m": p.m, "n": p.n, "A": _matrix_to_json(p.a), "B": _matrix_to_json(p.b)}
+
+
+def are_strictly_equivalent(p: Pencil, q: Pencil) -> bool:
+    return p.shape == q.shape and strict_invariants(p) == strict_invariants(q)
+
+
+def class_at_root(root) -> EigClass:
+    """The class t - root of a rational eigenvalue."""
+    return EigClass(Poly([-Fraction(root), 1]))
+
+
+def poly_eval(p: Poly, x) -> Fraction:
+    acc = Fraction(0)
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def derivative(p: Poly) -> Poly:
+    return Poly([i * c for i, c in enumerate(p.coeffs)][1:])
+
+
+def divides(p: Poly, q: Poly) -> bool:
+    return q.is_zero() if p.is_zero() else (q % p).is_zero()
+
+
+def is_constant(p: Poly) -> bool:
+    return p.degree() < 1
 
 
 def random_invertible(rng: random.Random, k: int, bound: int = 5) -> Mat:

@@ -10,7 +10,9 @@ determinant of the regular part factored over Z, irreducible factors
 come from sympy instead of the package's Zassenhaus factorizer, squarefree
 parts come from Yun's algorithm over Q instead of over Z, block sizes come
 from ranks of k-fold block bidiagonal resolvents of the whole pencil
-instead of the Jordan chain of its regular part, the
+instead of the Jordan chain of its regular part, each step of a kernel
+chain eliminates its stacked matrix from scratch instead of continuing
+one elimination, the
 core of a skew pencil is spanned at dim + 1 regular points instead of
 read off the kernel chain's limit, invariant factors come from a Smith form of A + t*B
 over Q[t] instead of the elementary divisors of the regular part, and
@@ -39,6 +41,8 @@ from penciljk.polys import (
     poly_gcd,
     poly_sort_key,
 )
+
+from helpers import derivative, divides
 
 
 def eval_rank(p: Pencil) -> int:
@@ -164,14 +168,14 @@ def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
     if p.degree() < 1:
         return []
     p = p.monic()
-    d = p.derivative()
+    d = derivative(p)
     a = poly_gcd(p, d)
     b = p // a
     c = d // a
     out: list[tuple[Poly, int]] = []
     i = 1
     while b.degree() >= 1:
-        z = c - b.derivative()
+        z = c - derivative(b)
         f = poly_gcd(b, z)
         if f.degree() >= 1:
             out.append((f.monic(), i))
@@ -316,6 +320,23 @@ def resolvent_sizes(p: Pencil, cls: Poly, r: int) -> tuple[int, ...]:
     return tuple(sizes)
 
 
+def restart_chain(m: Mat, b: Mat):
+    """Bases of W_1 = ker M, W_2, ... of the nested kernel chain
+    W_{k+1} = M^-1(B W_k), each step eliminating the stacked matrix
+    [db * M_int | -dm * B_int W_k] from scratch."""
+    n = m.n
+    left = [[b.den * x for x in r] for r in m.rows]
+    basis = kernel_basis(m)
+    while True:
+        yield basis
+        rows = [
+            lr + [-m.den * sum(x * y for x, y in zip(br, v)) for v in basis]
+            for lr, br in zip(left, b.rows)
+        ]
+        stacked = Mat.from_ints(rows, n + len(basis))
+        basis = row_space_basis([vec[:n] for vec in kernel_basis(stacked)], n)
+
+
 def dense_core(p: Pencil) -> list[IntVec]:
     """Span of the kernels of A + tB at the first dim + 1 regular integers.
 
@@ -453,7 +474,7 @@ def smith_invariant_factors(entries) -> list[Poly]:
         factors.append(_z_to_poly(a[top][top]).monic())
         top += 1
     for k in range(1, len(factors)):
-        if not factors[k - 1].divides(factors[k]):
+        if not divides(factors[k - 1], factors[k]):
             raise AssertionError("invariant factor chain broken")
     return factors
 

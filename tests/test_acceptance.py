@@ -52,6 +52,7 @@ from helpers import (
     SEED,
     canonical_of,
     change_basis,
+    class_at_root,
     congruent,
     lie_index,
     pair_pool,
@@ -260,7 +261,7 @@ def _realize(sig, rng):
         if use_inf and idx == 0:
             jordan.append((EigClass.infinite(), slot))
         else:
-            jordan.append((EigClass.at_root(roots[idx]), slot))
+            jordan.append((class_at_root(roots[idx]), slot))
     jordan.sort(key=lambda cs: cs[0].sort_key())
     return StrictInvariants(
         m=sig.m,

@@ -7,6 +7,7 @@ import pytest
 
 from penciljk.exactla import (
     Mat,
+    _echelon,
     det,
     kernel_basis,
     rank,
@@ -114,3 +115,24 @@ def test_solve_unique_rejects_singular():
     a = Mat([[1, 2], [2, 4]])
     with pytest.raises(ValueError):
         solve_unique(a, [1, 3])
+
+
+def test_continued_echelon_equals_one_elimination():
+    # stopping after any column and continuing from the saved rank and last
+    # pivot leaves the rows, rank, pivots and last pivot of one pass
+    rng = random.Random(SEED + 40)
+    for _ in range(300):
+        m, width = rng.randint(1, 6), rng.randint(1, 8)
+        rank_ = rng.randint(0, min(m, width))
+        x = [[rng.randint(-4, 4) for _ in range(rank_)] for _ in range(m)]
+        y = [[rng.randint(-4, 4) for _ in range(width)] for _ in range(rank_)]
+        rows = [[sum(a * b for a, b in zip(xr, col)) for col in zip(*y)] if y else [0] * width for xr in x]
+        whole = [list(r) for r in rows]
+        r, pivots, sign, last = _echelon(whole, width)
+        stop = rng.randint(0, width)
+        first = _echelon(rows, stop)
+        second = _echelon(rows, width, stop, first[0], first[3])
+        assert rows == whole
+        assert second[0] == r and second[3] == last
+        assert first[1] + second[1] == pivots
+        assert first[2] * second[2] == sign

@@ -5,7 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+import penciljk.jsonio as jsonio
+from penciljk.cli import main
 from penciljk.errors import InputFormatError
+from penciljk.exactla import Mat
 from penciljk.jsonio import (
     class_to_str,
     emit,
@@ -14,7 +17,6 @@ from penciljk.jsonio import (
     lie_to_json,
     load_json,
     pencil_from_json,
-    pencil_to_json,
     rat_to_str,
     rep_from_json,
     rep_to_json,
@@ -24,12 +26,12 @@ from penciljk.jsonio import (
     skew_to_json,
     str_to_rat,
 )
-from penciljk.pencils import EigClass, pencil_from_lists, strict_invariants
+from penciljk.pencils import EigClass, strict_invariants
 from penciljk.polys import Poly
 from penciljk.skewjk import SkewJK
 from penciljk.strata import BundleSig, SkewBundleSig
 
-from helpers import _sl2
+from helpers import _sl2, pencil_from_lists, pencil_to_json
 
 
 def test_rational_conversions():
@@ -64,6 +66,57 @@ def test_pencil_from_json_rejects_malformed():
         mutate(obj)
         with pytest.raises(InputFormatError):
             pencil_from_json(obj)
+
+
+def _fraction_path(rows, m, n, where):
+    """The loader that reads every entry through ``str_to_rat``."""
+    if not isinstance(rows, list) or len(rows) != m:
+        raise InputFormatError(f"{where} must be a list of {m} rows")
+    out = []
+    for row in rows:
+        if not isinstance(row, list) or len(row) != n:
+            raise InputFormatError(f"each row of {where} must have {n} entries")
+        out.append([str_to_rat(x) for x in row])
+    return Mat(out, n=n)
+
+
+MATRIX_CASES = [
+    [[1, -2], [0, 30]],
+    [[1, "1/2"], [3, "-4/6"]],
+    [[1, 2], ["1/3", 4]],
+    [[1, 2], [0, True]],
+    [[False, 1], [0, 1]],
+    [[2.0, 1], [0, -3.0]],
+    [[1, 2], [2.5, 0]],
+    [[1, 2], [3]],
+    [["x", 1], [3]],
+    [[1, 2], "row"],
+    [[1, 2], [3, None]],
+]
+
+
+def _outcome(load, rows):
+    try:
+        return load(rows, 2, 2, "pencil.A")
+    except InputFormatError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("rows", MATRIX_CASES)
+def test_integer_rows_load_as_the_fraction_path(rows, tmp_path, capsys, monkeypatch):
+    got, want = _outcome(jsonio._matrix_from_json, rows), _outcome(_fraction_path, rows)
+    assert got == want
+    if isinstance(got, Mat):
+        assert all(type(x) is int for r in got.rows for x in r)
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"m": 2, "n": 2, "A": rows, "B": [[1, 0], [0, 1]]}))
+    runs = []
+    for load in (jsonio._matrix_from_json, _fraction_path):
+        monkeypatch.setattr(jsonio, "_matrix_from_json", load)
+        code = main(["pencil", str(path)])
+        runs.append((code, *capsys.readouterr()))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == (0 if isinstance(want, Mat) else 2)
 
 
 def test_class_strings():

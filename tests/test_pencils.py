@@ -4,6 +4,8 @@ normal form, interpolated determinants)."""
 
 import random
 from fractions import Fraction
+from itertools import islice
+from operator import mul
 
 import pytest
 
@@ -12,6 +14,7 @@ import penciljk.pencils as pencils
 import penciljk.polys as polys
 import penciljk.skewjk as skewjk
 from penciljk.errors import InternalConsistencyError
+from penciljk.exactla import Mat
 from penciljk.jsonio import class_to_str
 from penciljk.pencils import (
     _CACHE_SIZE,
@@ -19,13 +22,13 @@ from penciljk.pencils import (
     Pencil,
     StrictInvariants,
     _class_totals,
+    _chain,
     _kernel_chains,
     _regular_part,
+    _resolvent_parts,
     _sizes_at_class,
-    are_strictly_equivalent,
     elementary_divisors,
     minimal_indices,
-    pencil_from_lists,
     pencil_rank,
     regular_value,
     strict_invariants,
@@ -36,8 +39,11 @@ from penciljk.skewjk import skew_jk_invariants
 from helpers import (
     CLASS_POOL,
     SEED,
+    are_strictly_equivalent,
     canonical_of,
+    class_at_root,
     congruent,
+    pencil_from_lists,
     random_skew_jk,
     random_strict_invariants,
     scramble,
@@ -50,6 +56,7 @@ from oracles import (
     interp_det,
     pencil_entries,
     resolvent_sizes,
+    restart_chain,
     smith_invariant_factors,
     stacked_minimal_indices,
 )
@@ -295,7 +302,7 @@ def test_eigclass_validation():
         EigClass(P(3))  # constant
     assert EigClass.infinite().root_count == 1
     assert EigClass(P(-2, 0, 1)).root_count == 2
-    assert class_to_str(EigClass.at_root(Fraction(1, 2))) == "t-1/2"
+    assert class_to_str(class_at_root(Fraction(1, 2))) == "t-1/2"
 
 
 def test_invariants_validation():
@@ -485,7 +492,9 @@ def test_jordan_chain_eliminates_only_regular_part_rows(monkeypatch):
     # t^3 - 2 with sizes (3, 1) on a 12 x 12 regular part: the companion
     # expansion is 36 x 36, and the chain runs to its third step with at
     # most 3 * 4 = 12 extra columns; k-fold resolvents would rank 72 x 72
-    # and then 108 x 108 matrices
+    # and then 108 x 108 matrices.  The chain eliminates [M | N] once,
+    # pivoting in M's 36 columns and carrying N's along, and continues
+    # that elimination in the new columns at each step
     cubic = P(-2, 0, 0, 1)
     inv = StrictInvariants(
         m=12, n=12, rank=12, horizontal=(), vertical=(), jordan=((EigClass(cubic), (3, 1)),)
@@ -495,18 +504,170 @@ def test_jordan_chain_eliminates_only_regular_part_rows(monkeypatch):
     shapes = []
     real = exactla._echelon
 
-    def recorded(rows, n):
-        shapes.append((len(rows), n))
-        return real(rows, n)
+    def recorded(rows, n, *state):
+        shapes.append((len(rows), n, state))
+        return real(rows, n, *state)
 
     monkeypatch.setattr(exactla, "_echelon", recorded)
     monkeypatch.setattr(pencils, "_echelon", recorded)
     assert _sizes_at_class(reg, cubic, 4) == (3, 1)
-    assert max(m for m, _ in shapes) <= 36
-    assert max(n for _, n in shapes) <= 36 + 12
-    # one rank and one kernel of M, then a kernel and a row space per step
-    assert shapes[:2] == [(36, 36), (36, 36)]
+    assert max(m for m, _, _ in shapes) <= 36
+    assert max(n for _, n, _ in shapes) <= 36 + 12
+    # one rank of M and one elimination of [M | N], then per step that
+    # elimination continued from column 36 and a row space
+    assert shapes[:2] == [(36, 36, ()), (36, 36, ())]
+    assert [state[0] for _, _, state in shapes if state] == [36, 36]
     assert len(shapes) == 6
+
+
+def _low_rank(rng, m: int, n: int, r: int) -> Mat:
+    """A random m x n matrix of rank at most r, with entries p/q for q up
+    to 4."""
+    x = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(m)]
+    y = [[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)] for _ in range(r)]
+    return Mat([[sum(a * b for a, b in zip(xr, col)) for col in zip(*y)] if y else [0] * n for xr in x], n=n)
+
+
+def _chain_pair(rng) -> tuple[Mat, Mat]:
+    """Random (M, B) of random ranks.  Half the time B is M Z for a random
+    Z, so that B maps into the range of M and the chain, ker M plus the
+    images of ker M under Z, Z^2, ..., grows for several steps."""
+    n = rng.randint(0, 7)
+    if rng.random() < 0.5:
+        m = rng.randint(0, 7)
+        return (
+            _low_rank(rng, m, n, rng.randint(0, min(m, n))),
+            _low_rank(rng, m, n, rng.randint(0, min(m, n))),
+        )
+    m = rng.randint(n, 7)
+    a = _low_rank(rng, m, n, max(0, n - rng.randint(1, 2)))
+    return a, a * _low_rank(rng, n, n, n)
+
+
+def test_continued_chain_matches_restart_oracle():
+    rng = random.Random(SEED + 30)
+    grew = 0
+    for _ in range(1000):
+        a, b = _chain_pair(rng)
+        bases = list(islice(_chain(a, b), 6))
+        assert bases == list(islice(restart_chain(a, b), 6))
+        grew += len(bases[2]) > len(bases[1]) > len(bases[0])
+    # the comparison covers chains that grow for at least two steps
+    assert grew >= 100
+
+
+def _singular_pencils(rng) -> list[Pencil]:
+    """Scrambled strict pencils and congruent skew pencils, each with a
+    singular block."""
+    out = []
+    while len(out) < 30:
+        inv = random_strict_invariants(rng)
+        if inv.horizontal or inv.vertical:
+            out.append(scramble(canonical_of(inv), rng))
+    while len(out) < 45:
+        jk = random_skew_jk(rng)
+        if jk.kronecker:
+            out.append(congruent(skew_canonical(jk), rng))
+    return out
+
+
+def test_continued_chain_matches_restart_oracle_on_pencils():
+    # the kernel chains at the regular value, on both sides, and the Jordan
+    # chain at every finite class of the regular part
+    for p in _singular_pencils(random.Random(SEED + 31)):
+        mu = regular_value(p)
+        pairs = [(q.at(mu), q.b) for q in (p, p.transposed())]
+        reg = _regular_part(p)
+        if reg.n:
+            pairs += [_resolvent_parts(reg, cls) for cls, _ in _class_totals(reg)[0]]
+        for a, b in pairs:
+            assert list(islice(_chain(a, b), 6)) == list(islice(restart_chain(a, b), 6))
+
+
+def test_continued_rows_equal_one_stacked_elimination(monkeypatch):
+    # every continued elimination leaves exactly the rows that eliminating
+    # [db * M_int | -dm * B_int W_k] from scratch gives
+    real = exactla._echelon
+    continued = []
+
+    def recorded(rows, n, *state):
+        out = real(rows, n, *state)
+        if state:
+            continued.append(([list(r) for r in rows], out))
+        return out
+
+    monkeypatch.setattr(pencils, "_echelon", recorded)
+    rng = random.Random(SEED + 32)
+    checked = 0
+    for _ in range(300):
+        a, b = _chain_pair(rng)
+        continued.clear()
+        bases = list(islice(_chain(a, b), 4))
+        assert len(continued) == 3
+        for basis, (rows, (r, pivots, _, last)) in zip(bases, continued):
+            stacked = [
+                [b.den * x for x in ra] + [-a.den * sum(map(mul, rb, v)) for v in basis]
+                for ra, rb in zip(a.rows, b.rows)
+            ]
+            whole = real(stacked, a.n + len(basis))
+            assert rows == stacked
+            assert (r, last) == (whole[0], whole[3])
+            assert whole[1][r - len(pivots):] == pivots
+            checked += bool(pivots)
+    assert checked >= 100
+
+
+def test_full_rank_pencils_run_one_chain(monkeypatch):
+    # heights (3, 2) and t - 1 with size 2: a 7 x 5 pencil of full column
+    # rank, whose right chain is zero and is not run; its transpose has
+    # full row rank and runs no left chain
+    calls = []
+    real = pencils._chain
+
+    def counted(m, b):
+        calls.append(m.shape)
+        return real(m, b)
+
+    monkeypatch.setattr(pencils, "_chain", counted)
+    inv = StrictInvariants(
+        m=7, n=5, rank=5, horizontal=(), vertical=(3, 2), jordan=((EigClass(P(-1, 1)), (2,)),)
+    )
+    p = scramble(canonical_of(inv), random.Random(SEED + 33))
+    _kernel_chains.cache_clear()
+    assert minimal_indices(p) == ((), (3, 2))
+    assert calls == [(5, 7)]
+    # the rest runs only the Jordan chain at t - 1, on the 2 x 2 regular part
+    assert strict_invariants(p) == inv
+    assert calls == [(5, 7), (2, 2)]
+    calls.clear()
+    assert minimal_indices(p.transposed()) == ((3, 2), ())
+    assert calls == [(5, 7)]
+    _kernel_chains.cache_clear()
+
+
+def test_chain_kernels_must_agree_with_the_ranks(monkeypatch):
+    # a rank scan one too low claims a right kernel the chain does not find
+    one, p = _mixed_case()
+    real_scan = pencils._rank_scan
+
+    def low(q):
+        r, mu = real_scan(q)
+        return r - 1, mu
+
+    monkeypatch.setattr(pencils, "_rank_scan", low)
+    _kernel_chains.cache_clear()
+    with pytest.raises(InternalConsistencyError, match="disagrees with the rank scan"):
+        minimal_indices(p)
+    monkeypatch.undo()
+    _kernel_chains.cache_clear()
+    # at t - 1 the defect is 2 of a total of 3, so the chain runs; a rank
+    # one too high leaves a defect of 1 that its kernel contradicts
+    reg = _regular_part(p)
+    _kernel_chains.cache_clear()
+    real_rank = pencils.rank
+    monkeypatch.setattr(pencils, "rank", lambda mat: real_rank(mat) + 1)
+    with pytest.raises(InternalConsistencyError, match="disagrees with the rank of M"):
+        _sizes_at_class(reg, one.poly, 3)
 
 
 def _mixed_case() -> tuple[EigClass, Pencil]:
@@ -703,9 +864,9 @@ def test_skew_pencils_run_one_chain(monkeypatch):
     calls = []
     real = pencils._kernel_chain
 
-    def counted(mat, b):
+    def counted(mat, b, dim):
         calls.append(mat.shape)
-        return real(mat, b)
+        return real(mat, b, dim)
 
     monkeypatch.setattr(pencils, "_kernel_chain", counted)
     rng = random.Random(SEED + 14)

@@ -15,7 +15,7 @@ from penciljk.errors import (
     SparsityPatternError,
 )
 from penciljk.exactla import row_space_basis
-from penciljk.pencils import EigClass, pencil_from_lists
+from penciljk.pencils import EigClass
 from penciljk.polys import Poly
 from penciljk.skewjk import (
     SkewJK,
@@ -25,7 +25,14 @@ from penciljk.skewjk import (
     skew_jk_invariants,
 )
 
-from helpers import CLASS_POOL, SEED, congruent, random_skew_jk, skew_canonical
+from helpers import (
+    CLASS_POOL,
+    SEED,
+    congruent,
+    pencil_from_lists,
+    random_skew_jk,
+    skew_canonical,
+)
 from oracles import dense_core
 
 
