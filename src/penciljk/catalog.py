@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .errors import InternalConsistencyError
-from .exactla import Mat, pivot_columns, solve_unique
+from .exactla import Mat, kernel_basis, pivot_columns
 from .lie import LieAlgebra, Representation, check_homomorphism, check_jacobi
 from .strata import BundleSig, SkewBundleSig
 
@@ -118,33 +119,44 @@ def _basis_matrices(fam: Family) -> list[Mat]:
     return mats
 
 
-def _flatten(mat: Mat) -> list[Fraction]:
-    return [mat.entry(a, b) for a in range(mat.m) for b in range(mat.n)]
+def _commutator(x: tuple, y: tuple) -> list[int]:
+    """The entries of x y - y x, row by row, for square integer rows x and y."""
+    pairs = list(zip(zip(*y), zip(*x)))
+    return [
+        sum(map(mul, xr, ycol)) - sum(map(mul, yr, xcol))
+        for xr, yr in zip(x, y)
+        for ycol, xcol in pairs
+    ]
 
 
 def _structure_entries(mats: list[Mat]) -> list[tuple[int, int, int, Fraction]]:
-    """Expand all commutators of the basis in the basis itself."""
+    """Expand all commutators of the basis in the basis itself.
+
+    With R_k the integer rows of basis matrix k and W_p = R_i R_j - R_j R_i
+    for the p-th pair i < j, one kernel of [R | -W], restricted to rows
+    where the flattened R_k are independent, solves every pair at once:
+    the R part is square and invertible, so the vector of free column
+    dim + p is (x, t e_p) with R x = t W_p, and pair p's coordinates over
+    the R_k are x / t.  Closure is then checked on all n^2 entries.
+    """
     dim = len(mats)
-    nsq = mats[0].m * mats[0].n
-    flat = Mat.from_cols([_flatten(x) for x in mats], nsq)
-    pivots = pivot_columns(flat.transpose())
+    flat = [[x for row in mat.rows for x in row] for mat in mats]
+    pivots = pivot_columns(Mat.from_ints(flat, len(flat[0])))
     if len(pivots) != dim:
         raise InternalConsistencyError("basis matrices are dependent")
-    rows = sorted(pivots)
-    square = flat.submatrix(rows, range(dim))
+    pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
+    brackets = [_commutator(mats[i].rows, mats[j].rows) for i, j in pairs]
+    rows = [[f[c] for f in flat] + [-w[c] for w in brackets] for c in pivots]
+    solutions = kernel_basis(Mat.from_ints(rows, dim + len(pairs)))
+    entry_cols = list(zip(*flat))
     entries: list[tuple[int, int, int, Fraction]] = []
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            w = mats[i] * mats[j] - mats[j] * mats[i]
-            wv = _flatten(w)
-            coords = solve_unique(square, [wv[t] for t in rows])
-            rebuilt = Mat.zeros(mats[0].m, mats[0].n)
-            for k, c in enumerate(coords):
-                if c:
-                    rebuilt = rebuilt + mats[k].scale(c)
-                    entries.append((i, j, k, c))
-            if rebuilt != w:
-                raise InternalConsistencyError("basis not closed under commutators")
+    for p, ((i, j), w, v) in enumerate(zip(pairs, brackets, solutions)):
+        coords, t = v[:dim], v[dim + p]
+        if [t * e for e in w] != [sum(map(mul, coords, col)) for col in entry_cols]:
+            raise InternalConsistencyError("basis not closed under commutators")
+        # [B_i, B_j] = W_p / (d_i d_j) and B_k = R_k / d_k
+        scale = mats[i].den * mats[j].den * t
+        entries.extend((i, j, k, Fraction(x * mats[k].den, scale)) for k, x in enumerate(coords) if x)
     return entries
 
 

@@ -6,21 +6,37 @@ all the entries at once, so equal matrices have equal storage.
 Constructors accept ints, Fractions and strings; ``entry``, ``row``,
 ``col`` and ``tolist`` hand back Fractions.
 
-Rank, kernel, row space and determinant all go through one fraction-free
-(Bareiss) elimination of the integer rows.  The common denominator
-changes neither the rank nor the kernel, and only rescales the
-determinant.  Kernel and row-space vectors are returned as primitive
-integer vectors (content removed, first nonzero entry positive), so
-results are canonical and cheap to feed back into integer elimination.
+Rank, kernel, row space, determinant and the preimage chain all go
+through one fraction-free (Bareiss) elimination of the integer rows, and
+no other module drives that elimination.  The common denominator changes
+neither the rank nor the kernel, and only rescales the determinant.
+Kernel and row-space vectors are returned as primitive integer vectors
+(content removed, first nonzero entry positive), so results are
+canonical and cheap to feed back into integer elimination.
 
-An elimination can be stopped after some columns and continued later.
-Its start state is the column to go on from, the rank reached before
-that column and the last pivot.  Columns may be appended to the rows in
-between.  When they are the columns that the first part carried along,
-times a fixed matrix, the continued rows are those that one elimination
-of the whole matrix gives: each row operation is a linear combination of
-two rows, with coefficients read from the columns already eliminated,
-followed by an exact division, so it commutes with that product.
+``preimage_chain`` runs the nested kernel chain (Wong sequence)
+
+    W_1 = ker M,   W_{k+1} = preimage under M of B(W_k)
+
+as one elimination continued step by step.  With M and B stored as
+integer rows over denominators dm and db, and W the current basis as
+columns, M x = B W y holds exactly when [db * M_int | -dm * B_int W]
+(x, y) = 0.  The elimination of [db * M_int | -dm * B_int] pivots in M's
+n columns and carries the B part along; W_1 = ker M is read off its
+echelon form.  Each step appends the carried B part times W_k as new
+columns and continues the same elimination from column n, at the rank
+and last pivot where it stopped.
+
+Why the continued rows are those that eliminating each stacked matrix
+from scratch gives: the stacked matrix's first n columns are M's, so that
+elimination picks the same pivots there, and each of its row operations
+replaces a row by a linear combination of two rows, with coefficients
+read from M's columns, followed by a division by the previous pivot that
+is exact in both matrices.  Such an operation commutes with multiplying
+the carried columns on the right by W_k.  The kernel vectors are
+therefore those of the stacked matrix; its free columns below n give the
+ker M vectors found at the start, so only free columns from n on are
+back-substituted.
 """
 
 from __future__ import annotations
@@ -28,7 +44,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 Vec = tuple[Fraction, ...]
 IntVec = tuple[int, ...]
@@ -98,21 +114,6 @@ class Mat:
     def zeros(cls, m: int, n: int) -> "Mat":
         return cls.from_ints([[0] * n for _ in range(m)], n)
 
-    @classmethod
-    def identity(cls, n: int) -> "Mat":
-        return cls.from_ints([[int(i == j) for j in range(n)] for i in range(n)], n)
-
-    @classmethod
-    def from_cols(cls, cols: Sequence[Sequence], m: int | None = None) -> "Mat":
-        cols = [list(c) for c in cols]
-        if cols:
-            m = len(cols[0])
-            if any(len(c) != m for c in cols):
-                raise ValueError("ragged columns")
-        elif m is None:
-            raise ValueError("empty column list needs an explicit row count")
-        return cls(cols, n=m).transpose()
-
     # -- basic structure ----------------------------------------------
 
     @property
@@ -172,22 +173,6 @@ class Mat:
         c = _frac(c)
         rows = [[c.numerator * a for a in r] for r in self.rows]
         return Mat.from_ints(rows, self.n, self.den * c.denominator)
-
-    def __mul__(self, other: "Mat") -> "Mat":
-        if not isinstance(other, Mat):
-            return NotImplemented
-        if self.n != other.m:
-            raise ValueError(f"shape mismatch {self.m}x{self.n} * {other.m}x{other.n}")
-        cols = [[r[j] for r in other.rows] for j in range(other.n)]
-        rows = [[sum(map(mul, row, col)) for col in cols] for row in self.rows]
-        return Mat.from_ints(rows, other.n, self.den * other.den)
-
-    def apply(self, v: Sequence) -> Vec:
-        ints, vden = _clear(v)
-        if len(ints) != self.n:
-            raise ValueError("vector length mismatch")
-        den = self.den * vden
-        return tuple(Fraction(sum(map(mul, row, ints)), den) for row in self.rows)
 
     def _same_shape(self, other: "Mat") -> None:
         if self.m != other.m or self.n != other.n:
@@ -382,22 +367,28 @@ def row_space_basis(vectors: Sequence[Sequence], n: int) -> list[IntVec]:
     return [_primitive(rows[k]) for k in range(r)]
 
 
-def solve_unique(a: Mat, b: Sequence) -> Vec:
-    """Solve a x = b when the solution exists and is unique."""
-    b = [_frac(x) for x in b]
-    if len(b) != a.m:
-        raise ValueError("right-hand side length mismatch")
-    if a.m == 0:
-        if a.n == 0:
-            return ()
-        raise ValueError("underdetermined system")
-    aug = Mat([list(row) + [-bv] for row, bv in zip(a.tolist(), b)], n=a.n + 1)
-    ker = kernel_basis(aug)
-    sols = [v for v in ker if v[a.n] != 0]
-    if not sols:
-        raise ValueError("inconsistent linear system")
-    if len(ker) != 1:
-        raise ValueError("underdetermined system")
-    v = sols[0]
-    t = v[a.n]
-    return tuple(Fraction(x, t) for x in v[: a.n])
+def preimage_chain(m: Mat, b: Mat) -> Iterator[list[IntVec]]:
+    """Bases of W_1 = ker M, W_2, ... of the chain W_{k+1} = M^-1(B W_k),
+    as primitive integer vectors; the caller decides where to stop.
+
+    One elimination of [db * M_int | -dm * B_int] serves the whole chain,
+    continued in dim W_k new columns at each step (see the module
+    docstring), so each step eliminates only M's rows below its rank.
+    """
+    n = m.n
+    rows = [[b.den * x for x in rm] + [-m.den * y for y in rb] for rm, rb in zip(m.rows, b.rows)]
+    r, pivots, _, prev = _echelon(rows, n)
+    heads = [row[:n] for row in rows]
+    carried = [row[n:] for row in rows]
+    kept = set(pivots)
+    kernel = [_back_substitute(heads, pivots, f, n) for f in range(n) if f not in kept]
+    basis = kernel
+    while True:
+        yield basis
+        width = n + len(basis)
+        rows = [h + [sum(map(mul, c, v)) for v in basis] for h, c in zip(heads, carried)]
+        _, added, _, _ = _echelon(rows, width, n, r, prev)
+        free = [f for f in range(n, width) if f not in added]
+        every = pivots + added
+        new = [_back_substitute(rows, every, f, width)[:n] for f in free]
+        basis = row_space_basis(kernel + new, n)

@@ -41,15 +41,10 @@ the negated one, whose chain is the same computation, so it runs once.
 A chain whose first kernel the rank scan proves zero (n = rank on the
 right, m = rank on the left) is not run.
 
-M is eliminated once per chain (see ``_chain``).  Step k solves
-M x = B W_k y, the kernel of the stacked matrix [M | -B W_k].  One
-Bareiss elimination of [M | -B] pivots in M's columns and carries B's
-along; each step multiplies the carried part by W_k and continues the
-elimination from there.  Every Bareiss step replaces a row by a linear
-combination of two rows, with coefficients read from M's columns and an
-exact division, so it commutes with multiplying columns on the right by
-W_k: the continued rows are those that eliminating each stacked matrix
-from scratch would give, and so are the kernel vectors.
+Each chain is one Bareiss elimination of [M | -B], continued in the new
+columns B W_k at every step (``exactla.preimage_chain``, whose module
+docstring shows why the continued rows are those of eliminating each
+stacked matrix [M | -B W_k] from scratch).
 
 The limits of the two chains are Wong limits (Berger, Ilchmann and
 Trenn 2012): the right one spans exactly the columns of the horizontal
@@ -95,18 +90,17 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial, gcd, lcm
 from operator import mul
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import InternalConsistencyError
 from .exactla import (
     IntVec,
     Mat,
-    _back_substitute,
-    _echelon,
+    det,
     kernel_basis,
     pivot_columns,
+    preimage_chain,
     rank,
-    row_space_basis,
 )
 from .polys import (
     Poly,
@@ -267,52 +261,6 @@ def _rank_scan(p: Pencil) -> tuple[int, int]:
     return best, at
 
 
-def _chain(m: Mat, b: Mat) -> Iterator[list[IntVec]]:
-    """Bases of W_1, W_2, ... of the nested kernel chain
-
-        W_1 = ker M,   W_{k+1} = preimage under M of B(W_k);
-
-    the caller decides where to stop.
-
-    With M and B stored as integer rows over denominators dm and db, and
-    W the current basis as columns, M x = B W y holds exactly when
-    [db * M_int | -dm * B_int W] (x, y) = 0.  M is eliminated once per
-    chain: the Bareiss elimination of [db * M_int | -dm * B_int] pivots in
-    M's n columns and carries the B part along, and W_1 = ker M is read
-    off its echelon form.  Each step appends the carried B part times W_k
-    as new columns and continues the same elimination from column n, at
-    the rank and last pivot where it stopped.
-
-    The continued rows are those that eliminating the stacked matrix from
-    scratch gives.  The stacked matrix's first n columns are M's, so that
-    elimination picks the same pivots and replaces each row by the same linear combination of rows,
-    with coefficients read from M's columns.  Such a combination commutes
-    with multiplying the B part by W_k on the right, and its division by
-    the previous pivot is exact in both matrices, so it yields the carried
-    rows times W_k.  The kernel vectors are therefore those of the stacked
-    matrix.  The free columns below n give the ker M vectors found at the
-    start, so only the free columns from n on are back-substituted.  Each
-    step eliminates M's rows below its rank, in the dim W_k new columns.
-    """
-    n = m.n
-    rows = [[b.den * x for x in rm] + [-m.den * y for y in rb] for rm, rb in zip(m.rows, b.rows)]
-    r, pivots, _, prev = _echelon(rows, n)
-    heads = [row[:n] for row in rows]
-    carried = [row[n:] for row in rows]
-    kept = set(pivots)
-    kernel = [_back_substitute(heads, pivots, f, n) for f in range(n) if f not in kept]
-    basis = kernel
-    while True:
-        yield basis
-        width = n + len(basis)
-        rows = [h + [sum(map(mul, c, v)) for v in basis] for h, c in zip(heads, carried)]
-        _, added, _, _ = _echelon(rows, width, n, r, prev)
-        free = [f for f in range(n, width) if f not in added]
-        every = pivots + added
-        new = [_back_substitute(rows, every, f, width)[:n] for f in free]
-        basis = row_space_basis(kernel + new, n)
-
-
 def _kernel_chain(m_at_mu: Mat, b: Mat, dim: int) -> tuple[list[int], list[IntVec]]:
     """Dimensions of the nested kernel chain W_1 <= W_2 <= ... until stable,
     and a basis of its limit, given dim W_1 from the rank scan.
@@ -321,7 +269,7 @@ def _kernel_chain(m_at_mu: Mat, b: Mat, dim: int) -> tuple[list[int], list[IntVe
     """
     if not dim:
         return [0], []
-    chain = _chain(m_at_mu, b)
+    chain = preimage_chain(m_at_mu, b)
     basis = next(chain)
     if len(basis) != dim:
         raise InternalConsistencyError("the kernel at the regular value disagrees with the rank scan")
@@ -492,7 +440,7 @@ def _det_poly(reg: Pencil) -> ZPoly:
     polynomial is [].
 
     At integer t, A + t*B is an integer matrix, so its determinant takes
-    integer values y_t at t = 0..k, each read off one Bareiss elimination.
+    integer values y_t at t = 0..k, each one ``exactla.det``.
     Newton's forward differences d_j of those values give
 
         k! * f(t) = sum_j d_j * (k!/j!) * t (t-1) ... (t-j+1)
@@ -504,8 +452,7 @@ def _det_poly(reg: Pencil) -> ZPoly:
     values = []
     for t in range(k + 1):
         mat = [[x + t * y for x, y in zip(ra, rb)] for ra, rb in zip(reg.a.rows, reg.b.rows)]
-        r, _, sign, last = _echelon(mat, k)
-        values.append(sign * last if r == k else 0)
+        values.append(int(det(Mat.from_ints(mat, k))))
     coeffs = [0] * (k + 1)
     falling = [1]  # t (t-1) ... (t-j+1), lowest degree first
     weight = factorial(k)
@@ -533,10 +480,10 @@ def _class_totals(reg: Pencil) -> tuple[list[tuple[Poly, int]], int]:
     exact total, and its degree falls short of the dimension by the
     infinite total.
     """
-    det = _det_poly(reg)
-    if not det:
+    poly = _det_poly(reg)
+    if not poly:
         raise InternalConsistencyError("the regular part is singular")
-    return integer_factors(det), reg.n - (len(det) - 1)
+    return integer_factors(poly), reg.n - (len(poly) - 1)
 
 
 def _resolvent_parts(p: Pencil, cls: Poly) -> tuple[Mat, Mat]:
@@ -575,7 +522,7 @@ def _sizes_at_class(reg: Pencil, cls: Poly, total: int) -> tuple[int, ...]:
     class whose total block size is ``total``.
 
     With M and N from ``_resolvent_parts`` and d the degree of cls, the
-    chain W_1 = ker M, W_{k+1} = M^-1(N W_k) of ``_chain`` has
+    chain W_1 = ker M, W_{k+1} = M^-1(N W_k) of ``preimage_chain`` has
 
         dim W_k = d * sum over blocks at cls of min(k, size).
 
@@ -627,7 +574,7 @@ def _sizes_at_class(reg: Pencil, cls: Poly, total: int) -> tuple[int, ...]:
         if defect == total:
             return _widths_from_dims(defects)
         if chain is None:
-            chain = _chain(m, n)
+            chain = preimage_chain(m, n)
             if len(next(chain)) != dim:
                 raise InternalConsistencyError("the Jordan chain's kernel disagrees with the rank of M")
         dim = len(next(chain))

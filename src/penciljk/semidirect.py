@@ -6,6 +6,10 @@ at x, a coupling given by the contraction operator of the dual
 representation at a, and a zero V-corner.  That block shape makes the
 Kronecker part of q computable from the dual representation alone, and
 constrains its Jordan part to doubled totals.
+
+This is the second of the paper's two techniques.
+``verify_block_structure`` checks the block shape it rests on, at a
+given point, so it is part of the API and not a test oracle.
 """
 
 from __future__ import annotations

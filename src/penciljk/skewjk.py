@@ -6,6 +6,12 @@ column and row indices coincide, and within each eigenvalue class every
 Jordan size occurs an even number of times.  The folded record keeps one
 Kronecker index per index pair (a pair of minimal indices k, k spans a
 block of dimension 2k-1) and one even size per Jordan pair.
+
+``jk_of_block_pencil`` reads the invariants of a skew pencil with a
+three-group block split off two smaller pencils, under hypotheses it
+checks and reports one by one.  That block reduction belongs to the
+paper's second technique (semi-direct sums), so it is part of the API
+and not a test oracle.
 """
 
 from __future__ import annotations

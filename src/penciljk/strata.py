@@ -6,12 +6,17 @@ determines an orbit up to relabeling eigenvalues, i.e. a bundle.  Six
 rewriting rules generate the orbit-closure order; bundle closure adds
 eigenvalue coalescence, realized here by merging slot groups of the
 containing signature with entrywise sorted sums.
+
+This is the first of the paper's two techniques: the stratification of
+pencils under strict equivalence restricts which invariants a sampled
+pencil can have.  ``enumerate_signatures`` lists the strata of one shape
+and rank, over which that restriction is checked, so it is part of the
+API and not a test oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import CertificateNotApplicableError
 
@@ -316,7 +321,6 @@ def successors(sig: BundleSig) -> set[BundleSig]:
 # closure decisions
 
 
-@lru_cache(maxsize=None)
 def orbit_closure_contains(upper: BundleSig, lower: BundleSig) -> bool:
     """True when ``upper`` is reachable from ``lower`` by the rules.
 
@@ -382,13 +386,19 @@ def bundle_closure_contains(upper: BundleSig, lower: BundleSig) -> bool:
     Some group of eigenvalues of ``upper`` may coalesce before the orbit
     degenerates, so each set partition of the upper slots is merged by
     entrywise sorted sums and tested for orbit-closure containment.
+    Different partitions often merge to the same signature, and each one
+    is searched once.
     """
     if (upper.m, upper.n) != (lower.m, lower.n):
         raise ValueError("signatures must have the same shape")
     if upper == lower:
         return True
+    tried = set()
     for partition in _set_partitions(list(upper.slots)):
         merged = _with_slots(upper, [_segre_sum(group) for group in partition])
+        if merged in tried:
+            continue
+        tried.add(merged)
         if orbit_closure_contains(merged, lower):
             return True
     return False

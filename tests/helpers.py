@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from operator import mul
 
-from penciljk.exactla import Mat, det, rank, solve_unique
+from penciljk.exactla import Mat, det, rank
 from penciljk.jsonio import _matrix_to_json
 from penciljk.lie import (
     LieAlgebra,
@@ -78,6 +79,35 @@ def is_constant(p: Poly) -> bool:
     return p.degree() < 1
 
 
+def identity(n: int) -> Mat:
+    return Mat.from_ints([[int(i == j) for j in range(n)] for i in range(n)], n)
+
+
+def from_cols(cols, m: int) -> Mat:
+    """The m-row matrix whose columns are the given vectors."""
+    return Mat([list(c) for c in cols], n=m).transpose()
+
+
+def matmul(*mats: Mat) -> Mat:
+    """The product of the given matrices, left to right."""
+    out = mats[0]
+    for other in mats[1:]:
+        if out.n != other.m:
+            raise ValueError(f"shape mismatch {out.m}x{out.n} * {other.m}x{other.n}")
+        cols = [[r[j] for r in other.rows] for j in range(other.n)]
+        rows = [[sum(map(mul, row, col)) for col in cols] for row in out.rows]
+        out = Mat.from_ints(rows, other.n, out.den * other.den)
+    return out
+
+
+def apply(mat: Mat, v) -> tuple[Fraction, ...]:
+    """The product of mat and the column vector v."""
+    v = [Fraction(x) for x in v]
+    if len(v) != mat.n:
+        raise ValueError("vector length mismatch")
+    return tuple(sum(map(mul, row, v), Fraction(0)) / mat.den for row in mat.rows)
+
+
 def random_invertible(rng: random.Random, k: int, bound: int = 5) -> Mat:
     """Integer matrix with entries in [-bound, bound] and nonzero determinant."""
     while True:
@@ -90,7 +120,7 @@ def scramble(p: Pencil, rng: random.Random, bound: int = 5) -> Pencil:
     """A random strictly equivalent pencil."""
     left = random_invertible(rng, p.m, bound)
     right = random_invertible(rng, p.n, bound)
-    return Pencil(left * p.a * right, left * p.b * right)
+    return Pencil(matmul(left, p.a, right), matmul(left, p.b, right))
 
 
 def random_strict_invariants(
@@ -158,7 +188,7 @@ def _jordan_pair(cls: EigClass, size: int) -> tuple[Mat, Mat]:
     factor, so A = -companion, B = identity realizes it as det(A + tB).
     """
     if cls.is_infinite:
-        a = Mat.identity(size)
+        a = identity(size)
         b = Mat(
             [[1 if j == i + 1 else 0 for j in range(size)] for i in range(size)]
         )
@@ -170,7 +200,7 @@ def _jordan_pair(cls: EigClass, size: int) -> tuple[Mat, Mat]:
         rows[i][i - 1] = Fraction(-1)
     for i in range(dim):
         rows[i][dim - 1] += power.coeffs[i]
-    return Mat(rows), Mat.identity(dim)
+    return Mat(rows), identity(dim)
 
 
 def _block_diag(pairs: list[tuple[Mat, Mat]]) -> Pencil:
@@ -200,7 +230,7 @@ def skew_canonical(jk: SkewJK) -> Pencil:
 def congruent(p: Pencil, rng: random.Random, bound: int = 5) -> Pencil:
     t = random_invertible(rng, p.m, bound)
     tt = t.transpose()
-    return Pencil(tt * p.a * t, tt * p.b * t)
+    return Pencil(matmul(tt, p.a, t), matmul(tt, p.b, t))
 
 
 def random_skew_jk(rng: random.Random, max_dim: int = 12) -> SkewJK:
@@ -231,18 +261,12 @@ def random_skew_jk(rng: random.Random, max_dim: int = 12) -> SkewJK:
 # small algebra/representation pairs
 
 
-def inverse(mat: Mat) -> Mat:
-    cols = [
-        solve_unique(mat, [1 if i == j else 0 for i in range(mat.m)])
-        for j in range(mat.m)
-    ]
-    return Mat.from_cols(cols, mat.m)
-
-
 def change_basis(
     g: LieAlgebra, rho: Representation, pg: Mat, pv: Mat
 ) -> tuple[LieAlgebra, Representation]:
     """The same pair written on new bases of the algebra and the space."""
+    from oracles import inverse  # oracles imports this module
+
     n = g.dim
     pg_inv = inverse(pg)
     brackets = g.entries()
@@ -253,7 +277,7 @@ def change_basis(
             for i, j, k, c in brackets:
                 # [e_i, e_j] = c e_k and [e_j, e_i] = -c e_k
                 w[k] += (pg.entry(i, a) * pg.entry(j, b) - pg.entry(j, a) * pg.entry(i, b)) * c
-            coords = pg_inv.apply(w)
+            coords = apply(pg_inv, w)
             for k, c in enumerate(coords):
                 if c:
                     entries.append((a, b, k, c))
@@ -267,7 +291,7 @@ def change_basis(
             c = pg.entry(i, a)
             if c:
                 acc = acc + rho.mats[i].scale(c)
-        mats.append(pv_inv * acc * pv)
+        mats.append(matmul(pv_inv, acc, pv))
     rho2 = Representation(g2, rho.dim_v, tuple(mats))
     assert not check_homomorphism(rho2)
     return g2, rho2
@@ -309,14 +333,14 @@ def pair_pool() -> list[tuple[str, LieAlgebra, Representation]]:
 
     g = LieAlgebra(2, [])
     out.append(
-        ("abelian2", g, Representation(g, 2, (Mat.identity(2), _diag([1, 2]))))
+        ("abelian2", g, Representation(g, 2, (identity(2), _diag([1, 2]))))
     )
     g = LieAlgebra(3, [])
     out.append(
         (
             "abelian3",
             g,
-            Representation(g, 3, (Mat.identity(3), _diag([1, 2, 3]), _diag([1, 4, 9]))),
+            Representation(g, 3, (identity(3), _diag([1, 2, 3]), _diag([1, 4, 9]))),
         )
     )
     g = LieAlgebra(4, [])
@@ -328,7 +352,7 @@ def pair_pool() -> list[tuple[str, LieAlgebra, Representation]]:
                 g,
                 4,
                 (
-                    Mat.identity(4),
+                    identity(4),
                     _diag([1, 2, 3, 4]),
                     _diag([1, 4, 9, 16]),
                     _diag([1, 8, 27, 64]),
@@ -367,7 +391,7 @@ def pair_pool() -> list[tuple[str, LieAlgebra, Representation]]:
     out.append(("sl2 cubic forms", g, Representation(g, 4, (e3, f3, h3))))
 
     g = LieAlgebra(4, [(0, 1, 2, 1), (0, 2, 0, -2), (1, 2, 1, 2)])  # gl2 = sl2 + center
-    gl = (e, f, h, Mat.identity(2))
+    gl = (e, f, h, identity(2))
     two = tuple(Mat.block_diag([x, x]) for x in gl)
     out.append(("gl2 twice", g, Representation(g, 4, two)))
 

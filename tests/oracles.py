@@ -7,17 +7,18 @@ from Fraction elimination and Lagrange interpolation, the pencil rank
 comes from direct evaluation at many integer parameters, eigenvalue
 totals come from the gcd of every full-rank minor over Q instead of one
 determinant of the regular part factored over Z, irreducible factors
-come from sympy instead of the package's Zassenhaus factorizer, squarefree
-parts come from Yun's algorithm over Q instead of over Z, block sizes come
-from ranks of k-fold block bidiagonal resolvents of the whole pencil
-instead of the Jordan chain of its regular part, each step of a kernel
-chain eliminates its stacked matrix from scratch instead of continuing
-one elimination, the
-core of a skew pencil is spanned at dim + 1 regular points instead of
-read off the kernel chain's limit, invariant factors come from a Smith form of A + t*B
-over Q[t] instead of the elementary divisors of the regular part, and
-Jacobi violations come from a cyclic sum of Fraction brackets instead of
-the defect of the adjoint operators.
+come from sympy instead of the package's Zassenhaus factorizer,
+squarefree parts come from Yun's algorithm over Q instead of over Z,
+block sizes come from ranks of k-fold block bidiagonal resolvents of the
+whole pencil instead of the Jordan chain of its regular part, each step
+of a kernel chain eliminates its stacked matrix from scratch instead of
+continuing one elimination, the core of a skew pencil is spanned at
+dim + 1 regular points instead of read off the kernel chain's limit,
+invariant factors come from a Smith form of A + t*B over Q[t] instead of
+the elementary divisors of the regular part, structure constants are
+solved one commutator at a time instead of all at once from one kernel,
+and Jacobi violations come from a cyclic sum of Fraction brackets
+instead of the defect of the adjoint operators.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from penciljk.polys import (
     poly_sort_key,
 )
 
-from helpers import derivative, divides
+from helpers import derivative, divides, from_cols, matmul
 
 
 def eval_rank(p: Pencil) -> int:
@@ -513,3 +514,55 @@ def cyclic_jacobi(dim: int, entries) -> list[tuple[int, int, int]]:
                 if any(acc):
                     bad.append((i, j, k))
     return bad
+
+
+# ---------------------------------------------------------------------------
+# one linear system at a time, the way the catalog solved them before it
+# solved all commutators with one kernel
+
+
+def solve_unique(a: Mat, b) -> tuple[Fraction, ...]:
+    """Solve a x = b when the solution exists and is unique."""
+    b = [Fraction(x) for x in b]
+    if len(b) != a.m:
+        raise ValueError("right-hand side length mismatch")
+    if a.m == 0:
+        if a.n == 0:
+            return ()
+        raise ValueError("underdetermined system")
+    aug = Mat([list(row) + [-bv] for row, bv in zip(a.tolist(), b)], n=a.n + 1)
+    ker = kernel_basis(aug)
+    sols = [v for v in ker if v[a.n] != 0]
+    if not sols:
+        raise ValueError("inconsistent linear system")
+    if len(ker) != 1:
+        raise ValueError("underdetermined system")
+    v = sols[0]
+    t = v[a.n]
+    return tuple(Fraction(x, t) for x in v[: a.n])
+
+
+def inverse(mat: Mat) -> Mat:
+    cols = [
+        solve_unique(mat, [1 if i == j else 0 for i in range(mat.m)])
+        for j in range(mat.m)
+    ]
+    return from_cols(cols, mat.m)
+
+
+def pairwise_structure_entries(mats: list[Mat]) -> list[tuple[int, int, int, Fraction]]:
+    """Structure constants of a closed, independent basis of matrices, one
+    ``solve_unique`` per commutator on the rows where the flattened basis
+    is independent."""
+    dim = len(mats)
+    flat = from_cols([[x for r in mat.tolist() for x in r] for mat in mats], mats[0].m * mats[0].n)
+    rows = pivot_columns(flat.transpose())
+    square = flat.submatrix(rows, range(dim))
+    entries = []
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            w = matmul(mats[i], mats[j]) - matmul(mats[j], mats[i])
+            wv = [x for r in w.tolist() for x in r]
+            coords = solve_unique(square, [wv[t] for t in rows])
+            entries.extend((i, j, k, c) for k, c in enumerate(coords) if c)
+    return entries

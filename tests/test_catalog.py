@@ -5,15 +5,21 @@ import pytest
 
 from penciljk.catalog import (
     Family,
+    _basis_matrices,
+    _structure_entries,
     build_classical,
     expected_lie_jk,
     expected_rep_jk,
     parse_family,
 )
+from penciljk.errors import InternalConsistencyError
 from penciljk.exactla import Mat
 from penciljk.lie import Sampler, check_homomorphism, check_jacobi, jk_invariants_of_lie, jk_invariants_of_rep
 from penciljk.semidirect import direct_sum, dual_representation, semidirect
 from penciljk.strata import BundleSig, SkewBundleSig, abstract_signature, skew_abstract_signature
+
+from helpers import identity, matmul
+from oracles import pairwise_structure_entries
 
 
 def test_family_validation_and_attributes():
@@ -64,6 +70,29 @@ def test_build_classical_structures():
         assert check_homomorphism(rho) == []
 
 
+def test_structure_constants_match_the_per_pair_oracle():
+    # one kernel for all commutators against one solve per commutator
+    families = [Family("gl", n) for n in (1, 2, 3, 4)]
+    families += [Family(name, n) for name in ("sl", "so") for n in (2, 3, 4)]
+    for fam in families + [Family("sp", 2), Family("sp", 4), Family("so", 5)]:
+        mats = _basis_matrices(fam)
+        assert _structure_entries(mats) == pairwise_structure_entries(mats), fam.label
+
+
+def test_structure_constants_reject_a_dependent_basis():
+    mats = _basis_matrices(Family("sl", 2))
+    with pytest.raises(InternalConsistencyError, match="basis matrices are dependent"):
+        _structure_entries(mats + [mats[0] + mats[1]])
+
+
+def test_structure_constants_reject_a_basis_not_closed():
+    # sl(3) without the root vector E_13: [E_12, E_23] = E_13 leaves the span
+    mats = [m for m in _basis_matrices(Family("sl", 3)) if m.entry(0, 2) == 0]
+    assert len(mats) == 7
+    with pytest.raises(InternalConsistencyError, match="basis not closed under commutators"):
+        _structure_entries(mats)
+
+
 def test_matrix_shapes_of_the_families():
     _, so_rho = build_classical(Family("so", 4))
     for m in so_rho.mats:
@@ -74,13 +103,13 @@ def test_matrix_shapes_of_the_families():
     n = 4
     omega = Mat.vstack(
         [
-            Mat.hstack([Mat.zeros(2, 2), Mat.identity(2)]),
-            Mat.hstack([Mat.identity(2).scale(-1), Mat.zeros(2, 2)]),
+            Mat.hstack([Mat.zeros(2, 2), identity(2)]),
+            Mat.hstack([identity(2).scale(-1), Mat.zeros(2, 2)]),
         ]
     )
     _, sp_rho = build_classical(Family("sp", n))
     for m in sp_rho.mats:
-        assert m.transpose() * omega + omega * m == Mat.zeros(n, n)
+        assert matmul(m.transpose(), omega) + matmul(omega, m) == Mat.zeros(n, n)
 
 
 def test_rep_table_pinned_cells():

@@ -1,8 +1,9 @@
 """Byte-for-byte replay of recorded CLI reports.
 
-``data/golden_cli.json`` holds the input files of 63 fast requests
+``data/golden_cli.json`` holds the input files of 68 fast requests
 (``pencil``, ``pencil --skew``, ``lie``, ``rep``, small ``semidirect``
-cells with and without ``--verify-dual``, ``bundle-leq``, and a few
+cells with and without ``--verify-dual``, ``bundle-leq``, small
+``tables`` cells including one without a known Lie table, and a few
 malformed inputs) with the stdout and exit code each one produced when it
 was recorded.  A change of any report, however small, fails here.  A
 change that is meant to alter reports re-records them with

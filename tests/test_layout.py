@@ -1,7 +1,7 @@
 """Checks on the package's source layout rather than its answers: no
 module imports a name it never uses, the Lie layer does not import
-``fractions``, and every function the benchmark tracer wraps by name
-still exists."""
+``fractions``, only ``exactla`` drives the Bareiss elimination, and every
+function the benchmark tracer wraps by name still exists."""
 
 import ast
 import importlib
@@ -84,6 +84,49 @@ def test_lie_layer_runs_on_integer_matrices():
     for name in ("lie.py", "semidirect.py"):
         with open(os.path.join(PACKAGE, name), encoding="utf-8") as fh:
             assert "fractions" not in _imported_modules(fh.read()), name
+
+
+ELIMINATION_INTERNALS = {"_echelon", "_back_substitute"}
+
+
+def _named(source: str) -> set[str]:
+    """Every identifier the source mentions: names, attributes and
+    imported names."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+    return found
+
+
+def test_elimination_stays_inside_exactla():
+    assert _named("from .exactla import _echelon as e\n") >= {"_echelon"}
+    assert _named("import penciljk.exactla as x\nx._back_substitute\n") >= {"_back_substitute"}
+    found = {}
+    for name in sorted(os.listdir(PACKAGE)):
+        if name.endswith(".py") and name != "exactla.py":
+            with open(os.path.join(PACKAGE, name), encoding="utf-8") as fh:
+                named = _named(fh.read()) & ELIMINATION_INTERNALS
+            if named:
+                found[name] = sorted(named)
+    assert found == {}
+
+
+def test_pencils_imports_only_public_exactla_names():
+    with open(os.path.join(PACKAGE, "pencils.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    imported = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "exactla"
+        for alias in node.names
+    ]
+    assert "kernel_basis" in imported
+    assert [name for name in imported if name.startswith("_")] == []
 
 
 @pytest.fixture(scope="module")

@@ -23,7 +23,7 @@ from penciljk.lie import (
 from penciljk.skewjk import SkewJK
 from penciljk.strata import abstract_signature
 
-from helpers import SEED, _sl2, change_basis, lie_index, random_invertible
+from helpers import SEED, _sl2, change_basis, identity, lie_index, random_invertible
 from oracles import cyclic_jacobi
 
 
@@ -88,7 +88,7 @@ def test_change_basis_keeps_jacobi_and_index():
     s = Mat(random_invertible(rng, 3).rows)
     # the zero representation on a line carries the algebra along
     zero = Representation(g, 1, (Mat.zeros(1, 1),) * 3)
-    moved, _ = change_basis(g, zero, s, Mat.identity(1))
+    moved, _ = change_basis(g, zero, s, identity(1))
     assert check_jacobi(moved) == []
     assert lie_index(moved, sampler) == lie_index(g, Sampler(SEED))
 

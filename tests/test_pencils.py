@@ -14,7 +14,7 @@ import penciljk.pencils as pencils
 import penciljk.polys as polys
 import penciljk.skewjk as skewjk
 from penciljk.errors import InternalConsistencyError
-from penciljk.exactla import Mat
+from penciljk.exactla import Mat, preimage_chain
 from penciljk.jsonio import class_to_str
 from penciljk.pencils import (
     _CACHE_SIZE,
@@ -22,7 +22,6 @@ from penciljk.pencils import (
     Pencil,
     StrictInvariants,
     _class_totals,
-    _chain,
     _kernel_chains,
     _regular_part,
     _resolvent_parts,
@@ -43,6 +42,7 @@ from helpers import (
     canonical_of,
     class_at_root,
     congruent,
+    matmul,
     pencil_from_lists,
     random_skew_jk,
     random_strict_invariants,
@@ -509,7 +509,6 @@ def test_jordan_chain_eliminates_only_regular_part_rows(monkeypatch):
         return real(rows, n, *state)
 
     monkeypatch.setattr(exactla, "_echelon", recorded)
-    monkeypatch.setattr(pencils, "_echelon", recorded)
     assert _sizes_at_class(reg, cubic, 4) == (3, 1)
     assert max(m for m, _, _ in shapes) <= 36
     assert max(n for _, n, _ in shapes) <= 36 + 12
@@ -541,7 +540,7 @@ def _chain_pair(rng) -> tuple[Mat, Mat]:
         )
     m = rng.randint(n, 7)
     a = _low_rank(rng, m, n, max(0, n - rng.randint(1, 2)))
-    return a, a * _low_rank(rng, n, n, n)
+    return a, matmul(a, _low_rank(rng, n, n, n))
 
 
 def test_continued_chain_matches_restart_oracle():
@@ -549,7 +548,7 @@ def test_continued_chain_matches_restart_oracle():
     grew = 0
     for _ in range(1000):
         a, b = _chain_pair(rng)
-        bases = list(islice(_chain(a, b), 6))
+        bases = list(islice(preimage_chain(a, b), 6))
         assert bases == list(islice(restart_chain(a, b), 6))
         grew += len(bases[2]) > len(bases[1]) > len(bases[0])
     # the comparison covers chains that grow for at least two steps
@@ -581,7 +580,7 @@ def test_continued_chain_matches_restart_oracle_on_pencils():
         if reg.n:
             pairs += [_resolvent_parts(reg, cls) for cls, _ in _class_totals(reg)[0]]
         for a, b in pairs:
-            assert list(islice(_chain(a, b), 6)) == list(islice(restart_chain(a, b), 6))
+            assert list(islice(preimage_chain(a, b), 6)) == list(islice(restart_chain(a, b), 6))
 
 
 def test_continued_rows_equal_one_stacked_elimination(monkeypatch):
@@ -596,13 +595,13 @@ def test_continued_rows_equal_one_stacked_elimination(monkeypatch):
             continued.append(([list(r) for r in rows], out))
         return out
 
-    monkeypatch.setattr(pencils, "_echelon", recorded)
+    monkeypatch.setattr(exactla, "_echelon", recorded)
     rng = random.Random(SEED + 32)
     checked = 0
     for _ in range(300):
         a, b = _chain_pair(rng)
         continued.clear()
-        bases = list(islice(_chain(a, b), 4))
+        bases = list(islice(preimage_chain(a, b), 4))
         assert len(continued) == 3
         for basis, (rows, (r, pivots, _, last)) in zip(bases, continued):
             stacked = [
@@ -622,13 +621,13 @@ def test_full_rank_pencils_run_one_chain(monkeypatch):
     # rank, whose right chain is zero and is not run; its transpose has
     # full row rank and runs no left chain
     calls = []
-    real = pencils._chain
+    real = pencils.preimage_chain
 
     def counted(m, b):
         calls.append(m.shape)
         return real(m, b)
 
-    monkeypatch.setattr(pencils, "_chain", counted)
+    monkeypatch.setattr(pencils, "preimage_chain", counted)
     inv = StrictInvariants(
         m=7, n=5, rank=5, horizontal=(), vertical=(3, 2), jordan=((EigClass(P(-1, 1)), (2,)),)
     )

@@ -3,6 +3,7 @@ genericity certificates."""
 
 import pytest
 
+import penciljk.strata as strata
 from penciljk.errors import CertificateNotApplicableError
 from penciljk.pencils import EigClass, StrictInvariants
 from penciljk.polys import Poly
@@ -179,6 +180,27 @@ def test_bundle_closure_partial_merge():
     assert bundle_closure_contains(upper, lower)
     assert bundle_closure_contains(upper, sig(3, 3, 3, slots=[(3,)]))
     assert not bundle_closure_contains(lower, upper)
+
+
+def test_bundle_closure_searches_each_merged_signature_once(monkeypatch):
+    # three equal slots have 5 set partitions but only 3 merged signatures:
+    # the three ways to merge two slots give the same one
+    assert not hasattr(orbit_closure_contains, "cache_info")
+    assert sum(1 for _ in strata._set_partitions([0, 1, 2])) == 5
+    searched = []
+    real = strata.orbit_closure_contains
+
+    def recorded(upper, lower):
+        searched.append(upper)
+        return real(upper, lower)
+
+    monkeypatch.setattr(strata, "orbit_closure_contains", recorded)
+    upper = sig(4, 4, 3, horizontal=(1,), vertical=(1,), slots=[(1,), (1,), (1,)])
+    # a lower signature of higher rank is in no closure, so every merge is tried
+    lower = sig(4, 4, 4, slots=[(1,), (1,), (1,), (1,)])
+    assert not bundle_closure_contains(upper, lower)
+    assert len(searched) == len(set(searched)) == 3
+    assert {s.slots for s in searched} == {((1,), (1,), (1,)), ((2,), (1,)), ((3,),)}
 
 
 def test_generic_fixed_rank_examples():
