@@ -6,11 +6,12 @@ all the entries at once, so equal matrices have equal storage.
 Constructors accept ints, Fractions and strings; ``entry``, ``row``,
 ``col`` and ``tolist`` hand back Fractions.
 
-Rank, kernel, row space, determinant and the preimage chain all go
-through one fraction-free (Bareiss) elimination of the integer rows, and
-no other module drives that elimination.  The common denominator changes
-neither the rank nor the kernel, and only rescales the determinant.
-Kernel and row-space vectors are returned as primitive integer vectors
+Rank, kernel, row space, determinant, the solution of a square system
+and the preimage chain all go through one fraction-free (Bareiss)
+elimination of the integer rows, and no other module drives that
+elimination.  The common denominator changes neither the rank nor the
+kernel, and only rescales the determinant and the solution.  Kernel and
+row-space vectors are returned as primitive integer vectors
 (content removed, first nonzero entry positive), so results are
 canonical and cheap to feed back into integer elimination.
 
@@ -50,7 +51,8 @@ Vec = tuple[Fraction, ...]
 IntVec = tuple[int, ...]
 
 
-def _frac(x) -> Fraction:
+def as_fraction(x) -> Fraction:
+    """An int, Fraction or numeric string as a Fraction."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
@@ -60,9 +62,9 @@ def _frac(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as a rational number")
 
 
-def _clear(values: Iterable) -> tuple[list[int], int]:
+def clear_denominators(values: Iterable) -> tuple[list[int], int]:
     """Integers over the least common denominator of the given rationals."""
-    vals = [x if type(x) is int else _frac(x) for x in values]
+    vals = [x if type(x) is int else as_fraction(x) for x in values]
     den = lcm(*[x.denominator for x in vals])
     if den == 1:
         return [x.numerator for x in vals], 1
@@ -86,7 +88,7 @@ class Mat:
             if n is None:
                 raise ValueError("empty matrix needs an explicit column count")
             width = n
-        flat, den = _clear(x for r in data for x in r)
+        flat, den = clear_denominators(x for r in data for x in r)
         self.m = len(data)
         self.n = width
         self.rows = tuple(tuple(flat[i * width : (i + 1) * width]) for i in range(self.m))
@@ -170,7 +172,7 @@ class Mat:
         return Mat.from_ints([[-a for a in r] for r in self.rows], self.n, self.den)
 
     def scale(self, c) -> "Mat":
-        c = _frac(c)
+        c = as_fraction(c)
         rows = [[c.numerator * a for a in r] for r in self.rows]
         return Mat.from_ints(rows, self.n, self.den * c.denominator)
 
@@ -316,6 +318,36 @@ def det(mat: Mat) -> Fraction:
     return Fraction(sign * last, mat.den**mat.n)
 
 
+def solve(a: Mat, b: Mat) -> Mat:
+    """The matrix X with a X = b, for an invertible square a.
+
+    One elimination of [a_int | b_int] leaves an upper triangular a part
+    whose last pivot D is +-det(a_int).  By Cramer's rule D * a_int^-1 is
+    an integer matrix, so D times each solution entry is an integer, and
+    back-substitution computes those integers with exact divisions.  The
+    denominators give X = (da / db) * a_int^-1 b_int.
+    """
+    n, k = a.n, b.n
+    if a.m != n or b.m != n:
+        raise ValueError(f"cannot solve a {a.m}x{n} system for {b.m} rows")
+    rows = [list(ra) + list(rb) for ra, rb in zip(a.rows, b.rows)]
+    r, _, _, last = _echelon(rows, n)
+    if r < n:
+        raise ZeroDivisionError("singular matrix")
+    # a full-rank square echelon form has its k-th pivot in column k
+    out: list[list[int]] = [[] for _ in range(n)]
+    for i in range(n - 1, -1, -1):
+        row = rows[i]
+        pivot = row[i]
+        out[i] = [
+            (last * row[n + j] - sum(row[c] * out[c][j] for c in range(i + 1, n))) // pivot
+            for j in range(k)
+        ]
+    if last < 0:
+        last, out = -last, [[-x for x in r] for r in out]
+    return Mat.from_ints([[a.den * x for x in r] for r in out], k, b.den * last)
+
+
 def _primitive(ints: list[int]) -> IntVec:
     """Remove the content and make the first nonzero entry positive."""
     g = gcd(*ints)
@@ -362,7 +394,7 @@ def kernel_basis(mat: Mat) -> list[IntVec]:
 
 def row_space_basis(vectors: Sequence[Sequence], n: int) -> list[IntVec]:
     """Primitive basis of the span of the given row vectors."""
-    rows = [_clear(v)[0] for v in vectors]
+    rows = [clear_denominators(v)[0] for v in vectors]
     r, _, _, _ = _echelon(rows, n)
     return [_primitive(rows[k]) for k in range(r)]
 

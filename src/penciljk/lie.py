@@ -25,7 +25,7 @@ from .errors import (
     DominanceSelectionError,
     InternalConsistencyError,
 )
-from .exactla import IntVec, Mat, _clear
+from .exactla import IntVec, Mat, clear_denominators
 from .pencils import Pencil, StrictInvariants, pencil_rank, strict_invariants
 from .skewjk import SkewJK, skew_jk_invariants
 from .strata import (
@@ -53,7 +53,7 @@ def _int_ops(mats) -> tuple[list[list[list[int]]], int]:
 
 def _contract(ops, den: int, x) -> Mat:
     """The matrix whose column i is the i-th integer operator applied to x."""
-    xs, xden = _clear(x)
+    xs, xden = clear_denominators(x)
     rows = [[sum(map(mul, op[a], xs)) for op in ops] for a in range(len(xs))]
     return Mat.from_ints(rows, len(ops), den * xden)
 
@@ -105,7 +105,7 @@ class LieAlgebra:
         for i, j, k, _ in items:
             if not (0 <= i < j < dim and 0 <= k < dim):
                 raise ValueError("bracket entry out of range or not upper (i < j)")
-        coeffs, den = _clear(c for *_, c in items)
+        coeffs, den = clear_denominators(c for *_, c in items)
         planes = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
         for (i, j, k, _), c in zip(items, coeffs):
             planes[i][k][j] += c

@@ -10,8 +10,8 @@ datum consists of
 * minimal row indices, recorded as heights of vertical singular blocks,
 * eigenvalue classes with their block size multisets.  A class is either
   a monic irreducible polynomial q with q(t0) = 0 exactly when the rank
-  of A + t0*B drops, or the infinite class, detected on the reversed
-  pencil B + s*A at s = 0.
+  of A + t0*B drops, or the infinite class, whose blocks are those of
+  the reversed pencil B + s*A at s = 0.
 
 Everything here is exact, and the work is done on integers.  Matrices are
 integer rows over a common denominator (see ``exactla``), so A + t*B at
@@ -59,13 +59,20 @@ Its determinant, interpolated from integer determinants, is factored
 once over Z: each irreducible factor is a finite class, its
 multiplicity is the exact total block size there, and the dimension
 minus the degree is the exact infinite total.  No class without blocks
-arises.  Block sizes at a class are read off the same nested-kernel
-chain, run on the regular part at the class with its root adjoined as a
-companion matrix (see ``_sizes_at_class``): a block of size s adds
-min(k, s) to the k-th dimension, times the class degree.  Every matrix
-this eliminates has n_R*d rows, for a regular part of size n_R and a
-class of degree d.  The chain runs only when the first defect, from one
-rank, falls short of the total, and stops when it reaches the total.
+arises.  Block sizes at every class, finite or infinite, are read off
+one n_R x n_R matrix, for a regular part A_R + t*B_R of size n_R (see
+``_sizes_at_class``).  The interpolation points of the determinant give
+the first integer t0 >= 0 with det(A_R + t0*B_R) != 0, and one
+``exactla.solve`` gives M = (A_R + t0*B_R)^-1 B_R.  Since
+A_R + t*B_R = (A_R + t0*B_R)(I + (t - t0) M), the Möbius map
+mu = 1/(t0 - lambda) carries the blocks at each eigenvalue lambda onto
+M's Jordan blocks at mu, and the infinite blocks onto those at mu = 0.
+A class f of degree d becomes g(mu) = mu^d f(t0 - 1/mu), of degree d
+because f(t0) != 0, and a block of size s adds d * min(k, s) to
+dim ker g(M)^k.  One rank of an integer multiple of g(M) gives the
+first defect; the nested-kernel chain of g(M) with B = I runs only when
+that falls short of the total, and stops when it reaches the total.
+Every matrix this eliminates has n_R rows, whatever the class degree.
 Eliminating A + t*B as a polynomial matrix would give the same answers
 but suffers badly from coefficient growth.
 
@@ -88,7 +95,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial, gcd, lcm
+from math import factorial, gcd
 from operator import mul
 from typing import NamedTuple, Sequence
 
@@ -96,11 +103,13 @@ from .errors import InternalConsistencyError
 from .exactla import (
     IntVec,
     Mat,
+    clear_denominators,
     det,
     kernel_basis,
     pivot_columns,
     preimage_chain,
     rank,
+    solve,
 )
 from .polys import (
     Poly,
@@ -141,10 +150,6 @@ class Pencil:
 
     def transposed(self) -> "Pencil":
         return Pencil(self.a.transpose(), self.b.transpose())
-
-    def reversed(self) -> "Pencil":
-        """The pencil B + s*A; its eigenvalue at 0 is this pencil's infinity."""
-        return Pencil(self.b, self.a)
 
     def __repr__(self) -> str:
         return f"Pencil(a={self.a.tolist()}, b={self.b.tolist()})"
@@ -434,10 +439,11 @@ def _regular_part(p: Pencil) -> Pencil:
     )
 
 
-def _det_poly(reg: Pencil) -> ZPoly:
+def _det_poly(reg: Pencil) -> tuple[ZPoly, int | None]:
     """A primitive integer multiple of det(A + t*B) for a square pencil of
-    integer rows (see ``_regular_part``), lowest degree first; the zero
-    polynomial is [].
+    integer rows (see ``_regular_part``), lowest degree first, and the
+    smallest integer t >= 0 at which it is nonzero; the zero polynomial
+    is [], with None for t.
 
     At integer t, A + t*B is an integer matrix, so its determinant takes
     integer values y_t at t = 0..k, each one ``exactla.det``.
@@ -453,6 +459,7 @@ def _det_poly(reg: Pencil) -> ZPoly:
     for t in range(k + 1):
         mat = [[x + t * y for x, y in zip(ra, rb)] for ra, rb in zip(reg.a.rows, reg.b.rows)]
         values.append(int(det(Mat.from_ints(mat, k))))
+    t0 = next((t for t, y in enumerate(values) if y), None)
     coeffs = [0] * (k + 1)
     falling = [1]  # t (t-1) ... (t-j+1), lowest degree first
     weight = factorial(k)
@@ -466,84 +473,104 @@ def _det_poly(reg: Pencil) -> ZPoly:
     while coeffs and not coeffs[-1]:
         coeffs.pop()
     if not coeffs:
-        return []
+        return [], t0
     content = gcd(*coeffs)
-    return [c // content for c in coeffs]
+    return [c // content for c in coeffs], t0
 
 
-def _class_totals(reg: Pencil) -> tuple[list[tuple[Poly, int]], int]:
+def _class_totals(reg: Pencil) -> tuple[list[tuple[Poly, int]], int, int]:
     """Every finite class of a square regular pencil with its total block
-    size, and the total size of its infinite blocks.
+    size, the total size of its infinite blocks, and the smallest integer
+    t0 >= 0 that is not an eigenvalue.
 
     det(A + t*B) is a constant times the product of the finite elementary
     divisors, so its one factorization over Z gives each class with its
     exact total, and its degree falls short of the dimension by the
     infinite total.
     """
-    poly = _det_poly(reg)
+    poly, t0 = _det_poly(reg)
     if not poly:
         raise InternalConsistencyError("the regular part is singular")
-    return integer_factors(poly), reg.n - (len(poly) - 1)
+    return integer_factors(poly), reg.n - (len(poly) - 1), t0
 
 
-def _resolvent_parts(p: Pencil, cls: Poly) -> tuple[Mat, Mat]:
-    """Integer matrices M and N of the Jordan chain at cls, for a pencil of
-    integer rows (see ``_regular_part``).
+def _shifted_class(cls: Poly | None, t0: int) -> list[int]:
+    """Integer coefficients, lowest degree first, of a nonzero multiple of
+    g(mu) = mu^d f(t0 - 1/mu) for the finite class f = cls of degree d,
+    or of g(mu) = mu for the infinite class (cls None)."""
+    if cls is None:
+        return [0, 1]
+    f, _ = clear_denominators(cls.coeffs)
+    d = len(f) - 1
+    g = [0] * (d + 1)
+    power = [1]  # (t0 mu - 1)^i, lowest degree first
+    for i, c in enumerate(f):
+        # f_i (t0 - 1/mu)^i mu^d = f_i mu^(d-i) (t0 mu - 1)^i
+        for j, e in enumerate(power):
+            g[d - i + j] += c * e
+        power = [t0 * y - x for x, y in zip(power + [0], [0] + power)]
+    return g
 
-    With C the companion matrix of cls, scaled by the lcm L of the
-    denominators of its coefficients, M = A (x) L*I + B (x) L*C and
-    N = B (x) I, so M is L times A + t*B with the root of cls adjoined as
-    C.  Scaling M by a nonzero constant changes no preimage, so the chain
-    is that of A (x) I + B (x) C.  A rational class t - u/v has L = v and
-    C = (u/v), so M and N are v*A + u*B and B.
+
+def _class_matrix(m: Mat, t0: int, cls: Poly | None) -> Mat:
+    """The integer matrix G = D^d g(M) of a class (see ``_shifted_class``),
+    for M = X / D stored as integer rows X over the denominator D.
+
+    G = sum_j g_j D^(d-j) X^j, by Horner's rule in integers.
     """
-    d = cls.degree()
-    monic = cls.monic().coeffs
-    lcd = lcm(*[c.denominator for c in monic])
-    comp = [[lcd if s == t + 1 else 0 for t in range(d)] for s in range(d)]
-    for s in range(d):
-        comp[s][d - 1] = -(monic[s] * lcd).numerator
-    diag = [
-        [
-            (lcd * x if s == t else 0) + y * comp[s][t]
-            for x, y in zip(ra, rb)
-            for t in range(d)
-        ]
-        for ra, rb in zip(p.a.rows, p.b.rows)
-        for s in range(d)
-    ]
-    sup = [[y if s == t else 0 for y in rb for t in range(d)] for rb in p.b.rows for s in range(d)]
-    width = p.n * d
-    return Mat.from_ints(diag, width), Mat.from_ints(sup, width)
+    x, den, n = m.rows, m.den, m.n
+    g = _shifted_class(cls, t0)
+    d = len(g) - 1
+    cols = list(zip(*x))
+    h = [[g[d] * v for v in r] for r in x]
+    for j in range(d - 1, -1, -1):
+        c = g[j] * den ** (d - j)
+        for i in range(n):
+            h[i][i] += c
+        if j:
+            h = [[sum(map(mul, r, col)) for col in cols] for r in h]
+    return Mat.from_ints(h, n)
 
 
-def _sizes_at_class(reg: Pencil, cls: Poly, total: int) -> tuple[int, ...]:
-    """Jordan block sizes of a square regular pencil at a monic irreducible
-    class whose total block size is ``total``.
+def _sizes_at_class(m: Mat, t0: int, cls: Poly | None, total: int) -> tuple[int, ...]:
+    """Jordan block sizes of a square regular pencil A + t*B at a monic
+    irreducible class cls, or at infinity when cls is None, whose total
+    block size is ``total``; t0 is not an eigenvalue and
+    M = (A + t0*B)^-1 B.
 
-    With M and N from ``_resolvent_parts`` and d the degree of cls, the
-    chain W_1 = ker M, W_{k+1} = M^-1(N W_k) of ``preimage_chain`` has
+    With P = A + t0*B, invertible,
 
-        dim W_k = d * sum over blocks at cls of min(k, size).
+        A + t*B = P + (t - t0) B = P (I + (t - t0) M),
 
-    Proof: a strict equivalence Q (A + tB) P carries the chain of the
-    pencil onto P^-1 applied to the chain of Q (A + tB) P, so it may be
-    read in Kronecker form, where M and N are block diagonal and the chain
-    splits block by block.  Over the splitting field C is diagonal with
-    the d distinct roots of cls, so A (x) I + B (x) C is the direct sum of
-    A + alpha*B over those roots alpha, with N the direct sum of copies of
-    B.  For one root, a Jordan block at alpha of size s has A + alpha*B
-    nilpotent of index s and B invertible, so its part of W_k is the
-    kernel of the k-th power, of dimension min(k, s); on every other
-    block (another finite eigenvalue, or an infinite block, where B is
-    nilpotent and A invertible) A + alpha*B is invertible and the chain
-    stays zero.  The roots are conjugate, so each contributes the same
-    dimensions, and dimensions over Q equal those over the extension.
+    so the pencil is strictly equivalent to I + (t - t0) M and may be read
+    in M's Jordan form, block by block.  A block J of size s at mu != 0
+    makes I + (t - t0) J singular only at lambda = t0 - 1/mu, where
+    I + (lambda - t0) J = -(J - mu) / mu is nilpotent of index s with the
+    invertible J as its B part: one block of size s at lambda.  A block at
+    mu = 0 has det(I + (t - t0) J) = 1 and a nilpotent B part: one
+    infinite block of size s.  So mu = 1/(t0 - lambda) carries the blocks
+    at lambda onto M's blocks at mu of the same sizes, and the infinite
+    blocks onto those at mu = 0.
 
-    The first dimension comes from one rank of M, and the chain runs only
-    when that falls short of the total: it eliminates [M | N] once and
-    then continues that elimination in dim W_k new columns per step, so no
-    matrix it eliminates has more than n*d rows.  The defect
+    A finite class f of degree d maps to g(mu) = mu^d f(t0 - 1/mu).  Its
+    leading coefficient is f(t0), which is nonzero because t0 is not an
+    eigenvalue, so g has degree d and its d roots are the images of f's;
+    g(0) = +-1 since f is monic, so none of them is 0.  The Möbius map is
+    invertible over Q, so g is irreducible like f, and its roots are
+    simple.  On a block of size s at a root of g, g(M) is nilpotent of
+    index s, and on every other block it is invertible; the d conjugate
+    roots carry the same sizes, and dimensions over Q equal those over the
+    splitting field, so
+
+        dim ker g(M)^k = d * sum over blocks at cls of min(k, size).
+
+    The infinite class is g(mu) = mu with d = 1.  ``_class_matrix``
+    builds G = D^d g(M) in integers, with the kernels of g(M)^k.
+
+    The first dimension comes from one rank of G, and the chain
+    W_1 = ker G, W_{k+1} = G^-1(W_k) = ker G^(k+1) of
+    ``preimage_chain(G, I)`` runs only when that falls short of the
+    total, so every matrix eliminated has n rows.  The defect
     dim W_k / d grows strictly until it reaches the total, at the largest
     size, so the chain stops there; a dimension not divisible by d, a
     defect above the total, or one that repeats below it, is an internal
@@ -551,9 +578,9 @@ def _sizes_at_class(reg: Pencil, cls: Poly, total: int) -> tuple[int, ...]:
     """
     if total == 0:
         return ()
-    d = cls.degree()
-    m, n = _resolvent_parts(reg, cls)
-    dim = m.n - rank(m)
+    d = 1 if cls is None else cls.degree()
+    g = _class_matrix(m, t0, cls)
+    dim = g.n - rank(g)
     chain = None
     defects: list[int] = []
     while True:
@@ -574,25 +601,25 @@ def _sizes_at_class(reg: Pencil, cls: Poly, total: int) -> tuple[int, ...]:
         if defect == total:
             return _widths_from_dims(defects)
         if chain is None:
-            chain = preimage_chain(m, n)
+            identity = Mat.from_ints([[int(i == j) for j in range(g.n)] for i in range(g.n)], g.n)
+            chain = preimage_chain(g, identity)
             if len(next(chain)) != dim:
-                raise InternalConsistencyError("the Jordan chain's kernel disagrees with the rank of M")
+                raise InternalConsistencyError(
+                    "the Jordan chain's kernel disagrees with the rank of g(M)"
+                )
         dim = len(next(chain))
 
 
 def elementary_divisors(
     p: Pencil,
 ) -> tuple[list[tuple[Poly, tuple[int, ...]]], tuple[int, ...]]:
-    """Finite classes with size multisets, plus infinite block sizes.
-
-    A finite class is a monic irreducible polynomial whose roots are
-    eigenvalues; infinite sizes are read off the reversed pencil B + s*A
-    at s = 0.
-    """
+    """Finite classes with size multisets, plus infinite block sizes, all
+    read off the regular part's Möbius-shifted matrix M."""
     reg = _regular_part(p)
-    totals, inf_total = _class_totals(reg)
-    finite = [(cls, _sizes_at_class(reg, cls, total)) for cls, total in totals]
-    return finite, _sizes_at_class(reg.reversed(), Poly.x(), inf_total)
+    totals, inf_total, t0 = _class_totals(reg)
+    m = solve(reg.at(t0), reg.b)
+    finite = [(cls, _sizes_at_class(m, t0, cls, total)) for cls, total in totals]
+    return finite, _sizes_at_class(m, t0, None, inf_total)
 
 
 # ---------------------------------------------------------------------------

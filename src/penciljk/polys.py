@@ -33,7 +33,7 @@ from math import comb, gcd as int_gcd, isqrt, lcm as int_lcm
 from typing import Sequence
 
 from .errors import FactorizationLimitError
-from .exactla import _frac
+from .exactla import as_fraction
 
 
 class Poly:
@@ -42,7 +42,7 @@ class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Sequence = ()):
-        cs = [_frac(c) for c in coeffs]
+        cs = [as_fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs: tuple[Fraction, ...] = tuple(cs)

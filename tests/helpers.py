@@ -55,6 +55,11 @@ def are_strictly_equivalent(p: Pencil, q: Pencil) -> bool:
     return p.shape == q.shape and strict_invariants(p) == strict_invariants(q)
 
 
+def reversed_pencil(p: Pencil) -> Pencil:
+    """The pencil B + s*A; its eigenvalue at 0 is p's infinity."""
+    return Pencil(p.b, p.a)
+
+
 def class_at_root(root) -> EigClass:
     """The class t - root of a rational eigenvalue."""
     return EigClass(Poly([-Fraction(root), 1]))

@@ -10,13 +10,17 @@ determinant of the regular part factored over Z, irreducible factors
 come from sympy instead of the package's Zassenhaus factorizer,
 squarefree parts come from Yun's algorithm over Q instead of over Z,
 block sizes come from ranks of k-fold block bidiagonal resolvents of the
-whole pencil instead of the Jordan chain of its regular part, each step
+whole pencil, or from the kernel chain of the regular part with the
+class's root adjoined as a companion matrix, instead of the powers of
+one Möbius-shifted matrix of the regular part, each step
 of a kernel chain eliminates its stacked matrix from scratch instead of
 continuing one elimination, the core of a skew pencil is spanned at
 dim + 1 regular points instead of read off the kernel chain's limit,
 invariant factors come from a Smith form of A + t*B over Q[t] instead of
 the elementary divisors of the regular part, structure constants are
 solved one commutator at a time instead of all at once from one kernel,
+square systems are solved by Gauss-Jordan over Fractions instead of one
+fraction-free elimination and integer back-substitution,
 and Jacobi violations come from a cyclic sum of Fraction brackets
 instead of the defect of the adjoint operators.
 """
@@ -27,7 +31,15 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
-from penciljk.exactla import IntVec, Mat, kernel_basis, pivot_columns, rank, row_space_basis
+from penciljk.exactla import (
+    IntVec,
+    Mat,
+    kernel_basis,
+    pivot_columns,
+    preimage_chain,
+    rank,
+    row_space_basis,
+)
 from penciljk.pencils import Pencil
 from penciljk.polys import (
     Poly,
@@ -313,6 +325,57 @@ def resolvent_sizes(p: Pencil, cls: Poly, r: int) -> tuple[int, ...]:
             break
         defects.append(defect)
         k += 1
+    return _sizes_from_defects(defects)
+
+
+def companion_parts(p: Pencil, cls: Poly) -> tuple[Mat, Mat]:
+    """Integer matrices M and N of the Jordan chain of a square pencil at
+    a finite class: the companion expansion.
+
+    With C the companion matrix of cls, scaled by the lcm L of the
+    denominators of its coefficients, M = A (x) L*I + B (x) L*C and
+    N = B (x) I, so M is L times A + t*B with the root of cls adjoined as
+    C (A and B taken as integer rows over one denominator).  Scaling M by
+    a nonzero constant changes no preimage, so the chain is that of
+    A (x) I + B (x) C.  A rational class t - u/v has L = v and C = (u/v),
+    so M and N are v*A + u*B and B.
+    """
+    d = cls.degree()
+    monic = cls.monic().coeffs
+    lcd = lcm(*[c.denominator for c in monic])
+    comp = [[lcd if s == t + 1 else 0 for t in range(d)] for s in range(d)]
+    for s in range(d):
+        comp[s][d - 1] = -(monic[s] * lcd).numerator
+    arows = [[p.b.den * x for x in r] for r in p.a.rows]
+    brows = [[p.a.den * y for y in r] for r in p.b.rows]
+    diag = [
+        [
+            (lcd * x if s == t else 0) + y * comp[s][t]
+            for x, y in zip(ra, rb)
+            for t in range(d)
+        ]
+        for ra, rb in zip(arows, brows)
+        for s in range(d)
+    ]
+    sup = [[y if s == t else 0 for y in rb for t in range(d)] for rb in brows for s in range(d)]
+    width = p.n * d
+    return Mat.from_ints(diag, width), Mat.from_ints(sup, width)
+
+
+def companion_sizes(p: Pencil, cls: Poly) -> tuple[int, ...]:
+    """Jordan sizes of a square regular pencil at a finite class, from the
+    kernel chain of its companion expansion run until its dimension
+    repeats: dim W_k is the degree times the sum of min(k, size)."""
+    d = cls.degree()
+    dims = [0]
+    for basis in preimage_chain(*companion_parts(p, cls)):
+        if len(basis) == dims[-1]:
+            break
+        dims.append(len(basis))
+    return _sizes_from_defects([k // d for k in dims])
+
+
+def _sizes_from_defects(defects: list[int]) -> tuple[int, ...]:
     # defects[k] - defects[k-1] counts the blocks of size >= k
     counts = [defects[k] - defects[k - 1] for k in range(1, len(defects))] + [0]
     sizes: list[int] = []
@@ -519,6 +582,25 @@ def cyclic_jacobi(dim: int, entries) -> list[tuple[int, int, int]]:
 # ---------------------------------------------------------------------------
 # one linear system at a time, the way the catalog solved them before it
 # solved all commutators with one kernel
+
+
+def fraction_solve(a, b) -> list[list[Fraction]] | None:
+    """X with a X = b by Gauss-Jordan elimination over Fractions, for a
+    square a given as rows and b as rows; None when a is singular."""
+    n = len(a)
+    rows = [[Fraction(x) for x in ra] + [Fraction(x) for x in rb] for ra, rb in zip(a, b)]
+    for c in range(n):
+        piv = next((i for i in range(c, n) if rows[i][c]), None)
+        if piv is None:
+            return None
+        rows[c], rows[piv] = rows[piv], rows[c]
+        top = [x / rows[c][c] for x in rows[c]]
+        rows[c] = top
+        for i in range(n):
+            head = rows[i][c]
+            if i != c and head:
+                rows[i] = [x - head * y for x, y in zip(rows[i], top)]
+    return [r[n:] for r in rows]
 
 
 def solve_unique(a: Mat, b) -> tuple[Fraction, ...]:

@@ -12,10 +12,11 @@ from penciljk.exactla import (
     kernel_basis,
     rank,
     row_space_basis,
+    solve,
 )
 
 from helpers import SEED, apply, from_cols, identity, matmul, random_invertible
-from oracles import solve_unique
+from oracles import fraction_solve, solve_unique
 
 
 def test_matrix_shapes_and_blocks():
@@ -115,6 +116,41 @@ def test_solve_unique_rejects_singular():
     a = Mat([[1, 2], [2, 4]])
     with pytest.raises(ValueError):
         solve_unique(a, [1, 3])
+
+
+def test_solve_matches_fraction_gauss_jordan():
+    # random rational systems of any width, some of them singular
+    rng = random.Random(SEED + 41)
+    entry = lambda: Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3)))
+    singular = 0
+    for _ in range(300):
+        n, k = rng.randint(0, 6), rng.randint(0, 4)
+        a = Mat([[entry() for _ in range(n)] for _ in range(n)], n=n)
+        b = Mat([[entry() for _ in range(k)] for _ in range(n)], n=k)
+        expected = fraction_solve(a.tolist(), b.tolist())
+        if expected is None:
+            singular += 1
+            with pytest.raises(ZeroDivisionError):
+                solve(a, b)
+        else:
+            assert solve(a, b).tolist() == expected
+    assert singular >= 10
+    # the Möbius shift (A + t0 B)^-1 B of A + tB = S (t - L) T / 6, with L
+    # diagonal of eigenvalues 0, 1 and sometimes 2, at the first t0 >= 0
+    # that is not one of them
+    for i in range(60):
+        n = rng.randint(3, 6)
+        low = [0, 1, 2][: 2 + i % 2]
+        eig = low + [rng.choice((-3, -1, 1, 5)) for _ in range(n - len(low))]
+        s_, t_ = random_invertible(rng, n, 3), random_invertible(rng, n, 3)
+        lam = Mat([[-eig[r] if r == c else 0 for c in range(n)] for r in range(n)])
+        a = matmul(s_, lam, t_).scale(Fraction(1, 6))
+        b = matmul(s_, t_).scale(Fraction(1, 6))
+        t0 = next(t for t in range(n + 1) if t not in eig)
+        assert t0 >= 2
+        shifted = a + b.scale(t0)
+        assert det(a) == 0 and det(a + b) == 0 and det(shifted) != 0
+        assert solve(shifted, b).tolist() == fraction_solve(shifted.tolist(), b.tolist())
 
 
 def test_continued_echelon_equals_one_elimination():

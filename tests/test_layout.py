@@ -1,6 +1,7 @@
 """Checks on the package's source layout rather than its answers: no
 module imports a name it never uses, the Lie layer does not import
-``fractions``, only ``exactla`` drives the Bareiss elimination, and every
+``fractions``, only ``exactla`` drives the Bareiss elimination and no
+other module imports its private names, and every
 function the benchmark tracer wraps by name still exists."""
 
 import ast
@@ -116,17 +117,28 @@ def test_elimination_stays_inside_exactla():
     assert found == {}
 
 
-def test_pencils_imports_only_public_exactla_names():
-    with open(os.path.join(PACKAGE, "pencils.py"), encoding="utf-8") as fh:
-        tree = ast.parse(fh.read())
-    imported = [
+def _private_exactla_imports(source: str) -> list[str]:
+    """Underscore names the source imports from ``exactla``."""
+    return [
         alias.name
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and node.module == "exactla"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.module and node.module.split(".")[-1] == "exactla"
         for alias in node.names
+        if alias.name.startswith("_")
     ]
-    assert "kernel_basis" in imported
-    assert [name for name in imported if name.startswith("_")] == []
+
+
+def test_modules_import_only_public_exactla_names():
+    assert _private_exactla_imports("from .exactla import Mat, _clear\n") == ["_clear"]
+    assert _private_exactla_imports("from penciljk.exactla import _echelon\n") == ["_echelon"]
+    found = {}
+    for name in sorted(os.listdir(PACKAGE)):
+        if name.endswith(".py") and name != "exactla.py":
+            with open(os.path.join(PACKAGE, name), encoding="utf-8") as fh:
+                private = _private_exactla_imports(fh.read())
+            if private:
+                found[name] = private
+    assert found == {}
 
 
 @pytest.fixture(scope="module")

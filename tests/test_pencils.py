@@ -14,17 +14,17 @@ import penciljk.pencils as pencils
 import penciljk.polys as polys
 import penciljk.skewjk as skewjk
 from penciljk.errors import InternalConsistencyError
-from penciljk.exactla import Mat, preimage_chain
+from penciljk.exactla import Mat, preimage_chain, solve
 from penciljk.jsonio import class_to_str
 from penciljk.pencils import (
     _CACHE_SIZE,
     EigClass,
     Pencil,
     StrictInvariants,
+    _class_matrix,
     _class_totals,
     _kernel_chains,
     _regular_part,
-    _resolvent_parts,
     _sizes_at_class,
     elementary_divisors,
     minimal_indices,
@@ -33,7 +33,7 @@ from penciljk.pencils import (
     strict_invariants,
 )
 from penciljk.polys import Poly
-from penciljk.skewjk import skew_jk_invariants
+from penciljk.skewjk import SkewJK, skew_jk_invariants
 
 from helpers import (
     CLASS_POOL,
@@ -46,13 +46,16 @@ from helpers import (
     pencil_from_lists,
     random_skew_jk,
     random_strict_invariants,
+    reversed_pencil,
     scramble,
     skew_canonical,
 )
 from oracles import (
     all_minor_totals,
+    companion_sizes,
     eval_rank,
     fraction_candidates,
+    fraction_det,
     interp_det,
     pencil_entries,
     resolvent_sizes,
@@ -292,7 +295,7 @@ def test_reversed_swaps_zero_and_infinity():
         (EigClass(P(0, 1)), (1,)),
         (EigClass.infinite(), (1,)),
     )
-    assert strict_invariants(p.reversed()).jordan == inv.jordan
+    assert strict_invariants(reversed_pencil(p)).jordan == inv.jordan
 
 
 def test_eigclass_validation():
@@ -369,7 +372,9 @@ def test_minor_bound_stops_resolvent_ranks(monkeypatch):
     p = scramble(canonical_of(inv), random.Random(SEED + 8))
     reg = _regular_part(p)
     assert reg.shape == (6, 6)
-    assert _class_totals(reg) == ([(cubic, 2)], 0)
+    totals, inf_total, t0 = _class_totals(reg)
+    assert (totals, inf_total) == ([(cubic, 2)], 0)
+    m = solve(reg.at(t0), reg.b)
     calls = []
     real = pencils.rank
 
@@ -379,18 +384,18 @@ def test_minor_bound_stops_resolvent_ranks(monkeypatch):
 
     monkeypatch.setattr(pencils, "rank", counted)
     # defect 2 at k = 1 already meets the total, so no kernel is taken and
-    # the chain runs no step; M is 3 * 6 = 18 wide where the whole pencil
-    # would give 3 * 8
-    assert _sizes_at_class(reg, cubic, 2) == (1, 1)
-    assert calls == [(18, 18)]
-    assert _sizes_at_class(reg.reversed(), Poly.x(), 0) == ()
-    assert calls == [(18, 18)]
-    # once the rank scan and the chains are done, that one M is all the
+    # the chain runs no step; g(M) is 6 wide, where the companion expansion
+    # of the regular part would be 3 * 6 and that of the whole pencil 3 * 8
+    assert _sizes_at_class(m, t0, cubic, 2) == (1, 1)
+    assert calls == [(6, 6)]
+    assert _sizes_at_class(m, t0, None, 0) == ()
+    assert calls == [(6, 6)]
+    # once the rank scan and the chains are done, that one g(M) is all the
     # eigenvalue stage ranks
     minimal_indices(p)
     calls.clear()
     assert elementary_divisors(p) == ([(cubic, (1, 1))], ())
-    assert calls == [(18, 18)]
+    assert calls == [(6, 6)]
 
 
 def test_sizes_without_a_tight_bound_agree():
@@ -404,27 +409,32 @@ def test_sizes_without_a_tight_bound_agree():
         r = pencil_rank(p)
         if r == 0:
             continue
-        reg = _regular_part(p)
-        totals, inf_total = _class_totals(reg)
-        cases = [(reg, cls, p, total) for cls, total in totals]
-        cases.append((reg.reversed(), Poly.x(), p.reversed(), inf_total))
-        for q, cls, whole, total in cases:
-            expected = resolvent_sizes(whole, cls, r)
+        cases = _chain_cases(p, with_empty_infinity=True)
+        for m, t0, cls, total, whole, oracle_cls in cases:
+            expected = resolvent_sizes(whole, oracle_cls, r)
             assert sum(expected) == total
-            assert _sizes_at_class(q, cls, total) == expected
+            assert _sizes_at_class(m, t0, cls, total) == expected
             with pytest.raises(InternalConsistencyError):
-                _sizes_at_class(q, cls, total + 1)
+                _sizes_at_class(m, t0, cls, total + 1)
         checked += 1
 
 
-def _chain_cases(p: Pencil) -> list[tuple[Pencil, Poly, Pencil, int]]:
-    # every class of the pencil, finite and infinite, with its total: the
-    # regular part (reversed at infinity), and the whole pencil for the oracle
+def _shifted(reg: Pencil) -> tuple[Mat, int]:
+    """M = (A + t0 B)^-1 B of a regular part, and t0."""
+    t0 = _class_totals(reg)[2]
+    return solve(reg.at(t0), reg.b), t0
+
+
+def _chain_cases(p: Pencil, with_empty_infinity: bool = False) -> list[tuple]:
+    # every class of the pencil, finite and infinite (None), with its total
+    # and the regular part's M and t0, and the whole pencil with the class
+    # the resolvent oracle reads it at (the reversed pencil at 0 for infinity)
     reg = _regular_part(p)
-    totals, inf_total = _class_totals(reg)
-    cases = [(reg, cls, p, total) for cls, total in totals]
-    if inf_total:
-        cases.append((reg.reversed(), Poly.x(), p.reversed(), inf_total))
+    totals, inf_total, t0 = _class_totals(reg)
+    m = solve(reg.at(t0), reg.b)
+    cases = [(m, t0, cls, total, p, cls) for cls, total in totals]
+    if inf_total or with_empty_infinity:
+        cases.append((m, t0, None, inf_total, reversed_pencil(p), Poly.x()))
     return cases
 
 
@@ -479,28 +489,115 @@ def test_jordan_chain_matches_resolvent_oracle():
         cases.append((p, r, expected))
     for p, r, expected in cases:
         found = {}
-        for q, cls, whole, total in _chain_cases(p):
-            sizes = _sizes_at_class(q, cls, total)
-            assert sizes == resolvent_sizes(whole, cls, r)
+        for m, t0, cls, total, whole, oracle_cls in _chain_cases(p):
+            sizes = _sizes_at_class(m, t0, cls, total)
+            assert sizes == resolvent_sizes(whole, oracle_cls, r)
             with pytest.raises(InternalConsistencyError, match="stop below the total"):
-                _sizes_at_class(q, cls, total + 1)
-            found[cls] = sizes
+                _sizes_at_class(m, t0, cls, total + 1)
+            found[oracle_cls] = sizes
         assert found == expected
 
 
+# t, t - 1 and t - 2 make A, A + B and A + 2B singular, so that t0 reaches 3
+_SHIFTING = (EigClass(P(0, 1)), EigClass(P(-1, 1)), EigClass(P(-2, 1)))
+
+
+def _shift_classes(rng, i: int) -> list[EigClass]:
+    """Up to three random classes; every third draw holds t and t - 1, so
+    that t0 >= 2, and every sixth t - 2 as well."""
+    forced = list(_SHIFTING[: 2 + (i % 6 == 0)]) if i % 3 == 0 else []
+    pool = [c for c in CLASS_POOL + _SHIFTING[2:] if c not in forced]
+    return forced + rng.sample(pool, rng.randint(0 if forced else 1, 3 - len(forced)))
+
+
+def _mobius_jordan(rng, i: int, size, limit: int) -> tuple[list, int]:
+    """Classes from ``_shift_classes`` with one or two block sizes each,
+    drawn by ``size``, and their Jordan dimension, at most ``limit``."""
+    while True:
+        jordan = sorted(
+            (
+                (c, tuple(sorted((size() for _ in range(rng.randint(1, 2))), reverse=True)))
+                for c in _shift_classes(rng, i)
+            ),
+            key=lambda cs: cs[0].sort_key(),
+        )
+        jdim = sum(c.root_count * sum(sizes) for c, sizes in jordan)
+        if jdim <= limit:
+            return jordan, jdim
+
+
+def _mobius_strict(rng, i: int) -> StrictInvariants:
+    """Random strict invariants whose Jordan dimension is at most 9."""
+    jordan, jdim = _mobius_jordan(rng, i, lambda: rng.randint(1, 3), 9)
+    horizontal = (rng.randint(1, 3),) if rng.random() < 0.3 else ()
+    vertical = (rng.randint(1, 3),) if rng.random() < 0.3 else ()
+    return StrictInvariants(
+        m=sum(w - 1 for w in horizontal) + sum(vertical) + jdim,
+        n=sum(horizontal) + sum(u - 1 for u in vertical) + jdim,
+        rank=sum(w - 1 for w in horizontal) + sum(u - 1 for u in vertical) + jdim,
+        horizontal=horizontal,
+        vertical=vertical,
+        jordan=tuple(jordan),
+    )
+
+
+def _mobius_skew(rng, i: int) -> SkewJK:
+    """Random folded skew invariants whose Jordan dimension is at most 10."""
+    jordan, jdim = _mobius_jordan(rng, i, lambda: 2 * rng.randint(1, 2), 10)
+    kron = (rng.randint(1, 2),) if rng.random() < 0.3 else ()
+    return SkewJK(dim=sum(2 * k - 1 for k in kron) + jdim, kronecker=kron, jordan=tuple(jordan))
+
+
+def test_mobius_sizes_match_companion_chain_and_resolvents():
+    # on 300 scrambled strict pencils and 100 congruent skew pencils, the
+    # sizes read off the powers of the Möbius-shifted n_R x n_R matrix equal
+    # those of the companion expansion's kernel chain and of k-fold Fraction
+    # resolvents, both run on the regular part (reversed at infinity) until
+    # their defects repeat, and the sizes the pencil was built with
+    rng = random.Random(SEED + 18)
+    cases = []
+    for i in range(300):
+        inv = _mobius_strict(rng, i)
+        cases.append((scramble(canonical_of(inv), rng, bound=3), inv.jordan))
+    for i in range(100):
+        jk = _mobius_skew(rng, i)
+        # a folded size s2 stands for two blocks of size s2 / 2
+        jordan = tuple((c, tuple(s2 // 2 for s2 in sizes for _ in range(2))) for c, sizes in jk.jordan)
+        cases.append((congruent(skew_canonical(jk), rng, bound=3), jordan))
+    degrees, shifts = set(), []
+    for p, jordan in cases:
+        reg = _regular_part(p)
+        totals, inf_total, t0 = _class_totals(reg)
+        # t0 is the first t >= 0 at which A_R + t B_R is invertible
+        assert t0 == next(t for t in range(reg.n + 1) if fraction_det(reg.at(t).tolist()))
+        m = solve(reg.at(t0), reg.b)
+        found = {}
+        for cls, total in totals + ([(None, inf_total)] if inf_total else []):
+            q, at = (reg, cls) if cls else (reversed_pencil(reg), Poly.x())
+            sizes = _sizes_at_class(m, t0, cls, total)
+            assert sizes == companion_sizes(q, at) == resolvent_sizes(q, at, reg.n)
+            found[cls] = sizes
+            degrees.add(cls.degree() if cls else None)
+        assert found == {c.poly: sizes for c, sizes in jordan}
+        shifts.append(t0)
+    assert degrees == {1, 2, 3, None}
+    assert sum(t0 >= 2 for t0 in shifts) >= 100 and max(shifts) >= 3
+
+
 def test_jordan_chain_eliminates_only_regular_part_rows(monkeypatch):
-    # t^3 - 2 with sizes (3, 1) on a 12 x 12 regular part: the companion
-    # expansion is 36 x 36, and the chain runs to its third step with at
-    # most 3 * 4 = 12 extra columns; k-fold resolvents would rank 72 x 72
-    # and then 108 x 108 matrices.  The chain eliminates [M | N] once,
-    # pivoting in M's 36 columns and carrying N's along, and continues
-    # that elimination in the new columns at each step
+    # t^3 - 2 with sizes (3, 1) on a 12 x 12 regular part: G = D^3 g(M) is
+    # 12 x 12 too, and the chain runs to its third step with at most
+    # 3 * 3 = 9 extra columns; the companion expansion would be 36 x 36,
+    # and k-fold resolvents of it 72 x 72 and then 108 x 108.  The chain
+    # eliminates [G | I] once, pivoting in G's 12 columns and carrying I's
+    # along, and continues that elimination in the new columns at each step
     cubic = P(-2, 0, 0, 1)
     inv = StrictInvariants(
         m=12, n=12, rank=12, horizontal=(), vertical=(), jordan=((EigClass(cubic), (3, 1)),)
     )
     reg = _regular_part(scramble(canonical_of(inv), random.Random(SEED + 17)))
     assert reg.shape == (12, 12)
+    m, t0 = _shifted(reg)
     shapes = []
     real = exactla._echelon
 
@@ -509,13 +606,13 @@ def test_jordan_chain_eliminates_only_regular_part_rows(monkeypatch):
         return real(rows, n, *state)
 
     monkeypatch.setattr(exactla, "_echelon", recorded)
-    assert _sizes_at_class(reg, cubic, 4) == (3, 1)
-    assert max(m for m, _, _ in shapes) <= 36
-    assert max(n for _, n, _ in shapes) <= 36 + 12
-    # one rank of M and one elimination of [M | N], then per step that
-    # elimination continued from column 36 and a row space
-    assert shapes[:2] == [(36, 36, ()), (36, 36, ())]
-    assert [state[0] for _, _, state in shapes if state] == [36, 36]
+    assert _sizes_at_class(m, t0, cubic, 4) == (3, 1)
+    assert max(rows for rows, _, _ in shapes) <= 12
+    assert max(n for _, n, _ in shapes) <= 12 + 9
+    # one rank of G and one elimination of [G | I], then per step that
+    # elimination continued from column 12 and a row space
+    assert shapes[:2] == [(12, 12, ()), (12, 12, ())]
+    assert [state[0] for _, _, state in shapes if state] == [12, 12]
     assert len(shapes) == 6
 
 
@@ -578,7 +675,10 @@ def test_continued_chain_matches_restart_oracle_on_pencils():
         pairs = [(q.at(mu), q.b) for q in (p, p.transposed())]
         reg = _regular_part(p)
         if reg.n:
-            pairs += [_resolvent_parts(reg, cls) for cls, _ in _class_totals(reg)[0]]
+            m, t0 = _shifted(reg)
+            identity = Mat.from_ints([[int(i == j) for j in range(reg.n)] for i in range(reg.n)], reg.n)
+            classes = [cls for cls, _ in _class_totals(reg)[0]] + [None]
+            pairs += [(_class_matrix(m, t0, cls), identity) for cls in classes]
         for a, b in pairs:
             assert list(islice(preimage_chain(a, b), 6)) == list(islice(restart_chain(a, b), 6))
 
@@ -661,12 +761,12 @@ def test_chain_kernels_must_agree_with_the_ranks(monkeypatch):
     _kernel_chains.cache_clear()
     # at t - 1 the defect is 2 of a total of 3, so the chain runs; a rank
     # one too high leaves a defect of 1 that its kernel contradicts
-    reg = _regular_part(p)
+    m, t0 = _shifted(_regular_part(p))
     _kernel_chains.cache_clear()
     real_rank = pencils.rank
     monkeypatch.setattr(pencils, "rank", lambda mat: real_rank(mat) + 1)
-    with pytest.raises(InternalConsistencyError, match="disagrees with the rank of M"):
-        _sizes_at_class(reg, one.poly, 3)
+    with pytest.raises(InternalConsistencyError, match=r"disagrees with the rank of g\(M\)"):
+        _sizes_at_class(m, t0, one.poly, 3)
 
 
 def _mixed_case() -> tuple[EigClass, Pencil]:
@@ -687,10 +787,10 @@ def _shift_totals(monkeypatch, one: EigClass, infinite: bool, shift: int) -> Non
     real = pencils._class_totals
 
     def shifted(reg):
-        totals, inf_total = real(reg)
+        totals, inf_total, t0 = real(reg)
         if infinite:
-            return totals, inf_total + shift
-        return [(f, t + shift if f == one.poly else t) for f, t in totals], inf_total
+            return totals, inf_total + shift, t0
+        return [(f, t + shift if f == one.poly else t) for f, t in totals], inf_total, t0
 
     monkeypatch.setattr(pencils, "_class_totals", shifted)
 
@@ -726,7 +826,7 @@ def test_integer_candidates_match_fraction_path():
         r = pencil_rank(p)
         if r == 0:
             continue
-        totals, inf_total = _class_totals(_regular_part(p))
+        totals, inf_total, _ = _class_totals(_regular_part(p))
         assert (totals, inf_total) == all_minor_totals(p, r)
         candidates, inf_bound = fraction_candidates(p, r)
         bounds = dict(candidates)
@@ -757,7 +857,7 @@ def test_integer_candidates_match_fraction_path():
         p = scramble(canonical_of(inv), rng, bound=3)
         reg = _regular_part(p)
         assert reg.shape == (jdim, jdim)
-        totals, inf_total = _class_totals(reg)
+        totals, inf_total, _ = _class_totals(reg)
         assert totals == [(c.poly, sum(s)) for c, s in inv.jordan if not c.is_infinite]
         assert inf_total == sum(inv.infinite_sizes())
         candidates, inf_bound = fraction_candidates(p, inv.rank)
@@ -774,8 +874,8 @@ def test_no_candidate_without_blocks(monkeypatch):
     returned = []
     real = pencils._sizes_at_class
 
-    def recorded(reg, cls, total):
-        sizes = real(reg, cls, total)
+    def recorded(m, t0, cls, total):
+        sizes = real(m, t0, cls, total)
         returned.append((cls, sizes))
         return sizes
 
@@ -791,7 +891,7 @@ def test_no_candidate_without_blocks(monkeypatch):
         # one call per finite class, each with blocks, then one for infinity
         assert calls[:-1] == finite
         assert all(sizes for _, sizes in calls[:-1])
-        assert calls[-1] == (Poly.x(), inf_sizes)
+        assert calls[-1] == (None, inf_sizes)
 
 
 def _transposed_invariants(inv: StrictInvariants) -> StrictInvariants:
@@ -808,7 +908,7 @@ def _transposed_invariants(inv: StrictInvariants) -> StrictInvariants:
 def _infinite_sizes_by_smith(p: Pencil) -> tuple[int, ...]:
     # the elementary divisors s**k of B + s*A are the infinite blocks of A + t*B
     sizes = []
-    for f in smith_invariant_factors(pencil_entries(p.reversed())):
+    for f in smith_invariant_factors(pencil_entries(reversed_pencil(p))):
         k = next(i for i, c in enumerate(f.coeffs) if c)
         if k:
             sizes.append(k)
