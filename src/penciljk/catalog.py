@@ -13,7 +13,7 @@ from fractions import Fraction
 from operator import mul
 
 from .errors import InternalConsistencyError
-from .exactla import Mat, kernel_basis, pivot_columns
+from .exactla import Mat, pivot_columns, solve
 from .lie import LieAlgebra, Representation, check_homomorphism, check_jacobi
 from .strata import BundleSig, SkewBundleSig
 
@@ -133,11 +133,11 @@ def _structure_entries(mats: list[Mat]) -> list[tuple[int, int, int, Fraction]]:
     """Expand all commutators of the basis in the basis itself.
 
     With R_k the integer rows of basis matrix k and W_p = R_i R_j - R_j R_i
-    for the p-th pair i < j, one kernel of [R | -W], restricted to rows
-    where the flattened R_k are independent, solves every pair at once:
-    the R part is square and invertible, so the vector of free column
-    dim + p is (x, t e_p) with R x = t W_p, and pair p's coordinates over
-    the R_k are x / t.  Closure is then checked on all n^2 entries.
+    for the p-th pair i < j, the flattened R_k are independent on some
+    dim entries, so on those rows R is square and invertible, and one
+    ``solve`` of R X = [W_1 ... W_P] gives every pair's coordinates over
+    the R_k at once, as integer columns over one denominator t.  Closure
+    is then checked on all n^2 entries.
     """
     dim = len(mats)
     flat = [[x for row in mat.rows for x in row] for mat in mats]
@@ -146,12 +146,12 @@ def _structure_entries(mats: list[Mat]) -> list[tuple[int, int, int, Fraction]]:
         raise InternalConsistencyError("basis matrices are dependent")
     pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
     brackets = [_commutator(mats[i].rows, mats[j].rows) for i, j in pairs]
-    rows = [[f[c] for f in flat] + [-w[c] for w in brackets] for c in pivots]
-    solutions = kernel_basis(Mat.from_ints(rows, dim + len(pairs)))
+    square = Mat.from_ints([[f[c] for f in flat] for c in pivots], dim)
+    solution = solve(square, Mat.from_ints([[w[c] for w in brackets] for c in pivots], len(pairs)))
+    t = solution.den
     entry_cols = list(zip(*flat))
     entries: list[tuple[int, int, int, Fraction]] = []
-    for p, ((i, j), w, v) in enumerate(zip(pairs, brackets, solutions)):
-        coords, t = v[:dim], v[dim + p]
+    for (i, j), w, coords in zip(pairs, brackets, zip(*solution.rows)):
         if [t * e for e in w] != [sum(map(mul, coords, col)) for col in entry_cols]:
             raise InternalConsistencyError("basis not closed under commutators")
         # [B_i, B_j] = W_p / (d_i d_j) and B_k = R_k / d_k

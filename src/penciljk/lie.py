@@ -26,7 +26,7 @@ from .errors import (
     InternalConsistencyError,
 )
 from .exactla import IntVec, Mat, clear_denominators
-from .pencils import Pencil, StrictInvariants, pencil_rank, strict_invariants
+from .pencils import Pencil, StrictInvariants, strict_invariants
 from .skewjk import SkewJK, skew_jk_invariants
 from .strata import (
     abstract_signature,
@@ -275,16 +275,14 @@ def jk_invariants_of_lie(
     if samples < 1:
         raise ValueError("at least one sample is required")
     folded: list[SkewJK] = []
-    coranks: list[int] = []
     for _ in range(samples):
         x = sampler.covector(g.dim)
         a = sampler.covector(g.dim)
-        p = lie_pencil(g, x, a)
-        folded.append(skew_jk_invariants(p))
-        coranks.append(g.dim - pencil_rank(p))
+        folded.append(skew_jk_invariants(lie_pencil(g, x, a)))
     sigs = [skew_abstract_signature(jk) for jk in folded]
     win = _select_maximal(sigs, skew_bundle_closure_contains)
-    index_used = min(coranks)
+    # one Kronecker index per unit of the pencil's corank dim - rank
+    index_used = min(len(jk.kronecker) for jk in folded)
     status = EMPIRICAL
     if index_used > 0 and certify_generic_lie(sigs[win], index_used):
         status = CERTIFIED

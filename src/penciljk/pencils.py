@@ -11,7 +11,10 @@ datum consists of
 * eigenvalue classes with their block size multisets.  A class is either
   a monic irreducible polynomial q with q(t0) = 0 exactly when the rank
   of A + t0*B drops, or the infinite class, whose blocks are those of
-  the reversed pencil B + s*A at s = 0.
+  the reversed pencil B + s*A at s = 0.  A finite class is stored as the
+  primitive integer associate of q (content 1, positive leading
+  coefficient, lowest degree first), which is what the factorization
+  over Z returns; the monic rational form appears only in reports.
 
 Everything here is exact, and the work is done on integers.  Matrices are
 integer rows over a common denominator (see ``exactla``), so A + t*B at
@@ -61,9 +64,10 @@ multiplicity is the exact total block size there, and the dimension
 minus the degree is the exact infinite total.  No class without blocks
 arises.  Block sizes at every class, finite or infinite, are read off
 one n_R x n_R matrix, for a regular part A_R + t*B_R of size n_R (see
-``_sizes_at_class``).  The interpolation points of the determinant give
-the first integer t0 >= 0 with det(A_R + t0*B_R) != 0, and one
-``exactla.solve`` gives M = (A_R + t0*B_R)^-1 B_R.  Since
+``_sizes_at_class``).  The pencil's regular value t0, the first integer
+t >= 0 at which it reaches its normal rank, is also the first with
+det(A_R + t*B_R) != 0, and one ``exactla.solve`` gives
+M = (A_R + t0*B_R)^-1 B_R.  Since
 A_R + t*B_R = (A_R + t0*B_R)(I + (t - t0) M), the Möbius map
 mu = 1/(t0 - lambda) carries the blocks at each eigenvalue lambda onto
 M's Jordan blocks at mu, and the infinite blocks onto those at mu = 0.
@@ -85,10 +89,10 @@ once per pencil and is not cached.  The cache is bounded, since its
 entries are reused only within one request.
 
 Each step checks itself: the two image dimensions against the indices,
-the regular part's size and its nonzero determinant, and each class's
-defects against its total.  The rank comes from the independent rank
-scan, so the dimension bookkeeping of ``StrictInvariants`` still checks
-the chains against the rank.
+the regular part's size, its determinant, which must not vanish at the
+regular value, and each class's defects against its total.  The rank
+comes from the independent rank scan, so the dimension bookkeeping of
+``StrictInvariants`` still checks the chains against the rank.
 """
 
 from __future__ import annotations
@@ -103,7 +107,6 @@ from .errors import InternalConsistencyError
 from .exactla import (
     IntVec,
     Mat,
-    clear_denominators,
     det,
     kernel_basis,
     pivot_columns,
@@ -111,12 +114,7 @@ from .exactla import (
     rank,
     solve,
 )
-from .polys import (
-    Poly,
-    ZPoly,
-    integer_factors,
-    poly_sort_key,
-)
+from .polys import ZPoly, integer_factors, poly_sort_key
 
 
 @dataclass(frozen=True)
@@ -157,14 +155,29 @@ class Pencil:
 
 @dataclass(frozen=True)
 class EigClass:
-    """An eigenvalue class: a monic irreducible polynomial, or infinity."""
+    """An eigenvalue class, finite or infinite.
 
-    poly: Poly | None = None
+    A finite class is a monic irreducible polynomial over Q, stored as its
+    one primitive integer associate: a tuple of ints, lowest degree first,
+    with content 1 and a positive leading coefficient.  ``poly`` is None
+    for the infinite class.
+    """
+
+    poly: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if self.poly is not None:
-            if self.poly.degree() < 1 or self.poly.leading() != 1:
-                raise ValueError("finite class needs a monic nonconstant polynomial")
+        p = self.poly
+        if p is not None and not (
+            type(p) is tuple
+            and len(p) > 1
+            and all(type(c) is int for c in p)
+            and p[-1] > 0
+            and gcd(*p) == 1
+        ):
+            raise ValueError(
+                "finite class needs a primitive nonconstant integer polynomial "
+                "with a positive leading coefficient"
+            )
 
     @property
     def is_infinite(self) -> bool:
@@ -173,7 +186,7 @@ class EigClass:
     @property
     def root_count(self) -> int:
         """Number of complex points in the class (degree, or 1 for infinity)."""
-        return 1 if self.poly is None else self.poly.degree()
+        return 1 if self.poly is None else len(self.poly) - 1
 
     def sort_key(self):
         if self.poly is None:
@@ -408,6 +421,8 @@ def _regular_part(p: Pencil) -> Pencil:
     """
     _, _, widths, heights, right, left = _kernel_chains(p)
     if not right and not left:
+        # the general branch gives these rows too, through identity
+        # complements, but at about ten times the cost
         return Pencil(
             Mat.from_ints([[p.b.den * x for x in r] for r in p.a.rows], p.n),
             Mat.from_ints([[p.a.den * y for y in r] for r in p.b.rows], p.n),
@@ -439,11 +454,10 @@ def _regular_part(p: Pencil) -> Pencil:
     )
 
 
-def _det_poly(reg: Pencil) -> tuple[ZPoly, int | None]:
+def _det_poly(reg: Pencil) -> ZPoly:
     """A primitive integer multiple of det(A + t*B) for a square pencil of
-    integer rows (see ``_regular_part``), lowest degree first, and the
-    smallest integer t >= 0 at which it is nonzero; the zero polynomial
-    is [], with None for t.
+    integer rows (see ``_regular_part``), lowest degree first; the zero
+    polynomial is [].
 
     At integer t, A + t*B is an integer matrix, so its determinant takes
     integer values y_t at t = 0..k, each one ``exactla.det``.
@@ -459,7 +473,6 @@ def _det_poly(reg: Pencil) -> tuple[ZPoly, int | None]:
     for t in range(k + 1):
         mat = [[x + t * y for x, y in zip(ra, rb)] for ra, rb in zip(reg.a.rows, reg.b.rows)]
         values.append(int(det(Mat.from_ints(mat, k))))
-    t0 = next((t for t, y in enumerate(values) if y), None)
     coeffs = [0] * (k + 1)
     falling = [1]  # t (t-1) ... (t-j+1), lowest degree first
     weight = factorial(k)
@@ -473,38 +486,43 @@ def _det_poly(reg: Pencil) -> tuple[ZPoly, int | None]:
     while coeffs and not coeffs[-1]:
         coeffs.pop()
     if not coeffs:
-        return [], t0
+        return []
     content = gcd(*coeffs)
-    return [c // content for c in coeffs], t0
+    return [c // content for c in coeffs]
 
 
-def _class_totals(reg: Pencil) -> tuple[list[tuple[Poly, int]], int, int]:
+def _class_totals(reg: Pencil, t0: int) -> tuple[list[tuple[tuple[int, ...], int]], int]:
     """Every finite class of a square regular pencil with its total block
-    size, the total size of its infinite blocks, and the smallest integer
-    t0 >= 0 that is not an eigenvalue.
+    size, and the total size of its infinite blocks; t0 must not be an
+    eigenvalue.
 
     det(A + t*B) is a constant times the product of the finite elementary
     divisors, so its one factorization over Z gives each class with its
     exact total, and its degree falls short of the dimension by the
-    infinite total.
+    infinite total.  The determinant must not vanish at t0, which checks
+    the regular value of the full pencil against its regular part.
     """
-    poly, t0 = _det_poly(reg)
+    poly = _det_poly(reg)
     if not poly:
         raise InternalConsistencyError("the regular part is singular")
-    return integer_factors(poly), reg.n - (len(poly) - 1), t0
+    value = 0
+    for c in reversed(poly):
+        value = value * t0 + c
+    if not value:
+        raise InternalConsistencyError("the regular value is an eigenvalue of the regular part")
+    return integer_factors(poly), reg.n - (len(poly) - 1)
 
 
-def _shifted_class(cls: Poly | None, t0: int) -> list[int]:
+def _shifted_class(cls: tuple[int, ...] | None, t0: int) -> list[int]:
     """Integer coefficients, lowest degree first, of a nonzero multiple of
     g(mu) = mu^d f(t0 - 1/mu) for the finite class f = cls of degree d,
     or of g(mu) = mu for the infinite class (cls None)."""
     if cls is None:
         return [0, 1]
-    f, _ = clear_denominators(cls.coeffs)
-    d = len(f) - 1
+    d = len(cls) - 1
     g = [0] * (d + 1)
     power = [1]  # (t0 mu - 1)^i, lowest degree first
-    for i, c in enumerate(f):
+    for i, c in enumerate(cls):
         # f_i (t0 - 1/mu)^i mu^d = f_i mu^(d-i) (t0 mu - 1)^i
         for j, e in enumerate(power):
             g[d - i + j] += c * e
@@ -512,7 +530,7 @@ def _shifted_class(cls: Poly | None, t0: int) -> list[int]:
     return g
 
 
-def _class_matrix(m: Mat, t0: int, cls: Poly | None) -> Mat:
+def _class_matrix(m: Mat, t0: int, cls: tuple[int, ...] | None) -> Mat:
     """The integer matrix G = D^d g(M) of a class (see ``_shifted_class``),
     for M = X / D stored as integer rows X over the denominator D.
 
@@ -532,8 +550,10 @@ def _class_matrix(m: Mat, t0: int, cls: Poly | None) -> Mat:
     return Mat.from_ints(h, n)
 
 
-def _sizes_at_class(m: Mat, t0: int, cls: Poly | None, total: int) -> tuple[int, ...]:
-    """Jordan block sizes of a square regular pencil A + t*B at a monic
+def _sizes_at_class(
+    m: Mat, t0: int, cls: tuple[int, ...] | None, total: int
+) -> tuple[int, ...]:
+    """Jordan block sizes of a square regular pencil A + t*B at an
     irreducible class cls, or at infinity when cls is None, whose total
     block size is ``total``; t0 is not an eigenvalue and
     M = (A + t0*B)^-1 B.
@@ -555,9 +575,9 @@ def _sizes_at_class(m: Mat, t0: int, cls: Poly | None, total: int) -> tuple[int,
     A finite class f of degree d maps to g(mu) = mu^d f(t0 - 1/mu).  Its
     leading coefficient is f(t0), which is nonzero because t0 is not an
     eigenvalue, so g has degree d and its d roots are the images of f's;
-    g(0) = +-1 since f is monic, so none of them is 0.  The Möbius map is
-    invertible over Q, so g is irreducible like f, and its roots are
-    simple.  On a block of size s at a root of g, g(M) is nilpotent of
+    g(0) is f's leading coefficient up to sign, so none of them is 0.  The
+    Möbius map is invertible over Q, so g is irreducible like f, and its
+    roots are simple.  On a block of size s at a root of g, g(M) is nilpotent of
     index s, and on every other block it is invertible; the d conjugate
     roots carry the same sizes, and dimensions over Q equal those over the
     splitting field, so
@@ -578,7 +598,7 @@ def _sizes_at_class(m: Mat, t0: int, cls: Poly | None, total: int) -> tuple[int,
     """
     if total == 0:
         return ()
-    d = 1 if cls is None else cls.degree()
+    d = 1 if cls is None else len(cls) - 1
     g = _class_matrix(m, t0, cls)
     dim = g.n - rank(g)
     chain = None
@@ -612,11 +632,21 @@ def _sizes_at_class(m: Mat, t0: int, cls: Poly | None, total: int) -> tuple[int,
 
 def elementary_divisors(
     p: Pencil,
-) -> tuple[list[tuple[Poly, tuple[int, ...]]], tuple[int, ...]]:
+) -> tuple[list[tuple[tuple[int, ...], tuple[int, ...]]], tuple[int, ...]]:
     """Finite classes with size multisets, plus infinite block sizes, all
-    read off the regular part's Möbius-shifted matrix M."""
+    read off the regular part's Möbius-shifted matrix M.
+
+    The shift t0 is the pencil's regular value.  The singular blocks have
+    the same rank at every t, so rank(A + t*B) reaches the normal rank
+    exactly where det(A_R + t*B_R) != 0, and the smallest integer t >= 0
+    of the one is the smallest of the other.  ``_class_totals`` checks
+    that the interpolated determinant does not vanish there, which
+    compares ranks of the full pencil with the determinant of its
+    regular part.
+    """
     reg = _regular_part(p)
-    totals, inf_total, t0 = _class_totals(reg)
+    t0 = _kernel_chains(p).regular
+    totals, inf_total = _class_totals(reg, t0)
     m = solve(reg.at(t0), reg.b)
     finite = [(cls, _sizes_at_class(m, t0, cls, total)) for cls, total in totals]
     return finite, _sizes_at_class(m, t0, None, inf_total)

@@ -1,11 +1,14 @@
-"""Univariate polynomials over the rationals and their factorization over Z.
+"""Integer polynomials and their factorization over Z.
 
-``Poly`` stores coefficients lowest degree first, trailing zeros stripped,
-so the representation of each polynomial is unique.  Integer polynomials
-(``ZPoly``, plain lists of ints, lowest degree first) carry the hot path:
-``integer_factors`` splits the integer determinant of a pencil's regular
-part into its irreducible factors, with multiplicities, in one
-factorization over Z and without any Fraction arithmetic.
+A polynomial is a sequence of ints, lowest degree first (``ZPoly`` for
+the plain lists the algorithms work on).  An eigenvalue class is a monic
+irreducible polynomial over Q, and by Gauss's lemma it has exactly one
+primitive integer associate with a positive leading coefficient: that
+tuple is how a class is stored.  ``integer_factors`` splits the integer
+determinant of a pencil's regular part into such factors, with
+multiplicities, in one factorization over Z.  Only ``poly_sort_key`` and
+``format_poly``, which order and print classes, divide by the leading
+coefficient to reach the monic rational form.
 
 The factorization is the classical Zassenhaus algorithm (von zur Gathen
 and Gerhard, *Modern Computer Algebra*, chapters 14 and 15), in pure
@@ -29,179 +32,33 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import comb, gcd as int_gcd, isqrt, lcm as int_lcm
+from math import comb, gcd as int_gcd, isqrt
 from typing import Sequence
 
 from .errors import FactorizationLimitError
-from .exactla import as_fraction
 
 
-class Poly:
-    """Polynomial over Q, coefficients lowest degree first."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Sequence = ()):
-        cs = [as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
-
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def x(cls) -> "Poly":
-        return cls([0, 1])
-
-    # -- structure ----------------------------------------------------
-
-    def degree(self) -> int:
-        """Degree, with the zero polynomial reported as -1."""
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def leading(self) -> Fraction:
-        if not self.coeffs:
-            return Fraction(0)
-        return self.coeffs[-1]
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    # -- arithmetic ---------------------------------------------------
-
-    def __add__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
-
-    def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs])
-
-    def __mul__(self, other) -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            return Poly([c * other for c in self.coeffs])
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Poly()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return Poly(out)
-
-    __rmul__ = __mul__
-
-    def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        db = other.degree()
-        lead = other.coeffs[-1]
-        q = [Fraction(0)] * max(0, len(rem) - db)
-        for i in range(len(rem) - 1, db - 1, -1):
-            c = rem[i]
-            if c:
-                f = c / lead
-                q[i - db] = f
-                for j, oc in enumerate(other.coeffs):
-                    rem[i - db + j] -= f * oc
-        return Poly(q), Poly(rem)
-
-    def __floordiv__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[1]
-
-    def __pow__(self, k: int) -> "Poly":
-        out = Poly([1])
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def monic(self) -> "Poly":
-        if self.is_zero():
-            return self
-        lead = self.coeffs[-1]
-        if lead == 1:
-            return self
-        return Poly([c / lead for c in self.coeffs])
-
-    def __repr__(self) -> str:
-        return f"Poly({format_poly(self)!r})"
+def poly_sort_key(p: Sequence[int]):
+    """Order of classes: by degree, then by the coefficients of the monic
+    associate, lowest degree first."""
+    return (len(p) - 1, tuple(Fraction(c, p[-1]) for c in p))
 
 
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd."""
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
-
-
-def coprime_basis(polys: Sequence[Poly]) -> list[Poly]:
-    """Monic irreducible polynomials generating the inputs multiplicatively.
-
-    Every nonzero input is, up to a constant, a product of powers of the
-    output polynomials; distinct outputs are coprime, so valuations with
-    respect to them are well defined.  Each input is scaled to integer
-    coefficients and factored over Z.
-    """
-    out: set[Poly] = set()
-    for p in polys:
-        if p.is_zero():
-            raise ValueError("coprime basis of a zero polynomial")
-        out.update(f for f, _ in integer_factors(_poly_row_to_z([p])[0]))
-    return sorted(out, key=poly_sort_key)
-
-
-def poly_sort_key(p: Poly):
-    return (p.degree(), p.coeffs)
-
-
-# ---------------------------------------------------------------------------
-# formatting
-
-
-def format_poly(p: Poly, var: str = "x") -> str:
-    if p.is_zero():
-        return "0"
+def format_poly(p: Sequence[int], var: str = "x") -> str:
+    """The monic associate of a nonzero integer polynomial, highest degree
+    first, with rational coefficients written p/q."""
     parts: list[str] = []
-    for d in range(p.degree(), -1, -1):
-        c = p.coeffs[d]
+    for d in range(len(p) - 1, -1, -1):
+        c = Fraction(p[d], p[-1])
         if c == 0:
             continue
-        sign = "-" if c < 0 else "+"
         mag = abs(c)
         if d == 0:
             body = str(mag)
         else:
             xpart = var if d == 1 else f"{var}^{d}"
             body = xpart if mag == 1 else f"{mag}*{xpart}"
-        if not parts:
-            parts.append(body if sign == "+" else "-" + body)
-        else:
-            parts.append(sign + body)
+        parts.append(("-" if c < 0 else "+" if parts else "") + body)
     return "".join(parts)
 
 
@@ -274,14 +131,6 @@ def _zpseudo_divmod(a: ZPoly, b: ZPoly) -> tuple[int, ZPoly, ZPoly]:
             r[i - db + j] -= c * bc
         _ztrim(r)
     return s, _ztrim(q), r
-
-
-def _poly_row_to_z(row: Sequence[Poly]) -> list[ZPoly]:
-    mult = 1
-    for p in row:
-        for c in p.coeffs:
-            mult = int_lcm(mult, c.denominator)
-    return [_ztrim([int(c * mult) for c in p.coeffs]) for p in row]
 
 
 # ---------------------------------------------------------------------------
@@ -606,9 +455,10 @@ def _recombine(f: ZPoly, lifted: list[ZPoly], m: int, mask: int) -> list[ZPoly]:
     return out
 
 
-def integer_factors(p: ZPoly) -> list[tuple[Poly, int]]:
-    """Monic irreducible factors over Q of a nonzero integer polynomial,
-    each with its multiplicity, sorted by ``poly_sort_key``.
+def integer_factors(p: ZPoly) -> list[tuple[tuple[int, ...], int]]:
+    """Irreducible factors over Q of a nonzero integer polynomial, each as
+    its primitive integer associate with a positive leading coefficient
+    and with its multiplicity, sorted by ``poly_sort_key``.
 
     One factorization over Z (Gauss's lemma makes it one over Q), so each
     multiplicity is the valuation of ``p`` at its factor.  A constant
@@ -624,6 +474,23 @@ def integer_factors(p: ZPoly) -> list[tuple[Poly, int]]:
     if len(p) - low > 1:
         for part, mult in _zsquarefree(_zprimitive(p[low:])):
             out.extend((g, mult) for g in _zfactor_squarefree(part))
-    result = [(Poly([Fraction(c, g[-1]) for c in g]), mult) for g, mult in out]
-    result.sort(key=lambda fm: poly_sort_key(fm[0]))
-    return result
+    return sorted(((tuple(g), mult) for g, mult in out), key=lambda fm: poly_sort_key(fm[0]))
+
+
+def poly_gcd(a: ZPoly, b: ZPoly) -> ZPoly:
+    """Primitive gcd, with a positive leading coefficient, of two integer
+    polynomials that are not both zero."""
+    a, b = _ztrim(list(a)), _ztrim(list(b))
+    return _zgcd(a, b) if a and b else _zprimitive(a or b)
+
+
+def coprime_basis(polys: Sequence[ZPoly]) -> list[tuple[int, ...]]:
+    """Irreducible polynomials, each primitive with a positive leading
+    coefficient, generating the nonzero inputs multiplicatively up to
+    constants; distinct outputs are coprime."""
+    out: set[tuple[int, ...]] = set()
+    for p in polys:
+        if not any(p):
+            raise ValueError("coprime basis of a zero polynomial")
+        out.update(f for f, _ in integer_factors(p))
+    return sorted(out, key=poly_sort_key)

@@ -24,22 +24,23 @@ from penciljk.lie import (
     lie_poisson_matrix,
 )
 from penciljk.pencils import EigClass, Pencil, StrictInvariants, strict_invariants
-from penciljk.polys import Poly
 from penciljk.skewjk import SkewJK
+
+from qpoly import Poly, monic
 
 SEED = 20250825
 
 CLASS_POOL = (
-    EigClass(Poly((0, 1))),               # t
-    EigClass(Poly((-1, 1))),              # t - 1
-    EigClass(Poly((1, 1))),               # t + 1
-    EigClass(Poly((-3, 1))),              # t - 3
-    EigClass(Poly((Fraction(1, 2), 1))),  # t + 1/2
-    EigClass(Poly((1, 0, 1))),            # t^2 + 1
-    EigClass(Poly((-2, 0, 1))),           # t^2 - 2
-    EigClass(Poly((-1, -1, 1))),          # t^2 - t - 1
-    EigClass(Poly((-2, 0, 0, 1))),        # t^3 - 2
-    EigClass(None),                       # infinity
+    EigClass((0, 1)),         # t
+    EigClass((-1, 1)),        # t - 1
+    EigClass((1, 1)),         # t + 1
+    EigClass((-3, 1)),        # t - 3
+    EigClass((1, 2)),         # t + 1/2
+    EigClass((1, 0, 1)),      # t^2 + 1
+    EigClass((-2, 0, 1)),     # t^2 - 2
+    EigClass((-1, -1, 1)),    # t^2 - t - 1
+    EigClass((-2, 0, 0, 1)),  # t^3 - 2
+    EigClass(None),           # infinity
 )
 
 
@@ -61,8 +62,10 @@ def reversed_pencil(p: Pencil) -> Pencil:
 
 
 def class_at_root(root) -> EigClass:
-    """The class t - root of a rational eigenvalue."""
-    return EigClass(Poly([-Fraction(root), 1]))
+    """The class t - root of a rational eigenvalue, stored as v*t - u for
+    root = u/v in lowest terms."""
+    root = Fraction(root)
+    return EigClass((-root.numerator, root.denominator))
 
 
 def poly_eval(p: Poly, x) -> Fraction:
@@ -198,7 +201,7 @@ def _jordan_pair(cls: EigClass, size: int) -> tuple[Mat, Mat]:
             [[1 if j == i + 1 else 0 for j in range(size)] for i in range(size)]
         )
         return a, b
-    power = cls.poly**size
+    power = monic(cls.poly) ** size
     dim = power.degree()
     rows = [[Fraction(0)] * dim for _ in range(dim)]
     for i in range(1, dim):

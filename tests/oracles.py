@@ -18,11 +18,13 @@ continuing one elimination, the core of a skew pencil is spanned at
 dim + 1 regular points instead of read off the kernel chain's limit,
 invariant factors come from a Smith form of A + t*B over Q[t] instead of
 the elementary divisors of the regular part, structure constants are
-solved one commutator at a time instead of all at once from one kernel,
+solved one commutator at a time instead of all at once by one solve,
 square systems are solved by Gauss-Jordan over Fractions instead of one
 fraction-free elimination and integer back-substitution,
 and Jacobi violations come from a cyclic sum of Fraction brackets
-instead of the defect of the adjoint operators.
+instead of the defect of the adjoint operators.  Polynomials over Q are
+those of the Fraction ring in ``qpoly``; classes are passed in and
+returned in the package's stored form, primitive integer tuples.
 """
 
 from __future__ import annotations
@@ -42,20 +44,17 @@ from penciljk.exactla import (
 )
 from penciljk.pencils import Pencil
 from penciljk.polys import (
-    Poly,
     ZPoly,
-    _poly_row_to_z,
     _zadd,
     _zcontent,
     _zdeg,
     _zmul,
     _zpseudo_divmod,
     _ztrim,
-    poly_gcd,
-    poly_sort_key,
 )
 
 from helpers import derivative, divides, from_cols, matmul
+from qpoly import Poly, monic, monic_gcd, primitive
 
 
 def eval_rank(p: Pencil) -> int:
@@ -182,14 +181,14 @@ def squarefree_decomposition(p: Poly) -> list[tuple[Poly, int]]:
         return []
     p = p.monic()
     d = derivative(p)
-    a = poly_gcd(p, d)
+    a = monic_gcd(p, d)
     b = p // a
     c = d // a
     out: list[tuple[Poly, int]] = []
     i = 1
     while b.degree() >= 1:
         z = c - derivative(b)
-        f = poly_gcd(b, z)
+        f = monic_gcd(b, z)
         if f.degree() >= 1:
             out.append((f.monic(), i))
         b = b // f
@@ -205,20 +204,18 @@ def squarefree_part(p: Poly) -> Poly:
     return out.monic()
 
 
-def sympy_factors(p: ZPoly) -> list[tuple[Poly, int]]:
+def sympy_factors(p: ZPoly) -> list[tuple[tuple[int, ...], int]]:
     """``polys.integer_factors`` recomputed by sympy's ``factor_list`` over
-    ZZ: monic irreducible factors with multiplicities, sorted by
-    ``poly_sort_key``, none for a constant."""
+    ZZ: irreducible factors as primitive integer tuples with a positive
+    leading coefficient, with multiplicities, ordered by their monic forms
+    over Q; none for a constant."""
     from sympy import Poly as SymPoly, Symbol
 
     if len(p) < 2:
         return []
     _, parts = SymPoly(list(reversed(p)), Symbol("t"), domain="ZZ").factor_list()
-    out = []
-    for f, mult in parts:
-        cs = [int(c) for c in f.all_coeffs()]
-        out.append((Poly([Fraction(c, cs[0]) for c in reversed(cs)]), mult))
-    out.sort(key=lambda fm: poly_sort_key(fm[0]))
+    out = [(primitive(Poly([int(c) for c in reversed(f.all_coeffs())])), mult) for f, mult in parts]
+    out.sort(key=lambda fm: monic(fm[0]).sort_key())
     return out
 
 
@@ -254,24 +251,24 @@ def _minor_poly(p: Pencil, rows, cols) -> Poly:
     return _lagrange(points, values)
 
 
-def _totals_of_gcd(g: Poly, top: int, r: int) -> tuple[list[tuple[Poly, int]], int]:
+def _totals_of_gcd(g: Poly, top: int, r: int) -> tuple[list[tuple[tuple[int, ...], int]], int]:
     if g.degree() < 1:
         return [], r - top
-    return [(f, valuation(g, f)) for f, _ in sympy_factors(cleared(g))], r - top
+    return [(f, valuation(g, monic(f))) for f, _ in sympy_factors(cleared(g))], r - top
 
 
-def fraction_candidates(p: Pencil, r: int) -> tuple[list[tuple[Poly, int]], int]:
+def fraction_candidates(p: Pencil, r: int) -> tuple[list[tuple[tuple[int, ...], int]], int]:
     """Candidate classes with bounds on their totals, and the bound at
     infinity, from two full-rank minors only: interpolated from Fraction
-    determinants, then Euclid over Q (``poly_gcd``), irreducible factors
+    determinants, then Euclid over Q (``monic_gcd``), irreducible factors
     from sympy and repeated division (``valuation``).
     Every class is a candidate, but a candidate may carry no blocks."""
     base = p.at(_first_regular(p, r))
     minors = [_minor_poly(p, *_invertible_profile(base, from_end)) for from_end in (False, True)]
-    return _totals_of_gcd(poly_gcd(*minors), max(f.degree() for f in minors), r)
+    return _totals_of_gcd(monic_gcd(*minors), max(f.degree() for f in minors), r)
 
 
-def all_minor_totals(p: Pencil, r: int) -> tuple[list[tuple[Poly, int]], int]:
+def all_minor_totals(p: Pencil, r: int) -> tuple[list[tuple[tuple[int, ...], int]], int]:
     """Exact total block size of every finite class, and of infinity.
 
     The gcd of all r x r minors of A + t*B is the product of the finite
@@ -288,19 +285,21 @@ def all_minor_totals(p: Pencil, r: int) -> tuple[list[tuple[Poly, int]], int]:
             dets = [fraction_det([[v[i][j] for j in cols] for i in rows]) for v in values]
             if any(dets):
                 f = _lagrange(points, dets)
-                g = poly_gcd(g, f)
+                g = monic_gcd(g, f)
                 top = max(top, f.degree())
     return _totals_of_gcd(g, top, r)
 
 
-def resolvent_sizes(p: Pencil, cls: Poly, r: int) -> tuple[int, ...]:
-    """Jordan sizes at a class from resolvents of the whole pencil, built
-    as Fraction matrices with the companion matrix of cls, ranked until the
-    defect repeats; ``r`` is the normal rank."""
-    d = cls.degree()
+def resolvent_sizes(p: Pencil, cls: tuple[int, ...], r: int) -> tuple[int, ...]:
+    """Jordan sizes at a class, given in its stored integer form, from
+    resolvents of the whole pencil, built as Fraction matrices with the
+    companion matrix of its monic form, ranked until the defect repeats;
+    ``r`` is the normal rank."""
+    f = monic(cls)
+    d = f.degree()
     comp = [[Fraction(int(s == t + 1)) for t in range(d)] for s in range(d)]
     for s in range(d):
-        comp[s][d - 1] = -cls.monic().coeffs[s]
+        comp[s][d - 1] = -f.coeffs[s]
     a, b = p.a.tolist(), p.b.tolist()
     diag = [
         [(a[i][j] if s == t else 0) + b[i][j] * comp[s][t] for j in range(p.n) for t in range(d)]
@@ -328,11 +327,12 @@ def resolvent_sizes(p: Pencil, cls: Poly, r: int) -> tuple[int, ...]:
     return _sizes_from_defects(defects)
 
 
-def companion_parts(p: Pencil, cls: Poly) -> tuple[Mat, Mat]:
+def companion_parts(p: Pencil, cls: tuple[int, ...]) -> tuple[Mat, Mat]:
     """Integer matrices M and N of the Jordan chain of a square pencil at
-    a finite class: the companion expansion.
+    a finite class, given in its stored integer form: the companion
+    expansion.
 
-    With C the companion matrix of cls, scaled by the lcm L of the
+    With C the companion matrix of the monic cls, scaled by the lcm L of the
     denominators of its coefficients, M = A (x) L*I + B (x) L*C and
     N = B (x) I, so M is L times A + t*B with the root of cls adjoined as
     C (A and B taken as integer rows over one denominator).  Scaling M by
@@ -340,12 +340,12 @@ def companion_parts(p: Pencil, cls: Poly) -> tuple[Mat, Mat]:
     A (x) I + B (x) C.  A rational class t - u/v has L = v and C = (u/v),
     so M and N are v*A + u*B and B.
     """
-    d = cls.degree()
-    monic = cls.monic().coeffs
-    lcd = lcm(*[c.denominator for c in monic])
+    coeffs = monic(cls).coeffs
+    d = len(coeffs) - 1
+    lcd = lcm(*[c.denominator for c in coeffs])
     comp = [[lcd if s == t + 1 else 0 for t in range(d)] for s in range(d)]
     for s in range(d):
-        comp[s][d - 1] = -(monic[s] * lcd).numerator
+        comp[s][d - 1] = -(coeffs[s] * lcd).numerator
     arows = [[p.b.den * x for x in r] for r in p.a.rows]
     brows = [[p.a.den * y for y in r] for r in p.b.rows]
     diag = [
@@ -362,11 +362,11 @@ def companion_parts(p: Pencil, cls: Poly) -> tuple[Mat, Mat]:
     return Mat.from_ints(diag, width), Mat.from_ints(sup, width)
 
 
-def companion_sizes(p: Pencil, cls: Poly) -> tuple[int, ...]:
+def companion_sizes(p: Pencil, cls: tuple[int, ...]) -> tuple[int, ...]:
     """Jordan sizes of a square regular pencil at a finite class, from the
     kernel chain of its companion expansion run until its dimension
     repeats: dim W_k is the degree times the sum of min(k, size)."""
-    d = cls.degree()
+    d = len(cls) - 1
     dims = [0]
     for basis in preimage_chain(*companion_parts(p, cls)):
         if len(basis) == dims[-1]:
@@ -455,6 +455,13 @@ def _zdivides(p: ZPoly, q: ZPoly) -> bool:
 
 def _z_to_poly(p: ZPoly) -> Poly:
     return Poly([Fraction(c) for c in p])
+
+
+def _poly_row_to_z(row) -> list[ZPoly]:
+    """A row of Fraction polynomials scaled by one common integer to
+    integer coefficients."""
+    mult = lcm(*(c.denominator for p in row for c in p.coeffs))
+    return [_ztrim([int(c * mult) for c in p.coeffs]) for p in row]
 
 
 def smith_invariant_factors(entries) -> list[Poly]:
@@ -581,7 +588,7 @@ def cyclic_jacobi(dim: int, entries) -> list[tuple[int, int, int]]:
 
 # ---------------------------------------------------------------------------
 # one linear system at a time, the way the catalog solved them before it
-# solved all commutators with one kernel
+# solved all commutators at once
 
 
 def fraction_solve(a, b) -> list[list[Fraction]] | None:

@@ -71,7 +71,7 @@ def test_build_classical_structures():
 
 
 def test_structure_constants_match_the_per_pair_oracle():
-    # one kernel for all commutators against one solve per commutator
+    # one solve for all commutators against one solve per commutator
     families = [Family("gl", n) for n in (1, 2, 3, 4)]
     families += [Family(name, n) for name in ("sl", "so") for n in (2, 3, 4)]
     for fam in families + [Family("sp", 2), Family("sp", 4), Family("so", 5)]:

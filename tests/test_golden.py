@@ -16,10 +16,12 @@ import io
 import json
 import os
 import sys
+from math import gcd
 
 import pytest
 
 from penciljk import cli
+from penciljk.pencils import EigClass
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "golden_cli.json")
 
@@ -56,6 +58,30 @@ def test_golden_report(request_, tmp_path, monkeypatch):
     _write_inputs(str(tmp_path), GOLDEN_DATA["files"])
     monkeypatch.chdir(tmp_path)
     assert _run(request_["argv"]) == (request_["code"], request_["stdout"])
+
+
+def test_golden_classes_are_primitive_integer_tuples(tmp_path, monkeypatch):
+    # every finite class the replay builds, reported or not, is stored as a
+    # tuple of ints with content 1 and a positive leading coefficient
+    seen = []
+    real = EigClass.__post_init__
+
+    def recorded(self):
+        real(self)
+        seen.append(self.poly)
+
+    monkeypatch.setattr(EigClass, "__post_init__", recorded)
+    _write_inputs(str(tmp_path), GOLDEN_DATA["files"])
+    monkeypatch.chdir(tmp_path)
+    for request in GOLDEN_DATA["requests"]:
+        assert _run(request["argv"]) == (request["code"], request["stdout"])
+    finite = [p for p in seen if p is not None]
+    for p in finite:
+        assert type(p) is tuple and all(type(c) is int for c in p), p
+        assert len(p) > 1 and p[-1] > 0 and gcd(*p) == 1, p
+    # t + 1/2 of strict15.json is stored as 2t + 1
+    assert (1, 2) in finite
+    assert len(finite) > 50
 
 
 def _record() -> None:

@@ -18,13 +18,14 @@ from penciljk.lie import (
     check_jacobi,
     jk_invariants_of_lie,
     jk_invariants_of_rep,
+    lie_pencil,
     lie_poisson_matrix,
 )
 from penciljk.skewjk import SkewJK
 from penciljk.strata import abstract_signature
 
 from helpers import SEED, _sl2, change_basis, identity, lie_index, random_invertible
-from oracles import cyclic_jacobi
+from oracles import cyclic_jacobi, eval_rank
 
 
 def euclidean2():
@@ -175,3 +176,20 @@ def test_sample_count_validation():
         jk_invariants_of_lie(euclidean2(), Sampler(SEED), samples=0)
     with pytest.raises(ValueError):
         lie_index(euclidean2(), Sampler(SEED), samples=0)
+
+
+def test_index_used_is_the_smallest_sampled_corank():
+    # at height 1 some sampled pairs are degenerate, so the coranks differ;
+    # the index read off the folded invariants must be the smallest corank,
+    # recomputed here by ranking each sampled pencil at many parameters
+    varied = 0
+    for g in (euclidean2(), heisenberg(), _sl2()):
+        report = jk_invariants_of_lie(g, Sampler(SEED, height=1), samples=12)
+        sampler = Sampler(SEED, height=1)
+        coranks = []
+        for _ in range(12):
+            x, a = sampler.covector(g.dim), sampler.covector(g.dim)
+            coranks.append(g.dim - eval_rank(lie_pencil(g, x, a)))
+        assert report.index_used == min(coranks)
+        varied += len(set(coranks)) > 1
+    assert varied

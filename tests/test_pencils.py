@@ -32,7 +32,6 @@ from penciljk.pencils import (
     regular_value,
     strict_invariants,
 )
-from penciljk.polys import Poly
 from penciljk.skewjk import SkewJK, skew_jk_invariants
 
 from helpers import (
@@ -63,10 +62,7 @@ from oracles import (
     smith_invariant_factors,
     stacked_minimal_indices,
 )
-
-
-def P(*coeffs):
-    return Poly(coeffs)
+from qpoly import Poly, monic
 
 
 def random_pencil(rng, max_m=6, max_n=6, bound=3):
@@ -86,7 +82,7 @@ def invariant_factors(p: Pencil) -> list[Poly]:
     out = [Poly([1])] * r
     for cls, sizes in elementary_divisors(p)[0]:
         for i, s in enumerate(sizes):
-            out[r - 1 - i] = out[r - 1 - i] * cls**s
+            out[r - 1 - i] = out[r - 1 - i] * monic(cls) ** s
     return out
 
 
@@ -115,7 +111,7 @@ def test_regular_value_comes_from_the_rank_scan(monkeypatch):
         rank=4,
         horizontal=(2,),
         vertical=(2,),
-        jordan=((EigClass(P(-1, 1)), (1,)), (EigClass(P(0, 1)), (1,))),
+        jordan=((EigClass((-1, 1)), (1,)), (EigClass((0, 1)), (1,))),
     )
     assert regular_value(scramble(canonical_of(inv), rng)) == 2
     # once the normal rank is known, the regular value costs no rank
@@ -200,7 +196,7 @@ def test_eigenvalue_convention():
     p = pencil_from_lists([[1, 0], [0, 2]], [[1, 0], [0, 1]])
     divisors, inf_sizes = elementary_divisors(p)
     assert inf_sizes == ()
-    assert {cls: sizes for cls, sizes in divisors} == {P(1, 1): (1,), P(2, 1): (1,)}
+    assert {cls: sizes for cls, sizes in divisors} == {(1, 1): (1,), (2, 1): (1,)}
 
 
 def test_singular_example_all_parts():
@@ -215,7 +211,7 @@ def test_singular_example_all_parts():
     assert inv.horizontal == (2,)
     assert inv.vertical == (1,)
     assert inv.jordan == (
-        (EigClass(P(0, 1)), (1,)),
+        (EigClass((0, 1)), (1,)),
         (EigClass.infinite(), (1,)),
     )
 
@@ -234,7 +230,7 @@ def test_characteristic_form_against_interpolated_determinant():
         finite, inf_sizes = elementary_divisors(p)
         product = Poly([1])
         for cls, sizes in finite:
-            product = product * cls ** sum(sizes)
+            product = product * monic(cls) ** sum(sizes)
         assert product == det.monic()
         assert sum(inf_sizes) == p.n - det.degree()
         checked += 1
@@ -254,7 +250,7 @@ def test_canonical_roundtrip_random():
         rank=7,
         horizontal=(2,),
         vertical=(1,),
-        jordan=((EigClass(P(Fraction(-1, 2), 0, 1)), (2, 1)),),
+        jordan=((EigClass((-1, 0, 2)), (2, 1)),),
     )
     for p in (canonical_of(inv), scramble(canonical_of(inv), rng)):
         assert strict_invariants(p) == inv
@@ -265,7 +261,7 @@ def test_canonical_roundtrip_random():
         rank=2,
         horizontal=(),
         vertical=(),
-        jordan=((EigClass(P(-2, 0, 1)), (1,)),),
+        jordan=((EigClass((-2, 0, 1)), (1,)),),
     )
     assert strict_invariants(canonical_of(inv)) == inv
 
@@ -292,19 +288,31 @@ def test_reversed_swaps_zero_and_infinity():
     p = pencil_from_lists([[0, 0], [0, 1]], [[1, 0], [0, 0]])
     inv = strict_invariants(p)
     assert inv.jordan == (
-        (EigClass(P(0, 1)), (1,)),
+        (EigClass((0, 1)), (1,)),
         (EigClass.infinite(), (1,)),
     )
     assert strict_invariants(reversed_pencil(p)).jordan == inv.jordan
 
 
 def test_eigclass_validation():
-    with pytest.raises(ValueError):
-        EigClass(P(1, 2))  # not monic
-    with pytest.raises(ValueError):
-        EigClass(P(3))  # constant
+    # a class is stored as a primitive integer polynomial with a positive
+    # leading coefficient, never as its monic rational form
+    for bad in (
+        (2, 2),  # content 2
+        (1, -1),  # negative leading coefficient
+        (-1, 0, -2),
+        (3,),  # constant
+        (),
+        (1, 0),  # trailing zero
+        (Fraction(1, 2), 1),  # rational coefficients
+        [-1, 1],  # not a tuple
+        Poly((-1, 1)),  # a Fraction polynomial
+    ):
+        with pytest.raises(ValueError):
+            EigClass(bad)
     assert EigClass.infinite().root_count == 1
-    assert EigClass(P(-2, 0, 1)).root_count == 2
+    assert EigClass((-2, 0, 1)).root_count == 2
+    assert EigClass((1, 2)).root_count == 1
     assert class_to_str(class_at_root(Fraction(1, 2))) == "t-1/2"
 
 
@@ -360,7 +368,7 @@ def test_minor_bound_stops_resolvent_ranks(monkeypatch):
     # t^3 - 2 is irreducible over Q: two 3x3 companion blocks and a
     # width-2 horizontal block, scrambled.  The regular part is 6 x 6, and
     # its determinant gives the exact totals: 2 at the cubic, 0 at infinity
-    cubic = P(-2, 0, 0, 1)
+    cubic = (-2, 0, 0, 1)
     inv = StrictInvariants(
         m=7,
         n=8,
@@ -372,7 +380,8 @@ def test_minor_bound_stops_resolvent_ranks(monkeypatch):
     p = scramble(canonical_of(inv), random.Random(SEED + 8))
     reg = _regular_part(p)
     assert reg.shape == (6, 6)
-    totals, inf_total, t0 = _class_totals(reg)
+    t0 = regular_value(p)
+    totals, inf_total = _class_totals(reg, t0)
     assert (totals, inf_total) == ([(cubic, 2)], 0)
     m = solve(reg.at(t0), reg.b)
     calls = []
@@ -419,9 +428,10 @@ def test_sizes_without_a_tight_bound_agree():
         checked += 1
 
 
-def _shifted(reg: Pencil) -> tuple[Mat, int]:
-    """M = (A + t0 B)^-1 B of a regular part, and t0."""
-    t0 = _class_totals(reg)[2]
+def _shifted(p: Pencil) -> tuple[Mat, int]:
+    """M = (A_R + t0 B_R)^-1 B_R of the regular part of p, and t0, the
+    regular value of p."""
+    reg, t0 = _regular_part(p), regular_value(p)
     return solve(reg.at(t0), reg.b), t0
 
 
@@ -429,23 +439,23 @@ def _chain_cases(p: Pencil, with_empty_infinity: bool = False) -> list[tuple]:
     # every class of the pencil, finite and infinite (None), with its total
     # and the regular part's M and t0, and the whole pencil with the class
     # the resolvent oracle reads it at (the reversed pencil at 0 for infinity)
-    reg = _regular_part(p)
-    totals, inf_total, t0 = _class_totals(reg)
+    reg, t0 = _regular_part(p), regular_value(p)
+    totals, inf_total = _class_totals(reg, t0)
     m = solve(reg.at(t0), reg.b)
     cases = [(m, t0, cls, total, p, cls) for cls, total in totals]
     if inf_total or with_empty_infinity:
-        cases.append((m, t0, None, inf_total, reversed_pencil(p), Poly.x()))
+        cases.append((m, t0, None, inf_total, reversed_pencil(p), (0, 1)))
     return cases
 
 
 # classes of degree 1 to 3 and infinity, with sizes up to 4 and repeats
 _JORDAN_DRAWS = (
-    ((P(-1, 1), (3, 3, 1)), (None, (2, 1))),
-    ((P(Fraction(1, 2), 1), (4, 1)), (P(-2, 0, 1), (2, 2))),
-    ((P(-2, 0, 0, 1), (2, 1)), (None, (3,))),
-    ((P(1, 0, 1), (3, 1, 1)),),
-    ((P(0, 1), (4, 2, 2)), (P(-1, -1, 1), (1,)), (None, (1, 1))),
-    ((P(-2, 0, 0, 1), (1, 1)), (None, (4, 2))),
+    (((-1, 1), (3, 3, 1)), (None, (2, 1))),
+    (((1, 2), (4, 1)), ((-2, 0, 1), (2, 2))),
+    (((-2, 0, 0, 1), (2, 1)), (None, (3,))),
+    (((1, 0, 1), (3, 1, 1)),),
+    (((0, 1), (4, 2, 2)), ((-1, -1, 1), (1,)), (None, (1, 1))),
+    (((-2, 0, 0, 1), (1, 1)), (None, (4, 2))),
 )
 
 
@@ -473,7 +483,7 @@ def test_jordan_chain_matches_resolvent_oracle():
             jordan=jordan,
         )
         p = scramble(canonical_of(inv), rng, bound=3)
-        expected = {c.poly or Poly.x(): sizes for c, sizes in jordan}
+        expected = {c.poly or (0, 1): sizes for c, sizes in jordan}
         cases.append((p, inv.rank, expected))
     while len(cases) < len(_JORDAN_DRAWS) + 25:
         jk = random_skew_jk(rng, max_dim=10)
@@ -483,7 +493,7 @@ def test_jordan_chain_matches_resolvent_oracle():
         r = jk.dim - len(jk.kronecker)
         # a folded size s2 stands for two blocks of size s2 / 2
         expected = {
-            c.poly or Poly.x(): tuple(s2 // 2 for s2 in sizes for _ in range(2))
+            c.poly or (0, 1): tuple(s2 // 2 for s2 in sizes for _ in range(2))
             for c, sizes in jk.jordan
         }
         cases.append((p, r, expected))
@@ -499,7 +509,7 @@ def test_jordan_chain_matches_resolvent_oracle():
 
 
 # t, t - 1 and t - 2 make A, A + B and A + 2B singular, so that t0 reaches 3
-_SHIFTING = (EigClass(P(0, 1)), EigClass(P(-1, 1)), EigClass(P(-2, 1)))
+_SHIFTING = (EigClass((0, 1)), EigClass((-1, 1)), EigClass((-2, 1)))
 
 
 def _shift_classes(rng, i: int) -> list[EigClass]:
@@ -566,18 +576,19 @@ def test_mobius_sizes_match_companion_chain_and_resolvents():
         cases.append((congruent(skew_canonical(jk), rng, bound=3), jordan))
     degrees, shifts = set(), []
     for p, jordan in cases:
-        reg = _regular_part(p)
-        totals, inf_total, t0 = _class_totals(reg)
-        # t0 is the first t >= 0 at which A_R + t B_R is invertible
+        reg, t0 = _regular_part(p), regular_value(p)
+        totals, inf_total = _class_totals(reg, t0)
+        # the regular value is the first t >= 0 at which A_R + t B_R is
+        # invertible
         assert t0 == next(t for t in range(reg.n + 1) if fraction_det(reg.at(t).tolist()))
         m = solve(reg.at(t0), reg.b)
         found = {}
         for cls, total in totals + ([(None, inf_total)] if inf_total else []):
-            q, at = (reg, cls) if cls else (reversed_pencil(reg), Poly.x())
+            q, at = (reg, cls) if cls else (reversed_pencil(reg), (0, 1))
             sizes = _sizes_at_class(m, t0, cls, total)
             assert sizes == companion_sizes(q, at) == resolvent_sizes(q, at, reg.n)
             found[cls] = sizes
-            degrees.add(cls.degree() if cls else None)
+            degrees.add(len(cls) - 1 if cls else None)
         assert found == {c.poly: sizes for c, sizes in jordan}
         shifts.append(t0)
     assert degrees == {1, 2, 3, None}
@@ -591,13 +602,13 @@ def test_jordan_chain_eliminates_only_regular_part_rows(monkeypatch):
     # and k-fold resolvents of it 72 x 72 and then 108 x 108.  The chain
     # eliminates [G | I] once, pivoting in G's 12 columns and carrying I's
     # along, and continues that elimination in the new columns at each step
-    cubic = P(-2, 0, 0, 1)
+    cubic = (-2, 0, 0, 1)
     inv = StrictInvariants(
         m=12, n=12, rank=12, horizontal=(), vertical=(), jordan=((EigClass(cubic), (3, 1)),)
     )
-    reg = _regular_part(scramble(canonical_of(inv), random.Random(SEED + 17)))
-    assert reg.shape == (12, 12)
-    m, t0 = _shifted(reg)
+    p = scramble(canonical_of(inv), random.Random(SEED + 17))
+    assert _regular_part(p).shape == (12, 12)
+    m, t0 = _shifted(p)
     shapes = []
     real = exactla._echelon
 
@@ -675,9 +686,9 @@ def test_continued_chain_matches_restart_oracle_on_pencils():
         pairs = [(q.at(mu), q.b) for q in (p, p.transposed())]
         reg = _regular_part(p)
         if reg.n:
-            m, t0 = _shifted(reg)
+            m, t0 = _shifted(p)
             identity = Mat.from_ints([[int(i == j) for j in range(reg.n)] for i in range(reg.n)], reg.n)
-            classes = [cls for cls, _ in _class_totals(reg)[0]] + [None]
+            classes = [cls for cls, _ in _class_totals(reg, t0)[0]] + [None]
             pairs += [(_class_matrix(m, t0, cls), identity) for cls in classes]
         for a, b in pairs:
             assert list(islice(preimage_chain(a, b), 6)) == list(islice(restart_chain(a, b), 6))
@@ -729,7 +740,7 @@ def test_full_rank_pencils_run_one_chain(monkeypatch):
 
     monkeypatch.setattr(pencils, "preimage_chain", counted)
     inv = StrictInvariants(
-        m=7, n=5, rank=5, horizontal=(), vertical=(3, 2), jordan=((EigClass(P(-1, 1)), (2,)),)
+        m=7, n=5, rank=5, horizontal=(), vertical=(3, 2), jordan=((EigClass((-1, 1)), (2,)),)
     )
     p = scramble(canonical_of(inv), random.Random(SEED + 33))
     _kernel_chains.cache_clear()
@@ -761,7 +772,7 @@ def test_chain_kernels_must_agree_with_the_ranks(monkeypatch):
     _kernel_chains.cache_clear()
     # at t - 1 the defect is 2 of a total of 3, so the chain runs; a rank
     # one too high leaves a defect of 1 that its kernel contradicts
-    m, t0 = _shifted(_regular_part(p))
+    m, t0 = _shifted(p)
     _kernel_chains.cache_clear()
     real_rank = pencils.rank
     monkeypatch.setattr(pencils, "rank", lambda mat: real_rank(mat) + 1)
@@ -771,7 +782,7 @@ def test_chain_kernels_must_agree_with_the_ranks(monkeypatch):
 
 def _mixed_case() -> tuple[EigClass, Pencil]:
     # class t - 1 with sizes (2, 1), infinite sizes (1, 1), a height-2 block
-    one = EigClass(P(-1, 1))
+    one = EigClass((-1, 1))
     inv = StrictInvariants(
         m=7,
         n=6,
@@ -786,11 +797,11 @@ def _mixed_case() -> tuple[EigClass, Pencil]:
 def _shift_totals(monkeypatch, one: EigClass, infinite: bool, shift: int) -> None:
     real = pencils._class_totals
 
-    def shifted(reg):
-        totals, inf_total, t0 = real(reg)
+    def shifted(reg, t0):
+        totals, inf_total = real(reg, t0)
         if infinite:
-            return totals, inf_total + shift, t0
-        return [(f, t + shift if f == one.poly else t) for f, t in totals], inf_total, t0
+            return totals, inf_total + shift
+        return [(f, t + shift if f == one.poly else t) for f, t in totals], inf_total
 
     monkeypatch.setattr(pencils, "_class_totals", shifted)
 
@@ -815,6 +826,19 @@ def test_total_above_the_truth_fails(monkeypatch, infinite):
         strict_invariants(p)
 
 
+def test_regular_value_on_an_eigenvalue_fails(monkeypatch):
+    # the Möbius shift is taken at the pencil's regular value; moved onto
+    # the eigenvalue 1 of the class t - 1, the interpolated determinant of
+    # the regular part vanishes there
+    one, p = _mixed_case()
+    chains = _kernel_chains(p)
+    assert chains.regular != 1
+    assert elementary_divisors(p)[0] == [(one.poly, (2, 1))]
+    monkeypatch.setattr(pencils, "_kernel_chains", lambda q: chains._replace(regular=1))
+    with pytest.raises(InternalConsistencyError, match="regular value is an eigenvalue"):
+        elementary_divisors(p)
+
+
 def test_integer_candidates_match_fraction_path():
     # random draws: the totals from the regular part's integer determinant
     # equal those from the gcd of every full-rank minor over Q, and sit
@@ -826,7 +850,7 @@ def test_integer_candidates_match_fraction_path():
         r = pencil_rank(p)
         if r == 0:
             continue
-        totals, inf_total, _ = _class_totals(_regular_part(p))
+        totals, inf_total = _class_totals(_regular_part(p), regular_value(p))
         assert (totals, inf_total) == all_minor_totals(p, r)
         candidates, inf_bound = fraction_candidates(p, r)
         bounds = dict(candidates)
@@ -838,7 +862,7 @@ def test_integer_candidates_match_fraction_path():
     # the sizes, class by class
     higher = [c for c in CLASS_POOL if c.root_count > 1 and not c.is_infinite]
     for i in range(12):
-        picked = rng.sample(higher, 2) + [EigClass(P(rng.randint(-3, 3), 1)), EigClass.infinite()]
+        picked = rng.sample(higher, 2) + [EigClass((rng.randint(-3, 3), 1)), EigClass.infinite()]
         jordan = sorted(
             ((c, tuple(sorted((rng.randint(1, 2) for _ in range(rng.randint(1, 2))), reverse=True)))
              for c in picked[: 2 + i % 3]),
@@ -857,7 +881,7 @@ def test_integer_candidates_match_fraction_path():
         p = scramble(canonical_of(inv), rng, bound=3)
         reg = _regular_part(p)
         assert reg.shape == (jdim, jdim)
-        totals, inf_total, _ = _class_totals(reg)
+        totals, inf_total = _class_totals(reg, regular_value(p))
         assert totals == [(c.poly, sum(s)) for c, s in inv.jordan if not c.is_infinite]
         assert inf_total == sum(inv.infinite_sizes())
         candidates, inf_bound = fraction_candidates(p, inv.rank)
@@ -995,7 +1019,7 @@ def _deflation_case() -> Pencil:
         rank=6,
         horizontal=(3, 1),
         vertical=(2,),
-        jordan=((EigClass(P(-1, 1)), (2, 1)),),
+        jordan=((EigClass((-1, 1)), (2, 1)),),
     )
     return scramble(canonical_of(inv), random.Random(SEED + 15))
 

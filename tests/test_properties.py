@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from penciljk.exactla import Mat, det, kernel_basis, rank
 from penciljk.jsonio import rat_to_str, sig_from_json, sig_to_json, str_to_rat
-from penciljk.polys import Poly, poly_gcd
+from penciljk.polys import poly_gcd
 from penciljk.strata import (
     bundle_closure_contains,
     enumerate_signatures,
@@ -18,6 +18,7 @@ from penciljk.strata import (
 )
 
 from helpers import matmul
+from qpoly import Poly, monic_gcd
 
 FAST = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -53,7 +54,7 @@ def test_poly_product_degree(ca, cb):
 @given(coeff_lists, coeff_lists)
 def test_poly_gcd_divides(ca, cb):
     f, g = _poly(ca), _poly(cb)
-    d = poly_gcd(f, g)
+    d = monic_gcd(f, g)
     if d.degree() < 0:
         assert f.degree() < 0 and g.degree() < 0
         return
@@ -62,6 +63,9 @@ def test_poly_gcd_divides(ca, cb):
         q, r = divmod(h, d)
         assert r.degree() < 0
         assert q * d == h
+    # the package's gcd over Z[t] is the primitive associate of d
+    z = poly_gcd(ca, cb)
+    assert z[-1] > 0 and Poly(z).monic() == d
 
 
 def _mats(k):

@@ -9,7 +9,6 @@ from penciljk.catalog import Family, build_classical
 from penciljk.exactla import Mat
 from penciljk.lie import CERTIFIED, RepJK, Sampler, check_jacobi
 from penciljk.pencils import EigClass, StrictInvariants
-from penciljk.polys import Poly
 from penciljk.semidirect import (
     MATCH,
     NOT_APPLICABLE,
@@ -23,10 +22,6 @@ from penciljk.semidirect import (
 )
 
 from helpers import SEED, pair_pool
-
-
-def P(*coeffs):
-    return Poly(coeffs)
 
 
 def sl2_standard():
@@ -102,7 +97,7 @@ def test_prediction_from_dual_invariants():
         rank=4,
         horizontal=(),
         vertical=(2,),
-        jordan=((EigClass(P(-1, 1)), (2, 1)),),
+        jordan=((EigClass((-1, 1)), (2, 1)),),
     )
     report = RepJK(invariants=inv, genericity_status=CERTIFIED, samples_used=1)
     assert predict_semidirect_jk(report) == ((2,), (3,))
@@ -119,7 +114,7 @@ def test_prediction_from_dual_invariants():
         rank=2,
         horizontal=(),
         vertical=(1,),
-        jordan=((EigClass(P(-2, 0, 1)), (1,)),),
+        jordan=((EigClass((-2, 0, 1)), (1,)),),
     )
     report3 = RepJK(invariants=paired, genericity_status=CERTIFIED, samples_used=1)
     assert predict_semidirect_jk(report3) == ((1,), (1, 1))

@@ -6,7 +6,6 @@ import pytest
 import penciljk.strata as strata
 from penciljk.errors import CertificateNotApplicableError
 from penciljk.pencils import EigClass, StrictInvariants
-from penciljk.polys import Poly
 from penciljk.skewjk import SkewJK
 from penciljk.strata import (
     BundleSig,
@@ -23,10 +22,6 @@ from penciljk.strata import (
     skew_bundle_closure_contains,
     successors,
 )
-
-
-def P(*coeffs):
-    return Poly(coeffs)
 
 
 def sig(m, n, rank, horizontal=(), vertical=(), slots=()):
@@ -58,7 +53,7 @@ def test_abstract_signature_expands_class_roots():
         horizontal=(),
         vertical=(),
         jordan=(
-            (EigClass(P(-2, 0, 1)), (2, 1)),
+            (EigClass((-2, 0, 1)), (2, 1)),
             (EigClass.infinite(), (2,)),
         ),
     )
@@ -69,7 +64,7 @@ def test_abstract_signature_expands_class_roots():
     jk = SkewJK(
         dim=7,
         kronecker=(2,),
-        jordan=((EigClass(P(-2, 0, 1)), (2,)),),
+        jordan=((EigClass((-2, 0, 1)), (2,)),),
     )
     assert skew_abstract_signature(jk) == SkewBundleSig.make(
         dim=7, kronecker=(2,), slots=[(2,), (2,)]
