@@ -29,16 +29,25 @@ def rat_to_str(x) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def str_to_rat(value) -> Fraction:
+def str_to_rat(value) -> int | Fraction:
+    """A rational from a JSON value: an int when it is an integer written
+    as one (a JSON integer, an integral float or an integer string), else a
+    Fraction.  Integer strings are read by ``int``, which accepts what the
+    Fraction parser accepts for them, and skip that parser."""
     if isinstance(value, bool):
         raise InputFormatError("expected a rational, got a boolean")
     if isinstance(value, int):
-        return Fraction(value)
+        return value
     if isinstance(value, float):
         if not value.is_integer():
             raise InputFormatError(f"non-integral float {value!r} is not exact")
-        return Fraction(int(value))
+        return int(value)
     if isinstance(value, str):
+        if "/" not in value:
+            try:
+                return int(value)
+            except ValueError:
+                pass
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError):
@@ -61,9 +70,10 @@ def _require(obj: dict, key: str, kind, where: str):
 
 
 def _matrix_from_json(rows, m: int, n: int, where: str) -> Mat:
-    """A matrix of plain JSON integers becomes integer rows as they are;
-    any other entry is read by ``str_to_rat``, row by row, so a bad entry
-    and a bad row are reported in the order they appear."""
+    """A matrix whose entries all read as ints (plain JSON integers, or
+    integer strings read by ``str_to_rat``) becomes integer rows as they
+    are; any other entry is read by ``str_to_rat``, row by row, so a bad
+    entry and a bad row are reported in the order they appear."""
     if not isinstance(rows, list) or len(rows) != m:
         raise InputFormatError(f"{where} must be a list of {m} rows")
     out = []
@@ -71,11 +81,10 @@ def _matrix_from_json(rows, m: int, n: int, where: str) -> Mat:
     for row in rows:
         if not isinstance(row, list) or len(row) != n:
             raise InputFormatError(f"each row of {where} must have {n} entries")
-        if plain and all(type(x) is int for x in row):
-            out.append(row)
-        else:
-            plain = False
-            out.append([str_to_rat(x) for x in row])
+        if not all(type(x) is int for x in row):
+            row = [str_to_rat(x) for x in row]
+            plain = plain and all(type(x) is int for x in row)
+        out.append(row)
     return Mat.from_ints(out, n) if plain else Mat(out, n=n)
 
 

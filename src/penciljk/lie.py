@@ -4,12 +4,15 @@ An algebra is held as its adjoint operators ad(e_i) = [e_i, -] and a
 representation as one operator per basis element, all ``Mat``s.  Both
 structure checks read one integer defect, rho([e_i, e_j]) - [rho(e_i),
 rho(e_j)]; on the adjoint operators its column k is minus the Jacobiator
-of (e_i, e_j, e_k).  Both pencils come from one contraction, the matrix
-whose column i is the i-th operator applied to a vector: of the operators
-of a representation, or of the coadjoint operators -ad(e_i)^T, which
-gives the Poisson matrix <x, [e_i, e_j]>.  Invariants of a generic pair
-are estimated by sampling integer points and keeping the signature that
-dominates all others under bundle closure.
+of (e_i, e_j, e_k).  The defect is built from the operators' nonzero
+entries only, since classical operators are almost all zeros, and a
+check reads only the positions it holds.  Both pencils come from one
+contraction, the matrix whose column i is the i-th operator applied to
+a vector: of the operators of a representation, or of the coadjoint
+operators -ad(e_i)^T, which gives the Poisson matrix <x, [e_i, e_j]>.
+Invariants of a generic pair are estimated by sampling integer points
+and keeping the signature that dominates all others under bundle
+closure.
 """
 
 from __future__ import annotations
@@ -58,33 +61,35 @@ def _contract(ops, den: int, x) -> Mat:
     return Mat.from_ints(rows, len(ops), den * xden)
 
 
-def _matmul(a, b):
-    cols = list(zip(*b))
-    return [[sum(map(mul, row, col)) for col in cols] for row in a]
-
-
 def _defects(ad, mats):
-    """Yield (i, j, D) for each basis pair i < j, where D is the integer
-    matrix e r^2 (rho([e_i, e_j]) - [rho(e_i), rho(e_j)]).
+    """Yield (i, j, D) for each basis pair i < j, where D maps positions
+    (a, b) to the entries of the integer matrix
+    e r^2 (rho([e_i, e_j]) - [rho(e_i), rho(e_j)]); positions missing from
+    D hold zero, and a listed entry may be zero too.
 
     ad are the adjoint operators of an algebra, c^k_ij = C[i][k][j] / e,
     and mats are rho(e_k) = R[k] / r, so
-    D = r sum_k C[i][k][j] R[k] - e [R[i], R[j]].
+    D = r sum_k C[i][k][j] R[k] - e [R[i], R[j]].  Classical operators are
+    almost all zeros, so every sum runs over nonzero entries only.
     """
     cs, e = _int_ops(ad)
     rs, r = _int_ops(mats)
-    size = range(len(rs[0]) if rs else 0)
+    sparse = [[[(b, x) for b, x in enumerate(row) if x] for row in op] for op in rs]
     for i in range(len(cs)):
         for j in range(i + 1, len(cs)):
-            terms = [(c, rs[k]) for k, c in enumerate(row[j] for row in cs[i]) if c]
-            ij, ji = _matmul(rs[i], rs[j]), _matmul(rs[j], rs[i])
-            yield i, j, [
-                [
-                    r * sum(c * op[a][b] for c, op in terms) - e * (ij[a][b] - ji[a][b])
-                    for b in size
-                ]
-                for a in size
-            ]
+            d: dict[tuple[int, int], int] = {}
+            for k, c in enumerate(ck[j] for ck in cs[i]):
+                if c:
+                    for a, row in enumerate(sparse[k]):
+                        for b, x in row:
+                            d[a, b] = d.get((a, b), 0) + r * c * x
+            for left, right, sign in ((i, j, -e), (j, i, e)):
+                outer = sparse[right]
+                for a, row in enumerate(sparse[left]):
+                    for mid, x in row:
+                        for b, y in outer[mid]:
+                            d[a, b] = d.get((a, b), 0) + sign * x * y
+            yield i, j, d
 
 
 # ---------------------------------------------------------------------------
@@ -133,8 +138,7 @@ def check_jacobi(g: LieAlgebra):
     return [
         (i, j, k)
         for i, j, d in _defects(g.ad, g.ad)
-        for k in range(j + 1, g.dim)
-        if any(r[k] for r in d)
+        for k in sorted({b for (_, b), x in d.items() if x and b > j})
     ]
 
 
@@ -160,11 +164,7 @@ class Representation:
 
 def check_homomorphism(rho: Representation):
     """All basis pairs (i, j) where the bracket is not matched."""
-    return [
-        (i, j)
-        for i, j, d in _defects(rho.algebra.ad, rho.mats)
-        if any(any(r) for r in d)
-    ]
+    return [(i, j) for i, j, d in _defects(rho.algebra.ad, rho.mats) if any(d.values())]
 
 
 # ---------------------------------------------------------------------------

@@ -20,16 +20,17 @@ Everything here is exact, and the work is done on integers.  Matrices are
 integer rows over a common denominator (see ``exactla``), so A + t*B at
 an integer t is an integer matrix up to one constant factor, which
 changes no rank and no kernel.  Ranks at specific parameter values are
-exact by construction; the normal rank is obtained by ranking A + t*B at
-t = 0, 1, ... until the points seen prove the largest rank so far
-generic: with best that rank, every (best + 1)-minor is a polynomial in t
-of degree at most best + 1, so best + 2 points at which all of them
-vanish prove them zero.  A skew pencil needs only (best + 2)/2 + 1
-points, since a higher rank needs a nonzero principal Pfaffian of order
-best + 2, of degree at most (best + 2)/2 (see ``_rank_scan``).  The same
-scan records the smallest sampled t that reaches the normal rank, and
-that t is the regular value every later stage uses, so no second scan
-runs.
+exact by construction.  The normal rank is proved from the limit V of the
+right kernel chain below, run at t = 0: since (A + t*B)V lies in
+AV + BV for every t, rank(A + t*B) <= n - (dim V - dim(AV + BV)), and the
+limit taken at any t attains that bound, since each horizontal block
+loses one dimension there and a Jordan block at that t none.  When
+rank(A) reaches the bound, 0 is the regular value; otherwise t = 1, 2, ...
+are ranked until one reaches it, and the chain runs again there.  The
+regular part has at most r eigenvalues for a normal rank r, so one of
+t = 0..r is regular, and a rank above the bound, or no t in 0..r reaching
+it, is an internal error (see ``_kernel_chains``).  The smallest such t
+is the regular value every later stage uses.
 
 Minimal indices come from a nested-kernel chain at a regular parameter
 value mu: with M = A + mu*B,
@@ -41,8 +42,8 @@ of width w contributes min(k, w) to dim W_k, so consecutive differences
 count blocks of width >= k.  The chain of the transposed pencil gives
 the heights the same way.  For a skew pencil the transposed pencil is
 the negated one, whose chain is the same computation, so it runs once.
-A chain whose first kernel the rank scan proves zero (n = rank on the
-right, m = rank on the left) is not run.
+A chain whose first kernel a rank proves zero (rank(A) = n on the right,
+m = r on the left) is not run.
 
 Each chain is one Bareiss elimination of [M | -B], continued in the new
 columns B W_k at every step (``exactla.preimage_chain``, whose module
@@ -80,19 +81,24 @@ Every matrix this eliminates has n_R rows, whatever the class degree.
 Eliminating A + t*B as a polynomial matrix would give the same answers
 but suffers badly from coefficient growth.
 
-One cache holds a pencil's singular structure: ``_kernel_chains`` runs
-the rank scan and both chains once and keeps the normal rank, the
-regular value, the widths, the heights and the two limits.  The rank,
-the regular value, the minimal indices, the regular part and the skew
-core (``skewjk.core_subspace``) all read it.  The eigenvalue stage runs
-once per pencil and is not cached.  The cache is bounded, since its
-entries are reused only within one request.
+One cache holds a pencil's singular structure: ``_kernel_chains`` proves
+the normal rank, runs both chains once at the regular value and keeps
+the normal rank, the regular value, the widths, the heights, the two
+limits and the functionals vanishing on AV + BV at the regular value,
+which the regular part reuses.  The rank, the regular value, the
+minimal indices, the regular part and the skew core
+(``skewjk.core_subspace``) all read it.  The eigenvalue stage runs once
+per pencil and is not cached.  The cache is bounded, since its entries
+are reused only within one request.
 
-Each step checks itself: the two image dimensions against the indices,
-the regular part's size, its determinant, which must not vanish at the
-regular value, and each class's defects against its total.  The rank
-comes from the independent rank scan, so the dimension bookkeeping of
-``StrictInvariants`` still checks the chains against the rank.
+Each step checks itself: each chain's first kernel against the rank at
+its point, the right limit's deficiency against the normal rank when the
+chain runs again at a regular value t > 0, the left limit's deficiency
+against the same normal rank for a pencil that is not skew, the regular
+part's size, its determinant, which must not vanish at the
+regular value, and each class's defects against its total.  The
+dimension bookkeeping of ``StrictInvariants`` then checks the chains
+against the rank.
 """
 
 from __future__ import annotations
@@ -254,34 +260,10 @@ class StrictInvariants:
 # the singular structure, computed once per pencil
 
 
-def _rank_scan(p: Pencil) -> tuple[int, int]:
-    """Normal rank, and the smallest integer t >= 0 at which it is reached.
-
-    The ranks at t = 0, 1, ... are scanned until the points seen prove
-    that no higher rank exists.  With best the largest rank so far, every
-    (best + 1)-minor of A + t*B vanishes at every scanned point and has
-    degree at most best + 1 in t, so best + 2 points prove it identically
-    zero.  A skew matrix has even rank, and a skew pencil of rank at least
-    best + 2 has a nonzero principal Pfaffian of order best + 2, of degree
-    at most (best + 2)/2, so there (best + 2)/2 + 1 points suffice.  The
-    scan also stops once best reaches min(m, n).  The rank never exceeds
-    its normal value, so the last t at which the running maximum rose is
-    the smallest regular one.
-    """
-    bound = min(p.m, p.n)
-    skew = _is_skew(p)
-    best = at = t = 0
-    while best < bound and t < (best // 2 + 2 if skew else best + 2):
-        k = rank(p.at(t))
-        if k > best:
-            best, at = k, t
-        t += 1
-    return best, at
-
-
 def _kernel_chain(m_at_mu: Mat, b: Mat, dim: int) -> tuple[list[int], list[IntVec]]:
     """Dimensions of the nested kernel chain W_1 <= W_2 <= ... until stable,
-    and a basis of its limit, given dim W_1 from the rank scan.
+    and a basis of its limit, given dim W_1 = n - rank(M) from a rank
+    already taken.
 
     A chain with dim W_1 = 0 stays zero and is not run.
     """
@@ -290,7 +272,7 @@ def _kernel_chain(m_at_mu: Mat, b: Mat, dim: int) -> tuple[list[int], list[IntVe
     chain = preimage_chain(m_at_mu, b)
     basis = next(chain)
     if len(basis) != dim:
-        raise InternalConsistencyError("the kernel at the regular value disagrees with the rank scan")
+        raise InternalConsistencyError("the kernel of the chain disagrees with the rank")
     dims = [dim]
     for new_basis in chain:
         if len(new_basis) == len(basis):
@@ -298,6 +280,34 @@ def _kernel_chain(m_at_mu: Mat, b: Mat, dim: int) -> tuple[list[int], list[IntVe
         dims.append(len(new_basis))
         basis = new_basis
     return dims, basis
+
+
+def _deficiency(p: Pencil, v: Sequence[IntVec]) -> tuple[int, list[IntVec]]:
+    """dim V - dim(AV + BV) for V spanned by the independent vectors v, and
+    a basis of the functionals vanishing on AV + BV: the kernel of the
+    matrix whose rows are the vectors Av and Bv.  V = 0 needs no
+    elimination; every functional vanishes on its image."""
+    if not v:
+        return 0, [tuple(int(i == j) for j in range(p.m)) for i in range(p.m)]
+    image = [[sum(map(mul, row, x)) for row in mat.rows] for x in v for mat in (p.a, p.b)]
+    ann = kernel_basis(Mat.from_ints(image, p.m))
+    return len(v) - (p.m - len(ann)), ann
+
+
+def _first_regular(p: Pencil, r: int) -> int:
+    """The smallest integer t in 1..r at which rank(A + t*B) = r, for a
+    pencil of normal rank r that falls short of it at t = 0.
+
+    The regular part has at most r eigenvalues, so one of the r + 1 points
+    0..r is regular; a rank above r contradicts the bound that proved r.
+    """
+    for t in range(1, r + 1):
+        k = rank(p.at(t))
+        if k > r:
+            raise InternalConsistencyError("a rank exceeds the normal rank the chain limit proves")
+        if k == r:
+            return t
+    raise InternalConsistencyError("no integer t in 0..r reaches the normal rank")
 
 
 def _widths_from_dims(dims: list[int]) -> tuple[int, ...]:
@@ -316,7 +326,8 @@ def _is_skew(p: Pencil) -> bool:
 
 class _Chains(NamedTuple):
     """A pencil's singular structure: normal rank, regular value, widths,
-    heights, and the limits of the right and left kernel chains."""
+    heights, the limits of the right and left kernel chains, and a basis of
+    the functionals vanishing on the right limit's image AV + BV."""
 
     rank: int
     regular: int
@@ -324,6 +335,7 @@ class _Chains(NamedTuple):
     heights: tuple[int, ...]
     right: tuple[IntVec, ...]
     left: tuple[IntVec, ...]
+    ann_image: tuple[IntVec, ...]
 
 
 # cached values are reused only within one request, so a few entries suffice;
@@ -333,15 +345,39 @@ _CACHE_SIZE = 8
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _kernel_chains(p: Pencil) -> _Chains:
-    """The rank scan, then both kernel chains at its regular value.
+    """The normal rank and regular value, proved from the right chain's
+    limit, then both kernel chains at the regular value.
+
+    The right chain runs at t = 0 first.  Its limit V satisfies
+    (A + tB)V <= AV + BV at every t, so rank(A + tB) <= n - d for the
+    deficiency d = dim V - dim(AV + BV), and the Wong limit at any t
+    attains the bound: each horizontal block loses one dimension, a Jordan
+    block at that t none.  So r = n - d is the normal rank.  When
+    rank(A) = r, t = 0 is the regular value and the chain already run is
+    the one wanted.  Otherwise t = 1, 2, ... are ranked until one reaches
+    r (``_first_regular``), and the chain runs again there.  rank(A) is
+    taken first, so a pencil of rank(A) = n runs no right chain, and one
+    of rank(A) = min(m, n) ranks no other point.
 
     The right limit spans the columns of the horizontal blocks, the left
     one (the chain of the transposed pencil) the rows of the vertical
     blocks.  A skew pencil's transpose is its negative, whose chain is the
     same computation, so there the left chain is the right one.
     """
-    r, mu = _rank_scan(p)
-    right_dims, right = _kernel_chain(p.at(mu), p.b, p.n - r)
+    low = rank(p.a)
+    right_dims, right = _kernel_chain(p.a, p.b, p.n - low)
+    deficiency, ann_image = _deficiency(p, right)
+    r, mu = p.n - deficiency, 0
+    if low > r:
+        raise InternalConsistencyError("a rank exceeds the normal rank the chain limit proves")
+    if low < r:
+        mu = _first_regular(p, r)
+        right_dims, right = _kernel_chain(p.at(mu), p.b, p.n - r)
+        deficiency, ann_image = _deficiency(p, right)
+        if deficiency != p.n - r:
+            raise InternalConsistencyError(
+                "the chain limit at the regular value disagrees with the normal rank"
+            )
     if _is_skew(p):
         left_dims, left = right_dims, right
     else:
@@ -354,6 +390,7 @@ def _kernel_chains(p: Pencil) -> _Chains:
         _widths_from_dims(left_dims),
         tuple(right),
         tuple(left),
+        tuple(ann_image),
     )
 
 
@@ -416,10 +453,16 @@ def _regular_part(p: Pencil) -> Pencil:
     invertible changes of basis.  For a skew pencil Z = V, U = W and
     hence Q = P.
 
+    Ann W comes with the chains, from the elimination that proved or
+    checked the normal rank r on V.  Z loses one dimension per vertical
+    block under A and B, so for a pencil that is not skew
+    dim Z - dim U = m - r is checked here, on the elimination that gives
+    ker U.
+
     Both parts are scaled by the product D of the pencil's denominators,
     D * (A + tB) having integer rows, which changes no eigenvalue data.
     """
-    _, _, widths, heights, right, left = _kernel_chains(p)
+    normal, _, widths, heights, right, left, ann_image = _kernel_chains(p)
     if not right and not left:
         # the general branch gives these rows too, through identity
         # complements, but at about ten times the cost
@@ -428,20 +471,11 @@ def _regular_part(p: Pencil) -> Pencil:
             Mat.from_ints([[p.a.den * y for y in r] for r in p.b.rows], p.n),
         )
     skew = _is_skew(p)
-    image = [
-        [sum(map(mul, row, v)) for row in mat.rows] for v in right for mat in (p.a, p.b)
-    ]
-    ann_image = kernel_basis(Mat.from_ints(image, p.m))
-    if p.m - len(ann_image) != sum(w - 1 for w in widths):
-        raise InternalConsistencyError("the horizontal blocks' image has the wrong dimension")
     if skew:
         ker_coimage = ann_image
     else:
-        coimage = [
-            [sum(map(mul, col, z)) for col in zip(*mat.rows)] for z in left for mat in (p.a, p.b)
-        ]
-        ker_coimage = kernel_basis(Mat.from_ints(coimage, p.n))
-        if p.n - len(ker_coimage) != sum(u - 1 for u in heights):
+        deficiency, ker_coimage = _deficiency(p.transposed(), left)
+        if deficiency != p.m - normal:
             raise InternalConsistencyError("the vertical blocks' coimage has the wrong dimension")
     cols = _complement(right, ker_coimage, p.n)
     rows = cols if skew else _complement(left, ann_image, p.m)

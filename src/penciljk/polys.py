@@ -40,8 +40,12 @@ from .errors import FactorizationLimitError
 
 def poly_sort_key(p: Sequence[int]):
     """Order of classes: by degree, then by the coefficients of the monic
-    associate, lowest degree first."""
-    return (len(p) - 1, tuple(Fraction(c, p[-1]) for c in p))
+    associate, lowest degree first.  A monic p is its own associate, and
+    ints compare with Fractions by value, so it needs no division."""
+    lead = p[-1]
+    if lead == 1:
+        return (len(p) - 1, tuple(p))
+    return (len(p) - 1, tuple(Fraction(c, lead) for c in p))
 
 
 def format_poly(p: Sequence[int], var: str = "x") -> str:

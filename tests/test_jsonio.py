@@ -67,15 +67,25 @@ def test_pencil_from_json_rejects_malformed():
             pencil_from_json(obj)
 
 
+def _fraction_rat(value):
+    """``str_to_rat`` with every string read by the Fraction parser."""
+    if isinstance(value, str):
+        try:
+            return Fraction(value.strip())
+        except (ValueError, ZeroDivisionError):
+            raise InputFormatError(f"bad rational {value!r}") from None
+    return str_to_rat(value)
+
+
 def _fraction_path(rows, m, n, where):
-    """The loader that reads every entry through ``str_to_rat``."""
+    """The loader that reads every entry through ``_fraction_rat``."""
     if not isinstance(rows, list) or len(rows) != m:
         raise InputFormatError(f"{where} must be a list of {m} rows")
     out = []
     for row in rows:
         if not isinstance(row, list) or len(row) != n:
             raise InputFormatError(f"each row of {where} must have {n} entries")
-        out.append([str_to_rat(x) for x in row])
+        out.append([_fraction_rat(x) for x in row])
     return Mat(out, n=n)
 
 
@@ -91,6 +101,10 @@ MATRIX_CASES = [
     [["x", 1], [3]],
     [[1, 2], "row"],
     [[1, 2], [3, None]],
+    [["5", " -3 "], ["+5", "1_0"]],
+    [["٣", "1e3"], ["3/4", "1.0"]],
+    [["", 1], [0, 1]],
+    [[1, "5"], ["1e3", "1.0"]],
 ]
 
 

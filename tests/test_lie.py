@@ -24,7 +24,15 @@ from penciljk.lie import (
 from penciljk.skewjk import SkewJK
 from penciljk.strata import abstract_signature
 
-from helpers import SEED, _sl2, change_basis, identity, lie_index, random_invertible
+from helpers import (
+    SEED,
+    _sl2,
+    change_basis,
+    identity,
+    lie_index,
+    matmul,
+    random_invertible,
+)
 from oracles import cyclic_jacobi, eval_rank
 
 
@@ -94,6 +102,22 @@ def test_change_basis_keeps_jacobi_and_index():
     assert lie_index(moved, sampler) == lie_index(g, Sampler(SEED))
 
 
+def _unmatched_pairs(rho: Representation) -> list[tuple[int, int]]:
+    """Pairs i < j with rho([e_i, e_j]) != [rho(e_i), rho(e_j)], from dense
+    products over Q."""
+    g, mats = rho.algebra, rho.mats
+    bracket = {}
+    for i, j, k, c in g.entries():
+        bracket[i, j] = bracket.get((i, j), Mat.zeros(rho.dim_v, rho.dim_v)) + mats[k].scale(c)
+    return [
+        (i, j)
+        for i in range(g.dim)
+        for j in range(i + 1, g.dim)
+        if bracket.get((i, j), Mat.zeros(rho.dim_v, rho.dim_v))
+        != matmul(mats[i], mats[j]) - matmul(mats[j], mats[i])
+    ]
+
+
 def test_check_homomorphism():
     g, rho = build_classical(Family("sl", 2))
     assert check_homomorphism(rho) == []
@@ -101,6 +125,21 @@ def test_check_homomorphism():
         g, 2, (rho.mats[0] + Mat([[0, 0], [1, 0]]),) + rho.mats[1:]
     )
     assert check_homomorphism(tampered) != []
+    # classical operators are almost all zeros; one entry changed, zero or
+    # not, breaks the pairs the dense products say it breaks
+    rng = random.Random(SEED + 5)
+    g, rho = build_classical(Family("sp", 4))
+    assert check_homomorphism(rho) == _unmatched_pairs(rho) == []
+    zeros = sum(not x for m in rho.mats for r in m.rows for x in r)
+    assert zeros > 3 * sum(bool(x) for m in rho.mats for r in m.rows for x in r)
+    for _ in range(20):
+        k, a, b = rng.randrange(g.dim), rng.randrange(rho.dim_v), rng.randrange(rho.dim_v)
+        rows = [list(r) for r in rho.mats[k].tolist()]
+        rows[a][b] += Fraction(rng.choice((-2, -1, 1, 3)), rng.choice((1, 2)))
+        mats = rho.mats[:k] + (Mat(rows),) + rho.mats[k + 1 :]
+        tampered = Representation(g, rho.dim_v, mats)
+        bad = check_homomorphism(tampered)
+        assert bad and bad == _unmatched_pairs(tampered)
 
 
 def test_poisson_matrix_heisenberg():

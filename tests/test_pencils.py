@@ -124,51 +124,63 @@ def test_regular_value_comes_from_the_rank_scan(monkeypatch):
     assert calls == []
 
 
-def _scan_counted(monkeypatch, p: Pencil) -> tuple[tuple[int, int], int]:
+def _points_ranked(monkeypatch, p: Pencil) -> tuple[tuple[int, int], int]:
+    """(normal rank, regular value) of a fresh pencil, and the number of
+    points t at which the pencil layer took rank(A + t*B) to find them."""
     calls = []
     real = exactla.rank
     monkeypatch.setattr(pencils, "rank", lambda mat: calls.append(mat) or real(mat))
-    result = pencils._rank_scan(p)
+    _kernel_chains.cache_clear()
+    result = pencil_rank(p), regular_value(p)
     monkeypatch.setattr(pencils, "rank", real)
+    _kernel_chains.cache_clear()
     return result, len(calls)
 
 
 def test_rank_scan_stops_at_the_degree_bound(monkeypatch):
-    # diag(t, t-1, ..., t-(n-1)) has rank n-1 at t = 0..n-1, so it must be
-    # scanned up to t = n: n+1 points, the bound for rank n-1
+    # the right chain's limit at t = 0 proves the normal rank r; t = 1, 2, ...
+    # are ranked only while rank(A) < r.  diag(t, t-1, ..., t-(n-1)) has rank
+    # n-1 at t = 0..n-1, so it ranks t = 0..n: n+1 points
     for n in range(1, 6):
         p = pencil_from_lists(
             [[-i if i == j else 0 for j in range(n)] for i in range(n)],
             [[int(i == j) for j in range(n)] for i in range(n)],
         )
-        assert _scan_counted(monkeypatch, p) == ((n, n), n + 1)
+        assert _points_ranked(monkeypatch, p) == ((n, n), n + 1)
     # the skew sum of [[0, t-a], [a-t, 0]] for a = 0..k-1 has rank 2k-2 at
-    # t = 0..k-1, so it must be scanned up to t = k: (2k-2)/2 + 2 points
+    # t = 0..k-1, so it ranks t = 0..k: k+1 points
     for k in range(1, 5):
         a = exactla.Mat.block_diag([exactla.Mat([[0, -i], [i, 0]]) for i in range(k)])
         b = exactla.Mat.block_diag([exactla.Mat([[0, 1], [-1, 0]])] * k)
-        assert _scan_counted(monkeypatch, Pencil(a, b)) == ((2 * k, k), k + 1)
-    # an odd-dimensional skew pencil never reaches min(m, n): at rank R it
-    # stops after (R+2)/2 + 1 points, where the general bound needs R + 2
+        assert _points_ranked(monkeypatch, Pencil(a, b)) == ((2 * k, k), k + 1)
+    # an odd-dimensional skew pencil regular at t = 0 ranks that one point,
+    # where a scan bounded by Pfaffian degrees ranks (R+2)/2 + 1; singular
+    # there, it ranks t = 0, 1, ... up to its regular value
     rng = random.Random(SEED + 18)
-    checked = 0
-    while checked < 10:
+    regular_at_zero = singular_at_zero = 0
+    while regular_at_zero < 10 or singular_at_zero < 3:
         jk = random_skew_jk(rng)
         if jk.dim % 2 == 0:
             continue
         p = congruent(skew_canonical(jk), rng)
         r = jk.dim - len(jk.kronecker)
-        (found, _), count = _scan_counted(monkeypatch, p)
-        assert (found, count) == (r, (r + 2) // 2 + 1)
-        checked += 1
-    # a pencil of rank r < min(m, n) that is not skew needs r + 2 points;
-    # one that reaches min(m, n) stops there, and an empty one at once
+        roots = [cls.poly for cls, _ in jk.jordan if not cls.is_infinite]
+        value = lambda f, t: sum(c * t**i for i, c in enumerate(f))
+        mu = next(t for t in range(r + 1) if all(value(f, t) for f in roots))
+        assert _points_ranked(monkeypatch, p) == ((r, mu), mu + 1)
+        regular_at_zero += mu == 0
+        singular_at_zero += mu > 0
+    # a pencil regular at t = 0 ranks that point alone, whether it reaches
+    # min(m, n) there or not; the zero pencil, whose chain limit is
+    # everything and whose image is zero, is one of them
     zero = pencil_from_lists([[0, 0], [0, 0], [0, 0]], [[0, 0], [0, 0], [0, 0]])
-    assert _scan_counted(monkeypatch, zero) == ((0, 0), 2)
+    assert _points_ranked(monkeypatch, zero) == ((0, 0), 1)
     wide = pencil_from_lists([[1, 1, 0]], [[0, 1, 1]])
-    assert _scan_counted(monkeypatch, wide) == ((1, 0), 1)
+    assert _points_ranked(monkeypatch, wide) == ((1, 0), 1)
+    tall = pencil_from_lists([[1, 0], [0, 1], [0, 0]], [[0, 0], [1, 0], [0, 1]])
+    assert _points_ranked(monkeypatch, tall) == ((2, 0), 1)
     empty = Pencil(exactla.Mat.zeros(0, 3), exactla.Mat.zeros(0, 3))
-    assert _scan_counted(monkeypatch, empty)[0] == (0, 0)
+    assert _points_ranked(monkeypatch, empty)[0] == (0, 0)
 
 
 def test_minimal_indices_match_stacked_kernel_oracle():
@@ -756,20 +768,56 @@ def test_full_rank_pencils_run_one_chain(monkeypatch):
 
 
 def test_chain_kernels_must_agree_with_the_ranks(monkeypatch):
-    # a rank scan one too low claims a right kernel the chain does not find
-    one, p = _mixed_case()
-    real_scan = pencils._rank_scan
+    # a deficiency of the right chain's limit one off proves a wrong normal
+    # rank r.  One too low is exceeded by a rank, or, met at t = 0 or at an
+    # eigenvalue, contradicts the left limit's deficiency (a skew pencil's
+    # rank is even, so there it is never met); one too high is reached by no
+    # t in 0..r.  Every pencil raises, and none gets a wrong answer
+    rng = random.Random(SEED + 34)
+    cases = []
+    while len(cases) < 300:
+        if len(cases) % 2:
+            p = scramble(canonical_of(random_strict_invariants(rng, 7, 8)), rng)
+        else:
+            p = congruent(skew_canonical(random_skew_jk(rng, 8)), rng)
+        cases.append((p, strict_invariants(p)))
+    real = pencils._deficiency
+    for delta, message in (
+        (1, "exceeds the normal rank|coimage has the wrong dimension"),
+        (-1, r"no integer t in 0\.\.r reaches"),
+    ):
+        for p, want in cases:
+            # the left limit's deficiency is taken on the transposed pencil
+            off = lambda q, v, p=p: (lambda d, ann: (d + delta * (q is p), ann))(*real(q, v))
+            monkeypatch.setattr(pencils, "_deficiency", off)
+            _kernel_chains.cache_clear()
+            with pytest.raises(InternalConsistencyError, match=message):
+                assert strict_invariants(p) == want
+    # at a regular value t > 0 the chain runs again, and its limit's
+    # deficiency is checked against the rank the limit at t = 0 proved
+    inv = StrictInvariants(
+        m=5,
+        n=5,
+        rank=4,
+        horizontal=(2,),
+        vertical=(2,),
+        jordan=((EigClass((-1, 1)), (1,)), (EigClass((0, 1)), (1,))),
+    )
+    p = scramble(canonical_of(inv), rng)
+    seen = []
 
-    def low(q):
-        r, mu = real_scan(q)
-        return r - 1, mu
+    def second_off(q, v):
+        d, ann = real(q, v)
+        seen.append(q is p)
+        return d + (seen.count(True) == 2), ann
 
-    monkeypatch.setattr(pencils, "_rank_scan", low)
+    monkeypatch.setattr(pencils, "_deficiency", second_off)
     _kernel_chains.cache_clear()
-    with pytest.raises(InternalConsistencyError, match="disagrees with the rank scan"):
-        minimal_indices(p)
+    with pytest.raises(InternalConsistencyError, match="limit at the regular value disagrees"):
+        strict_invariants(p)
     monkeypatch.undo()
     _kernel_chains.cache_clear()
+    one, p = _mixed_case()
     # at t - 1 the defect is 2 of a total of 3, so the chain runs; a rank
     # one too high leaves a defect of 1 that its kernel contradicts
     m, t0 = _shifted(p)
@@ -998,7 +1046,7 @@ def test_skew_pencils_run_one_chain(monkeypatch):
         jk = random_skew_jk(rng)
     p = congruent(skew_canonical(jk), rng)
     _kernel_chains.cache_clear()
-    _, _, widths, heights, right, left = _kernel_chains(p)
+    _, _, widths, heights, right, left, _ = _kernel_chains(p)
     assert len(calls) == 1
     assert widths == heights == jk.kronecker
     assert left == right
@@ -1027,7 +1075,7 @@ def _deflation_case() -> Pencil:
 @pytest.mark.parametrize(
     "fault, message",
     [
-        ("right", "image has the wrong dimension"),
+        ("right", "not square"),
         ("left", "coimage has the wrong dimension"),
         ("drop", "not square"),
         ("singular", "regular part is singular"),
@@ -1039,7 +1087,9 @@ def test_deflation_checks_can_fail(monkeypatch, fault, message):
     right, left = real_chains.right, real_chains.left
     # a vector outside the horizontal (or vertical) blocks in place of the
     # last one of the chain limit, the limit short of one vector, or a
-    # regular part with a zero column
+    # regular part with a zero column; the image of the right limit is
+    # cached with it, so a right limit that moves without it leaves a
+    # complement of the wrong size
     outside = tuple([1] * p.n)
     if fault == "right":
         chains = real_chains._replace(right=right[:-1] + (outside,))
