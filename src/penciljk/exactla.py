@@ -10,8 +10,11 @@ Rank, kernel, row space, determinant, the solution of a square system
 and the preimage chain all go through one fraction-free (Bareiss)
 elimination of the integer rows, and no other module drives that
 elimination.  The common denominator changes neither the rank nor the
-kernel, and only rescales the determinant and the solution.  Kernel and
-row-space vectors are returned as primitive integer vectors
+kernel, and only rescales the determinant and the solution.  The package
+takes no determinant: ``det`` is kept for the tests and for the
+benchmark tracer, which names it.  The characteristic polynomial needs
+no elimination: ``charpoly`` runs Berkowitz's division-free recurrence.
+Kernel and row-space vectors are returned as primitive integer vectors
 (content removed, first nonzero entry positive), so results are
 canonical and cheap to feed back into integer elimination.
 
@@ -346,6 +349,26 @@ def solve(a: Mat, b: Mat) -> Mat:
     if last < 0:
         last, out = -last, [[-x for x in r] for r in out]
     return Mat.from_ints([[a.den * x for x in r] for r in out], k, b.den * last)
+
+
+def charpoly(rows: Sequence[Sequence[int]]) -> list[int]:
+    """c_0 = 1, c_1, ..., c_n with det(lambda I - X) = sum_i c_i lambda^(n-i),
+    for a square matrix X of integer rows, by Berkowitz's division-free
+    recurrence (Inform. Process. Lett. 18, 1984): with X_r the leading
+    r x r block, and R, C and a the rest of row r, column r and the
+    diagonal entry, the polynomial of X_(r+1) is the lower triangular
+    Toeplitz matrix with first column (1, -a, -R C, -R X_r C, ...,
+    -R X_r^(r-1) C) times that of X_r."""
+    poly = [1]
+    for r in range(len(rows)):
+        block = [row[:r] for row in rows[:r]]
+        left, v = rows[r][:r], [row[r] for row in rows[:r]]
+        column = [1, -rows[r][r]]
+        for _ in range(r):
+            column.append(-sum(map(mul, left, v)))
+            v = [sum(map(mul, row, v)) for row in block]
+        poly = [sum(column[k - j] * poly[j] for j in range(min(k, r) + 1)) for k in range(r + 2)]
+    return poly
 
 
 def _primitive(ints: list[int]) -> IntVec:

@@ -58,20 +58,20 @@ Dooren's (1979) staircase reduction but in exact arithmetic: two
 complements chosen by pivot columns give a square pencil
 Q (A + t*B) P, of size n minus sum(w) minus sum(u - 1), that is strictly
 equivalent to the Jordan part of the Kronecker form (see
-``_regular_part``).  Eigenvalue data is read off that regular part.
-Its determinant, interpolated from integer determinants, is factored
-once over Z: each irreducible factor is a finite class, its
-multiplicity is the exact total block size there, and the dimension
-minus the degree is the exact infinite total.  No class without blocks
-arises.  Block sizes at every class, finite or infinite, are read off
-one n_R x n_R matrix, for a regular part A_R + t*B_R of size n_R (see
-``_sizes_at_class``).  The pencil's regular value t0, the first integer
-t >= 0 at which it reaches its normal rank, is also the first with
-det(A_R + t*B_R) != 0, and one ``exactla.solve`` gives
-M = (A_R + t0*B_R)^-1 B_R.  Since
-A_R + t*B_R = (A_R + t0*B_R)(I + (t - t0) M), the Möbius map
-mu = 1/(t0 - lambda) carries the blocks at each eigenvalue lambda onto
-M's Jordan blocks at mu, and the infinite blocks onto those at mu = 0.
+``_regular_part``).  Eigenvalue data is read off that regular part
+A_R + t*B_R, of size n_R.  The pencil's regular value t0, the first
+integer t >= 0 at which it reaches its normal rank, is also the first
+with det(A_R + t*B_R) != 0, and one ``exactla.solve`` gives the n_R x n_R
+matrix M = (A_R + t0*B_R)^-1 B_R.  Since A_R + t*B_R equals
+(A_R + t0*B_R)(I + (t - t0) M), M's characteristic polynomial gives the
+determinant of the regular part up to a constant (``_class_totals``).
+It is factored once over Z: each irreducible factor is a finite class,
+its multiplicity is the exact total block size there, and n_R minus the
+degree is the exact infinite total.  No class without blocks arises.
+Block sizes at every class, finite or infinite, are read off M's powers
+(``_sizes_at_class``): the Möbius map mu = 1/(t0 - lambda) carries the
+blocks at each eigenvalue lambda onto M's Jordan blocks at mu, and the
+infinite blocks onto those at mu = 0.
 A class f of degree d becomes g(mu) = mu^d f(t0 - 1/mu), of degree d
 because f(t0) != 0, and a block of size s adds d * min(k, s) to
 dim ker g(M)^k.  One rank of an integer multiple of g(M) gives the
@@ -95,8 +95,8 @@ Each step checks itself: each chain's first kernel against the rank at
 its point, the right limit's deficiency against the normal rank when the
 chain runs again at a regular value t > 0, the left limit's deficiency
 against the same normal rank for a pencil that is not skew, the regular
-part's size, its determinant, which must not vanish at the
-regular value, and each class's defects against its total.  The
+part's size, its invertibility at the regular value, M against the
+system it solves, and each class's defects against its total.  The
 dimension bookkeeping of ``StrictInvariants`` then checks the chains
 against the rank.
 """
@@ -105,7 +105,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial, gcd
+from math import gcd
 from operator import mul
 from typing import NamedTuple, Sequence
 
@@ -113,14 +113,14 @@ from .errors import InternalConsistencyError
 from .exactla import (
     IntVec,
     Mat,
-    det,
+    charpoly,
     kernel_basis,
     pivot_columns,
     preimage_chain,
     rank,
     solve,
 )
-from .polys import ZPoly, integer_factors, poly_sort_key
+from .polys import integer_factors, poly_sort_key
 
 
 @dataclass(frozen=True)
@@ -488,63 +488,29 @@ def _regular_part(p: Pencil) -> Pencil:
     )
 
 
-def _det_poly(reg: Pencil) -> ZPoly:
-    """A primitive integer multiple of det(A + t*B) for a square pencil of
-    integer rows (see ``_regular_part``), lowest degree first; the zero
-    polynomial is [].
+def _class_totals(m: Mat, t0: int) -> tuple[list[tuple[tuple[int, ...], int]], int]:
+    """Every finite class of a square regular pencil A + t*B with its total
+    block size, and the total size of its infinite blocks, read off
+    M = (A + t0*B)^-1 B = N / D, for integer rows N; t0 is not an eigenvalue.
 
-    At integer t, A + t*B is an integer matrix, so its determinant takes
-    integer values y_t at t = 0..k, each one ``exactla.det``.
-    Newton's forward differences d_j of those values give
-
-        k! * f(t) = sum_j d_j * (k!/j!) * t (t-1) ... (t-j+1)
-
-    in integers; the content is removed at the end.  Only the roots of the
-    determinant, with their multiplicities, matter to its callers.
+    det(A + t*B) = det(A + t0*B) det(I + (t - t0) M) is a nonzero constant
+    times the product of the finite elementary divisors.  From
+    det(lambda I - N) = sum_i c_i lambda^(n-i) (``exactla.charpoly``),
+    D^n det(I + s M) = sum_i (-1)^i D^(n-i) c_i s^i, nonzero at s = 0,
+    and s = t - t0 is substituted by Horner's rule.  One factorization
+    over Z gives each class with its exact total, and the degree falls
+    short of n by the infinite total.
     """
-    k = reg.n
-    values = []
-    for t in range(k + 1):
-        mat = [[x + t * y for x, y in zip(ra, rb)] for ra, rb in zip(reg.a.rows, reg.b.rows)]
-        values.append(int(det(Mat.from_ints(mat, k))))
-    coeffs = [0] * (k + 1)
-    falling = [1]  # t (t-1) ... (t-j+1), lowest degree first
-    weight = factorial(k)
-    for j in range(k + 1):
-        if values[0]:
-            for i, c in enumerate(falling):
-                coeffs[i] += values[0] * weight * c
-        values = [y - x for x, y in zip(values, values[1:])]
-        falling = [x - j * y for x, y in zip([0] + falling, falling + [0])]
-        weight //= j + 1
-    while coeffs and not coeffs[-1]:
+    n, den = m.n, m.den
+    coeffs = [(-1) ** i * den ** (n - i) * c for i, c in enumerate(charpoly(m.rows))]
+    while not coeffs[-1]:
         coeffs.pop()
-    if not coeffs:
-        return []
     content = gcd(*coeffs)
-    return [c // content for c in coeffs]
-
-
-def _class_totals(reg: Pencil, t0: int) -> tuple[list[tuple[tuple[int, ...], int]], int]:
-    """Every finite class of a square regular pencil with its total block
-    size, and the total size of its infinite blocks; t0 must not be an
-    eigenvalue.
-
-    det(A + t*B) is a constant times the product of the finite elementary
-    divisors, so its one factorization over Z gives each class with its
-    exact total, and its degree falls short of the dimension by the
-    infinite total.  The determinant must not vanish at t0, which checks
-    the regular value of the full pencil against its regular part.
-    """
-    poly = _det_poly(reg)
-    if not poly:
-        raise InternalConsistencyError("the regular part is singular")
-    value = 0
-    for c in reversed(poly):
-        value = value * t0 + c
-    if not value:
-        raise InternalConsistencyError("the regular value is an eigenvalue of the regular part")
-    return integer_factors(poly), reg.n - (len(poly) - 1)
+    poly: list[int] = []  # lowest degree first in t
+    for c in reversed(coeffs):
+        poly = [x - t0 * y for x, y in zip([0] + poly, poly + [0])]
+        poly[0] += c // content
+    return integer_factors(poly), n - (len(coeffs) - 1)
 
 
 def _shifted_class(cls: tuple[int, ...] | None, t0: int) -> list[int]:
@@ -668,20 +634,30 @@ def elementary_divisors(
     p: Pencil,
 ) -> tuple[list[tuple[tuple[int, ...], tuple[int, ...]]], tuple[int, ...]]:
     """Finite classes with size multisets, plus infinite block sizes, all
-    read off the regular part's Möbius-shifted matrix M.
+    read off the regular part's Möbius-shifted matrix
+    M = (A_R + t0*B_R)^-1 B_R = N / D: the totals from its characteristic
+    polynomial, the sizes from its powers.
 
     The shift t0 is the pencil's regular value.  The singular blocks have
     the same rank at every t, so rank(A + t*B) reaches the normal rank
     exactly where det(A_R + t*B_R) != 0, and the smallest integer t >= 0
-    of the one is the smallest of the other.  ``_class_totals`` checks
-    that the interpolated determinant does not vanish there, which
-    compares ranks of the full pencil with the determinant of its
-    regular part.
+    of the one is the smallest of the other; a singular A_R + t0*B_R is an
+    internal error.  Since the totals and the sizes both read M, M itself
+    is checked by exact integer products: (A_R + t0*B_R) N = D B_R.
     """
     reg = _regular_part(p)
     t0 = _kernel_chains(p).regular
-    totals, inf_total = _class_totals(reg, t0)
-    m = solve(reg.at(t0), reg.b)
+    shifted = reg.at(t0)
+    try:
+        m = solve(shifted, reg.b)
+    except ZeroDivisionError:
+        raise InternalConsistencyError(
+            "the regular part is singular, or the regular value is an eigenvalue of it"
+        ) from None
+    product = [[sum(map(mul, r, c)) for c in zip(*m.rows)] for r in shifted.rows]
+    if product != [[m.den * x for x in r] for r in reg.b.rows]:
+        raise InternalConsistencyError("the Möbius-shifted matrix does not solve its system")
+    totals, inf_total = _class_totals(m, t0)
     finite = [(cls, _sizes_at_class(m, t0, cls, total)) for cls, total in totals]
     return finite, _sizes_at_class(m, t0, None, inf_total)
 

@@ -8,6 +8,7 @@ import pytest
 from penciljk.exactla import (
     Mat,
     _echelon,
+    charpoly,
     det,
     kernel_basis,
     rank,
@@ -16,7 +17,7 @@ from penciljk.exactla import (
 )
 
 from helpers import SEED, apply, from_cols, identity, matmul, random_invertible
-from oracles import fraction_solve, solve_unique
+from oracles import fraction_det, fraction_solve, solve_unique
 
 
 def test_matrix_shapes_and_blocks():
@@ -151,6 +152,24 @@ def test_solve_matches_fraction_gauss_jordan():
         shifted = a + b.scale(t0)
         assert det(a) == 0 and det(a + b) == 0 and det(shifted) != 0
         assert solve(shifted, b).tolist() == fraction_solve(shifted.tolist(), b.tolist())
+
+
+def test_charpoly_matches_fraction_det():
+    # det(lambda I - X) at n + 1 integer points, which fix a polynomial of
+    # degree n, against Fraction elimination, for random integer X
+    rng = random.Random(SEED + 42)
+    for n in range(8):
+        for _ in range(10):
+            x = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+            c = charpoly(x)
+            assert len(c) == n + 1 and c[0] == 1
+            for lam in range(n + 1):
+                shifted = [[lam * (i == j) - x[i][j] for j in range(n)] for i in range(n)]
+                assert sum(ci * lam ** (n - i) for i, ci in enumerate(c)) == fraction_det(shifted)
+    # a strictly upper triangular matrix is nilpotent: lambda^n
+    nilpotent = [[rng.randint(-5, 5) if j > i else 0 for j in range(5)] for i in range(5)]
+    assert charpoly(nilpotent) == [1, 0, 0, 0, 0, 0]
+    assert charpoly([]) == [1]
 
 
 def test_continued_echelon_equals_one_elimination():

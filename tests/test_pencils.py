@@ -393,9 +393,9 @@ def test_minor_bound_stops_resolvent_ranks(monkeypatch):
     reg = _regular_part(p)
     assert reg.shape == (6, 6)
     t0 = regular_value(p)
-    totals, inf_total = _class_totals(reg, t0)
-    assert (totals, inf_total) == ([(cubic, 2)], 0)
     m = solve(reg.at(t0), reg.b)
+    totals, inf_total = _class_totals(m, t0)
+    assert (totals, inf_total) == ([(cubic, 2)], 0)
     calls = []
     real = pencils.rank
 
@@ -451,9 +451,8 @@ def _chain_cases(p: Pencil, with_empty_infinity: bool = False) -> list[tuple]:
     # every class of the pencil, finite and infinite (None), with its total
     # and the regular part's M and t0, and the whole pencil with the class
     # the resolvent oracle reads it at (the reversed pencil at 0 for infinity)
-    reg, t0 = _regular_part(p), regular_value(p)
-    totals, inf_total = _class_totals(reg, t0)
-    m = solve(reg.at(t0), reg.b)
+    m, t0 = _shifted(p)
+    totals, inf_total = _class_totals(m, t0)
     cases = [(m, t0, cls, total, p, cls) for cls, total in totals]
     if inf_total or with_empty_infinity:
         cases.append((m, t0, None, inf_total, reversed_pencil(p), (0, 1)))
@@ -589,11 +588,11 @@ def test_mobius_sizes_match_companion_chain_and_resolvents():
     degrees, shifts = set(), []
     for p, jordan in cases:
         reg, t0 = _regular_part(p), regular_value(p)
-        totals, inf_total = _class_totals(reg, t0)
         # the regular value is the first t >= 0 at which A_R + t B_R is
         # invertible
         assert t0 == next(t for t in range(reg.n + 1) if fraction_det(reg.at(t).tolist()))
         m = solve(reg.at(t0), reg.b)
+        totals, inf_total = _class_totals(m, t0)
         found = {}
         for cls, total in totals + ([(None, inf_total)] if inf_total else []):
             q, at = (reg, cls) if cls else (reversed_pencil(reg), (0, 1))
@@ -700,7 +699,7 @@ def test_continued_chain_matches_restart_oracle_on_pencils():
         if reg.n:
             m, t0 = _shifted(p)
             identity = Mat.from_ints([[int(i == j) for j in range(reg.n)] for i in range(reg.n)], reg.n)
-            classes = [cls for cls, _ in _class_totals(reg, t0)[0]] + [None]
+            classes = [cls for cls, _ in _class_totals(m, t0)[0]] + [None]
             pairs += [(_class_matrix(m, t0, cls), identity) for cls in classes]
         for a, b in pairs:
             assert list(islice(preimage_chain(a, b), 6)) == list(islice(restart_chain(a, b), 6))
@@ -845,8 +844,8 @@ def _mixed_case() -> tuple[EigClass, Pencil]:
 def _shift_totals(monkeypatch, one: EigClass, infinite: bool, shift: int) -> None:
     real = pencils._class_totals
 
-    def shifted(reg, t0):
-        totals, inf_total = real(reg, t0)
+    def shifted(m, t0):
+        totals, inf_total = real(m, t0)
         if infinite:
             return totals, inf_total + shift
         return [(f, t + shift if f == one.poly else t) for f, t in totals], inf_total
@@ -876,8 +875,8 @@ def test_total_above_the_truth_fails(monkeypatch, infinite):
 
 def test_regular_value_on_an_eigenvalue_fails(monkeypatch):
     # the Möbius shift is taken at the pencil's regular value; moved onto
-    # the eigenvalue 1 of the class t - 1, the interpolated determinant of
-    # the regular part vanishes there
+    # the eigenvalue 1 of the class t - 1, A_R + B_R is singular, and the
+    # solve for M fails the same way as on a singular regular part
     one, p = _mixed_case()
     chains = _kernel_chains(p)
     assert chains.regular != 1
@@ -887,10 +886,28 @@ def test_regular_value_on_an_eigenvalue_fails(monkeypatch):
         elementary_divisors(p)
 
 
+def test_mobius_check_can_fail(monkeypatch):
+    # one entry of N in M = N / D changed: totals and sizes would both read
+    # the wrong M, so only the product (A_R + t0 B_R) N = D B_R catches it
+    _, p = _mixed_case()
+    real = pencils.solve
+
+    def off_by_one(a, b):
+        m = real(a, b)
+        rows = [list(r) for r in m.rows]
+        rows[0][0] += 1
+        return Mat.from_ints(rows, m.n, m.den)
+
+    monkeypatch.setattr(pencils, "solve", off_by_one)
+    with pytest.raises(InternalConsistencyError, match="does not solve its system"):
+        elementary_divisors(p)
+
+
 def test_integer_candidates_match_fraction_path():
-    # random draws: the totals from the regular part's integer determinant
-    # equal those from the gcd of every full-rank minor over Q, and sit
-    # inside the two-minor candidates, which may hold extra classes
+    # random draws: the totals read off M's characteristic polynomial equal
+    # those from the gcd of every full-rank minor over Q and those of the
+    # regular part's determinant, interpolated from Fraction determinants,
+    # and sit inside the two-minor candidates, which may hold extra classes
     rng = random.Random(SEED + 10)
     checked = 0
     while checked < 40:
@@ -898,8 +915,15 @@ def test_integer_candidates_match_fraction_path():
         r = pencil_rank(p)
         if r == 0:
             continue
-        totals, inf_total = _class_totals(_regular_part(p), regular_value(p))
+        totals, inf_total = _class_totals(*_shifted(p))
         assert (totals, inf_total) == all_minor_totals(p, r)
+        reg = _regular_part(p)
+        det = interp_det(reg)
+        product = Poly([1])
+        for cls, total in totals:
+            product = product * monic(cls) ** total
+        assert product == det.monic()
+        assert inf_total == reg.n - det.degree()
         candidates, inf_bound = fraction_candidates(p, r)
         bounds = dict(candidates)
         assert all(total <= bounds[f] for f, total in totals)
@@ -929,7 +953,7 @@ def test_integer_candidates_match_fraction_path():
         p = scramble(canonical_of(inv), rng, bound=3)
         reg = _regular_part(p)
         assert reg.shape == (jdim, jdim)
-        totals, inf_total = _class_totals(reg, regular_value(p))
+        totals, inf_total = _class_totals(*_shifted(p))
         assert totals == [(c.poly, sum(s)) for c, s in inv.jordan if not c.is_infinite]
         assert inf_total == sum(inv.infinite_sizes())
         candidates, inf_bound = fraction_candidates(p, inv.rank)
