@@ -249,12 +249,6 @@ class StrictInvariants:
         """Total dimension occupied by eigenvalue blocks, counting conjugates."""
         return sum(c.root_count * sum(sizes) for c, sizes in self.jordan)
 
-    def infinite_sizes(self) -> tuple[int, ...]:
-        for c, s in self.jordan:
-            if c.is_infinite:
-                return s
-        return ()
-
 
 # ---------------------------------------------------------------------------
 # the singular structure, computed once per pencil

@@ -2,9 +2,10 @@
 
 Signatures anonymize eigenvalues: each distinct eigenvalue (including
 infinity) becomes a slot carrying its Jordan size multiset.  A signature
-determines an orbit up to relabeling eigenvalues, i.e. a bundle.  Six
-rewriting rules generate the orbit-closure order; bundle closure adds
-eigenvalue coalescence, realized here by merging slot groups of the
+determines an orbit up to relabeling eigenvalues, i.e. a bundle.  Orbit
+closure is decided by the Hom-dimension inequalities of Pokrzywa's
+theorem, with a bipartite matching of eigenvalue slots; bundle closure
+adds eigenvalue coalescence, realized here by merging slot groups of the
 containing signature with entrywise sorted sums.
 
 This is the first of the paper's two techniques: the stratification of
@@ -16,7 +17,7 @@ API and not a test oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import CertificateNotApplicableError
 
@@ -145,219 +146,96 @@ def skew_abstract_signature(jk) -> SkewBundleSig:
 
 
 # ---------------------------------------------------------------------------
-# degeneration rules
-
-
-def _remove_one(values: tuple[int, ...], x: int) -> list[int]:
-    out = list(values)
-    out.remove(x)
-    return out
-
-
-def _with_slots(sig: BundleSig, slots, rank=None, horizontal=None, vertical=None):
-    return BundleSig.make(
-        m=sig.m,
-        n=sig.n,
-        rank=sig.rank if rank is None else rank,
-        horizontal=sig.horizontal if horizontal is None else horizontal,
-        vertical=sig.vertical if vertical is None else vertical,
-        slots=slots,
-    )
-
-
-def apply_rule(sig: BundleSig, rule: int, params) -> BundleSig:
-    """Rewrite one signature into a more generic one.
-
-    Rules 1/2 balance two horizontal/vertical indices.  Rules 3/4 widen a
-    horizontal/vertical index by shrinking a Jordan block in one slot.
-    Rule 5 unbalances two Jordan sizes inside one slot.  Rule 6 trades a
-    horizontal and a vertical index for new Jordan blocks with sizes
-    summing to their total minus one, placed in pairwise distinct slots
-    (fresh ones or existing ones); the rank grows by one.
-
-    Slot-valued params index into ``sig.slots``.  Raises ValueError when
-    the requested blocks are absent or a side condition fails.
-    """
-    if rule == 1 or rule == 2:
-        a, b = params
-        pool = sig.horizontal if rule == 1 else sig.vertical
-        if a > b - 2:
-            raise ValueError("rule needs indices at distance at least 2")
-        if a not in pool or b not in pool:
-            raise ValueError("indices not present")
-        new = _remove_one(tuple(_remove_one(pool, a)), b) + [a + 1, b - 1]
-        if rule == 1:
-            return _with_slots(sig, sig.slots, horizontal=new)
-        return _with_slots(sig, sig.slots, vertical=new)
-
-    if rule == 3 or rule == 4:
-        w, idx, s = params
-        pool = sig.horizontal if rule == 3 else sig.vertical
-        if w not in pool:
-            raise ValueError("index not present")
-        if not (0 <= idx < len(sig.slots)) or s not in sig.slots[idx]:
-            raise ValueError("slot block not present")
-        slots = [list(t) for t in sig.slots]
-        slots[idx].remove(s)
-        if s > 1:
-            slots[idx].append(s - 1)
-        slots = [t for t in slots if t]
-        new = _remove_one(pool, w) + [w + 1]
-        if rule == 3:
-            return _with_slots(sig, slots, horizontal=new)
-        return _with_slots(sig, slots, vertical=new)
-
-    if rule == 5:
-        idx, j, k = params
-        if not (1 <= j <= k):
-            raise ValueError("rule needs 1 <= j <= k")
-        if not 0 <= idx < len(sig.slots):
-            raise ValueError("no such slot")
-        slot = list(sig.slots[idx])
-        if j == k and slot.count(j) < 2:
-            raise ValueError("slot blocks not present")
-        if j not in slot or k not in slot:
-            raise ValueError("slot blocks not present")
-        slot.remove(j)
-        slot.remove(k)
-        slot.append(k + 1)
-        if j > 1:
-            slot.append(j - 1)
-        slots = [list(t) for t in sig.slots]
-        slots[idx] = slot
-        return _with_slots(sig, slots)
-
-    if rule == 6:
-        w, u, placements = params
-        if w not in sig.horizontal or u not in sig.vertical:
-            raise ValueError("indices not present")
-        total = w + u - 1
-        if sum(size for size, _ in placements) != total:
-            raise ValueError("new sizes must sum to the removed total minus one")
-        if any(size < 1 for size, _ in placements):
-            raise ValueError("new sizes must be positive")
-        targets = [t for _, t in placements if t is not None]
-        if len(set(targets)) != len(targets):
-            raise ValueError("existing-slot targets must be distinct")
-        slots = [list(t) for t in sig.slots]
-        for size, target in placements:
-            if target is None:
-                slots.append([size])
-            else:
-                if not 0 <= target < len(sig.slots):
-                    raise ValueError("no such slot")
-                slots[target].append(size)
-        return _with_slots(
-            sig,
-            slots,
-            rank=sig.rank + 1,
-            horizontal=_remove_one(sig.horizontal, w),
-            vertical=_remove_one(sig.vertical, u),
-        )
-
-    raise ValueError("rule must be 1..6")
-
-
-def _partitions(total: int, largest=None):
-    """Integer partitions of total as descending tuples."""
-    if total == 0:
-        yield ()
-        return
-    if largest is None or largest > total:
-        largest = total
-    for first in range(largest, 0, -1):
-        for rest in _partitions(total - first, first):
-            yield (first,) + rest
-
-
-def _rule6_placements(parts: tuple[int, ...], nslots: int):
-    """Assignments of parts to pairwise distinct slots or to fresh ones."""
-    if not parts:
-        yield ()
-        return
-    first, rest = parts[0], parts[1:]
-    for tail in _rule6_placements(rest, nslots):
-        used = {t for _, t in tail if t is not None}
-        yield ((first, None),) + tail
-        for idx in range(nslots):
-            if idx not in used:
-                yield ((first, idx),) + tail
-
-
-def successors(sig: BundleSig) -> set[BundleSig]:
-    """All signatures reachable from ``sig`` by a single rule."""
-    out: set[BundleSig] = set()
-    hvals = sorted(set(sig.horizontal))
-    vvals = sorted(set(sig.vertical))
-    for a in hvals:
-        for b in hvals:
-            if a <= b - 2:
-                out.add(apply_rule(sig, 1, (a, b)))
-    for a in vvals:
-        for b in vvals:
-            if a <= b - 2:
-                out.add(apply_rule(sig, 2, (a, b)))
-    for idx, slot in enumerate(sig.slots):
-        sizes = set(slot)
-        for w in set(sig.horizontal):
-            for s in sizes:
-                out.add(apply_rule(sig, 3, (w, idx, s)))
-        for u in set(sig.vertical):
-            for s in sizes:
-                out.add(apply_rule(sig, 4, (u, idx, s)))
-        for j in sizes:
-            for k in sizes:
-                if j <= k and (j != k or slot.count(j) >= 2):
-                    out.add(apply_rule(sig, 5, (idx, j, k)))
-    for w in set(sig.horizontal):
-        for u in set(sig.vertical):
-            for parts in _partitions(w + u - 1):
-                for placements in _rule6_placements(parts, len(sig.slots)):
-                    out.add(apply_rule(sig, 6, (w, u, placements)))
-    return out
-
-
-# ---------------------------------------------------------------------------
 # closure decisions
 
 
-def orbit_closure_contains(upper: BundleSig, lower: BundleSig) -> bool:
-    """True when ``upper`` is reachable from ``lower`` by the rules.
+def _hom_preprojective(sig: BundleSig, a: int) -> int:
+    """H_a(sig): dim Hom from the preprojective module indexed by a."""
+    return (
+        sum(max(0, u - a) for u in sig.vertical)
+        + sum(a + w - 1 for w in sig.horizontal)
+        + sig.jordan_dimension()
+    )
 
-    Breadth-first search over signatures, pruned by the monotone
-    quantities: rank never decreases and the index counts never grow.
+
+def _hom_preinjective(sig: BundleSig, a: int) -> int:
+    """G_a(sig): dim Hom from the preinjective module indexed by a."""
+    return sum(max(0, a - w + 2) for w in sig.horizontal)
+
+
+def _slots_match(upper: BundleSig, lower: BundleSig) -> bool:
+    """Whether the upper slots go to distinct lower slots or to fresh
+    eigenvalues with F_k(upper slot) <= F_k(its image) for every k."""
+    hu, hl = len(upper.horizontal), len(lower.horizontal)
+
+    def fits(slot, image) -> bool:
+        return all(
+            k * hu + sum(min(k, s) for s in slot)
+            <= k * hl + sum(min(k, s) for s in image)
+            for k in range(1, max(slot + image) + 2)
+        )
+
+    # slots that fit a fresh eigenvalue never need a lower one
+    need = [slot for slot in upper.slots if not fits(slot, ())]
+    options = [[j for j, t in enumerate(lower.slots) if fits(s, t)] for s in need]
+    owner: dict[int, int] = {}
+
+    def augment(i: int, seen: set) -> bool:
+        # Kuhn's augmenting path from the i-th needy upper slot
+        for j in options[i]:
+            if j not in seen:
+                seen.add(j)
+                if j not in owner or augment(owner[j], seen):
+                    owner[j] = i
+                    return True
+        return False
+
+    return all(augment(i, set()) for i in range(len(need)))
+
+
+def orbit_closure_contains(upper: BundleSig, lower: BundleSig) -> bool:
+    """True when the orbit closure of ``upper`` contains ``lower``, for
+    some labelling of both signatures' slots by eigenvalues.
+
+    A pencil is a module over the Kronecker quiver, of dimension
+    (columns, rows).  A horizontal block of width w is the preinjective
+    module of dimension (w, w - 1), a vertical block of height u the
+    preprojective one of dimension (u - 1, u), and a slot holds the
+    Jordan blocks at one eigenvalue.  With h(S) the number of horizontal
+    blocks and J(S) the Jordan dimension of a signature S, the dimensions
+    of Hom(X, S) for the three kinds of indecomposable X are
+
+        H_a(S) = sum_vertical max(0, u - a) + sum_horizontal (a + w - 1) + J(S),
+        G_a(S) = sum_horizontal max(0, a - w + 2)           (a >= 0),
+        F_k(S) = k h(S) + sum_{s in slot} min(k, s)          (k >= 1, per slot).
+
+    Theorem (Pokrzywa 1986; Edelman, Elmroth and Kagstrom, SIAM J. Matrix
+    Anal. Appl. 20, 1999): ``lower`` lies in the closure exactly when
+
+    * rank(upper) >= rank(lower), the F condition at an eigenvalue of
+      neither signature;
+    * H_a(upper) <= H_a(lower) and G_a(upper) <= G_a(lower) for a = 0 up
+      to the largest width or height in either signature;
+    * the upper slots go to distinct lower slots, or to empty slots (new
+      eigenvalues), with F_k(upper slot) <= F_k(its image) for k = 1 up
+      to the largest size in the pair plus 1.  Kuhn's augmenting paths
+      find such a matching.
+
+    Past those ranges both sides of each inequality grow with slope h, so
+    no larger value needs checking.  Necessity is the upper
+    semicontinuity of dim Hom(X, -); sufficiency is Pokrzywa's theorem.
     """
     if (upper.m, upper.n) != (lower.m, lower.n):
         raise ValueError("signatures must have the same shape")
-    if upper == lower:
-        return True
-    delta = upper.rank - lower.rank
-    if delta < 0:
+    if upper.rank < lower.rank:
         return False
-    if len(lower.horizontal) - len(upper.horizontal) != delta:
-        return False
-    if len(lower.vertical) - len(upper.vertical) != delta:
-        return False
-    seen = {lower}
-    frontier = [lower]
-    while frontier:
-        nxt = []
-        for sig in frontier:
-            for child in successors(sig):
-                if child in seen:
-                    continue
-                if child.rank > upper.rank:
-                    continue
-                if len(child.horizontal) < len(upper.horizontal):
-                    continue
-                if len(child.vertical) < len(upper.vertical):
-                    continue
-                if child == upper:
-                    return True
-                seen.add(child)
-                nxt.append(child)
-        frontier = nxt
-    return False
+    top = max((*upper.horizontal, *upper.vertical, *lower.horizontal, *lower.vertical), default=0)
+    for a in range(top + 1):
+        if _hom_preprojective(upper, a) > _hom_preprojective(lower, a):
+            return False
+        if _hom_preinjective(upper, a) > _hom_preinjective(lower, a):
+            return False
+    return _slots_match(upper, lower)
 
 
 def _set_partitions(items: list):
@@ -385,9 +263,11 @@ def bundle_closure_contains(upper: BundleSig, lower: BundleSig) -> bool:
 
     Some group of eigenvalues of ``upper`` may coalesce before the orbit
     degenerates, so each set partition of the upper slots is merged by
-    entrywise sorted sums and tested for orbit-closure containment.
-    Different partitions often merge to the same signature, and each one
-    is searched once.
+    entrywise sorted sums and tested for orbit-closure containment by
+    ``orbit_closure_contains``.  Different partitions often merge to the
+    same signature, and each one is tested once.  The number of set
+    partitions is a Bell number, so this loop, not the orbit test, sets
+    the cost when the upper signature has many slots.
     """
     if (upper.m, upper.n) != (lower.m, lower.n):
         raise ValueError("signatures must have the same shape")
@@ -395,7 +275,7 @@ def bundle_closure_contains(upper: BundleSig, lower: BundleSig) -> bool:
         return True
     tried = set()
     for partition in _set_partitions(list(upper.slots)):
-        merged = _with_slots(upper, [_segre_sum(group) for group in partition])
+        merged = replace(upper, slots=_canonical_slots(map(_segre_sum, partition)))
         if merged in tried:
             continue
         tried.add(merged)
@@ -481,6 +361,18 @@ def _partitions_fixed_length(total: int, parts: int, largest=None):
     upper = min(largest, total - parts + 1)
     for first in range(upper, 0, -1):
         for rest in _partitions_fixed_length(total - first, parts - 1, first):
+            yield (first,) + rest
+
+
+def _partitions(total: int, largest=None):
+    """Integer partitions of total as descending tuples."""
+    if total == 0:
+        yield ()
+        return
+    if largest is None or largest > total:
+        largest = total
+    for first in range(largest, 0, -1):
+        for rest in _partitions(total - first, first):
             yield (first,) + rest
 
 

@@ -56,6 +56,14 @@ def are_strictly_equivalent(p: Pencil, q: Pencil) -> bool:
     return p.shape == q.shape and strict_invariants(p) == strict_invariants(q)
 
 
+def infinite_sizes(inv: StrictInvariants) -> tuple[int, ...]:
+    """The Jordan sizes at infinity of a pencil's strict invariants."""
+    for c, s in inv.jordan:
+        if c.is_infinite:
+            return s
+    return ()
+
+
 def reversed_pencil(p: Pencil) -> Pencil:
     """The pencil B + s*A; its eigenvalue at 0 is p's infinity."""
     return Pencil(p.b, p.a)

@@ -21,8 +21,10 @@ the elementary divisors of the regular part, structure constants are
 solved one commutator at a time instead of all at once by one solve,
 square systems are solved by Gauss-Jordan over Fractions instead of one
 fraction-free elimination and integer back-substitution,
-and Jacobi violations come from a cyclic sum of Fraction brackets
-instead of the defect of the adjoint operators.  Polynomials over Q are
+Jacobi violations come from a cyclic sum of Fraction brackets
+instead of the defect of the adjoint operators, and the closure order on
+signatures comes from a breadth-first search over six rewriting rules
+instead of Hom-dimension inequalities.  Polynomials over Q are
 those of the Fraction ring in ``qpoly``; classes are passed in and
 returned in the package's stored form, primitive integer tuples.
 """
@@ -30,7 +32,7 @@ returned in the package's stored form, primitive integer tuples.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, zip_longest
 from math import lcm
 
 from penciljk.exactla import (
@@ -52,6 +54,7 @@ from penciljk.polys import (
     _zpseudo_divmod,
     _ztrim,
 )
+from penciljk.strata import BundleSig, _partitions
 
 from helpers import derivative, divides, from_cols, matmul
 from qpoly import Poly, monic, monic_gcd, primitive
@@ -655,3 +658,228 @@ def pairwise_structure_entries(mats: list[Mat]) -> list[tuple[int, int, int, Fra
             coords = solve_unique(square, [wv[t] for t in rows])
             entries.extend((i, j, k, c) for k, c in enumerate(coords) if c)
     return entries
+
+
+# ---------------------------------------------------------------------------
+# closure order by six rewriting rules, the way strata decided it before it
+# tested Hom-dimension inequalities
+
+
+def _rewritten(sig: BundleSig, slots, rank=None, horizontal=None, vertical=None) -> BundleSig:
+    return BundleSig.make(
+        m=sig.m,
+        n=sig.n,
+        rank=sig.rank if rank is None else rank,
+        horizontal=sig.horizontal if horizontal is None else horizontal,
+        vertical=sig.vertical if vertical is None else vertical,
+        slots=slots,
+    )
+
+
+def _remove_one(values: tuple[int, ...], x: int) -> list[int]:
+    out = list(values)
+    out.remove(x)
+    return out
+
+
+def apply_rule(sig: BundleSig, rule: int, params) -> BundleSig:
+    """Rewrite one signature into a more generic one.
+
+    Rules 1/2 balance two horizontal/vertical indices.  Rules 3/4 widen a
+    horizontal/vertical index by shrinking a Jordan block in one slot.
+    Rule 5 unbalances two Jordan sizes inside one slot.  Rule 6 trades a
+    horizontal and a vertical index for new Jordan blocks with sizes
+    summing to their total minus one, placed in pairwise distinct slots
+    (fresh ones or existing ones); the rank grows by one.
+
+    Slot-valued params index into ``sig.slots``.  Raises ValueError when
+    the requested blocks are absent or a side condition fails.
+    """
+    if rule == 1 or rule == 2:
+        a, b = params
+        pool = sig.horizontal if rule == 1 else sig.vertical
+        if a > b - 2:
+            raise ValueError("rule needs indices at distance at least 2")
+        if a not in pool or b not in pool:
+            raise ValueError("indices not present")
+        new = _remove_one(tuple(_remove_one(pool, a)), b) + [a + 1, b - 1]
+        if rule == 1:
+            return _rewritten(sig, sig.slots, horizontal=new)
+        return _rewritten(sig, sig.slots, vertical=new)
+
+    if rule == 3 or rule == 4:
+        w, idx, s = params
+        pool = sig.horizontal if rule == 3 else sig.vertical
+        if w not in pool:
+            raise ValueError("index not present")
+        if not (0 <= idx < len(sig.slots)) or s not in sig.slots[idx]:
+            raise ValueError("slot block not present")
+        slots = [list(t) for t in sig.slots]
+        slots[idx].remove(s)
+        if s > 1:
+            slots[idx].append(s - 1)
+        slots = [t for t in slots if t]
+        new = _remove_one(pool, w) + [w + 1]
+        if rule == 3:
+            return _rewritten(sig, slots, horizontal=new)
+        return _rewritten(sig, slots, vertical=new)
+
+    if rule == 5:
+        idx, j, k = params
+        if not (1 <= j <= k):
+            raise ValueError("rule needs 1 <= j <= k")
+        if not 0 <= idx < len(sig.slots):
+            raise ValueError("no such slot")
+        slot = list(sig.slots[idx])
+        if j == k and slot.count(j) < 2:
+            raise ValueError("slot blocks not present")
+        if j not in slot or k not in slot:
+            raise ValueError("slot blocks not present")
+        slot.remove(j)
+        slot.remove(k)
+        slot.append(k + 1)
+        if j > 1:
+            slot.append(j - 1)
+        slots = [list(t) for t in sig.slots]
+        slots[idx] = slot
+        return _rewritten(sig, slots)
+
+    if rule == 6:
+        w, u, placements = params
+        if w not in sig.horizontal or u not in sig.vertical:
+            raise ValueError("indices not present")
+        total = w + u - 1
+        if sum(size for size, _ in placements) != total:
+            raise ValueError("new sizes must sum to the removed total minus one")
+        if any(size < 1 for size, _ in placements):
+            raise ValueError("new sizes must be positive")
+        targets = [t for _, t in placements if t is not None]
+        if len(set(targets)) != len(targets):
+            raise ValueError("existing-slot targets must be distinct")
+        slots = [list(t) for t in sig.slots]
+        for size, target in placements:
+            if target is None:
+                slots.append([size])
+            else:
+                if not 0 <= target < len(sig.slots):
+                    raise ValueError("no such slot")
+                slots[target].append(size)
+        return _rewritten(
+            sig,
+            slots,
+            rank=sig.rank + 1,
+            horizontal=_remove_one(sig.horizontal, w),
+            vertical=_remove_one(sig.vertical, u),
+        )
+
+    raise ValueError("rule must be 1..6")
+
+
+def _rule6_placements(parts: tuple[int, ...], nslots: int):
+    """Assignments of parts to pairwise distinct slots or to fresh ones."""
+    if not parts:
+        yield ()
+        return
+    first, rest = parts[0], parts[1:]
+    for tail in _rule6_placements(rest, nslots):
+        used = {t for _, t in tail if t is not None}
+        yield ((first, None),) + tail
+        for idx in range(nslots):
+            if idx not in used:
+                yield ((first, idx),) + tail
+
+
+def successors(sig: BundleSig) -> set[BundleSig]:
+    """All signatures reachable from ``sig`` by a single rule."""
+    out: set[BundleSig] = set()
+    hvals = sorted(set(sig.horizontal))
+    vvals = sorted(set(sig.vertical))
+    for a in hvals:
+        for b in hvals:
+            if a <= b - 2:
+                out.add(apply_rule(sig, 1, (a, b)))
+    for a in vvals:
+        for b in vvals:
+            if a <= b - 2:
+                out.add(apply_rule(sig, 2, (a, b)))
+    for idx, slot in enumerate(sig.slots):
+        sizes = set(slot)
+        for w in set(sig.horizontal):
+            for s in sizes:
+                out.add(apply_rule(sig, 3, (w, idx, s)))
+        for u in set(sig.vertical):
+            for s in sizes:
+                out.add(apply_rule(sig, 4, (u, idx, s)))
+        for j in sizes:
+            for k in sizes:
+                if j <= k and (j != k or slot.count(j) >= 2):
+                    out.add(apply_rule(sig, 5, (idx, j, k)))
+    for w in set(sig.horizontal):
+        for u in set(sig.vertical):
+            for parts in _partitions(w + u - 1):
+                for placements in _rule6_placements(parts, len(sig.slots)):
+                    out.add(apply_rule(sig, 6, (w, u, placements)))
+    return out
+
+
+def bfs_orbit_closure_contains(upper: BundleSig, lower: BundleSig) -> bool:
+    """True when ``upper`` is reachable from ``lower`` by the rules.
+
+    Breadth-first search over signatures, pruned by the monotone
+    quantities: rank never decreases and the index counts never grow.
+    """
+    if (upper.m, upper.n) != (lower.m, lower.n):
+        raise ValueError("signatures must have the same shape")
+    if upper == lower:
+        return True
+    if upper.rank < lower.rank:
+        return False
+    seen = {lower}
+    frontier = [lower]
+    while frontier:
+        nxt = []
+        for sig in frontier:
+            for child in successors(sig):
+                if child in seen or child.rank > upper.rank:
+                    continue
+                if child == upper:
+                    return True
+                seen.add(child)
+                nxt.append(child)
+        frontier = nxt
+    return False
+
+
+def bfs_bundle_closure_contains(upper: BundleSig, lower: BundleSig) -> bool:
+    """Bundle closure by the breadth-first search on every coalescence of
+    the upper slots.  Each set partition is a restricted growth string
+    (the group label of each slot, at most one above every earlier label),
+    and each group's sizes are summed entrywise in descending order."""
+    labellings = [()]
+    for _ in upper.slots:
+        labellings = [g + (x,) for g in labellings for x in range(max(g, default=-1) + 2)]
+    merged = set()
+    for labels in labellings:
+        groups = [[s for s, x in zip(upper.slots, labels) if x == label] for label in set(labels)]
+        sums = [tuple(map(sum, zip_longest(*group, fillvalue=0))) for group in groups]
+        merged.add(_rewritten(upper, sums))
+    return any(bfs_orbit_closure_contains(sig, lower) for sig in merged)
+
+
+def orbit_codimension(sig: BundleSig) -> int:
+    """Codimension of the orbit of a pencil with this signature (Demmel
+    and Edelman 1995): Jordan, right, left, Jordan-singular and
+    singular-singular interaction terms."""
+    eps = [w - 1 for w in sig.horizontal]
+    eta = [u - 1 for u in sig.vertical]
+    cod = sum((2 * i + 1) * q for slot in sig.slots for i, q in enumerate(slot))
+    cod += sum(a - b - 1 for a in eps for b in eps if a > b)
+    cod += sum(a - b - 1 for a in eta for b in eta if a > b)
+    cod += sig.jordan_dimension() * (len(eps) + len(eta))
+    cod += sum(a + b + 2 for a in eps for b in eta)
+    return cod
+
+
+def bundle_codimension(sig: BundleSig) -> int:
+    """Orbit codimension minus one per eigenvalue, which may move."""
+    return orbit_codimension(sig) - len(sig.slots)

@@ -1,10 +1,10 @@
 """Byte-for-byte replay of recorded CLI reports.
 
-``data/golden_cli.json`` holds the input files of 70 fast requests
+``data/golden_cli.json`` holds the input files of 72 fast requests
 (``pencil``, ``pencil --skew``, ``lie``, ``rep``, small ``semidirect``
-cells with and without ``--verify-dual``, ``bundle-leq``, small
-``tables`` cells including one without a known Lie table, and a few
-malformed inputs) with the stdout and exit code each one produced when it
+cells with and without ``--verify-dual``, ``bundle-leq`` pairs up to
+7 x 8, small ``tables`` cells including one without a known Lie table,
+and a few malformed inputs) with the stdout and exit code each one produced when it
 was recorded.  A change of any report, however small, fails here.  A
 change that is meant to alter reports re-records them with
 

@@ -14,10 +14,11 @@ from penciljk.polys import poly_gcd
 from penciljk.strata import (
     bundle_closure_contains,
     enumerate_signatures,
-    successors,
+    orbit_closure_contains,
 )
 
 from helpers import matmul
+from oracles import successors
 from qpoly import Poly, monic_gcd
 
 FAST = settings(max_examples=60, deadline=None, derandomize=True)
@@ -105,17 +106,22 @@ SIG_POOL = [s for m, n, r in SMALL_SHAPES for s in enumerate_signatures(m, n, r)
 @FAST
 @given(st.sampled_from(SIG_POOL), st.integers(0, 10 ** 6), st.integers(0, 10 ** 6))
 def test_closure_order_reflexive_and_transitive(sig, i, j):
-    # a rule step leads to the signature whose closure contains its input
+    # a rule step leads to the signature whose closure contains its input;
+    # the rules come from the oracle, the closure tests from Hom inequalities
     assert bundle_closure_contains(sig, sig)
+    assert orbit_closure_contains(sig, sig)
     steps = sorted(successors(sig), key=repr)
     if not steps:
         return
     mid = steps[i % len(steps)]
     assert bundle_closure_contains(mid, sig)
+    assert orbit_closure_contains(mid, sig)
+    assert not orbit_closure_contains(sig, mid)
     higher = sorted(successors(mid), key=repr)
     if higher:
         top = higher[j % len(higher)]
         assert bundle_closure_contains(top, sig)
+        assert orbit_closure_contains(top, sig)
 
 
 @FAST

@@ -1,5 +1,9 @@
 """Signature combinatorics: degeneration rules, closure dominance, and
-genericity certificates."""
+genericity certificates.  The rewriting rules and their breadth-first
+search live in ``oracles``; the package's Hom-inequality test is checked
+against them."""
+
+import random
 
 import pytest
 
@@ -11,7 +15,6 @@ from penciljk.strata import (
     BundleSig,
     SkewBundleSig,
     abstract_signature,
-    apply_rule,
     bundle_closure_contains,
     certify_generic_lie,
     certify_generic_repr,
@@ -20,6 +23,15 @@ from penciljk.strata import (
     orbit_closure_contains,
     skew_abstract_signature,
     skew_bundle_closure_contains,
+)
+
+from helpers import SEED
+from oracles import (
+    apply_rule,
+    bfs_bundle_closure_contains,
+    bfs_orbit_closure_contains,
+    bundle_codimension,
+    orbit_codimension,
     successors,
 )
 
@@ -196,6 +208,69 @@ def test_bundle_closure_searches_each_merged_signature_once(monkeypatch):
     assert not bundle_closure_contains(upper, lower)
     assert len(searched) == len(set(searched)) == 3
     assert {s.slots for s in searched} == {((1,), (1,), (1,)), ((2,), (1,)), ((3,),)}
+
+
+def _signatures(m, n):
+    return [s for r in range(min(m, n) + 1) for s in enumerate_signatures(m, n, r)]
+
+
+def _pairs(max_total, min_side=1):
+    """Every ordered pair of signatures of one shape m x n with
+    m, n >= min_side and m + n <= max_total."""
+    for total in range(2 * min_side, max_total + 1):
+        for m in range(min_side, total - min_side + 1):
+            sigs = _signatures(m, total - m)
+            for upper in sigs:
+                for lower in sigs:
+                    yield upper, lower
+
+
+def test_orbit_closure_matches_rule_search_exhaustively():
+    found = [(orbit_closure_contains(u, l), bfs_orbit_closure_contains(u, l)) for u, l in _pairs(8)]
+    assert len(found) == 5960
+    assert all(a == b for a, b in found)
+    assert sum(a for a, _ in found) == 2495
+    # shapes with no rows or no columns
+    assert all(
+        orbit_closure_contains(u, l) == bfs_orbit_closure_contains(u, l)
+        for u, l in _pairs(6, min_side=0)
+    )
+
+
+def test_bundle_closure_matches_rule_search_exhaustively():
+    found = [(bundle_closure_contains(u, l), bfs_bundle_closure_contains(u, l)) for u, l in _pairs(7)]
+    assert len(found) == 2181
+    assert all(a == b for a, b in found)
+    assert sum(a for a, _ in found) == 1042
+
+
+def test_closure_matches_rule_search_on_larger_shapes():
+    rng = random.Random(SEED)
+    pools = [_signatures(m, n) for m, n in [(6, 6), (5, 7), (6, 7), (4, 8), (7, 7)]]
+    answers = []
+    for _ in range(100):
+        # the less degenerate of two random signatures goes on top
+        upper, lower = sorted(rng.sample(rng.choice(pools), 2), key=orbit_codimension)
+        answer = orbit_closure_contains(upper, lower)
+        assert answer == bfs_orbit_closure_contains(upper, lower), (upper, lower)
+        answers.append(answer)
+    assert 0 < sum(answers) < len(answers)
+
+
+def test_strict_containments_raise_the_codimension():
+    # Demmel and Edelman (1995): a strictly smaller stratum has a strictly
+    # larger codimension, for orbits and for bundles alike
+    orbit = bundle = 0
+    for upper, lower in _pairs(8):
+        if upper == lower:
+            continue
+        if orbit_closure_contains(upper, lower):
+            orbit += 1
+            assert orbit_codimension(lower) > orbit_codimension(upper), (upper, lower)
+        if bundle_closure_contains(upper, lower):
+            bundle += 1
+            assert bundle_codimension(lower) > bundle_codimension(upper), (upper, lower)
+    assert (orbit, bundle) == (2207, 2389)
 
 
 def test_generic_fixed_rank_examples():
