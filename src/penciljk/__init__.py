@@ -66,7 +66,6 @@ from .lie import (
 )
 from .semidirect import (
     DualTheoremReport,
-    SemidirectSum,
     check_dual_theorem,
     direct_sum,
     dual_representation,

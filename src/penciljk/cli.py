@@ -270,7 +270,7 @@ def cmd_semidirect(args, cfg: RunConfig) -> int:
         if verdict.verdict == MISMATCH:
             code = EXIT_MISMATCH
     else:
-        q = semidirect(rho).q
+        q = semidirect(rho)
         jk = jk_invariants_of_lie(q, cfg.sampler(), samples=cfg.samples)
         report = {
             "command": "semidirect",
@@ -324,7 +324,7 @@ def cmd_tables(args, cfg: RunConfig) -> int:
     if lie_expected is not None:
         # build_classical checked the algebra and rho, and a direct sum of
         # copies of a representation is one
-        q = semidirect(stacked).q
+        q = semidirect(stacked)
         lie_jk = jk_invariants_of_lie(q, cfg.sampler(), samples=cfg.samples)
         lie_sampled = skew_abstract_signature(lie_jk.invariants)
         lie_match = lie_sampled == lie_expected

@@ -115,10 +115,6 @@ class Mat:
         out.den = den
         return out
 
-    @classmethod
-    def zeros(cls, m: int, n: int) -> "Mat":
-        return cls.from_ints([[0] * n for _ in range(m)], n)
-
     # -- basic structure ----------------------------------------------
 
     @property
@@ -184,28 +180,6 @@ class Mat:
             raise ValueError(f"shape mismatch {self.m}x{self.n} vs {other.m}x{other.n}")
 
     # -- block assembly -----------------------------------------------
-
-    @staticmethod
-    def hstack(blocks: Sequence["Mat"]) -> "Mat":
-        if not blocks:
-            raise ValueError("nothing to stack")
-        m = blocks[0].m
-        if any(b.m != m for b in blocks):
-            raise ValueError("row count mismatch")
-        den = lcm(*[b.den for b in blocks])
-        rows = [[den // b.den * x for b in blocks for x in b.rows[i]] for i in range(m)]
-        return Mat.from_ints(rows, sum(b.n for b in blocks), den)
-
-    @staticmethod
-    def vstack(blocks: Sequence["Mat"]) -> "Mat":
-        if not blocks:
-            raise ValueError("nothing to stack")
-        n = blocks[0].n
-        if any(b.n != n for b in blocks):
-            raise ValueError("column count mismatch")
-        den = lcm(*[b.den for b in blocks])
-        rows = [[den // b.den * x for x in r] for b in blocks for r in b.rows]
-        return Mat.from_ints(rows, n, den)
 
     @staticmethod
     def block_diag(blocks: Sequence["Mat"]) -> "Mat":

@@ -7,9 +7,11 @@ representation at a, and a zero V-corner.  That block shape makes the
 Kronecker part of q computable from the dual representation alone, and
 constrains its Jordan part to doubled totals.
 
-This is the second of the paper's two techniques.
-``verify_block_structure`` checks the block shape it rests on, at a
-given point, so it is part of the API and not a test oracle.
+This is the second of the paper's two techniques.  ``semidirect``
+returns q as a plain ``LieAlgebra`` whose basis is that of g followed by
+that of V.  ``verify_block_structure(q, rho, x, a)`` checks the block
+shape the technique rests on, at a given point, so it is part of the API
+and not a test oracle.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .lie import (
     lie_poisson_matrix,
     rep_operator,
 )
+from .strata import abstract_signature, skew_abstract_signature
 
 MATCH = "match"
 MISMATCH = "mismatch"
@@ -53,21 +56,15 @@ def direct_sum(rho: Representation, copies: int) -> Representation:
     return Representation(rho.algebra, rho.dim_v * copies, mats)
 
 
-@dataclass(frozen=True)
-class SemidirectSum:
-    g: LieAlgebra
-    rho: Representation
-    q: LieAlgebra
+def semidirect(rho: Representation) -> LieAlgebra:
+    """The semi-direct sum q of g = rho.algebra and the abelian ideal V.
 
-
-def semidirect(rho: Representation) -> SemidirectSum:
-    """The semi-direct sum of g = rho.algebra and the abelian ideal V.
-
-    Its brackets are those of g, [xi, v] = rho(xi) v and [v, w] = 0.
-    Precondition: g satisfies the Jacobi identity and rho is a
-    homomorphism.  Then every Jacobi triple of g + V that involves V holds
-    as well, and q is a Lie algebra.  Nothing is checked here; the command
-    line checks both inputs once, when it loads them.
+    Its basis is that of g followed by that of V.  Its brackets are those
+    of g, [xi, v] = rho(xi) v and [v, w] = 0.  Precondition: g satisfies
+    the Jacobi identity and rho is a homomorphism.  Then every Jacobi
+    triple of g + V that involves V holds as well, and q is a Lie algebra.
+    Nothing is checked here; the command line checks both inputs once,
+    when it loads them.
     """
     g = rho.algebra
     n = g.dim
@@ -78,27 +75,32 @@ def semidirect(rho: Representation) -> SemidirectSum:
             for a, c in enumerate(col):
                 if c:
                     entries.append((i, n + b, n + a, c))
-    q = LieAlgebra(n + rho.dim_v, entries)
-    return SemidirectSum(g=g, rho=rho, q=q)
+    return LieAlgebra(n + rho.dim_v, entries)
 
 
-def verify_block_structure(sd: SemidirectSum, x, a) -> bool:
+def verify_block_structure(q: LieAlgebra, rho: Representation, x, a) -> bool:
     """Entrywise check of the Poisson matrix block shape at (x, a).
 
-    The q-Poisson matrix at (x, a) must equal
-    [[P_x, L^T], [-L, 0]] with L the negated contraction operator of the
-    dual representation at a.
+    The Poisson matrix of q = ``semidirect(rho)`` at (x, a) must equal
+    [[P_x, L^T], [-L, 0]], with P_x the Poisson matrix of rho.algebra at
+    x and L the negated contraction operator of the dual representation
+    at a.  Each block is compared where it lies.
     """
-    full = lie_poisson_matrix(sd.q, tuple(x) + tuple(a))
-    top = lie_poisson_matrix(sd.g, x)
-    coupling = rep_operator(dual_representation(sd.rho), a).scale(-1)
-    expected = Mat.vstack(
-        [
-            Mat.hstack([top, coupling.transpose()]),
-            Mat.hstack([coupling.scale(-1), Mat.zeros(sd.rho.dim_v, sd.rho.dim_v)]),
-        ]
+    n = rho.algebra.dim
+    full = lie_poisson_matrix(q, tuple(x) + tuple(a))
+    g_idx, v_idx = range(n), range(n, q.dim)
+    coupling = rep_operator(dual_representation(rho), a).scale(-1)
+    return (
+        full.submatrix(g_idx, g_idx) == lie_poisson_matrix(rho.algebra, x)
+        and full.submatrix(g_idx, v_idx) == coupling.transpose()
+        and full.submatrix(v_idx, g_idx) == -coupling
+        and full.submatrix(v_idx, v_idx).is_zero()
     )
-    return full == expected
+
+
+def _slot_totals(sig) -> tuple[int, ...]:
+    """The sum of the sizes in each slot of a signature, descending."""
+    return tuple(sorted(map(sum, sig.slots), reverse=True))
 
 
 def predict_semidirect_jk(jk_dual: RepJK):
@@ -111,10 +113,7 @@ def predict_semidirect_jk(jk_dual: RepJK):
     inv = jk_dual.invariants
     if inv.horizontal:
         return None
-    totals = []
-    for cls, sizes in inv.jordan:
-        totals.extend([sum(sizes)] * cls.root_count)
-    return inv.vertical, tuple(sorted(totals, reverse=True))
+    return inv.vertical, _slot_totals(abstract_signature(inv))
 
 
 @dataclass(frozen=True)
@@ -141,26 +140,20 @@ def check_dual_theorem(
     of ``semidirect``: rho.algebra satisfies Jacobi and rho is a
     homomorphism, as the command line checks when it loads its inputs.
     """
-    q = semidirect(rho).q
     jk_dual = jk_invariants_of_rep(dual_representation(rho), sampler, samples)
-    jk_lie = jk_invariants_of_lie(q, sampler, samples)
+    jk_lie = jk_invariants_of_lie(semidirect(rho), sampler, samples)
     computed_kron = jk_lie.invariants.kronecker
     computed_totals = tuple(
-        t // 2 for t in jk_lie.invariants.slot_totals()
+        t // 2 for t in _slot_totals(skew_abstract_signature(jk_lie.invariants))
     )
     prediction = predict_semidirect_jk(jk_dual)
+    predicted_kron, predicted_totals = prediction or (None, None)
     if prediction is None:
-        return DualTheoremReport(
-            dual=jk_dual,
-            lie=jk_lie,
-            predicted_kronecker=None,
-            computed_kronecker=computed_kron,
-            jordan_totals_predicted=None,
-            jordan_totals_computed=computed_totals,
-            verdict=NOT_APPLICABLE,
-        )
-    predicted_kron, predicted_totals = prediction
-    ok = predicted_kron == computed_kron and predicted_totals == computed_totals
+        verdict = NOT_APPLICABLE
+    elif (predicted_kron, predicted_totals) == (computed_kron, computed_totals):
+        verdict = MATCH
+    else:
+        verdict = MISMATCH
     return DualTheoremReport(
         dual=jk_dual,
         lie=jk_lie,
@@ -168,5 +161,5 @@ def check_dual_theorem(
         computed_kronecker=computed_kron,
         jordan_totals_predicted=predicted_totals,
         jordan_totals_computed=computed_totals,
-        verdict=MATCH if ok else MISMATCH,
+        verdict=verdict,
     )

@@ -74,13 +74,6 @@ class SkewJK:
     def jordan_dimension(self) -> int:
         return sum(cls.root_count * sum(sizes) for cls, sizes in self.jordan)
 
-    def slot_totals(self) -> tuple[int, ...]:
-        """Sum of block dimensions per slot, one entry per class root, sorted."""
-        totals: list[int] = []
-        for cls, sizes in self.jordan:
-            totals.extend([sum(sizes)] * cls.root_count)
-        return tuple(sorted(totals, reverse=True))
-
 
 def skew_jk_invariants(p: Pencil) -> SkewJK:
     """Fold the strict invariants of a skew pencil into congruence data."""

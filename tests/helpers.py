@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 from operator import mul
 
 from penciljk.exactla import Mat, det, rank
@@ -42,6 +43,34 @@ CLASS_POOL = (
     EigClass((-2, 0, 0, 1)),  # t^3 - 2
     EigClass(None),           # infinity
 )
+
+
+def zeros(m: int, n: int) -> Mat:
+    return Mat.from_ints([[0] * n for _ in range(m)], n)
+
+
+def hstack(blocks) -> Mat:
+    """Blocks of one row count, side by side."""
+    if not blocks:
+        raise ValueError("nothing to stack")
+    m = blocks[0].m
+    if any(b.m != m for b in blocks):
+        raise ValueError("row count mismatch")
+    den = lcm(*[b.den for b in blocks])
+    rows = [[den // b.den * x for b in blocks for x in b.rows[i]] for i in range(m)]
+    return Mat.from_ints(rows, sum(b.n for b in blocks), den)
+
+
+def vstack(blocks) -> Mat:
+    """Blocks of one column count, one above the other."""
+    if not blocks:
+        raise ValueError("nothing to stack")
+    n = blocks[0].n
+    if any(b.n != n for b in blocks):
+        raise ValueError("column count mismatch")
+    den = lcm(*[b.den for b in blocks])
+    rows = [[den // b.den * x for x in r] for b in blocks for r in b.rows]
+    return Mat.from_ints(rows, n, den)
 
 
 def pencil_from_lists(a_rows, b_rows) -> Pencil:
@@ -182,10 +211,10 @@ def random_strict_invariants(
 def _embed_skew(fa: Mat, fb: Mat) -> tuple[Mat, Mat]:
     """[[0, F], [-F^T, 0]] for both coefficients; always a skew pair."""
     p, q = fa.m, fa.n
-    za = Mat.zeros(p, p)
-    zb = Mat.zeros(q, q)
-    a = Mat.vstack([Mat.hstack([za, fa]), Mat.hstack([fa.transpose().scale(-1), zb])])
-    b = Mat.vstack([Mat.hstack([za, fb]), Mat.hstack([fb.transpose().scale(-1), zb])])
+    za = zeros(p, p)
+    zb = zeros(q, q)
+    a = vstack([hstack([za, fa]), hstack([fa.transpose().scale(-1), zb])])
+    b = vstack([hstack([za, fb]), hstack([fb.transpose().scale(-1), zb])])
     return a, b
 
 
@@ -302,7 +331,7 @@ def change_basis(
     pv_inv = inverse(pv)
     mats = []
     for a in range(n):
-        acc = Mat.zeros(rho.dim_v, rho.dim_v)
+        acc = zeros(rho.dim_v, rho.dim_v)
         for i in range(n):
             c = pg.entry(i, a)
             if c:
@@ -387,7 +416,7 @@ def pair_pool() -> list[tuple[str, LieAlgebra, Representation]]:
     )
 
     g = LieAlgebra(3, [(0, 1, 1, 1)])  # affine line plus a scalar
-    z = Mat.zeros(3, 3)
+    z = zeros(3, 3)
     e0 = Mat([[1, 0, 0], [0, 0, 0], [0, 0, 0]])
     e1 = Mat([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
     e2 = Mat([[0, 0, 0], [0, 0, 0], [0, 0, 1]])

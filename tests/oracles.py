@@ -24,7 +24,8 @@ fraction-free elimination and integer back-substitution,
 Jacobi violations come from a cyclic sum of Fraction brackets
 instead of the defect of the adjoint operators, and the closure order on
 signatures comes from a breadth-first search over six rewriting rules
-instead of Hom-dimension inequalities.  Polynomials over Q are
+instead of Hom-dimension inequalities, and the maximal rank-r strata are
+found by trying every column defect instead of read off the signature.  Polynomials over Q are
 those of the Fraction ring in ``qpoly``; classes are passed in and
 returned in the package's stored form, primitive integer tuples.
 """
@@ -54,9 +55,10 @@ from penciljk.polys import (
     _zpseudo_divmod,
     _ztrim,
 )
-from penciljk.strata import BundleSig, _partitions
+from penciljk.errors import CertificateNotApplicableError
+from penciljk.strata import BundleSig, _partitions, generic_fixed_rank_sig
 
-from helpers import derivative, divides, from_cols, matmul
+from helpers import derivative, divides, from_cols, hstack, matmul, vstack, zeros
 from qpoly import Poly, monic, monic_gcd, primitive
 
 
@@ -77,7 +79,7 @@ def _stacked(p: Pencil, d: int) -> Mat:
 
     Kernel vectors encode polynomial kernel solutions of degree <= d.
     """
-    zero = Mat.zeros(p.m, p.n)
+    zero = zeros(p.m, p.n)
     rows = []
     for br in range(d + 2):
         blocks = []
@@ -88,8 +90,8 @@ def _stacked(p: Pencil, d: int) -> Mat:
                 blocks.append(p.b)
             else:
                 blocks.append(zero)
-        rows.append(Mat.hstack(blocks))
-    return Mat.vstack(rows)
+        rows.append(hstack(blocks))
+    return vstack(rows)
 
 
 def stacked_minimal_widths(p: Pencil) -> tuple[int, ...]:
@@ -883,3 +885,21 @@ def orbit_codimension(sig: BundleSig) -> int:
 def bundle_codimension(sig: BundleSig) -> int:
     """Orbit codimension minus one per eigenvalue, which may move."""
     return orbit_codimension(sig) - len(sig.slots)
+
+
+def search_certify_generic_repr(sig: BundleSig, m: int, n: int, r: int) -> bool:
+    """``certify_generic_repr`` as a search: whether the signature is
+    ``generic_fixed_rank_sig(m, n, r, a)`` for some column defect a."""
+    if m == n and r >= min(m, n):
+        raise CertificateNotApplicableError(
+            "square full-rank signatures are outside this certificate"
+        )
+    if (sig.m, sig.n, sig.rank) != (m, n, r):
+        return False
+    for a in range(r + 1):
+        try:
+            if sig == generic_fixed_rank_sig(m, n, r, a):
+                return True
+        except ValueError:
+            continue
+    return False

@@ -132,7 +132,7 @@ def test_criterion_04_lie_table_minimum():
     for fam, m, literal in cells:
         assert expected_lie_jk(fam, m) == literal
         _, rho = build_classical(fam)
-        q = semidirect(direct_sum(rho, m)).q
+        q = semidirect(direct_sum(rho, m))
         report = jk_invariants_of_lie(q, Sampler(SEED + m), samples=25)
         assert skew_abstract_signature(report.invariants) == literal, fam.label
     print("criterion 4: 4 semi-direct cells match")
@@ -184,10 +184,10 @@ def test_criterion_06_block_structure():
         pg = random_invertible(rng, g.dim, bound=2)
         pv = random_invertible(rng, rho.dim_v, bound=2)
         g2, rho2 = change_basis(g, rho, pg, pv)
-        sd = semidirect(rho2)
+        q = semidirect(rho2)
         x = sampler.covector(g2.dim)
         a = sampler.covector(rho2.dim_v)
-        assert verify_block_structure(sd, x, a), name
+        assert verify_block_structure(q, rho2, x, a), name
         checked += 1
     print(f"criterion 6: block shape verified on {checked} instances")
 
@@ -330,7 +330,7 @@ def test_criterion_10_genericity_certificates():
         assert certify_generic_lie(exp, len(exp.kronecker)), (fam.label, m)
         if fam.dim + m * fam.n <= 12:
             _, rho = build_classical(fam)
-            q = semidirect(direct_sum(rho, m)).q
+            q = semidirect(direct_sum(rho, m))
             assert lie_index(q, Sampler(SEED + m), samples=5) == len(exp.kronecker)
         balanced += 1
     assert balanced >= 10
@@ -366,6 +366,18 @@ def test_criterion_10_genericity_certificates():
         f"criterion 10: certificates fire on {balanced} algebra cells and"
         f" {fired} representation cells"
     )
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: the sampled minimum corank is taken as the "
+    "index unproved, so one unlucky sample certifies a wrong answer",
+)
+def test_criterion_10_one_sample_does_not_certify_a_wrong_euclidean_index():
+    # the true invariants of e(2) are Kronecker (2,); one sample of height
+    # 2 at seed 657 lands on a point of corank 3
+    report = jk_invariants_of_lie(_euclidean2(), Sampler(657, height=2), samples=1)
+    assert (report.genericity_status, report.invariants.kronecker) != (CERTIFIED, (1, 1, 1))
 
 
 @pytest.mark.xfail(

@@ -32,6 +32,7 @@ from helpers import (
     lie_index,
     matmul,
     random_invertible,
+    zeros,
 )
 from oracles import cyclic_jacobi, eval_rank
 
@@ -96,7 +97,7 @@ def test_change_basis_keeps_jacobi_and_index():
     g = euclidean2()
     s = Mat(random_invertible(rng, 3).rows)
     # the zero representation on a line carries the algebra along
-    zero = Representation(g, 1, (Mat.zeros(1, 1),) * 3)
+    zero = Representation(g, 1, (zeros(1, 1),) * 3)
     moved, _ = change_basis(g, zero, s, identity(1))
     assert check_jacobi(moved) == []
     assert lie_index(moved, sampler) == lie_index(g, Sampler(SEED))
@@ -108,12 +109,12 @@ def _unmatched_pairs(rho: Representation) -> list[tuple[int, int]]:
     g, mats = rho.algebra, rho.mats
     bracket = {}
     for i, j, k, c in g.entries():
-        bracket[i, j] = bracket.get((i, j), Mat.zeros(rho.dim_v, rho.dim_v)) + mats[k].scale(c)
+        bracket[i, j] = bracket.get((i, j), zeros(rho.dim_v, rho.dim_v)) + mats[k].scale(c)
     return [
         (i, j)
         for i in range(g.dim)
         for j in range(i + 1, g.dim)
-        if bracket.get((i, j), Mat.zeros(rho.dim_v, rho.dim_v))
+        if bracket.get((i, j), zeros(rho.dim_v, rho.dim_v))
         != matmul(mats[i], mats[j]) - matmul(mats[j], mats[i])
     ]
 
@@ -130,8 +131,8 @@ def test_check_homomorphism():
     rng = random.Random(SEED + 5)
     g, rho = build_classical(Family("sp", 4))
     assert check_homomorphism(rho) == _unmatched_pairs(rho) == []
-    zeros = sum(not x for m in rho.mats for r in m.rows for x in r)
-    assert zeros > 3 * sum(bool(x) for m in rho.mats for r in m.rows for x in r)
+    zero_entries = sum(not x for m in rho.mats for r in m.rows for x in r)
+    assert zero_entries > 3 * sum(bool(x) for m in rho.mats for r in m.rows for x in r)
     for _ in range(20):
         k, a, b = rng.randrange(g.dim), rng.randrange(rho.dim_v), rng.randrange(rho.dim_v)
         rows = [list(r) for r in rho.mats[k].tolist()]

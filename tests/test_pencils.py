@@ -49,6 +49,8 @@ from helpers import (
     reversed_pencil,
     scramble,
     skew_canonical,
+    vstack,
+    zeros,
 )
 from oracles import (
     all_minor_totals,
@@ -99,7 +101,7 @@ def test_regular_value_comes_from_the_rank_scan(monkeypatch):
     for _ in range(40):
         p = random_pencil(rng)
         # stacking p on itself keeps its rank below min(m, n) when n > m
-        doubled = Pencil(exactla.Mat.vstack([p.a, p.a]), exactla.Mat.vstack([p.b, p.b]))
+        doubled = Pencil(vstack([p.a, p.a]), vstack([p.b, p.b]))
         for q in (p, doubled):
             r = eval_rank(q)
             assert pencil_rank(q) == r
@@ -180,7 +182,7 @@ def test_rank_scan_stops_at_the_degree_bound(monkeypatch):
     assert _points_ranked(monkeypatch, wide) == ((1, 0), 1)
     tall = pencil_from_lists([[1, 0], [0, 1], [0, 0]], [[0, 0], [1, 0], [0, 1]])
     assert _points_ranked(monkeypatch, tall) == ((2, 0), 1)
-    empty = Pencil(exactla.Mat.zeros(0, 3), exactla.Mat.zeros(0, 3))
+    empty = Pencil(zeros(0, 3), zeros(0, 3))
     assert _points_ranked(monkeypatch, empty)[0] == (0, 0)
 
 

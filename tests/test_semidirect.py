@@ -12,7 +12,6 @@ from penciljk.pencils import EigClass, StrictInvariants
 from penciljk.semidirect import (
     MATCH,
     NOT_APPLICABLE,
-    SemidirectSum,
     check_dual_theorem,
     direct_sum,
     dual_representation,
@@ -55,17 +54,16 @@ def test_direct_sum_blocks():
 
 def test_semidirect_structure():
     g, rho = sl2_standard()
-    sd = semidirect(rho)
-    assert sd.g is g
-    assert sd.q.dim == 5
-    assert check_jacobi(sd.q) == []
+    q = semidirect(rho)
+    assert q.dim == 5
+    assert check_jacobi(q) == []
     # the brackets of g, the action, and an abelian part: ad(xi) is
     # block diagonal and ad(v) maps into V
     for i in range(3):
-        assert sd.q.ad[i] == Mat.block_diag([g.ad[i], rho.mats[i]])
+        assert q.ad[i] == Mat.block_diag([g.ad[i], rho.mats[i]])
     for b in range(2):
-        v_part = sd.q.ad[3 + b].submatrix(range(3, 5), range(5))
-        assert sd.q.ad[3 + b].submatrix(range(3), range(5)).is_zero()
+        v_part = q.ad[3 + b].submatrix(range(3, 5), range(5))
+        assert q.ad[3 + b].submatrix(range(3), range(5)).is_zero()
         assert v_part.submatrix(range(2), range(3, 5)).is_zero()
         for j in range(3):
             # [v_b, e_j] = -rho(e_j) v_b
@@ -75,19 +73,20 @@ def test_semidirect_structure():
 def test_block_structure_at_sample_points():
     sampler = Sampler(SEED)
     for name, g, rho in pair_pool():
-        sd = semidirect(rho)
+        q = semidirect(rho)
         x = sampler.covector(g.dim)
         a = sampler.covector(rho.dim_v)
-        assert verify_block_structure(sd, x, a), name
+        assert verify_block_structure(q, rho, x, a), name
 
 
 def test_block_structure_detects_wrong_coupling():
     g, rho = sl2_standard()
-    wrong = SemidirectSum(g=g, rho=dual_representation(rho), q=semidirect(rho).q)
+    q = semidirect(rho)
     sampler = Sampler(SEED)
     x = sampler.covector(3)
     a = sampler.covector(2)
-    assert not verify_block_structure(wrong, x, a)
+    assert verify_block_structure(q, rho, x, a)
+    assert not verify_block_structure(q, dual_representation(rho), x, a)
 
 
 def test_prediction_from_dual_invariants():

@@ -22,6 +22,7 @@ from penciljk.skewjk import (
     mantle_subspace,
     skew_jk_invariants,
 )
+from penciljk.strata import skew_abstract_signature
 
 from helpers import (
     CLASS_POOL,
@@ -69,7 +70,7 @@ def test_skewjk_validation():
         SkewJK(dim=5, kronecker=(2,), jordan=())
     jk = SkewJK(dim=7, kronecker=(2,), jordan=((EigClass((-2, 0, 1)), (2,)),))
     assert jk.jordan_dimension() == 4
-    assert jk.slot_totals() == (2, 2)
+    assert skew_abstract_signature(jk).slots == ((2,), (2,))
 
 
 def test_core_and_mantle_dimensions():

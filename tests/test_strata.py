@@ -32,6 +32,7 @@ from oracles import (
     bfs_orbit_closure_contains,
     bundle_codimension,
     orbit_codimension,
+    search_certify_generic_repr,
     successors,
 )
 
@@ -190,24 +191,33 @@ def test_bundle_closure_partial_merge():
 
 
 def test_bundle_closure_searches_each_merged_signature_once(monkeypatch):
-    # three equal slots have 5 set partitions but only 3 merged signatures:
-    # the three ways to merge two slots give the same one
+    # three equal slots have 5 set partitions but only 3 merged slot
+    # tuples: the three ways to merge two slots give the same one
     assert not hasattr(orbit_closure_contains, "cache_info")
     assert sum(1 for _ in strata._set_partitions([0, 1, 2])) == 5
-    searched = []
-    real = strata.orbit_closure_contains
+    matched = []
+    real = strata._slots_match
 
-    def recorded(upper, lower):
-        searched.append(upper)
-        return real(upper, lower)
+    def recorded(slots, hu, lower):
+        matched.append(slots)
+        return real(slots, hu, lower)
 
-    monkeypatch.setattr(strata, "orbit_closure_contains", recorded)
+    monkeypatch.setattr(strata, "_slots_match", recorded)
+    # three semisimple eigenvalues of multiplicity 2 coalesce at most to
+    # Jordan sizes (3, 3), which never reach (4, 2); the rank and the Hom
+    # bounds hold, so every merge goes to the slot matching
+    upper = sig(6, 6, 6, slots=[(1, 1), (1, 1), (1, 1)])
+    lower = sig(6, 6, 6, slots=[(4, 2)])
+    assert strata._hom_bounds_hold(upper, lower)
+    assert not bundle_closure_contains(upper, lower)
+    assert len(matched) == len(set(matched)) == 3
+    assert set(matched) == {((1, 1), (1, 1), (1, 1)), ((2, 2), (1, 1)), ((3, 3),)}
+    # a lower signature of higher rank fails the bounds before any merge
+    matched.clear()
     upper = sig(4, 4, 3, horizontal=(1,), vertical=(1,), slots=[(1,), (1,), (1,)])
-    # a lower signature of higher rank is in no closure, so every merge is tried
     lower = sig(4, 4, 4, slots=[(1,), (1,), (1,), (1,)])
     assert not bundle_closure_contains(upper, lower)
-    assert len(searched) == len(set(searched)) == 3
-    assert {s.slots for s in searched} == {((1,), (1,), (1,)), ((2,), (1,)), ((3,),)}
+    assert matched == []
 
 
 def _signatures(m, n):
@@ -306,6 +316,28 @@ def test_certify_generic_repr():
     assert not certify_generic_repr(good, 2, 3, 1)
     with pytest.raises(CertificateNotApplicableError):
         certify_generic_repr(sig(2, 2, 2, slots=[(1,), (1,)]), 2, 2, 2)
+
+
+def test_certify_generic_repr_matches_the_defect_search():
+    # every signature with m + n <= 9 against every rank of its shape
+    compared = refused = certified = 0
+    for total in range(10):
+        for m in range(total + 1):
+            n = total - m
+            sigs = _signatures(m, n)
+            for r in range(min(m, n) + 1):
+                for s in sigs:
+                    if m == n and r == m:
+                        refused += 1
+                        for certify in (certify_generic_repr, search_certify_generic_repr):
+                            with pytest.raises(CertificateNotApplicableError):
+                                certify(s, m, n, r)
+                        continue
+                    compared += 1
+                    answer = certify_generic_repr(s, m, n, r)
+                    assert answer == search_certify_generic_repr(s, m, n, r), (s, r)
+                    certified += answer
+    assert (compared, refused, certified) == (1880, 75, 116)
 
 
 def test_certify_generic_lie():
