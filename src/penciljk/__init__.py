@@ -45,7 +45,6 @@ from .strata import (
     certify_generic_lie,
     certify_generic_repr,
     enumerate_signatures,
-    generic_fixed_rank_sig,
     orbit_closure_contains,
     skew_abstract_signature,
     skew_bundle_closure_contains,

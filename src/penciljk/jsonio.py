@@ -258,5 +258,7 @@ def load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise InputFormatError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, UnicodeDecodeError, an integer literal past
+        # Python's digit limit, or nesting past the recursion limit
         raise InputFormatError(f"{path} is not valid JSON: {exc}") from None

@@ -97,8 +97,10 @@ chain runs again at a regular value t > 0, the left limit's deficiency
 against the same normal rank for a pencil that is not skew, the regular
 part's size, its invertibility at the regular value, M against the
 system it solves, and each class's defects against its total.  The
-dimension bookkeeping of ``StrictInvariants`` then checks the chains
-against the rank.
+dimension bookkeeping then checks the chains against the rank.  Its
+rules are stated once, in ``strata.BundleSig``: ``StrictInvariants`` and
+``skewjk.SkewJK`` check their class order and build their signatures
+for the rest (``_check_record``).
 """
 
 from __future__ import annotations
@@ -121,6 +123,7 @@ from .exactla import (
     solve,
 )
 from .polys import integer_factors, poly_sort_key
+from .strata import abstract_signature
 
 
 @dataclass(frozen=True)
@@ -204,6 +207,19 @@ class EigClass:
         return cls(None)
 
 
+def _check_record(record, signature) -> None:
+    """Check what the record's eigenvalue-anonymous signature cannot see,
+    classes sorted by ``EigClass.sort_key`` and distinct, then build the
+    signature, whose ``ValueError`` is a bug here."""
+    keys = [cls.sort_key() for cls, _ in record.jordan]
+    if any(a >= b for a, b in zip(keys, keys[1:])):
+        raise InternalConsistencyError("eigenvalue classes must be sorted and distinct")
+    try:
+        signature(record)
+    except ValueError as exc:
+        raise InternalConsistencyError(str(exc)) from None
+
+
 @dataclass(frozen=True)
 class StrictInvariants:
     """Complete strict-equivalence datum of an m x n pencil.
@@ -211,7 +227,8 @@ class StrictInvariants:
     ``horizontal`` and ``vertical`` are block widths/heights sorted
     descending; ``jordan`` maps each eigenvalue class to its block sizes,
     sorted descending, stored as a tuple sorted by class.  Construction
-    checks the dimension bookkeeping, so an instance is always coherent.
+    checks the class order and, through ``strata.abstract_signature``,
+    the dimension bookkeeping, so an instance is always coherent.
     """
 
     m: int
@@ -222,28 +239,7 @@ class StrictInvariants:
     jordan: tuple[tuple[EigClass, tuple[int, ...]], ...]
 
     def __post_init__(self):
-        h, v = self.horizontal, self.vertical
-        if list(h) != sorted(h, reverse=True) or list(v) != sorted(v, reverse=True):
-            raise InternalConsistencyError("block lists must be sorted descending")
-        if any(w < 1 for w in h) or any(u < 1 for u in v):
-            raise InternalConsistencyError("block sizes must be positive")
-        classes = [c for c, _ in self.jordan]
-        if classes != sorted(classes, key=EigClass.sort_key) or len(set(classes)) != len(classes):
-            raise InternalConsistencyError("eigenvalue classes must be sorted and distinct")
-        for _, sizes in self.jordan:
-            if not sizes or any(s < 1 for s in sizes) or list(sizes) != sorted(sizes, reverse=True):
-                raise InternalConsistencyError("class sizes must be positive, sorted descending")
-        j = self.jordan_dimension()
-        if len(h) != self.n - self.rank:
-            raise InternalConsistencyError("horizontal block count must be n - rank")
-        if len(v) != self.m - self.rank:
-            raise InternalConsistencyError("vertical block count must be m - rank")
-        if sum(h) + sum(u - 1 for u in v) + j != self.n:
-            raise InternalConsistencyError("column bookkeeping failed")
-        if sum(w - 1 for w in h) + sum(v) + j != self.m:
-            raise InternalConsistencyError("row bookkeeping failed")
-        if sum(w - 1 for w in h) + sum(u - 1 for u in v) + j != self.rank:
-            raise InternalConsistencyError("rank bookkeeping failed")
+        _check_record(self, abstract_signature)
 
     def jordan_dimension(self) -> int:
         """Total dimension occupied by eigenvalue blocks, counting conjugates."""

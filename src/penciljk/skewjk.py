@@ -30,12 +30,13 @@ from .exactla import IntVec, Mat, kernel_basis
 from .pencils import (
     EigClass,
     Pencil,
+    _check_record,
     _is_skew,
     _kernel_chains,
     pencil_rank,
     strict_invariants,
 )
-from .strata import _is_desc
+from .strata import skew_abstract_signature
 
 
 def _require_skew(p: Pencil) -> None:
@@ -49,7 +50,9 @@ class SkewJK:
 
     kronecker: one index k >= 1 per pair of minimal indices, descending.
     jordan: per eigenvalue class, the even dimensions of the skew Jordan
-    blocks, descending; classes sorted and distinct.
+    blocks, descending; classes sorted and distinct.  Construction checks
+    the class order and, through ``strata.skew_abstract_signature``, the
+    rest.
     """
 
     dim: int
@@ -57,19 +60,7 @@ class SkewJK:
     jordan: tuple[tuple[EigClass, tuple[int, ...]], ...]
 
     def __post_init__(self) -> None:
-        if not _is_desc(self.kronecker) or any(k < 1 for k in self.kronecker):
-            raise InternalConsistencyError("kronecker indices must be positive descending")
-        classes = [cls for cls, _ in self.jordan]
-        keys = [cls.sort_key() for cls in classes]
-        if keys != sorted(keys) or len(set(keys)) != len(keys):
-            raise InternalConsistencyError("eigenvalue classes must be sorted and distinct")
-        for _, sizes in self.jordan:
-            if not sizes or not _is_desc(sizes):
-                raise InternalConsistencyError("jordan sizes must be non-empty descending")
-            if any(s < 2 or s % 2 for s in sizes):
-                raise InternalConsistencyError("skew jordan sizes must be even and >= 2")
-        if sum(2 * k - 1 for k in self.kronecker) + self.jordan_dimension() != self.dim:
-            raise InternalConsistencyError("dimension bookkeeping failed")
+        _check_record(self, skew_abstract_signature)
 
     def jordan_dimension(self) -> int:
         return sum(cls.root_count * sum(sizes) for cls, sizes in self.jordan)

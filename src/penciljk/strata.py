@@ -96,9 +96,8 @@ class SkewBundleSig:
         for s in self.slots:
             if not s or any(x < 2 or x % 2 for x in s):
                 raise ValueError("skew slots must hold even sizes >= 2")
-        total = sum(2 * k - 1 for k in self.kronecker) + sum(sum(s) for s in self.slots)
-        if total != self.dim:
-            raise ValueError("dimension bookkeeping failed")
+        # the unfolded column sum is sum(2k - 1) + J = dim
+        self.unfold()
 
     @classmethod
     def make(cls, dim, kronecker, slots) -> "SkewBundleSig":
@@ -123,26 +122,28 @@ class SkewBundleSig:
         )
 
 
+def _class_slots(jordan) -> tuple[tuple[int, ...], ...]:
+    # one slot per class root; sizes stay as given, so unsorted ones fail
+    slots = [tuple(sizes) for cls, sizes in jordan for _ in range(cls.root_count)]
+    return tuple(sorted(slots, reverse=True))
+
+
 def abstract_signature(inv) -> BundleSig:
-    """Forget eigenvalue identities: one slot per class root."""
-    slots = []
-    for cls, sizes in inv.jordan:
-        slots.extend([sizes] * cls.root_count)
-    return BundleSig.make(
+    """Forget eigenvalue identities: one slot per class root.  The
+    constructor, not ``make``, is called, so unsorted lists fail."""
+    return BundleSig(
         m=inv.m,
         n=inv.n,
         rank=inv.rank,
-        horizontal=inv.horizontal,
-        vertical=inv.vertical,
-        slots=slots,
+        horizontal=tuple(inv.horizontal),
+        vertical=tuple(inv.vertical),
+        slots=_class_slots(inv.jordan),
     )
 
 
 def skew_abstract_signature(jk) -> SkewBundleSig:
-    slots = []
-    for cls, sizes in jk.jordan:
-        slots.extend([sizes] * cls.root_count)
-    return SkewBundleSig.make(dim=jk.dim, kronecker=jk.kronecker, slots=slots)
+    """The folded ``abstract_signature``."""
+    return SkewBundleSig(dim=jk.dim, kronecker=tuple(jk.kronecker), slots=_class_slots(jk.jordan))
 
 
 # ---------------------------------------------------------------------------
@@ -307,38 +308,7 @@ def skew_bundle_closure_contains(upper: SkewBundleSig, lower: SkewBundleSig) -> 
 
 
 # ---------------------------------------------------------------------------
-# generic fixed-rank strata
-
-
-def generic_fixed_rank_sig(m: int, n: int, r: int, a: int) -> BundleSig:
-    """The a-th maximal signature among rank-r strata of m x n pencils.
-
-    The column defect a is spread over the n - r horizontal indices and
-    r - a over the m - r vertical ones as evenly as possible; there is no
-    Jordan part.
-    """
-    hi = min(m, n) if m != n else n - 1
-    if not 1 <= r <= hi:
-        raise ValueError("rank out of range for this shape")
-    if not 0 <= a <= r:
-        raise ValueError("column defect out of range")
-    if n - r == 0:
-        if a != 0:
-            raise ValueError("no horizontal indices to carry a nonzero defect")
-        alpha, s = 0, 0
-    else:
-        alpha, s = divmod(a, n - r)
-    if m - r == 0:
-        if r - a != 0:
-            raise ValueError("no vertical indices to carry the remaining defect")
-        beta, t = 0, 0
-    else:
-        beta, t = divmod(r - a, m - r)
-    horizontal = [alpha + 2] * s + [alpha + 1] * (n - r - s)
-    vertical = [beta + 2] * t + [beta + 1] * (m - r - t)
-    return BundleSig.make(
-        m=m, n=n, rank=r, horizontal=horizontal, vertical=vertical, slots=()
-    )
+# the strata of one shape and rank
 
 
 def enumerate_signatures(m: int, n: int, r: int):
@@ -426,11 +396,11 @@ def certify_generic_lie(sig: SkewBundleSig, ind: int) -> bool:
 def certify_generic_repr(sig: BundleSig, m: int, n: int, r: int) -> bool:
     """Certify that a signature is a maximal rank-r stratum.
 
-    Those are the signatures ``generic_fixed_rank_sig`` returns: rank
-    r >= 1, no Jordan part, and horizontal indices within one of each
-    other, as are the vertical ones.  Applicable only to non-square
-    shapes or ranks below min(m, n); the square full-rank case has no
-    Kronecker indices to balance.
+    Those are the signatures of rank r >= 1 with no Jordan part whose
+    horizontal indices are within one of each other, as are the vertical
+    ones.  Applicable only to non-square shapes or ranks below
+    min(m, n); the square full-rank case has no Kronecker indices to
+    balance.
     """
     if m == n and r >= min(m, n):
         raise CertificateNotApplicableError(

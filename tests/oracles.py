@@ -25,8 +25,9 @@ Jacobi violations come from a cyclic sum of Fraction brackets
 instead of the defect of the adjoint operators, and the closure order on
 signatures comes from a breadth-first search over six rewriting rules
 instead of Hom-dimension inequalities, and the maximal rank-r strata are
-found by trying every column defect instead of read off the signature.  Polynomials over Q are
-those of the Fraction ring in ``qpoly``; classes are passed in and
+built for every column defect (``generic_fixed_rank_sig``) and tried in
+turn instead of read off the signature.  Polynomials over Q are those of
+the Fraction ring in ``qpoly``; classes are passed in and
 returned in the package's stored form, primitive integer tuples.
 """
 
@@ -56,7 +57,7 @@ from penciljk.polys import (
     _ztrim,
 )
 from penciljk.errors import CertificateNotApplicableError
-from penciljk.strata import BundleSig, _partitions, generic_fixed_rank_sig
+from penciljk.strata import BundleSig, _partitions
 
 from helpers import derivative, divides, from_cols, hstack, matmul, vstack, zeros
 from qpoly import Poly, monic, monic_gcd, primitive
@@ -885,6 +886,37 @@ def orbit_codimension(sig: BundleSig) -> int:
 def bundle_codimension(sig: BundleSig) -> int:
     """Orbit codimension minus one per eigenvalue, which may move."""
     return orbit_codimension(sig) - len(sig.slots)
+
+
+def generic_fixed_rank_sig(m: int, n: int, r: int, a: int) -> BundleSig:
+    """The a-th maximal signature among rank-r strata of m x n pencils.
+
+    The column defect a is spread over the n - r horizontal indices and
+    r - a over the m - r vertical ones as evenly as possible; there is no
+    Jordan part.
+    """
+    hi = min(m, n) if m != n else n - 1
+    if not 1 <= r <= hi:
+        raise ValueError("rank out of range for this shape")
+    if not 0 <= a <= r:
+        raise ValueError("column defect out of range")
+    if n - r == 0:
+        if a != 0:
+            raise ValueError("no horizontal indices to carry a nonzero defect")
+        alpha, s = 0, 0
+    else:
+        alpha, s = divmod(a, n - r)
+    if m - r == 0:
+        if r - a != 0:
+            raise ValueError("no vertical indices to carry the remaining defect")
+        beta, t = 0, 0
+    else:
+        beta, t = divmod(r - a, m - r)
+    horizontal = [alpha + 2] * s + [alpha + 1] * (n - r - s)
+    vertical = [beta + 2] * t + [beta + 1] * (m - r - t)
+    return BundleSig.make(
+        m=m, n=n, rank=r, horizontal=horizontal, vertical=vertical, slots=()
+    )
 
 
 def search_certify_generic_repr(sig: BundleSig, m: int, n: int, r: int) -> bool:

@@ -43,7 +43,6 @@ from penciljk.strata import (
     certify_generic_lie,
     certify_generic_repr,
     enumerate_signatures,
-    generic_fixed_rank_sig,
     skew_abstract_signature,
 )
 
@@ -62,7 +61,7 @@ from helpers import (
     scramble,
     skew_canonical,
 )
-from oracles import interp_det
+from oracles import generic_fixed_rank_sig, interp_det
 
 GRID = [
     Family("gl", 2),

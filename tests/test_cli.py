@@ -122,6 +122,22 @@ def test_malformed_inputs(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "content",
+    [
+        b"\xff",  # not UTF-8
+        b"[" * 200_000 + b"]" * 200_000,  # nested past the recursion limit
+        b'{"m": 1, "n": 1, "A": [[' + b"7" * 5000 + b']], "B": [[0]]}',  # past the digit limit
+    ],
+    ids=["not-utf8", "deep-nesting", "long-integer"],
+)
+def test_unreadable_input_file_is_an_input_error(tmp_path, capsys, content):
+    path = tmp_path / "p.json"
+    path.write_bytes(content)
+    assert main(["pencil", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("input error: ")
+
+
 def test_lie_command(tmp_path, capsys):
     path = write(tmp_path, "sl2.json", SL2)
     code, out = run(capsys, ["--samples", "5", "lie", path])

@@ -1,8 +1,9 @@
 """Checks on the package's source layout rather than its answers: no
 module imports a name it never uses, the Lie layer does not import
 ``fractions``, only ``exactla`` drives the Bareiss elimination and no
-other module imports its private names, and every
-function the benchmark tracer wraps by name still exists."""
+other module imports its private names, only ``strata`` states the
+Kronecker counts and bookkeeping, and every function the benchmark
+tracer wraps by name still exists."""
 
 import ast
 import importlib
@@ -139,6 +140,37 @@ def test_modules_import_only_public_exactla_names():
             if private:
                 found[name] = private
     assert found == {}
+
+
+BOOKKEEPING_MESSAGES = ("count must be n - rank", "count must be m - rank", "bookkeeping failed")
+
+
+def _raised_messages(source: str) -> set[str]:
+    """Which of ``BOOKKEEPING_MESSAGES`` occur in a string the source
+    raises."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise):
+            for part in ast.walk(node):
+                if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                    found.update(m for m in BOOKKEEPING_MESSAGES if m in part.value)
+    return found
+
+
+def test_bookkeeping_is_stated_only_in_strata():
+    """The rules that make a Kronecker structure coherent live in
+    ``strata.BundleSig``; the invariant records check them through their
+    signatures."""
+    assert _raised_messages('raise E("row bookkeeping failed")\n') == {"bookkeeping failed"}
+    assert _raised_messages('x = "row bookkeeping failed"\n') == set()
+    found = {}
+    for name in sorted(os.listdir(PACKAGE)):
+        if name.endswith(".py"):
+            with open(os.path.join(PACKAGE, name), encoding="utf-8") as fh:
+                raised = _raised_messages(fh.read())
+            if raised:
+                found[name] = raised
+    assert found == {"strata.py": set(BOOKKEEPING_MESSAGES)}
 
 
 @pytest.fixture(scope="module")

@@ -337,6 +337,19 @@ def test_invariants_validation():
     with pytest.raises(InternalConsistencyError):
         # bookkeeping: widths must account for n - rank exactly
         StrictInvariants(m=2, n=3, rank=2, horizontal=(), vertical=(), jordan=())
+    t, t1, inf = EigClass((0, 1)), EigClass((1, 1)), EigClass.infinite()
+    # each record below breaks one rule and keeps every count and sum
+    for bad in (
+        dict(m=1, n=3, rank=1, horizontal=(1, 2), vertical=(), jordan=()),
+        dict(m=3, n=1, rank=1, horizontal=(), vertical=(1, 2), jordan=()),
+        dict(m=3, n=3, rank=3, horizontal=(), vertical=(), jordan=((t, (1, 2)),)),
+        dict(m=2, n=2, rank=2, horizontal=(), vertical=(), jordan=((inf, (1,)), (t, (1,)))),
+        dict(m=2, n=2, rank=2, horizontal=(), vertical=(), jordan=((t, (1,)), (t, (1,)))),
+        dict(m=1, n=1, rank=1, horizontal=(), vertical=(), jordan=((t, ()), (t1, (1,)))),
+    ):
+        with pytest.raises(InternalConsistencyError):
+            StrictInvariants(**bad)
+    StrictInvariants(m=2, n=2, rank=2, horizontal=(), vertical=(), jordan=((t, (1,)), (inf, (1,))))
 
 
 def test_zero_and_empty_pencils():

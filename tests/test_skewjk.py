@@ -68,6 +68,18 @@ def test_skewjk_validation():
         SkewJK(dim=3, kronecker=(), jordan=((EigClass((0, 1)), (3,)),))
     with pytest.raises(InternalConsistencyError):
         SkewJK(dim=5, kronecker=(2,), jordan=())
+    t, t1, inf = EigClass((0, 1)), EigClass((1, 1)), EigClass.infinite()
+    # each record below breaks one rule and keeps the dimension sum
+    for dim, kronecker, jordan in (
+        (6, (), ((t, (2, 4)),)),
+        (4, (), ((inf, (2,)), (t, (2,)))),
+        (4, (), ((t, (2,)), (t, (2,)))),
+        (2, (), ((t, ()), (t1, (2,)))),
+        (6, (2,), ((t, (3,)),)),
+    ):
+        with pytest.raises(InternalConsistencyError):
+            SkewJK(dim=dim, kronecker=kronecker, jordan=jordan)
+    SkewJK(dim=4, kronecker=(), jordan=((t, (2,)), (inf, (2,))))
     jk = SkewJK(dim=7, kronecker=(2,), jordan=((EigClass((-2, 0, 1)), (2,)),))
     assert jk.jordan_dimension() == 4
     assert skew_abstract_signature(jk).slots == ((2,), (2,))

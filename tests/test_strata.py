@@ -19,7 +19,6 @@ from penciljk.strata import (
     certify_generic_lie,
     certify_generic_repr,
     enumerate_signatures,
-    generic_fixed_rank_sig,
     orbit_closure_contains,
     skew_abstract_signature,
     skew_bundle_closure_contains,
@@ -31,6 +30,7 @@ from oracles import (
     bfs_bundle_closure_contains,
     bfs_orbit_closure_contains,
     bundle_codimension,
+    generic_fixed_rank_sig,
     orbit_codimension,
     search_certify_generic_repr,
     successors,
