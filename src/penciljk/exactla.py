@@ -11,8 +11,8 @@ and the preimage chain all go through one fraction-free (Bareiss)
 elimination of the integer rows, and no other module drives that
 elimination.  The common denominator changes neither the rank nor the
 kernel, and only rescales the determinant and the solution.  The package
-takes no determinant: ``det`` is kept for the tests and for the
-benchmark tracer, which names it.  The characteristic polynomial needs
+takes no determinant and no row space: ``det`` and ``row_space_basis``
+are kept for the tests and for the benchmark tracer, which names them.  The characteristic polynomial needs
 no elimination: ``charpoly`` runs Berkowitz's division-free recurrence.
 Kernel and row-space vectors are returned as primitive integer vectors
 (content removed, first nonzero entry positive), so results are
@@ -22,25 +22,50 @@ canonical and cheap to feed back into integer elimination.
 
     W_1 = ker M,   W_{k+1} = preimage under M of B(W_k)
 
-as one elimination continued step by step.  With M and B stored as
-integer rows over denominators dm and db, and W the current basis as
-columns, M x = B W y holds exactly when [db * M_int | -dm * B_int W]
-(x, y) = 0.  The elimination of [db * M_int | -dm * B_int] pivots in M's
-n columns and carries the B part along; W_1 = ker M is read off its
-echelon form.  Each step appends the carried B part times W_k as new
-columns and continues the same elimination from column n, at the rank
-and last pivot where it stopped.
+as one elimination that only grows.  With M and B stored as integer rows
+over denominators dm and db, and the columns of a matrix D spanning W_k,
+M x = B D y holds exactly when [db * M_int | -dm * B_int D] (x, y) = 0,
+so W_{k+1} is the projection of that kernel onto x.  Let D_1 = ker M and
+let D_j hold the vectors that W_j adds to W_(j-1).  The rows kept are
 
-Why the continued rows are those that eliminating each stacked matrix
-from scratch gives: the stacked matrix's first n columns are M's, so that
-elimination picks the same pivots there, and each of its row operations
-replaces a row by a linear combination of two rows, with coefficients
-read from M's columns, followed by a division by the previous pivot that
-is exact in both matrices.  Such an operation commutes with multiplying
-the carried columns on the right by W_k.  The kernel vectors are
-therefore those of the stacked matrix; its free columns below n give the
-ker M vectors found at the start, so only free columns from n on are
-back-substituted.
+    [db * M_int | -dm * B_int D_1 | ... | -dm * B_int D_k | carried],
+
+eliminated with pivots sought only left of the carried part, which
+starts as -dm * B_int and takes every row operation.  W_1 is read off
+the M columns.  Each step appends the carried part times D_k as new
+columns in front of it and continues the elimination from the previous
+width, at the rank and last pivot where it stopped.
+
+Why the rows are those that eliminating [db * M_int | -dm * B_int D_1 |
+... | -dm * B_int D_k] from scratch gives: an elimination chooses each
+pivot from the column it is in, after the operations on the columns to
+its left, and applies every operation to whole rows.  An operation
+replaces a row by a combination of two rows followed by an exact
+division by the previous pivot, and it commutes with multiplying a
+group of columns on the right by a fixed matrix.  So the carried part
+times D_j equals the columns -dm * B_int D_j would have become had they
+been there from the start, and both eliminations make the same choices
+on the same columns.
+
+Why only the new block's free columns can add directions: every free
+column gives a kernel vector (x, y) with y = 1 there and 0 at the other
+free columns.  For a free column in M's part or in an earlier block
+D_j, every pivot added since lies to its right, and those rows involve
+only columns right of the free one, where y is zero, so their
+coordinates back-substitute to zero.  Its vector is the one it gave
+when D_j was the last block, padded with zeros; its x is ker M, or a
+candidate of step j, and so lies in W_(j+1), inside W_k.  So the
+candidates of the new block's free columns, with W_k, span W_(k+1).
+
+When a candidate can still lie in W_k: the kernel vectors (x, y) with
+x = 0 are those with B D y = 0, so by the count of free columns W_(k+1)
+gains dim(ker B ∩ W_k) - dim(ker B ∩ W_(k-1)) fewer directions than the
+new block has free columns.  That happens when B kills a vector of W_k
+that is not in W_(k-1), as for the zero columns of width-1 horizontal
+blocks, which lie in ker M and in ker B and give x = 0.  So a candidate
+joins the basis only when it reduces to nonzero against a fraction-free
+echelon copy of the basis kept alongside; a basis of more than n vectors
+would show that this test failed, and is an internal error.
 """
 
 from __future__ import annotations
@@ -49,6 +74,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Iterator, Sequence
+
+from .errors import InternalConsistencyError
 
 Vec = tuple[Fraction, ...]
 IntVec = tuple[int, ...]
@@ -345,7 +372,7 @@ def charpoly(rows: Sequence[Sequence[int]]) -> list[int]:
     return poly
 
 
-def _primitive(ints: list[int]) -> IntVec:
+def _primitive(ints: Sequence[int]) -> IntVec:
     """Remove the content and make the first nonzero entry positive."""
     g = gcd(*ints)
     if g == 0:
@@ -396,28 +423,63 @@ def row_space_basis(vectors: Sequence[Sequence], n: int) -> list[IntVec]:
     return [_primitive(rows[k]) for k in range(r)]
 
 
+def _reduced(echelon: list[tuple[int, list[int]]], v: IntVec) -> list[int]:
+    """v eliminated against fraction-free echelon rows, each stored with the
+    column of its pivot; zero exactly when v lies in their span.
+
+    The steps are those that a Bareiss elimination with the rows on top
+    and v below applies to v, so each division by the previous pivot is
+    exact (Sylvester's identity does not need the pivot columns in
+    increasing order), the result vanishes in every pivot column, and it
+    is the last pivot times v minus a combination of the rows."""
+    x = list(v)
+    prev = 1
+    for c, row in echelon:
+        pivot, head = row[c], x[c]
+        x = [(a * pivot - head * y) // prev for a, y in zip(x, row)]
+        prev = pivot
+    return x
+
+
 def preimage_chain(m: Mat, b: Mat) -> Iterator[list[IntVec]]:
     """Bases of W_1 = ker M, W_2, ... of the chain W_{k+1} = M^-1(B W_k),
     as primitive integer vectors; the caller decides where to stop.
 
-    One elimination of [db * M_int | -dm * B_int] serves the whole chain,
-    continued in dim W_k new columns at each step (see the module
-    docstring), so each step eliminates only M's rows below its rank.
+    One elimination grows with the chain (see the module docstring): each
+    step appends the carried B part times the vectors the last step added,
+    continues the elimination in those columns only, and back-substitutes
+    only their free columns.  A candidate joins the basis when it reduces
+    to nonzero against an echelon copy of the basis, so a basis that
+    would grow past n is an internal error.
     """
     n = m.n
     rows = [[b.den * x for x in rm] + [-m.den * y for y in rb] for rm, rb in zip(m.rows, b.rows)]
     r, pivots, _, prev = _echelon(rows, n)
-    heads = [row[:n] for row in rows]
-    carried = [row[n:] for row in rows]
     kept = set(pivots)
-    kernel = [_back_substitute(heads, pivots, f, n) for f in range(n) if f not in kept]
-    basis = kernel
+    free = [f for f in range(n) if f not in kept]
+    width = n
+    basis: list[IntVec] = []
+    echelon: list[tuple[int, list[int]]] = []
     while True:
+        added = []
+        for f in free:
+            v = _primitive(_back_substitute(rows, pivots, f, width)[:n])
+            x = _reduced(echelon, v)
+            lead = next((j for j, a in enumerate(x) if a), None)
+            if lead is not None:
+                echelon.append((lead, x))
+                added.append(v)
+        basis = basis + added
+        if len(basis) > n:
+            raise InternalConsistencyError("a preimage chain basis grew past the dimension")
         yield basis
-        width = n + len(basis)
-        rows = [h + [sum(map(mul, c, v)) for v in basis] for h, c in zip(heads, carried)]
-        _, added, _, _ = _echelon(rows, width, n, r, prev)
-        free = [f for f in range(n, width) if f not in added]
-        every = pivots + added
-        new = [_back_substitute(rows, every, f, width)[:n] for f in free]
-        basis = row_space_basis(kernel + new, n)
+        # the carried part sits after the ``width`` columns eliminated so far
+        for row in rows:
+            carried = row[width:]
+            row[width:width] = [sum(map(mul, carried, v)) for v in added]
+        grown = width + len(added)
+        r, new_pivots, _, prev = _echelon(rows, grown, width, r, prev)
+        kept = set(new_pivots)
+        free = [f for f in range(width, grown) if f not in kept]
+        pivots += new_pivots
+        width = grown

@@ -45,10 +45,14 @@ the negated one, whose chain is the same computation, so it runs once.
 A chain whose first kernel a rank proves zero (rank(A) = n on the right,
 m = r on the left) is not run.
 
-Each chain is one Bareiss elimination of [M | -B], continued in the new
-columns B W_k at every step (``exactla.preimage_chain``, whose module
-docstring shows why the continued rows are those of eliminating each
-stacked matrix [M | -B W_k] from scratch).
+Each chain is one Bareiss elimination of [M | -B] that only grows
+(``exactla.preimage_chain``): each step appends B times the vectors the
+last step added, and back-substitutes only those new columns.  The
+``exactla`` module docstring shows why the rows are those of eliminating
+the stacked matrix from scratch, why only the new columns can add
+directions, and why a candidate can still lie in W_k: B kills a vector
+of W_k outside W_(k-1), as it kills the zero columns of width-1
+horizontal blocks, so each candidate is tested for independence first.
 
 The limits of the two chains are Wong limits (Berger, Ilchmann and
 Trenn 2012): the right one spans exactly the columns of the horizontal
@@ -447,7 +451,9 @@ def _regular_part(p: Pencil) -> Pencil:
     checked the normal rank r on V.  Z loses one dimension per vertical
     block under A and B, so for a pencil that is not skew
     dim Z - dim U = m - r is checked here, on the elimination that gives
-    ker U.
+    ker U.  When the Jordan dimension n - sum(w) - sum(u - 1) is 0, C_J
+    and R_J are 0, so ker U = V and Ann W = Z: the regular part is the
+    0 x 0 pencil, and only those two dimensions are checked.
 
     Both parts are scaled by the product D of the pencil's denominators,
     D * (A + tB) having integer rows, which changes no eigenvalue data.
@@ -467,9 +473,13 @@ def _regular_part(p: Pencil) -> Pencil:
         deficiency, ker_coimage = _deficiency(p.transposed(), left)
         if deficiency != p.m - normal:
             raise InternalConsistencyError("the vertical blocks' coimage has the wrong dimension")
+    size = p.n - sum(widths) - sum(u - 1 for u in heights)
+    if not size:
+        if len(ker_coimage) != len(right) or len(ann_image) != len(left):
+            raise InternalConsistencyError("the regular part is not square of the Jordan dimension")
+        return Pencil(Mat.from_ints((), 0), Mat.from_ints((), 0))
     cols = _complement(right, ker_coimage, p.n)
     rows = cols if skew else _complement(left, ann_image, p.m)
-    size = p.n - sum(widths) - sum(u - 1 for u in heights)
     if len(cols) != size or len(rows) != size:
         raise InternalConsistencyError("the regular part is not square of the Jordan dimension")
     return Pencil(

@@ -168,34 +168,45 @@ def _hom_bounds_hold(upper: BundleSig, lower: BundleSig) -> bool:
     """The rank, H_a and G_a conditions of ``orbit_closure_contains``.
 
     None of them reads the slots one by one, so merging upper slots
-    leaves the answer unchanged.
+    leaves the answer unchanged.  H_a and G_a are piecewise linear in a,
+    with kinks at the heights u and at w - 2 for the widths w, so the
+    difference of the two sides is linear between consecutive kinks, and
+    holds on the whole range 0..top when it holds at its ends and kinks.
     """
     if upper.rank < lower.rank:
         return False
     top = max((*upper.horizontal, *upper.vertical, *lower.horizontal, *lower.vertical), default=0)
+    points = {0, top}
+    for sig in (upper, lower):
+        points.update(sig.vertical)
+        points.update(w - 2 for w in sig.horizontal if w >= 2)
     return all(
         _hom_preprojective(upper, a) <= _hom_preprojective(lower, a)
         and _hom_preinjective(upper, a) <= _hom_preinjective(lower, a)
-        for a in range(top + 1)
+        for a in points
+    )
+
+
+def _fits(slot: tuple[int, ...], image: tuple[int, ...], hu: int, hl: int) -> bool:
+    """F_k(slot) <= F_k(image) for k = 1 up to the largest size plus 1,
+    with ``hu`` and ``hl`` horizontal blocks on the two sides; ``image``
+    is empty for a fresh eigenvalue.  Both sides are piecewise linear in
+    k, with kinks at the sizes, so the ends and the sizes suffice."""
+    points = {1, max(slot + image) + 1, *slot, *image}
+    return all(
+        k * hu + sum(min(k, s) for s in slot) <= k * hl + sum(min(k, s) for s in image)
+        for k in points
     )
 
 
 def _slots_match(slots, hu: int, lower: BundleSig) -> bool:
     """Whether the upper slots, from a signature with ``hu`` horizontal
     blocks, go to distinct lower slots or to fresh eigenvalues with
-    F_k(upper slot) <= F_k(its image) for every k."""
+    F_k(upper slot) <= F_k(its image) for every k (``_fits``)."""
     hl = len(lower.horizontal)
-
-    def fits(slot, image) -> bool:
-        return all(
-            k * hu + sum(min(k, s) for s in slot)
-            <= k * hl + sum(min(k, s) for s in image)
-            for k in range(1, max(slot + image) + 2)
-        )
-
     # slots that fit a fresh eigenvalue never need a lower one
-    need = [slot for slot in slots if not fits(slot, ())]
-    options = [[j for j, t in enumerate(lower.slots) if fits(s, t)] for s in need]
+    need = [slot for slot in slots if not _fits(slot, (), hu, hl)]
+    options = [[j for j, t in enumerate(lower.slots) if _fits(s, t, hu, hl)] for s in need]
     owner: dict[int, int] = {}
 
     def augment(i: int, seen: set) -> bool:
@@ -240,8 +251,11 @@ def orbit_closure_contains(upper: BundleSig, lower: BundleSig) -> bool:
       find such a matching.
 
     Past those ranges both sides of each inequality grow with slope h, so
-    no larger value needs checking.  Necessity is the upper
-    semicontinuity of dim Hom(X, -); sufficiency is Pokrzywa's theorem.
+    no larger value needs checking.  Inside them every side is piecewise
+    linear, so only the range ends and the kinks are evaluated: the cost
+    grows with the number of indices and sizes, not with their values.
+    Necessity is the upper semicontinuity of dim Hom(X, -); sufficiency
+    is Pokrzywa's theorem.
     """
     if (upper.m, upper.n) != (lower.m, lower.n):
         raise ValueError("signatures must have the same shape")

@@ -57,7 +57,7 @@ from penciljk.polys import (
     _ztrim,
 )
 from penciljk.errors import CertificateNotApplicableError
-from penciljk.strata import BundleSig, _partitions
+from penciljk.strata import BundleSig, _hom_preinjective, _hom_preprojective, _partitions
 
 from helpers import derivative, divides, from_cols, hstack, matmul, vstack, zeros
 from qpoly import Poly, monic, monic_gcd, primitive
@@ -851,6 +851,27 @@ def bfs_orbit_closure_contains(upper: BundleSig, lower: BundleSig) -> bool:
                 nxt.append(child)
         frontier = nxt
     return False
+
+
+def range_hom_bounds_hold(upper: BundleSig, lower: BundleSig) -> bool:
+    """The rank, H_a and G_a conditions of Pokrzywa's theorem, with H_a
+    and G_a compared at every a from 0 to the largest width or height."""
+    if upper.rank < lower.rank:
+        return False
+    top = max((*upper.horizontal, *upper.vertical, *lower.horizontal, *lower.vertical), default=0)
+    return all(
+        _hom_preprojective(upper, a) <= _hom_preprojective(lower, a)
+        and _hom_preinjective(upper, a) <= _hom_preinjective(lower, a)
+        for a in range(top + 1)
+    )
+
+
+def range_fits(slot: tuple[int, ...], image: tuple[int, ...], hu: int, hl: int) -> bool:
+    """F_k(slot) <= F_k(image) at every k from 1 to the largest size plus 1."""
+    return all(
+        k * hu + sum(min(k, s) for s in slot) <= k * hl + sum(min(k, s) for s in image)
+        for k in range(1, max(slot + image) + 2)
+    )
 
 
 def bfs_bundle_closure_contains(upper: BundleSig, lower: BundleSig) -> bool:

@@ -1,6 +1,7 @@
 """End-to-end command-line runs, exercised in process."""
 
 import json
+import signal
 
 import pytest
 
@@ -315,6 +316,60 @@ def test_bundle_leq_command(tmp_path, capsys):
         {"m": 1, "n": 1, "rank": 1, "horizontal": [], "vertical": [], "slots": [[1]]},
     )
     assert main(["bundle-leq", "--lower", other, "--upper", upper]) == 2
+    capsys.readouterr()
+
+
+def _signature_pairs(size: int) -> list[tuple[dict, dict]]:
+    """(upper, lower) signatures of two pairs scaled by ``size``: one
+    horizontal block of width size against widths (size - 1, 1) and a
+    height-1 block, and one Jordan block of size ``size`` against sizes
+    (size - 1, 1) at one eigenvalue.  Both lower strata lie in the upper
+    closures."""
+    n = size
+    return [
+        (
+            {"m": n - 1, "n": n, "rank": n - 1, "horizontal": [n], "vertical": [], "slots": []},
+            {"m": n - 1, "n": n, "rank": n - 2, "horizontal": [n - 1, 1], "vertical": [1], "slots": []},
+        ),
+        (
+            {"m": n, "n": n, "rank": n, "horizontal": [], "vertical": [], "slots": [[n]]},
+            {"m": n, "n": n, "rank": n, "horizontal": [], "vertical": [], "slots": [[n - 1, 1]]},
+        ),
+    ]
+
+
+def _within(seconds: float, argv: list[str]) -> int:
+    """The exit code of ``main(argv)``, which must return within the given
+    wall time; an alarm stops it otherwise."""
+
+    def expired(signum, frame):
+        raise TimeoutError(f"{argv} ran past {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return main(argv)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _leq_argv(tmp_path, upper: dict, lower: dict) -> list[str]:
+    lower_path = write(tmp_path, "lower.json", lower)
+    return ["bundle-leq", "--lower", lower_path, "--upper", write(tmp_path, "upper.json", upper)]
+
+
+def test_bundle_leq_on_huge_indices_and_sizes(tmp_path, capsys):
+    # the Hom bounds and the slot fits are evaluated at their kinks, not
+    # at every index up to the largest, so 10-digit indices and sizes
+    # answer at once, with the exit codes of the pairs scaled down to 10
+    for small, huge in zip(_signature_pairs(10), _signature_pairs(10**9)):
+        for flip in (False, True):
+            if flip:
+                small, huge = small[::-1], huge[::-1]
+            code = main(_leq_argv(tmp_path, *small))
+            assert code == (3 if flip else 0)
+            assert _within(1.0, _leq_argv(tmp_path, *huge)) == code
     capsys.readouterr()
 
 

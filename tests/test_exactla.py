@@ -8,6 +8,7 @@ import pytest
 from penciljk.exactla import (
     Mat,
     _echelon,
+    _reduced,
     charpoly,
     det,
     kernel_basis,
@@ -201,3 +202,31 @@ def test_continued_echelon_equals_one_elimination():
         assert second[0] == r and second[3] == last
         assert first[1] + second[1] == pivots
         assert first[2] * second[2] == sign
+
+
+def test_reduced_vanishes_exactly_on_the_span():
+    # vectors reduced one by one against the echelon rows of those kept
+    # before them, in any pivot order: zero exactly when the rank does not
+    # grow, and a kept row vanishes in every earlier pivot column
+    rng = random.Random(SEED + 41)
+    dependent = 0
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        kept: list[list[int]] = []
+        echelon: list[tuple[int, list[int]]] = []
+        for _ in range(rng.randint(1, 9)):
+            if kept and rng.random() < 0.4:
+                # an integer combination of the vectors kept so far
+                v = [sum(rng.randint(-3, 3) * k[j] for k in kept) for j in range(n)]
+            else:
+                v = [rng.randint(-9, 9) for _ in range(n)]
+            x = _reduced(echelon, tuple(v))
+            grows = rank(Mat.from_ints(kept + [v], n)) > len(kept)
+            assert any(x) == grows
+            if grows:
+                assert not any(x[c] for c, _ in echelon)
+                echelon.append((next(j for j, a in enumerate(x) if a), x))
+                kept.append(v)
+            else:
+                dependent += 1
+    assert dependent >= 200

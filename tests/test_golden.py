@@ -1,6 +1,6 @@
 """Byte-for-byte replay of recorded CLI reports.
 
-``data/golden_cli.json`` holds the input files of 72 fast requests
+``data/golden_cli.json`` holds the input files of 73 fast requests
 (``pencil``, ``pencil --skew``, ``lie``, ``rep``, small ``semidirect``
 cells with and without ``--verify-dual``, ``bundle-leq`` pairs up to
 7 x 8, small ``tables`` cells including one without a known Lie table,

@@ -88,7 +88,7 @@ def test_lie_layer_runs_on_integer_matrices():
             assert "fractions" not in _imported_modules(fh.read()), name
 
 
-ELIMINATION_INTERNALS = {"_echelon", "_back_substitute"}
+ELIMINATION_INTERNALS = {"_echelon", "_back_substitute", "_reduced"}
 
 
 def _named(source: str) -> set[str]:

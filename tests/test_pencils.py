@@ -14,7 +14,7 @@ import penciljk.pencils as pencils
 import penciljk.polys as polys
 import penciljk.skewjk as skewjk
 from penciljk.errors import InternalConsistencyError
-from penciljk.exactla import Mat, preimage_chain, solve
+from penciljk.exactla import Mat, preimage_chain, row_space_basis, solve
 from penciljk.jsonio import class_to_str
 from penciljk.pencils import (
     _CACHE_SIZE,
@@ -628,7 +628,8 @@ def test_jordan_chain_eliminates_only_regular_part_rows(monkeypatch):
     # 3 * 3 = 9 extra columns; the companion expansion would be 36 x 36,
     # and k-fold resolvents of it 72 x 72 and then 108 x 108.  The chain
     # eliminates [G | I] once, pivoting in G's 12 columns and carrying I's
-    # along, and continues that elimination in the new columns at each step
+    # along, and at each step continues that elimination in the columns
+    # of the vectors the last step added only: dim W_k = 6, 9, 12
     cubic = (-2, 0, 0, 1)
     inv = StrictInvariants(
         m=12, n=12, rank=12, horizontal=(), vertical=(), jordan=((EigClass(cubic), (3, 1)),)
@@ -640,18 +641,20 @@ def test_jordan_chain_eliminates_only_regular_part_rows(monkeypatch):
     real = exactla._echelon
 
     def recorded(rows, n, *state):
-        shapes.append((len(rows), n, state))
+        shapes.append((len(rows), n, len(rows[0]) - n, state[:1]))
         return real(rows, n, *state)
 
     monkeypatch.setattr(exactla, "_echelon", recorded)
     assert _sizes_at_class(m, t0, cubic, 4) == (3, 1)
-    assert max(rows for rows, _, _ in shapes) <= 12
-    assert max(n for _, n, _ in shapes) <= 12 + 9
-    # one rank of G and one elimination of [G | I], then per step that
-    # elimination continued from column 12 and a row space
-    assert shapes[:2] == [(12, 12, ()), (12, 12, ())]
-    assert [state[0] for _, _, state in shapes if state] == [12, 12]
-    assert len(shapes) == 6
+    # one rank of G, one elimination of [G | I], then per step the same
+    # elimination continued from the last width, with I's 12 columns
+    # still carried; no row space is eliminated
+    assert shapes == [
+        (12, 12, 0, ()),
+        (12, 12, 12, ()),
+        (12, 12 + 6, 12, (12,)),
+        (12, 18 + 3, 12, (18,)),
+    ]
 
 
 def _low_rank(rng, m: int, n: int, r: int) -> Mat:
@@ -678,13 +681,22 @@ def _chain_pair(rng) -> tuple[Mat, Mat]:
     return a, matmul(a, _low_rank(rng, n, n, n))
 
 
+def _same_chain(bases, oracle, n: int) -> bool:
+    """Whether two lists of chain bases agree step by step: each basis is
+    independent and spans the oracle's space."""
+    return len(bases) == len(oracle) and all(
+        len(row_space_basis(x, n)) == len(x) == len(y) == len(row_space_basis(x + y, n))
+        for x, y in zip(bases, oracle)
+    )
+
+
 def test_continued_chain_matches_restart_oracle():
     rng = random.Random(SEED + 30)
     grew = 0
     for _ in range(1000):
         a, b = _chain_pair(rng)
         bases = list(islice(preimage_chain(a, b), 6))
-        assert bases == list(islice(restart_chain(a, b), 6))
+        assert _same_chain(bases, list(islice(restart_chain(a, b), 6)), a.n)
         grew += len(bases[2]) > len(bases[1]) > len(bases[0])
     # the comparison covers chains that grow for at least two steps
     assert grew >= 100
@@ -718,40 +730,91 @@ def test_continued_chain_matches_restart_oracle_on_pencils():
             classes = [cls for cls, _ in _class_totals(m, t0)[0]] + [None]
             pairs += [(_class_matrix(m, t0, cls), identity) for cls in classes]
         for a, b in pairs:
-            assert list(islice(preimage_chain(a, b), 6)) == list(islice(restart_chain(a, b), 6))
+            bases = list(islice(preimage_chain(a, b), 6))
+            assert _same_chain(bases, list(islice(restart_chain(a, b), 6)), a.n)
 
 
 def test_continued_rows_equal_one_stacked_elimination(monkeypatch):
     # every continued elimination leaves exactly the rows that eliminating
-    # [db * M_int | -dm * B_int W_k] from scratch gives
+    # [db * M_int | -dm * B_int D_1 | ... | -dm * B_int D_k | -dm * B_int]
+    # from scratch gives, pivoting left of the last n columns, where D_j
+    # holds the vectors that step j added
     real = exactla._echelon
     continued = []
 
     def recorded(rows, n, *state):
         out = real(rows, n, *state)
         if state:
-            continued.append(([list(r) for r in rows], out))
+            continued.append(([list(r) for r in rows], n, out))
         return out
 
     monkeypatch.setattr(exactla, "_echelon", recorded)
     rng = random.Random(SEED + 32)
     checked = 0
-    for _ in range(300):
+    for _ in range(500):
         a, b = _chain_pair(rng)
         continued.clear()
         bases = list(islice(preimage_chain(a, b), 4))
         assert len(continued) == 3
-        for basis, (rows, (r, pivots, _, last)) in zip(bases, continued):
+        for k, (rows, width, (r, pivots, _, last)) in enumerate(continued):
+            # the basis is only ever extended, so D_1, ..., D_(k+1) are
+            # the tails it gained
+            assert bases[k + 1][: len(bases[k])] == bases[k]
+            added = list(bases[k])
+            assert width == a.n + len(added)
             stacked = [
-                [b.den * x for x in ra] + [-a.den * sum(map(mul, rb, v)) for v in basis]
+                [b.den * x for x in ra]
+                + [-a.den * sum(map(mul, rb, v)) for v in added]
+                + [-a.den * y for y in rb]
                 for ra, rb in zip(a.rows, b.rows)
             ]
-            whole = real(stacked, a.n + len(basis))
+            whole = real(stacked, width)
             assert rows == stacked
             assert (r, last) == (whole[0], whole[3])
             assert whole[1][r - len(pivots):] == pivots
             checked += bool(pivots)
     assert checked >= 100
+
+
+def test_dependent_candidates_are_rejected(monkeypatch):
+    # B kills a vector of W_k outside W_(k-1), so a free column of the new
+    # block gives a candidate already in W_k; the chain must leave it out
+    # and still span what the restart oracle spans.  Accepting every
+    # candidate makes the basis grow past n, which raises instead of
+    # looping for ever
+    rejected = []
+    real = exactla._reduced
+
+    def recorded(echelon, v):
+        x = real(echelon, v)
+        rejected[-1] += not any(x)
+        return x
+
+    monkeypatch.setattr(exactla, "_reduced", recorded)
+    rng = random.Random(SEED + 35)
+    chains = []
+    while len(chains) < 50:
+        a, b = _chain_pair(rng)
+        rejected.append(0)
+        bases = list(islice(preimage_chain(a, b), 6))
+        assert _same_chain(bases, list(islice(restart_chain(a, b), 6)), a.n)
+        if rejected[-1]:
+            chains.append((a, b))
+    # width-1 horizontal blocks are zero columns, in ker M and ker B
+    inv = StrictInvariants(
+        m=4, n=7, rank=4, horizontal=(3, 1, 1), vertical=(), jordan=((EigClass((-2, 1)), (2,)),)
+    )
+    p = scramble(canonical_of(inv), random.Random(SEED + 36))
+    rejected.append(0)
+    _kernel_chains.cache_clear()
+    assert strict_invariants(p) == inv
+    assert rejected[-1] >= 2
+    chains.append((p.a, p.b))
+    monkeypatch.setattr(exactla, "_reduced", lambda echelon, v: [1] * len(v))
+    for a, b in chains:
+        with pytest.raises(InternalConsistencyError, match="grew past the dimension"):
+            list(islice(preimage_chain(a, b), a.n + 2))
+    _kernel_chains.cache_clear()
 
 
 def test_full_rank_pencils_run_one_chain(monkeypatch):

@@ -32,6 +32,8 @@ from oracles import (
     bundle_codimension,
     generic_fixed_rank_sig,
     orbit_codimension,
+    range_fits,
+    range_hom_bounds_hold,
     search_certify_generic_repr,
     successors,
 )
@@ -252,6 +254,39 @@ def test_bundle_closure_matches_rule_search_exhaustively():
     assert len(found) == 2181
     assert all(a == b for a, b in found)
     assert sum(a for a, _ in found) == 1042
+
+
+def test_breakpoint_bounds_match_the_range_loops():
+    # H_a, G_a and F_k evaluated only at the range ends and kinks agree
+    # with every a and k of the ranges, on each pair with m + n <= 8: the
+    # Hom bounds of the pair, and each upper slot against each lower slot
+    # and against a fresh eigenvalue
+    pairs = held = fitted = 0
+    for upper, lower in _pairs(8):
+        pairs += 1
+        answer = strata._hom_bounds_hold(upper, lower)
+        assert answer == range_hom_bounds_hold(upper, lower), (upper, lower)
+        held += answer
+        hu, hl = len(upper.horizontal), len(lower.horizontal)
+        for slot in upper.slots:
+            for image in lower.slots + ((),):
+                answer = strata._fits(slot, image, hu, hl)
+                assert answer == range_fits(slot, image, hu, hl), (slot, image, hu, hl)
+                fitted += answer
+    assert pairs == 5960
+    assert 0 < held < pairs and fitted
+    # larger widths put kinks of G_a inside the range: widths (6, 2, 1)
+    # against (4, 4, 1) meet G_a at a = 0 and at the top a = 6, but
+    # G_2 = 5 > 3 fails at the kink w - 2 = 2 of the lower width 4
+    upper, lower = sig(6, 9, 6, horizontal=(6, 2, 1)), sig(6, 9, 6, horizontal=(4, 4, 1))
+    assert [strata._hom_preinjective(x, 2) for x in (upper, lower)] == [5, 3]
+    assert all(strata._hom_preinjective(upper, a) == strata._hom_preinjective(lower, a) for a in (0, 6))
+    assert not strata._hom_bounds_hold(upper, lower) and not range_hom_bounds_hold(upper, lower)
+    rng = random.Random(SEED + 1)
+    pools = [_signatures(m, n) for m, n in [(6, 9), (7, 10), (5, 11)]]
+    for _ in range(3000):
+        upper, lower = rng.sample(rng.choice(pools), 2)
+        assert strata._hom_bounds_hold(upper, lower) == range_hom_bounds_hold(upper, lower), (upper, lower)
 
 
 def test_closure_matches_rule_search_on_larger_shapes():
