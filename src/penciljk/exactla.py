@@ -454,16 +454,21 @@ def preimage_chain(m: Mat, b: Mat) -> Iterator[list[IntVec]]:
     """
     n = m.n
     rows = [[b.den * x for x in rm] + [-m.den * y for y in rb] for rm, rb in zip(m.rows, b.rows)]
-    r, pivots, _, prev = _echelon(rows, n)
-    kept = set(pivots)
-    free = [f for f in range(n) if f not in kept]
-    width = n
+    pivots: list[int] = []
     basis: list[IntVec] = []
     echelon: list[tuple[int, list[int]]] = []
+    width, grown, r, prev = 0, n, 0, 1
     while True:
+        # continue the elimination in the columns from ``width`` to
+        # ``grown``: M's at the start, then the block last appended
+        r, new_pivots, _, prev = _echelon(rows, grown, width, r, prev)
+        pivots += new_pivots
+        kept = set(new_pivots)
         added = []
-        for f in free:
-            v = _primitive(_back_substitute(rows, pivots, f, width)[:n])
+        for f in range(width, grown):
+            if f in kept:
+                continue
+            v = _primitive(_back_substitute(rows, pivots, f, grown)[:n])
             x = _reduced(echelon, v)
             lead = next((j for j, a in enumerate(x) if a), None)
             if lead is not None:
@@ -473,13 +478,8 @@ def preimage_chain(m: Mat, b: Mat) -> Iterator[list[IntVec]]:
         if len(basis) > n:
             raise InternalConsistencyError("a preimage chain basis grew past the dimension")
         yield basis
-        # the carried part sits after the ``width`` columns eliminated so far
+        # the carried part sits after the ``grown`` columns eliminated so far
         for row in rows:
-            carried = row[width:]
-            row[width:width] = [sum(map(mul, carried, v)) for v in added]
-        grown = width + len(added)
-        r, new_pivots, _, prev = _echelon(rows, grown, width, r, prev)
-        kept = set(new_pivots)
-        free = [f for f in range(width, grown) if f not in kept]
-        pivots += new_pivots
-        width = grown
+            carried = row[grown:]
+            row[grown:grown] = [sum(map(mul, carried, v)) for v in added]
+        width, grown = grown, grown + len(added)

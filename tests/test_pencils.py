@@ -646,12 +646,12 @@ def test_jordan_chain_eliminates_only_regular_part_rows(monkeypatch):
 
     monkeypatch.setattr(exactla, "_echelon", recorded)
     assert _sizes_at_class(m, t0, cubic, 4) == (3, 1)
-    # one rank of G, one elimination of [G | I], then per step the same
-    # elimination continued from the last width, with I's 12 columns
-    # still carried; no row space is eliminated
+    # one rank of G, one elimination of [G | I] from column 0, then per
+    # step the same elimination continued from the last width, with I's
+    # 12 columns still carried; no row space is eliminated
     assert shapes == [
         (12, 12, 0, ()),
-        (12, 12, 12, ()),
+        (12, 12, 12, (0,)),
         (12, 12 + 6, 12, (12,)),
         (12, 18 + 3, 12, (18,)),
     ]
@@ -755,8 +755,9 @@ def test_continued_rows_equal_one_stacked_elimination(monkeypatch):
         a, b = _chain_pair(rng)
         continued.clear()
         bases = list(islice(preimage_chain(a, b), 4))
-        assert len(continued) == 3
-        for k, (rows, width, (r, pivots, _, last)) in enumerate(continued):
+        # the first call eliminates M's columns, the next three continue
+        assert len(continued) == 4
+        for k, (rows, width, (r, pivots, _, last)) in enumerate(continued[1:]):
             # the basis is only ever extended, so D_1, ..., D_(k+1) are
             # the tails it gained
             assert bases[k + 1][: len(bases[k])] == bases[k]
