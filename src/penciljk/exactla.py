@@ -66,6 +66,14 @@ blocks, which lie in ker M and in ker B and give x = 0.  So a candidate
 joins the basis only when it reduces to nonzero against a fraction-free
 echelon copy of the basis kept alongside; a basis of more than n vectors
 would show that this test failed, and is an internal error.
+
+What the rejected candidates count: each step rejects as many candidates
+as its new block has free columns beyond the directions W_(k+1) gains,
+dim(ker B ∩ W_k) - dim(ker B ∩ W_(k-1)) by the count above, and the
+first step rejects none.  So the running total that comes with W_(k+1)
+telescopes to dim(ker B ∩ W_k), and at the limit V = W_(k+1) = W_k it is
+dim(V ∩ ker B) = dim V - dim BV.  ``pencils`` compares it with the same
+number taken by eliminating the rows BV.
 """
 
 from __future__ import annotations
@@ -441,9 +449,11 @@ def _reduced(echelon: list[tuple[int, list[int]]], v: IntVec) -> list[int]:
     return x
 
 
-def preimage_chain(m: Mat, b: Mat) -> Iterator[list[IntVec]]:
+def preimage_chain(m: Mat, b: Mat) -> Iterator[tuple[list[IntVec], int]]:
     """Bases of W_1 = ker M, W_2, ... of the chain W_{k+1} = M^-1(B W_k),
-    as primitive integer vectors; the caller decides where to stop.
+    as primitive integer vectors, each with the number of candidates
+    rejected so far, which with W_(k+1) is dim(ker B ∩ W_k) (see the
+    module docstring); the caller decides where to stop.
 
     One elimination grows with the chain (see the module docstring): each
     step appends the carried B part times the vectors the last step added,
@@ -457,7 +467,7 @@ def preimage_chain(m: Mat, b: Mat) -> Iterator[list[IntVec]]:
     pivots: list[int] = []
     basis: list[IntVec] = []
     echelon: list[tuple[int, list[int]]] = []
-    width, grown, r, prev = 0, n, 0, 1
+    width, grown, r, prev, rejected = 0, n, 0, 1, 0
     while True:
         # continue the elimination in the columns from ``width`` to
         # ``grown``: M's at the start, then the block last appended
@@ -471,13 +481,15 @@ def preimage_chain(m: Mat, b: Mat) -> Iterator[list[IntVec]]:
             v = _primitive(_back_substitute(rows, pivots, f, grown)[:n])
             x = _reduced(echelon, v)
             lead = next((j for j, a in enumerate(x) if a), None)
-            if lead is not None:
+            if lead is None:
+                rejected += 1
+            else:
                 echelon.append((lead, x))
                 added.append(v)
         basis = basis + added
         if len(basis) > n:
             raise InternalConsistencyError("a preimage chain basis grew past the dimension")
-        yield basis
+        yield basis, rejected
         # the carried part sits after the ``grown`` columns eliminated so far
         for row in rows:
             carried = row[grown:]

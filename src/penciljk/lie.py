@@ -1,18 +1,20 @@
 """Lie algebras, linear representations, and their sampled invariants.
 
-An algebra is held as its adjoint operators ad(e_i) = [e_i, -] and a
-representation as one operator per basis element, all ``Mat``s.  Both
-structure checks read one integer defect, rho([e_i, e_j]) - [rho(e_i),
-rho(e_j)]; on the adjoint operators its column k is minus the Jacobiator
-of (e_i, e_j, e_k).  The defect is built from the operators' nonzero
-entries only, since classical operators are almost all zeros, and a
-check reads only the positions it holds.  Both pencils come from one
-contraction, the matrix whose column i is the i-th operator applied to
-a vector: of the operators of a representation, or of the coadjoint
-operators -ad(e_i)^T, which gives the Poisson matrix <x, [e_i, e_j]>.
-Invariants of a generic pair are estimated by sampling integer points
-and keeping the signature that dominates all others under bundle
-closure.
+An algebra is held as its nonzero brackets, integer structure constants
+over one denominator, and a representation as one operator per basis
+element, ``Mat``s.  Both structure checks read one integer defect,
+rho([e_i, e_j]) - [rho(e_i), rho(e_j)]; on the adjoint operators its
+column k is minus the Jacobiator of (e_i, e_j, e_k).  The defect is
+built from the brackets and the operators' nonzero entries only, since
+classical operators are almost all zeros, and a check reads only the
+positions it holds.  Both pencils come from one sparse contraction with
+a vector: the Poisson matrix <x, [e_i, e_j]> fills (i, j) and (j, i)
+from each nonzero bracket, and the contraction operator of a
+representation, whose column i is the i-th operator applied to x, runs
+over the operators' nonzero entries, so the cost of either grows with
+the nonzero entries and not with dim^3.  Invariants of a generic pair
+are estimated by sampling integer points and keeping the signature that
+dominates all others under bundle closure.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
-from operator import mul
 
 from .errors import (
     CertificateNotApplicableError,
@@ -54,35 +55,40 @@ def _int_ops(mats) -> tuple[list[list[list[int]]], int]:
     return [[[den // m.den * x for x in r] for r in m.rows] for m in mats], den
 
 
-def _contract(ops, den: int, x) -> Mat:
-    """The matrix whose column i is the i-th integer operator applied to x."""
+def _contract(terms, den: int, x, m: int, n: int) -> Mat:
+    """The m x n matrix whose entry (a, i) is the sum of c * x_b over the
+    terms (a, i, b, c), all over den; positions without a term are zero."""
     xs, xden = clear_denominators(x)
-    rows = [[sum(map(mul, op[a], xs)) for op in ops] for a in range(len(xs))]
-    return Mat.from_ints(rows, len(ops), den * xden)
+    rows = [[0] * n for _ in range(m)]
+    for a, i, b, c in terms:
+        rows[a][i] += c * xs[b]
+    return Mat.from_ints(rows, n, den * xden)
 
 
-def _defects(ad, mats):
+def _defects(g: "LieAlgebra", mats):
     """Yield (i, j, D) for each basis pair i < j, where D maps positions
     (a, b) to the entries of the integer matrix
     e r^2 (rho([e_i, e_j]) - [rho(e_i), rho(e_j)]); positions missing from
     D hold zero, and a listed entry may be zero too.
 
-    ad are the adjoint operators of an algebra, c^k_ij = C[i][k][j] / e,
-    and mats are rho(e_k) = R[k] / r, so
-    D = r sum_k C[i][k][j] R[k] - e [R[i], R[j]].  Classical operators are
-    almost all zeros, so every sum runs over nonzero entries only.
+    The brackets of g are c^k_ij = C_ijk / e, and mats are
+    rho(e_k) = R[k] / r, so D = r sum_k C_ijk R[k] - e [R[i], R[j]].
+    Classical operators are almost all zeros, so every sum runs over
+    nonzero entries only.
     """
-    cs, e = _int_ops(ad)
+    e = g.den
     rs, r = _int_ops(mats)
     sparse = [[[(b, x) for b, x in enumerate(row) if x] for row in op] for op in rs]
-    for i in range(len(cs)):
-        for j in range(i + 1, len(cs)):
+    pairs: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for i, j, k, c in g.brackets:
+        pairs.setdefault((i, j), []).append((k, c))
+    for i in range(g.dim):
+        for j in range(i + 1, g.dim):
             d: dict[tuple[int, int], int] = {}
-            for k, c in enumerate(ck[j] for ck in cs[i]):
-                if c:
-                    for a, row in enumerate(sparse[k]):
-                        for b, x in row:
-                            d[a, b] = d.get((a, b), 0) + r * c * x
+            for k, c in pairs.get((i, j), ()):
+                for a, row in enumerate(sparse[k]):
+                    for b, x in row:
+                        d[a, b] = d.get((a, b), 0) + r * c * x
             for left, right, sign in ((i, j, -e), (j, i, e)):
                 outer = sparse[right]
                 for a, row in enumerate(sparse[left]):
@@ -97,47 +103,66 @@ def _defects(ad, mats):
 
 
 class LieAlgebra:
-    """An algebra on a fixed basis, held as its adjoint operators.
+    """An algebra on a fixed basis, held as its nonzero brackets.
 
-    Column j of ``ad[i]`` is the coordinate vector of [e_i, e_j], so entry
-    (k, j) of ``ad[i]`` is the structure constant c^k_ij.
+    ``brackets`` holds the tuples (i, j, k, c), sorted, with i < j and c a
+    nonzero integer: the structure constant c^k_ij, the coordinate of e_k
+    in [e_i, e_j], is c / ``den``.  Entries given for the same (i, j, k)
+    are summed, and those that cancel are dropped.  ``ad`` are the adjoint
+    operators ad(e_i) = [e_i, -], built when first asked for: column j of
+    ``ad[i]`` is the coordinate vector of [e_i, e_j], so entry (k, j) of
+    ``ad[i]`` is c^k_ij.
     """
 
     def __init__(self, dim: int, entries):
         """entries: iterable of (i, j, k, coefficient) with 0 <= i < j < dim."""
-        self.dim = dim
         items = list(entries)
         for i, j, k, _ in items:
             if not (0 <= i < j < dim and 0 <= k < dim):
                 raise ValueError("bracket entry out of range or not upper (i < j)")
         coeffs, den = clear_denominators(c for *_, c in items)
-        planes = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
-        for (i, j, k, _), c in zip(items, coeffs):
-            planes[i][k][j] += c
-            planes[j][k][i] -= c
-        self.ad = tuple(Mat.from_ints(rows, dim, den) for rows in planes)
+        self._set(dim, [(i, j, k, c) for (i, j, k, _), c in zip(items, coeffs)], den)
+
+    @classmethod
+    def from_ints(cls, dim: int, brackets, den: int) -> "LieAlgebra":
+        """The algebra of integer brackets (i, j, k, c) over a positive
+        den, with 0 <= i < j < dim and 0 <= k < dim, which is not checked."""
+        out = object.__new__(cls)
+        out._set(dim, brackets, den)
+        return out
+
+    def _set(self, dim: int, brackets, den: int) -> None:
+        sums: dict[tuple[int, int, int], int] = {}
+        for i, j, k, c in brackets:
+            sums[i, j, k] = sums.get((i, j, k), 0) + c
+        self.dim = dim
+        self.den = den
+        self.brackets = tuple((i, j, k, c) for (i, j, k), c in sorted(sums.items()) if c)
 
     @cached_property
-    def _coadjoint(self):
-        """The operators -ad(e_i)^T as integer rows over one denominator."""
-        return _int_ops([-m.transpose() for m in self.ad])
+    def ad(self) -> tuple[Mat, ...]:
+        planes = [[[0] * self.dim for _ in range(self.dim)] for _ in range(self.dim)]
+        for i, j, k, c in self.brackets:
+            planes[i][k][j] = c
+            planes[j][k][i] = -c
+        return tuple(Mat.from_ints(rows, self.dim, self.den) for rows in planes)
+
+    @cached_property
+    def _poisson_terms(self) -> tuple[tuple[int, int, int, int], ...]:
+        """The bracket c^k_ij read into entry (i, j) of a Poisson matrix,
+        and its negative into entry (j, i)."""
+        return tuple(t for i, j, k, c in self.brackets for t in ((i, j, k, c), (j, i, k, -c)))
 
     def entries(self):
-        """The sparse (i, j, k, c) list with i < j, sorted."""
-        out = []
-        for i, op in enumerate(self.ad):
-            for j in range(i + 1, self.dim):
-                for k in range(self.dim):
-                    if op.rows[k][j]:
-                        out.append((i, j, k, op.entry(k, j)))
-        return out
+        """The sparse (i, j, k, c) list with i < j, sorted, c a Fraction."""
+        return [(i, j, k, self.ad[i].entry(k, j)) for i, j, k, _ in self.brackets]
 
 
 def check_jacobi(g: LieAlgebra):
     """All basis triples (i, j, k), i < j < k, violating the Jacobi identity."""
     return [
         (i, j, k)
-        for i, j, d in _defects(g.ad, g.ad)
+        for i, j, d in _defects(g, g.ad)
         for k in sorted({b for (_, b), x in d.items() if x and b > j})
     ]
 
@@ -158,13 +183,26 @@ class Representation:
                 raise ValueError("operators must be square of the space dimension")
 
     @cached_property
-    def _ints(self):
+    def _ints(self) -> tuple[list[list[list[int]]], int]:
         return _int_ops(self.mats)
+
+    @cached_property
+    def _terms(self) -> tuple[tuple[int, int, int, int], ...]:
+        """Entry (a, b) of the i-th operator, as the term (a, i, b, c) of
+        the contraction operator, over the denominator of ``_ints``."""
+        ops = self._ints[0]
+        return tuple(
+            (a, i, b, c)
+            for i, op in enumerate(ops)
+            for a, row in enumerate(op)
+            for b, c in enumerate(row)
+            if c
+        )
 
 
 def check_homomorphism(rho: Representation):
     """All basis pairs (i, j) where the bracket is not matched."""
-    return [(i, j) for i, j, d in _defects(rho.algebra.ad, rho.mats) if any(d.values())]
+    return [(i, j) for i, j, d in _defects(rho.algebra, rho.mats) if any(d.values())]
 
 
 # ---------------------------------------------------------------------------
@@ -172,21 +210,19 @@ def check_homomorphism(rho: Representation):
 
 
 def lie_poisson_matrix(g: LieAlgebra, x) -> Mat:
-    """The skew matrix pairing x with brackets: entry (i, j) = <x, [e_i, e_j]>.
-
-    It is the contraction of x with the coadjoint operators: column i is
-    -ad(e_i)^T x, whose entry j is -<x, [e_i, e_j]> = <x, [e_j, e_i]>.
-    """
+    """The skew matrix pairing x with brackets: entry (i, j) = <x, [e_i, e_j]>,
+    the sum of c^k_ij x_k over the nonzero brackets, filled into (i, j)
+    and negated into (j, i)."""
     if len(x) != g.dim:
         raise ValueError("covector length must match the algebra dimension")
-    return _contract(*g._coadjoint, x)
+    return _contract(g._poisson_terms, g.den, x, g.dim, g.dim)
 
 
 def rep_operator(rho: Representation, x) -> Mat:
     """The dimV x dim matrix whose i-th column is the i-th operator applied to x."""
     if len(x) != rho.dim_v:
         raise ValueError("vector length must match the space dimension")
-    return _contract(*rho._ints, x)
+    return _contract(rho._terms, rho._ints[1], x, rho.dim_v, rho.algebra.dim)
 
 
 def lie_pencil(g: LieAlgebra, x, a) -> Pencil:

@@ -97,14 +97,16 @@ are reused only within one request.
 
 Each step checks itself: each chain's first kernel against the rank at
 its point, the right limit's deficiency against the normal rank when the
-chain runs again at a regular value t > 0, the left limit's deficiency
-against the same normal rank for a pencil that is not skew, the regular
-part's size, its invertibility at the regular value, M against the
-system it solves, and each class's defects against its total.  The
-dimension bookkeeping then checks the chains against the rank.  Its
-rules are stated once, in ``strata.BundleSig``: ``StrictInvariants`` and
-``skewjk.SkewJK`` check their class order and build their signatures
-for the rest (``_check_record``).
+chain runs again at a regular value t > 0, each limit's deficiency
+against the candidates its chain rejected, counted by another route in
+``exactla.preimage_chain`` (the left one through the normal rank), the
+left limit's deficiency against the same normal rank for a pencil that
+is not skew, the regular part's size, its invertibility at the regular
+value, M against the system it solves, and each class's defects
+against its total.  The dimension bookkeeping then checks the chains
+against the rank.  Its rules are stated once, in ``strata.BundleSig``:
+``StrictInvariants`` and ``skewjk.SkewJK`` check their class order and
+build their signatures for the rest (``_check_record``).
 """
 
 from __future__ import annotations
@@ -254,36 +256,44 @@ class StrictInvariants:
 # the singular structure, computed once per pencil
 
 
-def _kernel_chain(m_at_mu: Mat, b: Mat, dim: int) -> tuple[list[int], list[IntVec]]:
+def _kernel_chain(m_at_mu: Mat, b: Mat, dim: int) -> tuple[list[int], list[IntVec], int]:
     """Dimensions of the nested kernel chain W_1 <= W_2 <= ... until stable,
-    and a basis of its limit, given dim W_1 = n - rank(M) from a rank
-    already taken.
+    a basis of its limit V, and the number of candidates the chain
+    rejected, which is dim(V ∩ ker B) (see ``exactla``), given
+    dim W_1 = n - rank(M) from a rank already taken.
 
     A chain with dim W_1 = 0 stays zero and is not run.
     """
     if not dim:
-        return [0], []
+        return [0], [], 0
     chain = preimage_chain(m_at_mu, b)
-    basis = next(chain)
+    basis, _ = next(chain)
     if len(basis) != dim:
         raise InternalConsistencyError("the kernel of the chain disagrees with the rank")
     dims = [dim]
-    for new_basis in chain:
+    for new_basis, rejected in chain:
         if len(new_basis) == len(basis):
             break
         dims.append(len(new_basis))
         basis = new_basis
-    return dims, basis
+    return dims, basis, rejected
 
 
 def _deficiency(p: Pencil, v: Sequence[IntVec]) -> tuple[int, list[IntVec]]:
-    """dim V - dim(AV + BV) for V spanned by the independent vectors v, and
-    a basis of the functionals vanishing on AV + BV: the kernel of the
-    matrix whose rows are the vectors Av and Bv.  V = 0 needs no
-    elimination; every functional vanishes on its image."""
+    """dim V - dim(AV + BV) for the limit V of a kernel chain of p, spanned
+    by the independent vectors v, and a basis of the functionals vanishing
+    on AV + BV: the kernel of the matrix whose rows are the vectors Bv.
+
+    The limit of the chain run at any mu satisfies V = M^-1(BV) for
+    M = A + mu*B, so MV lies in BV, AV = MV - mu*BV lies in BV, and
+    AV + BV = BV: the rows Av would add nothing.  The deficiency is then
+    dim V - dim BV = dim(V ∩ ker B), which the chain also counts, by
+    another route, as the candidates it rejected (``exactla``);
+    ``_kernel_chains`` compares the two.  V = 0 needs no elimination;
+    every functional vanishes on its image."""
     if not v:
         return 0, [tuple(int(i == j) for j in range(p.m)) for i in range(p.m)]
-    image = [[sum(map(mul, row, x)) for row in mat.rows] for x in v for mat in (p.a, p.b)]
+    image = [[sum(map(mul, row, x)) for row in p.b.rows] for x in v]
     ann = kernel_basis(Mat.from_ints(image, p.m))
     return len(v) - (p.m - len(ann)), ann
 
@@ -357,16 +367,23 @@ def _kernel_chains(p: Pencil) -> _Chains:
     one (the chain of the transposed pencil) the rows of the vertical
     blocks.  A skew pencil's transpose is its negative, whose chain is the
     same computation, so there the left chain is the right one.
+
+    Each chain also counts the candidates it rejected, dim(V ∩ ker B) at
+    its limit (see ``exactla``), which is the limit's deficiency taken by
+    another route.  Once both chains have run, the left one's count is
+    checked against m - r, one per vertical block, and the right one's
+    against the deficiency that proved r, so a fault in ``_deficiency``
+    that shifts both limits alike cannot pass.
     """
     low = rank(p.a)
-    right_dims, right = _kernel_chain(p.a, p.b, p.n - low)
+    right_dims, right, rejected = _kernel_chain(p.a, p.b, p.n - low)
     deficiency, ann_image = _deficiency(p, right)
     r, mu = p.n - deficiency, 0
     if low > r:
         raise InternalConsistencyError("a rank exceeds the normal rank the chain limit proves")
     if low < r:
         mu = _first_regular(p, r)
-        right_dims, right = _kernel_chain(p.at(mu), p.b, p.n - r)
+        right_dims, right, rejected = _kernel_chain(p.at(mu), p.b, p.n - r)
         deficiency, ann_image = _deficiency(p, right)
         if deficiency != p.n - r:
             raise InternalConsistencyError(
@@ -376,7 +393,16 @@ def _kernel_chains(p: Pencil) -> _Chains:
         left_dims, left = right_dims, right
     else:
         pt = p.transposed()
-        left_dims, left = _kernel_chain(pt.at(mu), pt.b, p.m - r)
+        left_dims, left, left_rejected = _kernel_chain(pt.at(mu), pt.b, p.m - r)
+        # dim Z - dim(A^T Z + B^T Z) for the left limit Z, counted by its chain
+        if left_rejected != p.m - r:
+            raise InternalConsistencyError(
+                "the vertical blocks' coimage has the wrong dimension by the left chain's count"
+            )
+    if rejected != deficiency:
+        raise InternalConsistencyError(
+            "the right chain limit's deficiency disagrees with the candidates its chain rejected"
+        )
     return _Chains(
         r,
         mu,
@@ -623,11 +649,11 @@ def _sizes_at_class(
         if chain is None:
             identity = Mat.from_ints([[int(i == j) for j in range(g.n)] for i in range(g.n)], g.n)
             chain = preimage_chain(g, identity)
-            if len(next(chain)) != dim:
+            if len(next(chain)[0]) != dim:
                 raise InternalConsistencyError(
                     "the Jordan chain's kernel disagrees with the rank of g(M)"
                 )
-        dim = len(next(chain))
+        dim = len(next(chain)[0])
 
 
 def elementary_divisors(

@@ -17,6 +17,7 @@ and not a test oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 from .exactla import Mat
 from .lie import (
@@ -68,14 +69,13 @@ def semidirect(rho: Representation) -> LieAlgebra:
     """
     g = rho.algebra
     n = g.dim
-    entries = g.entries()
-    for i in range(n):
-        for b in range(rho.dim_v):
-            col = rho.mats[i].col(b)
-            for a, c in enumerate(col):
-                if c:
-                    entries.append((i, n + b, n + a, c))
-    return LieAlgebra(n + rho.dim_v, entries)
+    r = rho._ints[1]
+    den = lcm(g.den, r)
+    brackets = [(i, j, k, den // g.den * c) for i, j, k, c in g.brackets]
+    # [e_i, v_b] = rho(e_i) v_b, whose coordinate on v_a is entry (a, b)
+    # of rho(e_i), the integer c over r of each nonzero entry
+    brackets += [(i, n + b, n + a, den // r * c) for a, i, b, c in rho._terms]
+    return LieAlgebra.from_ints(n + rho.dim_v, brackets, den)
 
 
 def verify_block_structure(q: LieAlgebra, rho: Representation, x, a) -> bool:

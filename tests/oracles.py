@@ -22,7 +22,13 @@ solved one commutator at a time instead of all at once by one solve,
 square systems are solved by Gauss-Jordan over Fractions instead of one
 fraction-free elimination and integer back-substitution,
 Jacobi violations come from a cyclic sum of Fraction brackets
-instead of the defect of the adjoint operators, and the closure order on
+instead of the defect of the adjoint operators, Poisson matrices and
+contraction operators come from dense contractions with the coadjoint
+operators and the operators, over adjoint operators summed as Fractions
+from the raw bracket entries, instead of from the nonzero integer
+brackets and operator entries, the brackets of a semi-direct sum are
+read off the operators' columns as Fractions instead of their integer
+rows, and the closure order on
 signatures comes from a breadth-first search over six rewriting rules
 instead of Hom-dimension inequalities, and the maximal rank-r strata are
 built for every column defect (``generic_fixed_rank_sig``) and tried in
@@ -36,6 +42,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, zip_longest
 from math import lcm
+from operator import mul
 
 from penciljk.exactla import (
     IntVec,
@@ -374,7 +381,7 @@ def companion_sizes(p: Pencil, cls: tuple[int, ...]) -> tuple[int, ...]:
     repeats: dim W_k is the degree times the sum of min(k, size)."""
     d = len(cls) - 1
     dims = [0]
-    for basis in preimage_chain(*companion_parts(p, cls)):
+    for basis, _ in preimage_chain(*companion_parts(p, cls)):
         if len(basis) == dims[-1]:
             break
         dims.append(len(basis))
@@ -956,3 +963,44 @@ def search_certify_generic_repr(sig: BundleSig, m: int, n: int, r: int) -> bool:
         except ValueError:
             continue
     return False
+
+
+def dense_contraction(mats, x) -> Mat:
+    """The matrix whose column i is the i-th operator applied to x: every
+    entry a full dot product of integer rows over one denominator."""
+    den = lcm(*[m.den for m in mats])
+    ops = [[[den // m.den * v for v in r] for r in m.rows] for m in mats]
+    xs = [Fraction(v) for v in x]
+    xden = lcm(*[v.denominator for v in xs])
+    ints = [int(v * xden) for v in xs]
+    rows = [[sum(map(mul, op[a], ints)) for op in ops] for a in range(len(ints))]
+    return Mat.from_ints(rows, len(ops), den * xden)
+
+
+def dense_poisson_matrix(ad, x) -> Mat:
+    """The contraction of x with the coadjoint operators -ad(e_i)^T:
+    column i is -ad(e_i)^T x, whose entry j is -<x, [e_i, e_j]> =
+    <x, [e_j, e_i]>."""
+    return dense_contraction([-m.transpose() for m in ad], x)
+
+
+def fraction_adjoint(dim: int, entries) -> list[Mat]:
+    """The adjoint operators of the bracket entries (i, j, k, c), i < j,
+    summed as Fractions: entry (k, j) of ad[i] is c^k_ij."""
+    planes = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
+    for i, j, k, c in entries:
+        planes[i][k][j] += Fraction(c)
+        planes[j][k][i] -= Fraction(c)
+    return [Mat(rows, n=dim) for rows in planes]
+
+
+def fraction_semidirect_entries(rho) -> list[tuple[int, int, int, Fraction]]:
+    """The sorted nonzero brackets of g + V: those of g, then
+    [e_i, v_b] = rho(e_i) v_b read off the columns of the operators as
+    Fractions."""
+    n = rho.algebra.dim
+    entries = list(rho.algebra.entries())
+    for i, mat in enumerate(rho.mats):
+        for b in range(rho.dim_v):
+            entries.extend((i, n + b, n + a, c) for a, c in enumerate(mat.col(b)) if c)
+    return sorted(entries)

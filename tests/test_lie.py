@@ -20,6 +20,7 @@ from penciljk.lie import (
     jk_invariants_of_rep,
     lie_pencil,
     lie_poisson_matrix,
+    rep_operator,
 )
 from penciljk.skewjk import SkewJK
 from penciljk.strata import abstract_signature
@@ -34,7 +35,13 @@ from helpers import (
     random_invertible,
     zeros,
 )
-from oracles import cyclic_jacobi, eval_rank
+from oracles import (
+    cyclic_jacobi,
+    dense_contraction,
+    dense_poisson_matrix,
+    eval_rank,
+    fraction_adjoint,
+)
 
 
 def euclidean2():
@@ -165,6 +172,66 @@ def test_poisson_matrix_reads_structure_constants():
             expected[j][i] -= c * x[k]
         m = lie_poisson_matrix(g, x)
         assert [[m.entry(i, j) for j in range(dim)] for i in range(dim)] == expected
+
+
+CLASSICAL = [
+    Family(name, n)
+    for name, sizes in (("gl", (1, 2, 3)), ("sl", (2, 3, 4)), ("so", (3, 4, 5)), ("sp", (2, 4)))
+    for n in sizes
+]
+
+
+def _point(rng, length, rational=False):
+    return tuple(
+        Fraction(rng.randint(-9, 9), rng.randint(1, 5)) if rational else rng.randint(-101, 101)
+        for _ in range(length)
+    )
+
+
+def test_sparse_contractions_match_dense_oracle_on_classical_families():
+    rng = random.Random(SEED + 2)
+    for fam in CLASSICAL:
+        g, rho = build_classical(fam)
+        for rational in (False, True):
+            x = _point(rng, g.dim, rational)
+            assert lie_poisson_matrix(g, x) == dense_poisson_matrix(g.ad, x), fam
+            v = _point(rng, rho.dim_v, rational)
+            assert rep_operator(rho, v) == dense_contraction(rho.mats, v), fam
+
+
+def test_sparse_contractions_match_dense_oracle_on_rational_entries():
+    # p/q brackets, repeated (i, j, k) entries and a pair that cancels to 0;
+    # the brackets are stored summed, and the cancelled one not at all
+    rng = random.Random(SEED + 3)
+    cancelled = 0
+    for _ in range(200):
+        dim = rng.randint(2, 6)
+        entries = _random_entries(rng, dim)
+        entries += [(i, j, k, c / 2) for i, j, k, c in entries[:2]]
+        i, j = sorted(rng.sample(range(dim), 2))
+        k = rng.randrange(dim)
+        gone = all(e[:3] != (i, j, k) for e in entries)
+        if gone:
+            c = Fraction(rng.randint(1, 9), rng.randint(2, 7))
+            entries += [(i, j, k, c), (i, j, k, -c)]
+            cancelled += 1
+        rng.shuffle(entries)
+        g = LieAlgebra(dim, entries)
+        ad = fraction_adjoint(dim, entries)
+        assert list(g.ad) == ad
+        assert all(c for *_, c in g.brackets) and g.brackets == tuple(sorted(g.brackets))
+        assert len({b[:3] for b in g.brackets}) == len(g.brackets)
+        assert not gone or all(b[:3] != (i, j, k) for b in g.brackets)
+        x = _point(rng, dim, rational=True)
+        assert lie_poisson_matrix(g, x) == dense_poisson_matrix(ad, x)
+        dim_v = rng.randint(1, 4)
+        mats = tuple(
+            Mat([[Fraction(rng.choice([0, 0, 1, -2, 3]), rng.randint(1, 4)) for _ in range(dim_v)] for _ in range(dim_v)])
+            for _ in range(dim)
+        )
+        v = _point(rng, dim_v, rational=True)
+        assert rep_operator(Representation(g, dim_v, mats), v) == dense_contraction(mats, v)
+    assert cancelled > 100
 
 
 def test_lie_index_examples():

@@ -3,6 +3,7 @@ independent oracles (evaluation ranks, stacked kernel matrices, Smith
 normal form, interpolated determinants)."""
 
 import random
+from functools import lru_cache
 from fractions import Fraction
 from itertools import islice
 from operator import mul
@@ -14,7 +15,7 @@ import penciljk.pencils as pencils
 import penciljk.polys as polys
 import penciljk.skewjk as skewjk
 from penciljk.errors import InternalConsistencyError
-from penciljk.exactla import Mat, preimage_chain, row_space_basis, solve
+from penciljk.exactla import Mat, preimage_chain, rank, row_space_basis, solve
 from penciljk.jsonio import class_to_str
 from penciljk.pencils import (
     _CACHE_SIZE,
@@ -695,7 +696,7 @@ def test_continued_chain_matches_restart_oracle():
     grew = 0
     for _ in range(1000):
         a, b = _chain_pair(rng)
-        bases = list(islice(preimage_chain(a, b), 6))
+        bases = [basis for basis, _ in islice(preimage_chain(a, b), 6)]
         assert _same_chain(bases, list(islice(restart_chain(a, b), 6)), a.n)
         grew += len(bases[2]) > len(bases[1]) > len(bases[0])
     # the comparison covers chains that grow for at least two steps
@@ -730,7 +731,7 @@ def test_continued_chain_matches_restart_oracle_on_pencils():
             classes = [cls for cls, _ in _class_totals(m, t0)[0]] + [None]
             pairs += [(_class_matrix(m, t0, cls), identity) for cls in classes]
         for a, b in pairs:
-            bases = list(islice(preimage_chain(a, b), 6))
+            bases = [basis for basis, _ in islice(preimage_chain(a, b), 6)]
             assert _same_chain(bases, list(islice(restart_chain(a, b), 6)), a.n)
 
 
@@ -754,7 +755,7 @@ def test_continued_rows_equal_one_stacked_elimination(monkeypatch):
     for _ in range(500):
         a, b = _chain_pair(rng)
         continued.clear()
-        bases = list(islice(preimage_chain(a, b), 4))
+        bases = [basis for basis, _ in islice(preimage_chain(a, b), 4)]
         # the first call eliminates M's columns, the next three continue
         assert len(continued) == 4
         for k, (rows, width, (r, pivots, _, last)) in enumerate(continued[1:]):
@@ -797,7 +798,7 @@ def test_dependent_candidates_are_rejected(monkeypatch):
     while len(chains) < 50:
         a, b = _chain_pair(rng)
         rejected.append(0)
-        bases = list(islice(preimage_chain(a, b), 6))
+        bases = [basis for basis, _ in islice(preimage_chain(a, b), 6)]
         assert _same_chain(bases, list(islice(restart_chain(a, b), 6)), a.n)
         if rejected[-1]:
             chains.append((a, b))
@@ -846,12 +847,10 @@ def test_full_rank_pencils_run_one_chain(monkeypatch):
     _kernel_chains.cache_clear()
 
 
-def test_chain_kernels_must_agree_with_the_ranks(monkeypatch):
-    # a deficiency of the right chain's limit one off proves a wrong normal
-    # rank r.  One too low is exceeded by a rank, or, met at t = 0 or at an
-    # eigenvalue, contradicts the left limit's deficiency (a skew pencil's
-    # rank is even, so there it is never met); one too high is reached by no
-    # t in 0..r.  Every pencil raises, and none gets a wrong answer
+@lru_cache(maxsize=1)
+def _rank_fault_cases() -> tuple[tuple, list[tuple[Pencil, StrictInvariants]]]:
+    """150 scrambled strict pencils and 150 congruent skew pencils, each
+    with its invariants, and the state of the generator that drew them."""
     rng = random.Random(SEED + 34)
     cases = []
     while len(cases) < 300:
@@ -860,6 +859,18 @@ def test_chain_kernels_must_agree_with_the_ranks(monkeypatch):
         else:
             p = congruent(skew_canonical(random_skew_jk(rng, 8)), rng)
         cases.append((p, strict_invariants(p)))
+    return rng.getstate(), cases
+
+
+def test_chain_kernels_must_agree_with_the_ranks(monkeypatch):
+    # a deficiency of the right chain's limit one off proves a wrong normal
+    # rank r.  One too low is exceeded by a rank, or, met at t = 0 or at an
+    # eigenvalue, contradicts the left limit's deficiency (a skew pencil's
+    # rank is even, so there it is never met); one too high is reached by no
+    # t in 0..r.  Every pencil raises, and none gets a wrong answer
+    state, cases = _rank_fault_cases()
+    rng = random.Random()
+    rng.setstate(state)
     real = pencils._deficiency
     for delta, message in (
         (1, "exceeds the normal rank|coimage has the wrong dimension"),
@@ -905,6 +916,61 @@ def test_chain_kernels_must_agree_with_the_ranks(monkeypatch):
     monkeypatch.setattr(pencils, "rank", lambda mat: real_rank(mat) + 1)
     with pytest.raises(InternalConsistencyError, match=r"disagrees with the rank of g\(M\)"):
         _sizes_at_class(m, t0, one.poly, 3)
+
+
+def test_deficiency_and_rejection_count_must_agree(monkeypatch):
+    # every deficiency one too high, on the right and the left limits
+    # alike, can pass the rank checks: on a size-1 Jordan block at t = 0
+    # the pencil would read as one of width 1 and height 1.  The candidates
+    # each chain rejected count the same deficiency by another route, so
+    # every pencil raises; so does a count one off either way
+    _, cases = _rank_fault_cases()
+    real = pencils._deficiency
+    monkeypatch.setattr(pencils, "_deficiency", lambda q, v: (lambda d, ann: (d + 1, ann))(*real(q, v)))
+    for p, _ in cases:
+        _kernel_chains.cache_clear()
+        with pytest.raises(InternalConsistencyError):
+            strict_invariants(p)
+    monkeypatch.undo()
+    real_chain = pencils._kernel_chain
+
+    def shifted(shift):
+        def chain(m, b, dim):
+            dims, basis, rejected = real_chain(m, b, dim)
+            return dims, basis, rejected + shift(b)
+
+        return chain
+
+    for delta in (1, -1):
+        monkeypatch.setattr(pencils, "_kernel_chain", shifted(lambda b: delta))
+        for p, _ in cases:
+            _kernel_chains.cache_clear()
+            with pytest.raises(InternalConsistencyError, match="rejected|by the left chain's count"):
+                strict_invariants(p)
+        # the left chain's count alone, on the pencils that are not skew,
+        # whose left chain runs on the transposed B
+        for p, _ in cases[1::2]:
+            monkeypatch.setattr(pencils, "_kernel_chain", shifted(lambda b, p=p: delta * (b is not p.b)))
+            _kernel_chains.cache_clear()
+            with pytest.raises(InternalConsistencyError, match="by the left chain's count"):
+                strict_invariants(p)
+    monkeypatch.undo()
+    _kernel_chains.cache_clear()
+
+
+def test_rejected_candidates_count_the_kernel_of_b():
+    # the count that comes with W_(k+1) is dim(W_k ∩ ker B) = dim W_k - rank(B W_k)
+    rng = random.Random(SEED + 37)
+    rejecting = 0
+    for _ in range(300):
+        a, b = _chain_pair(rng)
+        previous = []
+        for basis, rejected in islice(preimage_chain(a, b), 5):
+            image = [[sum(map(mul, row, v)) for row in b.rows] for v in previous]
+            assert rejected == len(previous) - rank(Mat.from_ints(image, b.m))
+            rejecting += rejected > 0
+            previous = basis
+    assert rejecting >= 50
 
 
 def _mixed_case() -> tuple[EigClass, Pencil]:

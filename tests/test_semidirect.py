@@ -1,13 +1,27 @@
 """Semi-direct sums with an abelian part and the dual-representation
 prediction for their generic invariants."""
 
+import ast
+import os
+import random
 import types
+from fractions import Fraction
 
 import pytest
 
 from penciljk.catalog import Family, build_classical
 from penciljk.exactla import Mat
-from penciljk.lie import CERTIFIED, RepJK, Sampler, check_jacobi
+from penciljk.lie import (
+    CERTIFIED,
+    LieAlgebra,
+    RepJK,
+    Representation,
+    Sampler,
+    check_homomorphism,
+    check_jacobi,
+    lie_poisson_matrix,
+    rep_operator,
+)
 from penciljk.pencils import EigClass, StrictInvariants
 from penciljk.semidirect import (
     MATCH,
@@ -20,7 +34,14 @@ from penciljk.semidirect import (
     verify_block_structure,
 )
 
-from helpers import SEED, pair_pool
+from helpers import SEED, matmul, pair_pool
+from oracles import (
+    dense_contraction,
+    dense_poisson_matrix,
+    fraction_adjoint,
+    fraction_semidirect_entries,
+    inverse,
+)
 
 
 def sl2_standard():
@@ -68,6 +89,61 @@ def test_semidirect_structure():
         for j in range(3):
             # [v_b, e_j] = -rho(e_j) v_b
             assert v_part.col(j) == tuple(-c for c in rho.mats[j].col(b))
+
+
+def _catalog_verify_cells() -> list[tuple[str, int, int]]:
+    """The distinct ``semidirect --verify-dual`` cells (family, n, copies)
+    of the benchmark's lie-catalog workload, read from the literal
+    ``VERIFY_CELLS`` in ``bench/workloads.py`` without running it."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench", "workloads.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    node = next(
+        n for n in tree.body
+        if isinstance(n, ast.Assign) and any(getattr(t, "id", None) == "VERIFY_CELLS" for t in n.targets)
+    )
+    return sorted(set(ast.literal_eval(node.value)))
+
+
+def _rational_sl2_pair() -> Representation:
+    """sl(2) on two copies of its standard representation, with the basis
+    of sl(2) rescaled by 1/2, 3, 1 and V's by a rational diagonal matrix,
+    so that brackets and operators hold p/q entries."""
+    g, rho = sl2_standard()
+    scale = (Fraction(1, 2), Fraction(3), Fraction(1))
+    entries = [(i, j, k, c * scale[i] * scale[j] / scale[k]) for i, j, k, c in g.entries()]
+    d = Mat.block_diag([Mat([[1, 0], [0, Fraction(2, 3)]]), Mat([[3, 0], [0, Fraction(1, 5)]])])
+    mats = tuple(
+        matmul(d, m, inverse(d)).scale(s) for m, s in zip(direct_sum(rho, 2).mats, scale)
+    )
+    return Representation(LieAlgebra(3, entries), 4, mats)
+
+
+def test_semidirect_matches_dense_oracles_on_catalog_cells():
+    # the brackets read off the operators' integer rows are those read off
+    # their columns as Fractions, and the sparse Poisson matrix of q and
+    # contraction operator of the dual representation equal the dense
+    # contractions, on every verify-dual cell of the benchmark and on a
+    # pair with p/q brackets and operator entries
+    cells = _catalog_verify_cells()
+    assert len(cells) >= 10
+    pairs = [direct_sum(build_classical(Family(fam, n))[1], m) for fam, n, m in cells]
+    rational = _rational_sl2_pair()
+    assert check_jacobi(rational.algebra) == [] and check_homomorphism(rational) == []
+    assert any(m.den > 1 for m in rational.mats) and rational.algebra.den > 1
+    rng = random.Random(SEED + 4)
+    for rho in pairs + [rational]:
+        q = semidirect(rho)
+        entries = fraction_semidirect_entries(rho)
+        assert q.entries() == entries
+        ad = fraction_adjoint(q.dim, entries)
+        assert list(q.ad) == ad
+        dual = dual_representation(rho)
+        for _ in range(2):
+            x = tuple(rng.randint(-101, 101) for _ in range(q.dim))
+            assert lie_poisson_matrix(q, x) == dense_poisson_matrix(ad, x)
+            a = x[rho.algebra.dim :]
+            assert rep_operator(dual, a) == dense_contraction(dual.mats, a)
 
 
 def test_block_structure_at_sample_points():
