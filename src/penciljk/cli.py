@@ -49,7 +49,7 @@ from .lie import (
     jk_invariants_of_lie,
     jk_invariants_of_rep,
 )
-from .pencils import _is_skew, strict_invariants
+from .pencils import strict_invariants
 from .semidirect import (
     MISMATCH,
     check_dual_theorem,
@@ -57,11 +57,7 @@ from .semidirect import (
     semidirect,
 )
 from .skewjk import core_subspace, mantle_subspace, skew_jk_invariants
-from .strata import (
-    abstract_signature,
-    bundle_closure_contains,
-    skew_abstract_signature,
-)
+from .strata import bundle_closure_contains
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -183,7 +179,7 @@ def _load_representation(path: str):
 def cmd_pencil(args, cfg: RunConfig) -> int:
     p = pencil_from_json(load_json(args.input))
     if args.skew:
-        if not _is_skew(p):
+        if not p.is_skew:
             sys.stderr.write("pencil is not a pair of skew matrices\n")
             return EXIT_PRECONDITION
         jk = skew_jk_invariants(p)
@@ -315,7 +311,7 @@ def cmd_tables(args, cfg: RunConfig) -> int:
 
     rep_expected = expected_rep_jk(fam, args.m)
     rep_jk = jk_invariants_of_rep(stacked, cfg.sampler(), samples=cfg.samples)
-    rep_sampled = abstract_signature(rep_jk.invariants)
+    rep_sampled = rep_jk.invariants.signature
     rep_match = rep_sampled == rep_expected
 
     lie_expected = expected_lie_jk(fam, args.m)
@@ -326,7 +322,7 @@ def cmd_tables(args, cfg: RunConfig) -> int:
         # copies of a representation is one
         q = semidirect(stacked)
         lie_jk = jk_invariants_of_lie(q, cfg.sampler(), samples=cfg.samples)
-        lie_sampled = skew_abstract_signature(lie_jk.invariants)
+        lie_sampled = lie_jk.invariants.signature
         lie_match = lie_sampled == lie_expected
         lie_block.update(
             expected=skew_sig_to_json(lie_expected),

@@ -78,6 +78,7 @@ number taken by eliminating the rows BV.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -260,8 +261,10 @@ def _echelon(
     identity), so the division by the previous pivot is exact, and for a
     square matrix of full rank sign * last pivot is its determinant.  The
     pivot of each column is its smallest nonzero entry in absolute value.
-    Pivots are sought in the first n columns, but rows are updated whole,
-    so any columns past n are carried along.
+    Pivots are sought in the first n columns, and every column right of
+    the pivot is updated, so any columns past n are carried along.  Left
+    of the pivot the rows below it are already zero, and in its column
+    they become zero, so only the cells right of it change.
 
     ``start``, ``r`` and ``prev`` continue an elimination that stopped at
     column ``start`` with rank ``r`` and last pivot ``prev`` (see the
@@ -288,16 +291,17 @@ def _echelon(
             sign = -sign
         top = rows[r]
         pivot = top[c]
-        # rows below r vanish left of c, so whole-row updates are exact; every
-        # row picks up a factor of the pivot, even where its head is zero,
-        # since dropping it would break the later exact divisions
+        tail = top[c + 1 :]
+        # every row picks up a factor of the pivot, even where its head is
+        # zero, since dropping it would break the later exact divisions
         for i in range(r + 1, m):
             row = rows[i]
             head = row[c]
             if head:
-                rows[i] = [(x * pivot - head * y) // prev for x, y in zip(row, top)]
+                row[c] = 0
+                row[c + 1 :] = [(x * pivot - head * y) // prev for x, y in zip(row[c + 1 :], tail)]
             elif pivot != prev:
-                rows[i] = [x * pivot // prev for x in row]
+                row[c + 1 :] = [x * pivot // prev for x in row[c + 1 :]]
         prev = pivot
         piv_cols.append(c)
         r += 1
@@ -346,15 +350,18 @@ def solve(a: Mat, b: Mat) -> Mat:
     r, _, _, last = _echelon(rows, n)
     if r < n:
         raise ZeroDivisionError("singular matrix")
-    # a full-rank square echelon form has its k-th pivot in column k
+    # a full-rank square echelon form has its k-th pivot in column k; each
+    # row back-substitutes all k right-hand sides at once
     out: list[list[int]] = [[] for _ in range(n)]
     for i in range(n - 1, -1, -1):
         row = rows[i]
+        acc = [last * y for y in row[n:]]
+        for c in range(i + 1, n):
+            h = row[c]
+            if h:
+                acc = [a - h * x for a, x in zip(acc, out[c])]
         pivot = row[i]
-        out[i] = [
-            (last * row[n + j] - sum(row[c] * out[c][j] for c in range(i + 1, n))) // pivot
-            for j in range(k)
-        ]
+        out[i] = [a // pivot for a in acc]
     if last < 0:
         last, out = -last, [[-x for x in r] for r in out]
     return Mat.from_ints([[a.den * x for x in r] for r in out], k, b.den * last)
@@ -390,38 +397,55 @@ def _primitive(ints: Sequence[int]) -> IntVec:
     return tuple(v // g for v in ints)
 
 
-def _back_substitute(rows: list[list[int]], piv_cols: list[int], f: int, n: int) -> IntVec:
+def _back_substitute(rows: list[list[int]], piv_cols: list[int], f: int, n: int) -> list[int]:
     """The kernel vector of echelon rows with x_f = 1 at the free column f
-    and every other free coordinate zero, as a primitive integer vector of
-    length n; ``rows[k]`` is the row of the pivot in column ``piv_cols[k]``."""
-    x = [0] * n
+    and every other free coordinate zero, up to a nonzero integer factor,
+    as an integer vector of length n; ``rows[k]`` is the row of the pivot
+    in column ``piv_cols[k]``, and the pivot columns increase.
+
+    Only the pivots left of f are solved for: a row whose pivot lies right
+    of f involves only columns right of it, where x is zero, so its
+    coordinate is zero too, and every sum runs over the columns up to f.
+    The caller removes the content, once, from the part it keeps."""
+    end = f + 1
+    x = [0] * end
     x[f] = 1
-    for k in range(len(piv_cols) - 1, -1, -1):
+    for k in range(bisect_left(piv_cols, f) - 1, -1, -1):
         c = piv_cols[k]
-        row = rows[k]
-        s = sum(row[j] * x[j] for j in range(c + 1, n) if x[j])
+        s = sum(map(mul, rows[k][c + 1 : end], x[c + 1 :]))
         if s:
             # x_c = -s / pivot: scale x so the quotient is an integer
-            p = row[c]
+            p = rows[k][c]
             g = gcd(s, p)
             if p != g:
                 q = p // g
                 x = [v * q for v in x]
             x[c] = -s // g
-    return _primitive(x)
+    return x + [0] * (n - end)
 
 
 def kernel_basis(mat: Mat) -> list[IntVec]:
     """Exact basis of the right kernel, as primitive integer vectors.
 
     One vector per free column f: the solution with x_f = 1 and the other
-    free coordinates zero, back-substituted in integers and rescaled.
+    free coordinates zero, back-substituted in integers and rescaled.  So
+    each vector is nonzero at its own free column, zero at the others, and
+    zero right of its own (see ``free_columns``); the vectors come in the
+    order of their free columns.
     """
     n = mat.n
     rows = _int_copy(mat)
     _, piv_cols, _, _ = _echelon(rows, n)
     piv_set = set(piv_cols)
-    return [_back_substitute(rows, piv_cols, f, n) for f in range(n) if f not in piv_set]
+    free = [f for f in range(n) if f not in piv_set]
+    return [_primitive(_back_substitute(rows, piv_cols, f, n)) for f in free]
+
+
+def free_columns(basis: Sequence[IntVec]) -> list[int]:
+    """The free column of each vector of a ``kernel_basis``: its last
+    nonzero coordinate, since back-substitution leaves every coordinate
+    right of the free one zero."""
+    return [len(v) - 1 - next(i for i, x in enumerate(reversed(v)) if x) for v in basis]
 
 
 def row_space_basis(vectors: Sequence[Sequence], n: int) -> list[IntVec]:

@@ -33,11 +33,9 @@ from .exactla import IntVec, Mat, clear_denominators
 from .pencils import Pencil, StrictInvariants, strict_invariants
 from .skewjk import SkewJK, skew_jk_invariants
 from .strata import (
-    abstract_signature,
     bundle_closure_contains,
     certify_generic_lie,
     certify_generic_repr,
-    skew_abstract_signature,
     skew_bundle_closure_contains,
 )
 
@@ -315,7 +313,7 @@ def jk_invariants_of_lie(
         x = sampler.covector(g.dim)
         a = sampler.covector(g.dim)
         folded.append(skew_jk_invariants(lie_pencil(g, x, a)))
-    sigs = [skew_abstract_signature(jk) for jk in folded]
+    sigs = [jk.signature for jk in folded]
     win = _select_maximal(sigs, skew_bundle_closure_contains)
     # one Kronecker index per unit of the pencil's corank dim - rank
     index_used = min(len(jk.kronecker) for jk in folded)
@@ -341,7 +339,7 @@ def jk_invariants_of_rep(
         x = sampler.covector(rho.dim_v)
         a = sampler.covector(rho.dim_v)
         invs.append(strict_invariants(rep_pencil(rho, x, a)))
-    sigs = [abstract_signature(inv) for inv in invs]
+    sigs = [inv.signature for inv in invs]
     win = _select_maximal(sigs, bundle_closure_contains)
     rmax = max(inv.rank for inv in invs)
     status = EMPIRICAL

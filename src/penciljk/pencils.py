@@ -24,13 +24,15 @@ exact by construction.  The normal rank is proved from the limit V of the
 right kernel chain below, run at t = 0: since (A + t*B)V lies in
 AV + BV for every t, rank(A + t*B) <= n - (dim V - dim(AV + BV)), and the
 limit taken at any t attains that bound, since each horizontal block
-loses one dimension there and a Jordan block at that t none.  When
-rank(A) reaches the bound, 0 is the regular value; otherwise t = 1, 2, ...
-are ranked until one reaches it, and the chain runs again there.  The
-regular part has at most r eigenvalues for a normal rank r, so one of
-t = 0..r is regular, and a rank above the bound, or no t in 0..r reaching
-it, is an internal error (see ``_kernel_chains``).  The smallest such t
-is the regular value every later stage uses.
+loses one dimension there and a Jordan block at that t none.  rank(A)
+is read off that chain's first kernel, dim W_1 = n - rank(A), so A is
+eliminated once.  When rank(A) reaches the bound, 0 is the regular
+value; otherwise t = 1, 2, ... are ranked until one reaches it, and the
+chain runs again there.  The regular part has at most r eigenvalues for
+a normal rank r, so one of t = 0..r is regular, and a rank above the
+bound, or no t in 0..r reaching it, is an internal error (see
+``_kernel_chains``).  The smallest such t is the regular value every
+later stage uses.
 
 Minimal indices come from a nested-kernel chain at a regular parameter
 value mu: with M = A + mu*B,
@@ -42,8 +44,10 @@ of width w contributes min(k, w) to dim W_k, so consecutive differences
 count blocks of width >= k.  The chain of the transposed pencil gives
 the heights the same way.  For a skew pencil the transposed pencil is
 the negated one, whose chain is the same computation, so it runs once.
-A chain whose first kernel a rank proves zero (rank(A) = n on the right,
-m = r on the left) is not run.
+The right chain at t = 0 always takes its first step, which gives
+rank(A), and stops there when rank(A) = n; a chain whose first kernel
+the normal rank proves zero (n = r at a rerun, m = r on the left) is not
+run.
 
 Each chain is one Bareiss elimination of [M | -B] that only grows
 (``exactla.preimage_chain``): each step appends B times the vectors the
@@ -59,7 +63,8 @@ Trenn 2012): the right one spans exactly the columns of the horizontal
 blocks, the left one the rows of the vertical blocks.  Together with
 their images under A and B they split the singular part off, as in Van
 Dooren's (1979) staircase reduction but in exact arithmetic: two
-complements chosen by pivot columns give a square pencil
+complements, chosen on the free coordinates of a kernel basis
+(``_complement``), give a square pencil
 Q (A + t*B) P, of size n minus sum(w) minus sum(u - 1), that is strictly
 equivalent to the Jordan part of the Kronecker form (see
 ``_regular_part``).  Eigenvalue data is read off that regular part
@@ -93,27 +98,32 @@ which the regular part reuses.  The rank, the regular value, the
 minimal indices, the regular part and the skew core
 (``skewjk.core_subspace``) all read it.  The eigenvalue stage runs once
 per pencil and is not cached.  The cache is bounded, since its entries
-are reused only within one request.
+are reused only within one request.  A ``Pencil`` keeps its skewness and
+its transpose, and an invariants record the signature its construction
+checked, so none of them is computed twice.
 
 Each step checks itself: each chain's first kernel against the rank at
-its point, the right limit's deficiency against the normal rank when the
-chain runs again at a regular value t > 0, each limit's deficiency
-against the candidates its chain rejected, counted by another route in
-``exactla.preimage_chain`` (the left one through the normal rank), the
-left limit's deficiency against the same normal rank for a pencil that
-is not skew, the regular part's size, its invertibility at the regular
-value, M against the system it solves, and each class's defects
-against its total.  The dimension bookkeeping then checks the chains
-against the rank.  Its rules are stated once, in ``strata.BundleSig``:
-``StrictInvariants`` and ``skewjk.SkewJK`` check their class order and
-build their signatures for the rest (``_check_record``).
+its point where the normal rank gives it (the left chain, and the right
+one at a regular value t > 0), the right limit's deficiency against the
+normal rank when the chain runs again at a regular value t > 0, each
+limit's deficiency against the candidates its chain rejected, counted
+by another route in ``exactla.preimage_chain`` (the left one through
+the normal rank), the left limit's deficiency against the same normal
+rank for a pencil that is not skew, each limit's membership in the
+kernel it is completed in, the regular part's size, its invertibility
+at the regular value, M against the system it solves, and each class's
+defects against its total.  The dimension bookkeeping then checks the
+chains against the rank.  Its rules are stated once, in
+``strata.BundleSig``: ``StrictInvariants`` and ``skewjk.SkewJK`` check
+their class order and build their signatures for the rest
+(``_check_record``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
-from math import gcd
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
+from math import gcd, lcm
 from operator import mul
 from typing import NamedTuple, Sequence
 
@@ -122,6 +132,7 @@ from .exactla import (
     IntVec,
     Mat,
     charpoly,
+    free_columns,
     kernel_basis,
     pivot_columns,
     preimage_chain,
@@ -129,7 +140,7 @@ from .exactla import (
     solve,
 )
 from .polys import integer_factors, poly_sort_key
-from .strata import abstract_signature
+from .strata import BundleSig, abstract_signature
 
 
 @dataclass(frozen=True)
@@ -161,8 +172,15 @@ class Pencil:
         rows = [[ca * x + cb * y for x, y in zip(r, s)] for r, s in zip(a.rows, b.rows)]
         return Mat.from_ints(rows, self.n, a.den * b.den)
 
+    @cached_property
     def transposed(self) -> "Pencil":
+        """The pencil A^T + t*B^T, built once per pencil."""
         return Pencil(self.a.transpose(), self.b.transpose())
+
+    @cached_property
+    def is_skew(self) -> bool:
+        """Whether A and B are both skew-symmetric, decided once per pencil."""
+        return self.a.is_skew() and self.b.is_skew()
 
     def __repr__(self) -> str:
         return f"Pencil(a={self.a.tolist()}, b={self.b.tolist()})"
@@ -216,14 +234,16 @@ class EigClass:
 def _check_record(record, signature) -> None:
     """Check what the record's eigenvalue-anonymous signature cannot see,
     classes sorted by ``EigClass.sort_key`` and distinct, then build the
-    signature, whose ``ValueError`` is a bug here."""
+    signature, whose ``ValueError`` is a bug here, and keep it on the
+    record as ``signature``, so that no caller builds it again."""
     keys = [cls.sort_key() for cls, _ in record.jordan]
     if any(a >= b for a, b in zip(keys, keys[1:])):
         raise InternalConsistencyError("eigenvalue classes must be sorted and distinct")
     try:
-        signature(record)
+        sig = signature(record)
     except ValueError as exc:
         raise InternalConsistencyError(str(exc)) from None
+    object.__setattr__(record, "signature", sig)
 
 
 @dataclass(frozen=True)
@@ -234,7 +254,8 @@ class StrictInvariants:
     descending; ``jordan`` maps each eigenvalue class to its block sizes,
     sorted descending, stored as a tuple sorted by class.  Construction
     checks the class order and, through ``strata.abstract_signature``,
-    the dimension bookkeeping, so an instance is always coherent.
+    the dimension bookkeeping, so an instance is always coherent; the
+    signature it builds is kept as ``signature``.
     """
 
     m: int
@@ -243,6 +264,7 @@ class StrictInvariants:
     horizontal: tuple[int, ...]
     vertical: tuple[int, ...]
     jordan: tuple[tuple[EigClass, tuple[int, ...]], ...]
+    signature: BundleSig = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_record(self, abstract_signature)
@@ -256,21 +278,28 @@ class StrictInvariants:
 # the singular structure, computed once per pencil
 
 
-def _kernel_chain(m_at_mu: Mat, b: Mat, dim: int) -> tuple[list[int], list[IntVec], int]:
+def _kernel_chain(
+    m_at_mu: Mat, b: Mat, dim: int | None
+) -> tuple[list[int], list[IntVec], int]:
     """Dimensions of the nested kernel chain W_1 <= W_2 <= ... until stable,
     a basis of its limit V, and the number of candidates the chain
-    rejected, which is dim(V ∩ ker B) (see ``exactla``), given
-    dim W_1 = n - rank(M) from a rank already taken.
+    rejected, which is dim(V ∩ ker B) (see ``exactla``).
 
-    A chain with dim W_1 = 0 stays zero and is not run.
+    ``dim`` is dim W_1 = n - rank(M) where another route already gives
+    it: a chain with dim 0 stays zero and is not run, and any other's
+    first kernel is checked against it.  With ``dim`` None the chain's
+    first step gives dim W_1 itself, which is then the only elimination
+    of M, and a chain whose W_1 is zero stops there.
     """
-    if not dim:
+    if dim == 0:
         return [0], [], 0
     chain = preimage_chain(m_at_mu, b)
-    basis, _ = next(chain)
-    if len(basis) != dim:
+    basis, rejected = next(chain)
+    if dim is not None and len(basis) != dim:
         raise InternalConsistencyError("the kernel of the chain disagrees with the rank")
-    dims = [dim]
+    dims = [len(basis)]
+    if not basis:
+        return dims, basis, rejected
     for new_basis, rejected in chain:
         if len(new_basis) == len(basis):
             break
@@ -324,10 +353,6 @@ def _widths_from_dims(dims: list[int]) -> tuple[int, ...]:
     return tuple(widths)
 
 
-def _is_skew(p: Pencil) -> bool:
-    return p.a.is_skew() and p.b.is_skew()
-
-
 class _Chains(NamedTuple):
     """A pencil's singular structure: normal rank, regular value, widths,
     heights, the limits of the right and left kernel chains, and a basis of
@@ -360,8 +385,15 @@ def _kernel_chains(p: Pencil) -> _Chains:
     rank(A) = r, t = 0 is the regular value and the chain already run is
     the one wanted.  Otherwise t = 1, 2, ... are ranked until one reaches
     r (``_first_regular``), and the chain runs again there.  rank(A) is
-    taken first, so a pencil of rank(A) = n runs no right chain, and one
-    of rank(A) = min(m, n) ranks no other point.
+    read off the chain's first step, dim W_1 = n - rank(A), which is the
+    one elimination of A: a pencil of rank(A) = n stops its right chain
+    there, and one of rank(A) = min(m, n) ranks no other point.  Nothing
+    else takes that rank, so this W_1 is not checked against one.  A W_1
+    one vector short would read as rank(A) + 1: above r where t = 0 is
+    regular, which raises, and equal to r at rank(A) = r - 1, where the
+    left chain's first kernel, checked against m - r, or the regular part
+    at t = 0, now an eigenvalue of it, disagrees.  Below that the chain
+    runs again at the regular value, and only that run is kept.
 
     The right limit spans the columns of the horizontal blocks, the left
     one (the chain of the transposed pencil) the rows of the vertical
@@ -375,8 +407,8 @@ def _kernel_chains(p: Pencil) -> _Chains:
     against the deficiency that proved r, so a fault in ``_deficiency``
     that shifts both limits alike cannot pass.
     """
-    low = rank(p.a)
-    right_dims, right, rejected = _kernel_chain(p.a, p.b, p.n - low)
+    right_dims, right, rejected = _kernel_chain(p.a, p.b, None)
+    low = p.n - right_dims[0]
     deficiency, ann_image = _deficiency(p, right)
     r, mu = p.n - deficiency, 0
     if low > r:
@@ -389,10 +421,10 @@ def _kernel_chains(p: Pencil) -> _Chains:
             raise InternalConsistencyError(
                 "the chain limit at the regular value disagrees with the normal rank"
             )
-    if _is_skew(p):
+    if p.is_skew:
         left_dims, left = right_dims, right
     else:
-        pt = p.transposed()
+        pt = p.transposed
         left_dims, left, left_rejected = _kernel_chain(pt.at(mu), pt.b, p.m - r)
         # dim Z - dim(A^T Z + B^T Z) for the left limit Z, counted by its chain
         if left_rejected != p.m - r:
@@ -440,12 +472,44 @@ def minimal_indices(p: Pencil) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def _complement(inside: Sequence[IntVec], basis: list[IntVec], n: int) -> list[IntVec]:
-    """Vectors of ``basis`` completing the independent ``inside`` to a basis
-    of their joint span: the pivots of [inside | basis] beyond ``inside``."""
-    vectors = list(inside) + list(basis)
-    rows = [[v[i] for v in vectors] for i in range(n)]
-    skip = len(inside)
-    return [basis[j - skip] for j in pivot_columns(Mat.from_ints(rows, len(vectors))) if j >= skip]
+    """Vectors of ``basis``, the ``kernel_basis`` of some matrix, that
+    complete the independent ``inside``, which must lie in its span, to a
+    basis of that span: each basis[j] outside the span of ``inside`` and
+    basis[:j], so the pivots of [inside | basis] beyond ``inside``.
+
+    They are read off the free columns f_1 < ... < f_k of ``basis``
+    (``exactla.free_columns``).  basis[j] is nonzero at f_j and zero right
+    of it, so restricting to those k coordinates is triangular with a
+    nonzero diagonal on the basis, and injective on its span; it carries
+    span(basis[:j]) onto the span of the first j - 1 unit vectors.  So
+    basis[j] lies in span(inside) + span(basis[:j]) exactly when some
+    vector of span(inside) has its last nonzero free coordinate at f_j.
+    Those j are the pivots of the |inside| x k matrix of free coordinates
+    with its columns reversed, an elimination of k columns in place of
+    one of n rows, and every other basis[j] is kept.
+
+    That inside lies in the span is checked by exact integer products:
+    basis[j] is zero at the other free columns, so the coefficient of v
+    on basis[j] is v[f_j] / basis[j][f_j], and with D the lcm of those
+    denominators D * v must be the integer combination they give.  A
+    vector outside the span would leave a complement of the wrong size
+    under [inside | basis], and raises here.
+    """
+    free = free_columns(basis)
+    heads = [w[f] for w, f in zip(basis, free)]
+    den = lcm(*heads)
+    cols = list(zip(*basis)) if basis else [()] * n
+    for v in inside:
+        coeffs = [v[f] * (den // h) for f, h in zip(free, heads)]
+        if [sum(map(mul, coeffs, col)) for col in cols] != [den * x for x in v]:
+            raise InternalConsistencyError(
+                "the regular part is not square of the Jordan dimension: "
+                "a chain limit vector lies outside the kernel it is completed in"
+            )
+    k = len(basis)
+    restricted = [[v[f] for f in reversed(free)] for v in inside]
+    skip = {k - 1 - q for q in pivot_columns(Mat.from_ints(restricted, k))}
+    return [w for j, w in enumerate(basis) if j not in skip]
 
 
 def _restricted(mat: Mat, left: list[IntVec], right: list[IntVec], scale: int) -> list[list[int]]:
@@ -492,11 +556,11 @@ def _regular_part(p: Pencil) -> Pencil:
             Mat.from_ints([[p.b.den * x for x in r] for r in p.a.rows], p.n),
             Mat.from_ints([[p.a.den * y for y in r] for r in p.b.rows], p.n),
         )
-    skew = _is_skew(p)
+    skew = p.is_skew
     if skew:
         ker_coimage = ann_image
     else:
-        deficiency, ker_coimage = _deficiency(p.transposed(), left)
+        deficiency, ker_coimage = _deficiency(p.transposed, left)
         if deficiency != p.m - normal:
             raise InternalConsistencyError("the vertical blocks' coimage has the wrong dimension")
     size = p.n - sum(widths) - sum(u - 1 for u in heights)

@@ -31,7 +31,6 @@ from .lie import (
     lie_poisson_matrix,
     rep_operator,
 )
-from .strata import abstract_signature, skew_abstract_signature
 
 MATCH = "match"
 MISMATCH = "mismatch"
@@ -113,7 +112,7 @@ def predict_semidirect_jk(jk_dual: RepJK):
     inv = jk_dual.invariants
     if inv.horizontal:
         return None
-    return inv.vertical, _slot_totals(abstract_signature(inv))
+    return inv.vertical, _slot_totals(inv.signature)
 
 
 @dataclass(frozen=True)
@@ -144,7 +143,7 @@ def check_dual_theorem(
     jk_lie = jk_invariants_of_lie(semidirect(rho), sampler, samples)
     computed_kron = jk_lie.invariants.kronecker
     computed_totals = tuple(
-        t // 2 for t in _slot_totals(skew_abstract_signature(jk_lie.invariants))
+        t // 2 for t in _slot_totals(jk_lie.invariants.signature)
     )
     prediction = predict_semidirect_jk(jk_dual)
     predicted_kron, predicted_totals = prediction or (None, None)

@@ -17,7 +17,7 @@ and not a test oracle.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import mul
 
 from .errors import (
@@ -31,16 +31,15 @@ from .pencils import (
     EigClass,
     Pencil,
     _check_record,
-    _is_skew,
     _kernel_chains,
     pencil_rank,
     strict_invariants,
 )
-from .strata import skew_abstract_signature
+from .strata import SkewBundleSig, skew_abstract_signature
 
 
 def _require_skew(p: Pencil) -> None:
-    if not _is_skew(p):
+    if not p.is_skew:
         raise ValueError("both coefficient matrices must be skew-symmetric")
 
 
@@ -52,12 +51,13 @@ class SkewJK:
     jordan: per eigenvalue class, the even dimensions of the skew Jordan
     blocks, descending; classes sorted and distinct.  Construction checks
     the class order and, through ``strata.skew_abstract_signature``, the
-    rest.
+    rest; the signature it builds is kept as ``signature``.
     """
 
     dim: int
     kronecker: tuple[int, ...]
     jordan: tuple[tuple[EigClass, tuple[int, ...]], ...]
+    signature: SkewBundleSig = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _check_record(self, skew_abstract_signature)

@@ -14,7 +14,10 @@ whole pencil, or from the kernel chain of the regular part with the
 class's root adjoined as a companion matrix, instead of the powers of
 one Möbius-shifted matrix of the regular part, each step
 of a kernel chain eliminates its stacked matrix from scratch instead of
-continuing one elimination, the core of a skew pencil is spanned at
+continuing one elimination, the Bareiss elimination updates whole rows
+instead of only the cells right of each pivot, the complement of a chain
+limit inside a kernel comes from the pivot columns of [inside | basis]
+instead of the free coordinates of the kernel basis, the core of a skew pencil is spanned at
 dim + 1 regular points instead of read off the kernel chain's limit,
 invariant factors come from a Smith form of A + t*B over Q[t] instead of
 the elementary divisors of the regular part, structure constants are
@@ -124,7 +127,7 @@ def stacked_minimal_widths(p: Pencil) -> tuple[int, ...]:
 
 
 def stacked_minimal_indices(p: Pencil) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    return stacked_minimal_widths(p), stacked_minimal_widths(p.transposed())
+    return stacked_minimal_widths(p), stacked_minimal_widths(p.transposed)
 
 
 def fraction_det(rows) -> Fraction:
@@ -412,6 +415,54 @@ def restart_chain(m: Mat, b: Mat):
         ]
         stacked = Mat.from_ints(rows, n + len(basis))
         basis = row_space_basis([vec[:n] for vec in kernel_basis(stacked)], n)
+
+
+def full_row_echelon(
+    rows: list[list[int]], n: int, start: int = 0, r: int = 0, prev: int = 1
+) -> tuple[int, list[int], int, int]:
+    """``exactla._echelon`` as it was before it left the zeros left of each
+    pivot alone: every row below the pivot is updated whole, by a new
+    list."""
+    m = len(rows)
+    sign = 1
+    piv_cols: list[int] = []
+    for c in range(start, n):
+        if r == m:
+            break
+        best = -1
+        size = 0
+        for i in range(r, m):
+            x = rows[i][c]
+            if x and (best < 0 or abs(x) < size):
+                best = i
+                size = abs(x)
+        if best < 0:
+            continue
+        if best != r:
+            rows[r], rows[best] = rows[best], rows[r]
+            sign = -sign
+        top = rows[r]
+        pivot = top[c]
+        for i in range(r + 1, m):
+            row = rows[i]
+            head = row[c]
+            if head:
+                rows[i] = [(x * pivot - head * y) // prev for x, y in zip(row, top)]
+            elif pivot != prev:
+                rows[i] = [x * pivot // prev for x in row]
+        prev = pivot
+        piv_cols.append(c)
+        r += 1
+    return r, piv_cols, sign, prev
+
+
+def pivot_complement(inside, basis, n: int) -> list[IntVec]:
+    """The vectors of ``basis`` at the pivot columns of the n x (|inside| +
+    |basis|) matrix [inside | basis] beyond ``inside``."""
+    vectors = list(inside) + list(basis)
+    rows = [[v[i] for v in vectors] for i in range(n)]
+    skip = len(inside)
+    return [basis[j - skip] for j in pivot_columns(Mat.from_ints(rows, len(vectors))) if j >= skip]
 
 
 def dense_core(p: Pencil) -> list[IntVec]:

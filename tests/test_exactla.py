@@ -11,7 +11,9 @@ from penciljk.exactla import (
     _reduced,
     charpoly,
     det,
+    free_columns,
     kernel_basis,
+    pivot_columns,
     rank,
     row_space_basis,
     solve,
@@ -28,7 +30,7 @@ from helpers import (
     vstack,
     zeros,
 )
-from oracles import fraction_det, fraction_solve, solve_unique
+from oracles import fraction_det, fraction_solve, full_row_echelon, solve_unique
 
 
 def test_matrix_shapes_and_blocks():
@@ -230,3 +232,58 @@ def test_reduced_vanishes_exactly_on_the_span():
             else:
                 dependent += 1
     assert dependent >= 200
+
+
+def _sparse_low_rank(rng, m: int, width: int) -> list[list[int]]:
+    """m integer rows of the given width, of a random rank, with about a
+    third of the factor entries zero, so that rows often have a zero head
+    at a pivot."""
+    rank_ = rng.randint(0, min(m, width))
+    entry = lambda: rng.choice((0, 0, rng.randint(-4, 4)))
+    x = [[entry() for _ in range(rank_)] for _ in range(m)]
+    y = [[entry() for _ in range(width)] for _ in range(rank_)]
+    return [[sum(a * b for a, b in zip(xr, col)) for col in zip(*y)] if y else [0] * width for xr in x]
+
+
+def test_echelon_matches_whole_row_oracle():
+    # updating only the cells right of each pivot leaves the rows, rank,
+    # pivots, sign and last pivot that whole-row updates leave, from
+    # scratch and continued, with columns carried past n and with rows
+    # whose head at a pivot is zero (they are scaled by pivot / prev)
+    rng = random.Random(SEED + 42)
+    continued = 0
+    for _ in range(500):
+        m, n, carried = rng.randint(1, 7), rng.randint(1, 8), rng.randint(0, 3)
+        rows = _sparse_low_rank(rng, m, n + carried)
+        stop = rng.randint(0, n)
+        new, old = [list(r) for r in rows], [list(r) for r in rows]
+        first = _echelon(new, stop)
+        assert first == full_row_echelon(old, stop)
+        assert new == old
+        second = _echelon(new, n, stop, first[0], first[3])
+        assert second == full_row_echelon(old, n, stop, first[0], first[3])
+        assert new == old
+        continued += bool(first[1] and second[1])
+    # pivots both before and after the stop
+    assert continued >= 40
+    # row 1 has a zero head under the pivot 2, row 2 a nonzero one
+    rows = [[2, 1, 1, 5], [0, 3, 1, 1], [4, 5, 7, 2]]
+    oracle = [list(r) for r in rows]
+    assert _echelon(rows, 3) == full_row_echelon(oracle, 3)
+    assert rows == oracle == [[2, 1, 1, 5], [0, 6, 2, 2], [0, 0, 24, -54]]
+
+
+def test_kernel_basis_vectors_sit_on_their_free_columns():
+    # each vector is nonzero at its own free column, zero at the others
+    # and right of its own; the free columns are those without a pivot
+    rng = random.Random(SEED + 43)
+    for _ in range(300):
+        m, n = rng.randint(0, 6), rng.randint(1, 8)
+        a = Mat.from_ints(_sparse_low_rank(rng, m, n), n)
+        ker = kernel_basis(a)
+        free = free_columns(ker)
+        pivots = set(pivot_columns(a)) if m else set()
+        assert free == [j for j in range(n) if j not in pivots]
+        for v, f in zip(ker, free):
+            assert v[f] and not any(v[f + 1 :])
+            assert not any(v[g] for g in free if g != f)

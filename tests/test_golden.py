@@ -20,8 +20,11 @@ from math import gcd
 
 import pytest
 
+import penciljk.pencils as pencils
 from penciljk import cli
 from penciljk.pencils import EigClass
+
+from oracles import pivot_complement
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "golden_cli.json")
 
@@ -82,6 +85,27 @@ def test_golden_classes_are_primitive_integer_tuples(tmp_path, monkeypatch):
     # t + 1/2 of strict15.json is stored as 2t + 1
     assert (1, 2) in finite
     assert len(finite) > 50
+
+
+def test_golden_complements_match_the_pivot_oracle(tmp_path, monkeypatch):
+    # every complement the replay takes, for every pencil it classifies,
+    # keeps the vectors that the pivot columns of [inside | basis] keep
+    calls = []
+    real = pencils._complement
+
+    def checked(inside, basis, n):
+        kept = real(inside, basis, n)
+        assert kept == pivot_complement(inside, basis, n)
+        calls.append(len(kept))
+        return kept
+
+    monkeypatch.setattr(pencils, "_complement", checked)
+    _write_inputs(str(tmp_path), GOLDEN_DATA["files"])
+    monkeypatch.chdir(tmp_path)
+    for request in GOLDEN_DATA["requests"]:
+        pencils._kernel_chains.cache_clear()
+        assert _run(request["argv"]) == (request["code"], request["stdout"])
+    assert len(calls) >= 70
 
 
 def _record() -> None:

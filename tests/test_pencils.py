@@ -24,6 +24,7 @@ from penciljk.pencils import (
     StrictInvariants,
     _class_matrix,
     _class_totals,
+    _complement,
     _kernel_chains,
     _regular_part,
     _sizes_at_class,
@@ -61,6 +62,7 @@ from oracles import (
     fraction_det,
     interp_det,
     pencil_entries,
+    pivot_complement,
     resolvent_sizes,
     restart_chain,
     smith_invariant_factors,
@@ -130,7 +132,9 @@ def test_regular_value_comes_from_the_rank_scan(monkeypatch):
 
 def _points_ranked(monkeypatch, p: Pencil) -> tuple[tuple[int, int], int]:
     """(normal rank, regular value) of a fresh pencil, and the number of
-    points t at which the pencil layer took rank(A + t*B) to find them."""
+    points t at which the pencil layer took rank(A + t*B) to find them;
+    rank(A) at t = 0 is read off the right chain's first step, and is not
+    counted."""
     calls = []
     real = exactla.rank
     monkeypatch.setattr(pencils, "rank", lambda mat: calls.append(mat) or real(mat))
@@ -142,24 +146,25 @@ def _points_ranked(monkeypatch, p: Pencil) -> tuple[tuple[int, int], int]:
 
 
 def test_rank_scan_stops_at_the_degree_bound(monkeypatch):
-    # the right chain's limit at t = 0 proves the normal rank r; t = 1, 2, ...
-    # are ranked only while rank(A) < r.  diag(t, t-1, ..., t-(n-1)) has rank
-    # n-1 at t = 0..n-1, so it ranks t = 0..n: n+1 points
+    # the right chain's limit at t = 0 proves the normal rank r, and its
+    # first kernel gives rank(A); t = 1, 2, ... are ranked only while
+    # rank(A) < r.  diag(t, t-1, ..., t-(n-1)) has rank n-1 at t = 0..n-1,
+    # so it ranks t = 1..n: n points
     for n in range(1, 6):
         p = pencil_from_lists(
             [[-i if i == j else 0 for j in range(n)] for i in range(n)],
             [[int(i == j) for j in range(n)] for i in range(n)],
         )
-        assert _points_ranked(monkeypatch, p) == ((n, n), n + 1)
+        assert _points_ranked(monkeypatch, p) == ((n, n), n)
     # the skew sum of [[0, t-a], [a-t, 0]] for a = 0..k-1 has rank 2k-2 at
-    # t = 0..k-1, so it ranks t = 0..k: k+1 points
+    # t = 0..k-1, so it ranks t = 1..k: k points
     for k in range(1, 5):
         a = exactla.Mat.block_diag([exactla.Mat([[0, -i], [i, 0]]) for i in range(k)])
         b = exactla.Mat.block_diag([exactla.Mat([[0, 1], [-1, 0]])] * k)
-        assert _points_ranked(monkeypatch, Pencil(a, b)) == ((2 * k, k), k + 1)
-    # an odd-dimensional skew pencil regular at t = 0 ranks that one point,
-    # where a scan bounded by Pfaffian degrees ranks (R+2)/2 + 1; singular
-    # there, it ranks t = 0, 1, ... up to its regular value
+        assert _points_ranked(monkeypatch, Pencil(a, b)) == ((2 * k, k), k)
+    # an odd-dimensional skew pencil regular at t = 0 ranks no point, where
+    # a scan bounded by Pfaffian degrees ranks (R+2)/2 + 1; singular there,
+    # it ranks t = 1, 2, ... up to its regular value
     rng = random.Random(SEED + 18)
     regular_at_zero = singular_at_zero = 0
     while regular_at_zero < 10 or singular_at_zero < 3:
@@ -171,18 +176,18 @@ def test_rank_scan_stops_at_the_degree_bound(monkeypatch):
         roots = [cls.poly for cls, _ in jk.jordan if not cls.is_infinite]
         value = lambda f, t: sum(c * t**i for i, c in enumerate(f))
         mu = next(t for t in range(r + 1) if all(value(f, t) for f in roots))
-        assert _points_ranked(monkeypatch, p) == ((r, mu), mu + 1)
+        assert _points_ranked(monkeypatch, p) == ((r, mu), mu)
         regular_at_zero += mu == 0
         singular_at_zero += mu > 0
-    # a pencil regular at t = 0 ranks that point alone, whether it reaches
+    # a pencil regular at t = 0 ranks no point, whether it reaches
     # min(m, n) there or not; the zero pencil, whose chain limit is
     # everything and whose image is zero, is one of them
     zero = pencil_from_lists([[0, 0], [0, 0], [0, 0]], [[0, 0], [0, 0], [0, 0]])
-    assert _points_ranked(monkeypatch, zero) == ((0, 0), 1)
+    assert _points_ranked(monkeypatch, zero) == ((0, 0), 0)
     wide = pencil_from_lists([[1, 1, 0]], [[0, 1, 1]])
-    assert _points_ranked(monkeypatch, wide) == ((1, 0), 1)
+    assert _points_ranked(monkeypatch, wide) == ((1, 0), 0)
     tall = pencil_from_lists([[1, 0], [0, 1], [0, 0]], [[0, 0], [1, 0], [0, 1]])
-    assert _points_ranked(monkeypatch, tall) == ((2, 0), 1)
+    assert _points_ranked(monkeypatch, tall) == ((2, 0), 0)
     empty = Pencil(zeros(0, 3), zeros(0, 3))
     assert _points_ranked(monkeypatch, empty)[0] == (0, 0)
 
@@ -723,7 +728,7 @@ def test_continued_chain_matches_restart_oracle_on_pencils():
     # chain at every finite class of the regular part
     for p in _singular_pencils(random.Random(SEED + 31)):
         mu = regular_value(p)
-        pairs = [(q.at(mu), q.b) for q in (p, p.transposed())]
+        pairs = [(q.at(mu), q.b) for q in (p, p.transposed)]
         reg = _regular_part(p)
         if reg.n:
             m, t0 = _shifted(p)
@@ -821,8 +826,9 @@ def test_dependent_candidates_are_rejected(monkeypatch):
 
 def test_full_rank_pencils_run_one_chain(monkeypatch):
     # heights (3, 2) and t - 1 with size 2: a 7 x 5 pencil of full column
-    # rank, whose right chain is zero and is not run; its transpose has
-    # full row rank and runs no left chain
+    # rank, whose right chain stops at its first step, which finds W_1 = 0
+    # and takes the place of rank(A); its transpose has full row rank and
+    # runs no left chain
     calls = []
     real = pencils.preimage_chain
 
@@ -837,12 +843,12 @@ def test_full_rank_pencils_run_one_chain(monkeypatch):
     p = scramble(canonical_of(inv), random.Random(SEED + 33))
     _kernel_chains.cache_clear()
     assert minimal_indices(p) == ((), (3, 2))
-    assert calls == [(5, 7)]
+    assert calls == [(7, 5), (5, 7)]
     # the rest runs only the Jordan chain at t - 1, on the 2 x 2 regular part
     assert strict_invariants(p) == inv
-    assert calls == [(5, 7), (2, 2)]
+    assert calls == [(7, 5), (5, 7), (2, 2)]
     calls.clear()
-    assert minimal_indices(p.transposed()) == ((3, 2), ())
+    assert minimal_indices(p.transposed) == ((3, 2), ())
     assert calls == [(5, 7)]
     _kernel_chains.cache_clear()
 
@@ -1171,7 +1177,7 @@ def test_regular_part_is_the_jordan_part():
     for _ in range(150):
         inv = random_strict_invariants(rng)
         p = scramble(canonical_of(inv), rng)
-        for q, expected in ((p, inv), (p.transposed(), _transposed_invariants(inv))):
+        for q, expected in ((p, inv), (p.transposed, _transposed_invariants(inv))):
             check(q, inv.jordan_dimension())
             assert strict_invariants(q) == expected
     for _ in range(100):
@@ -1280,3 +1286,88 @@ def test_deflation_checks_can_fail(monkeypatch, fault, message):
         monkeypatch.setattr(pencils, "_kernel_chains", lambda q: chains)
     with pytest.raises(InternalConsistencyError, match=message):
         elementary_divisors(p)
+
+
+def test_complement_matches_pivot_oracle():
+    # on random kernels and random independent vectors inside them, the
+    # free-coordinate complement keeps exactly the vectors that the pivot
+    # columns of [inside | basis] keep; a vector moved off the kernel at a
+    # coordinate that is not free keeps its free coordinates, and raises
+    rng = random.Random(SEED + 37)
+    partial = moved = 0
+    for _ in range(400):
+        m, n = rng.randint(0, 6), rng.randint(1, 8)
+        basis = exactla.kernel_basis(_low_rank(rng, m, n, rng.randint(0, min(m, n))))
+        inside: list[tuple[int, ...]] = []
+        for _ in range(rng.randint(0, len(basis))):
+            used = rng.sample(range(len(basis)), rng.randint(1, len(basis)))
+            coeffs = [(rng.randint(-3, 3), basis[j]) for j in used]
+            v = tuple(sum(c * w[i] for c, w in coeffs) for i in range(n))
+            if rank(Mat.from_ints(inside + [v], n)) > len(inside):
+                inside.append(v)
+        assert _complement(inside, basis, n) == pivot_complement(inside, basis, n)
+        partial += 0 < len(inside) < len(basis)
+        free = exactla.free_columns(basis)
+        bound = [j for j in range(n) if j not in free]
+        if inside and bound:
+            v = list(inside[-1])
+            v[rng.choice(bound)] += rng.choice((-1, 1))
+            with pytest.raises(InternalConsistencyError, match="outside the kernel"):
+                _complement(inside[:-1] + [tuple(v)], basis, n)
+            moved += 1
+    assert partial >= 100 and moved >= 100
+
+
+def test_limit_vector_outside_the_kernel_raises(monkeypatch):
+    # the last vector of the right limit moved off ker U at a coordinate
+    # that is not free in ker U's basis: its free coordinates, and so the
+    # count of vectors the complement keeps, are those of the true limit,
+    # while [inside | basis] would gain a pivot.  The membership check in
+    # the complement must raise
+    p = _deflation_case()
+    real_chains = _kernel_chains(p)
+    ker_coimage = pencils._deficiency(p.transposed, list(real_chains.left))[1]
+    free = exactla.free_columns(ker_coimage)
+    bound = next(j for j in range(p.n) if j not in free)
+    v = list(real_chains.right[-1])
+    v[bound] += 1
+    right = real_chains.right[:-1] + (tuple(v),)
+    assert [v[f] for f in free] == [real_chains.right[-1][f] for f in free]
+    wrong = pivot_complement(right, ker_coimage, p.n)
+    assert len(wrong) == len(pivot_complement(real_chains.right, ker_coimage, p.n)) + 1
+    monkeypatch.setattr(pencils, "_kernel_chains", lambda q: real_chains._replace(right=right))
+    with pytest.raises(InternalConsistencyError, match="outside the kernel it is completed in"):
+        elementary_divisors(p)
+
+
+def test_short_first_kernel_of_the_right_chain_raises(monkeypatch):
+    # rank(A) is read off the right chain's first kernel alone, so one
+    # vector short there reads as rank(A) + 1: above r at a regular t = 0,
+    # and at rank(A) = r - 1 the left chain's kernel or the regular part
+    # disagrees.  Every such pencil raises.  Below r - 1 the chain runs
+    # again at the regular value, whose result is the answer, and an A of
+    # full column rank has no vector to lose
+    _, cases = _rank_fault_cases()
+    real = pencils.preimage_chain
+    raised = 0
+    for p, want in cases:
+
+        def short(m, b, p=p):
+            chain = real(m, b)
+            if m is p.a:
+                basis, rejected = next(chain)
+                yield basis[:-1], rejected
+            yield from chain
+
+        monkeypatch.setattr(pencils, "preimage_chain", short)
+        _kernel_chains.cache_clear()
+        low = rank(p.a)
+        if want.rank - 1 <= low < p.n:
+            with pytest.raises(InternalConsistencyError):
+                strict_invariants(p)
+            raised += 1
+        else:
+            assert strict_invariants(p) == want
+    assert raised >= 150
+    monkeypatch.undo()
+    _kernel_chains.cache_clear()
