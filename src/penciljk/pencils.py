@@ -90,17 +90,16 @@ Every matrix this eliminates has n_R rows, whatever the class degree.
 Eliminating A + t*B as a polynomial matrix would give the same answers
 but suffers badly from coefficient growth.
 
-One cache holds a pencil's singular structure: ``_kernel_chains`` proves
-the normal rank, runs both chains once at the regular value and keeps
-the normal rank, the regular value, the widths, the heights, the two
-limits and the functionals vanishing on AV + BV at the regular value,
-which the regular part reuses.  The rank, the regular value, the
-minimal indices, the regular part and the skew core
-(``skewjk.core_subspace``) all read it.  The eigenvalue stage runs once
-per pencil and is not cached.  The cache is bounded, since its entries
-are reused only within one request.  A ``Pencil`` keeps its skewness and
-its transpose, and an invariants record the signature its construction
-checked, so none of them is computed twice.
+Each ``Pencil`` keeps its own singular structure, ``Pencil.chains``:
+``_kernel_chains`` proves the normal rank, runs both chains once at the
+regular value and returns the normal rank, the regular value, the
+widths, the heights, the two limits and the functionals vanishing on
+AV + BV at the regular value, which the regular part reuses.  The rank,
+the regular value, the minimal indices, the regular part and the skew
+core and mantle (``skewjk``) all read it.  A ``Pencil`` also keeps its
+skewness and its transpose, and an invariants record the signature its
+construction checked, so nothing is computed twice, and nothing outlives
+the object that owns it.
 
 Each step checks itself: each chain's first kernel against the rank at
 its point where the normal rank gives it (the left chain, and the right
@@ -122,7 +121,7 @@ their class order and build their signatures for the rest
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import gcd, lcm
 from operator import mul
 from typing import NamedTuple, Sequence
@@ -181,6 +180,12 @@ class Pencil:
     def is_skew(self) -> bool:
         """Whether A and B are both skew-symmetric, decided once per pencil."""
         return self.a.is_skew() and self.b.is_skew()
+
+    @cached_property
+    def chains(self) -> "_Chains":
+        """The singular structure (``_kernel_chains``), computed once per
+        object; it is not a field, so ``==`` and ``hash`` ignore it."""
+        return _kernel_chains(self)
 
     def __repr__(self) -> str:
         return f"Pencil(a={self.a.tolist()}, b={self.b.tolist()})"
@@ -367,15 +372,10 @@ class _Chains(NamedTuple):
     ann_image: tuple[IntVec, ...]
 
 
-# cached values are reused only within one request, so a few entries suffice;
-# an unbounded cache would keep every pencil for the life of the process
-_CACHE_SIZE = 8
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
 def _kernel_chains(p: Pencil) -> _Chains:
     """The normal rank and regular value, proved from the right chain's
-    limit, then both kernel chains at the regular value.
+    limit, then both kernel chains at the regular value, computed afresh;
+    ``Pencil.chains`` calls it once per pencil and keeps the result.
 
     The right chain runs at t = 0 first.  Its limit V satisfies
     (A + tB)V <= AV + BV at every t, so rank(A + tB) <= n - d for the
@@ -448,7 +448,7 @@ def _kernel_chains(p: Pencil) -> _Chains:
 
 def pencil_rank(p: Pencil) -> int:
     """Normal rank: the maximum of rank(A + t*B) over all t."""
-    return _kernel_chains(p).rank
+    return p.chains.rank
 
 
 def is_regular_value(p: Pencil, t: int) -> bool:
@@ -458,13 +458,12 @@ def is_regular_value(p: Pencil, t: int) -> bool:
 
 def regular_value(p: Pencil) -> int:
     """Smallest non-negative integer at which the pencil has full normal rank."""
-    return _kernel_chains(p).regular
+    return p.chains.regular
 
 
 def minimal_indices(p: Pencil) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(horizontal widths, vertical heights), each sorted descending."""
-    chains = _kernel_chains(p)
-    return chains.widths, chains.heights
+    return p.chains.widths, p.chains.heights
 
 
 # ---------------------------------------------------------------------------
@@ -548,7 +547,7 @@ def _regular_part(p: Pencil) -> Pencil:
     Both parts are scaled by the product D of the pencil's denominators,
     D * (A + tB) having integer rows, which changes no eigenvalue data.
     """
-    normal, _, widths, heights, right, left, ann_image = _kernel_chains(p)
+    normal, _, widths, heights, right, left, ann_image = p.chains
     if not right and not left:
         # the general branch gives these rows too, through identity
         # complements, but at about ten times the cost
@@ -736,7 +735,7 @@ def elementary_divisors(
     is checked by exact integer products: (A_R + t0*B_R) N = D B_R.
     """
     reg = _regular_part(p)
-    t0 = _kernel_chains(p).regular
+    t0 = p.chains.regular
     shifted = reg.at(t0)
     try:
         m = solve(shifted, reg.b)

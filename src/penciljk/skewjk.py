@@ -31,7 +31,6 @@ from .pencils import (
     EigClass,
     Pencil,
     _check_record,
-    _kernel_chains,
     pencil_rank,
     strict_invariants,
 )
@@ -97,18 +96,18 @@ def core_subspace(p: Pencil) -> list[IntVec]:
     other blocks add nothing.  By Vandermonde, e + 1 distinct values of t
     reach every column of L_e, so the core is exactly the span of the
     columns of the horizontal blocks.  That span is the limit of the right
-    kernel chain, a Wong limit (see ``pencils``), which the pencil layer
-    caches for every pencil it classifies, so the core costs no
+    kernel chain, a Wong limit (see ``pencils``), which each pencil keeps
+    in ``Pencil.chains`` once it is computed, so the core costs no
     elimination of its own.
     """
     _require_skew(p)
-    return list(_kernel_chains(p).right)
+    return list(p.chains.right)
 
 
 def mantle_subspace(p: Pencil) -> list[IntVec]:
     """Orthogonal complement of the core with respect to a regular form."""
     _require_skew(p)
-    chains = _kernel_chains(p)
+    chains = p.chains
     # the rows form^T k, scaled by the denominator of the form, which
     # changes no kernel
     cols = list(zip(*p.at(chains.regular).rows))

@@ -103,7 +103,6 @@ def test_golden_complements_match_the_pivot_oracle(tmp_path, monkeypatch):
     _write_inputs(str(tmp_path), GOLDEN_DATA["files"])
     monkeypatch.chdir(tmp_path)
     for request in GOLDEN_DATA["requests"]:
-        pencils._kernel_chains.cache_clear()
         assert _run(request["argv"]) == (request["code"], request["stdout"])
     assert len(calls) >= 70
 

@@ -2,13 +2,15 @@
 module imports a name it never uses, the Lie layer does not import
 ``fractions``, only ``exactla`` drives the Bareiss elimination and no
 other module imports its private names, only ``strata`` states the
-Kronecker counts and bookkeeping, and every function the benchmark
-tracer wraps by name still exists."""
+Kronecker counts and bookkeeping, no function but the CLI's parser
+builder is a memo, and every function the benchmark tracer wraps by name
+still exists."""
 
 import ast
 import importlib
 import os
 import sys
+import types
 
 import pytest
 
@@ -171,6 +173,37 @@ def test_bookkeeping_is_stated_only_in_strata():
             if raised:
                 found[name] = raised
     assert found == {"strata.py": set(BOOKKEEPING_MESSAGES)}
+
+
+def _memos(module) -> set[str]:
+    """Qualified names of the ``functools`` caches among the module's
+    functions and the attributes of its classes."""
+    found = set()
+    for value in vars(module).values():
+        for f in vars(value).values() if isinstance(value, type) else (value,):
+            if hasattr(f, "cache_info"):
+                found.add(f"{f.__module__}.{f.__qualname__}")
+    return found
+
+
+def test_no_memo_outside_the_cli_parser():
+    """The package keeps no state between requests: each pencil keeps its
+    own results, and the one cache is the CLI's parser, built once per
+    process."""
+    demo = types.ModuleType("demo")
+    exec(
+        "from functools import cache, lru_cache\n"
+        "@lru_cache(maxsize=8)\ndef f(x): ...\n"
+        "class C:\n    @cache\n    def g(self): ...\n",
+        vars(demo),
+    )
+    assert _memos(demo) == {"demo.f", "demo.C.g"}
+    found = set()
+    for name in sorted(os.listdir(PACKAGE)):
+        if name.endswith(".py"):
+            stem = name[: -len(".py")]
+            found |= _memos(importlib.import_module("penciljk" if stem == "__init__" else f"penciljk.{stem}"))
+    assert found == {"penciljk.cli._build_parser"}
 
 
 @pytest.fixture(scope="module")

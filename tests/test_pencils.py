@@ -2,7 +2,9 @@
 independent oracles (evaluation ranks, stacked kernel matrices, Smith
 normal form, interpolated determinants)."""
 
+import gc
 import random
+import weakref
 from functools import lru_cache
 from fractions import Fraction
 from itertools import islice
@@ -18,7 +20,6 @@ from penciljk.errors import InternalConsistencyError
 from penciljk.exactla import Mat, preimage_chain, rank, row_space_basis, solve
 from penciljk.jsonio import class_to_str
 from penciljk.pencils import (
-    _CACHE_SIZE,
     EigClass,
     Pencil,
     StrictInvariants,
@@ -138,10 +139,8 @@ def _points_ranked(monkeypatch, p: Pencil) -> tuple[tuple[int, int], int]:
     calls = []
     real = exactla.rank
     monkeypatch.setattr(pencils, "rank", lambda mat: calls.append(mat) or real(mat))
-    _kernel_chains.cache_clear()
     result = pencil_rank(p), regular_value(p)
     monkeypatch.setattr(pencils, "rank", real)
-    _kernel_chains.cache_clear()
     return result, len(calls)
 
 
@@ -371,24 +370,22 @@ def test_zero_and_empty_pencils():
 
 
 def test_pencil_caches_stay_bounded():
+    # a pencil keeps its own singular structure, so nothing holds a
+    # classified pencil once the caller drops it (tests/test_layout.py
+    # checks that no function of the package is a memo)
     rng = random.Random(SEED + 6)
-    seen = set()
-    while len(seen) < 100:
-        p = random_pencil(rng)
-        if p not in seen:
-            seen.add(p)
+    for i in range(40):
+        if i % 2:
+            p = random_pencil(rng)
             strict_invariants(p)
-    info = _kernel_chains.cache_info()
-    assert info.maxsize == _CACHE_SIZE
-    assert info.currsize <= _CACHE_SIZE
-    # it is the only cache on the invariant path
-    cached = {
-        f
-        for m in (exactla, pencils, polys, skewjk)
-        for f in vars(m).values()
-        if hasattr(f, "cache_info")
-    }
-    assert cached == {_kernel_chains}
+        else:
+            p = congruent(skew_canonical(random_skew_jk(rng)), rng)
+            skew_jk_invariants(p)
+            skewjk.mantle_subspace(p)
+        freed = weakref.ref(p)
+        del p
+        gc.collect()
+        assert freed() is None
     # nor a module-level dict used as a cache
     assert not [
         name
@@ -813,7 +810,6 @@ def test_dependent_candidates_are_rejected(monkeypatch):
     )
     p = scramble(canonical_of(inv), random.Random(SEED + 36))
     rejected.append(0)
-    _kernel_chains.cache_clear()
     assert strict_invariants(p) == inv
     assert rejected[-1] >= 2
     chains.append((p.a, p.b))
@@ -821,7 +817,6 @@ def test_dependent_candidates_are_rejected(monkeypatch):
     for a, b in chains:
         with pytest.raises(InternalConsistencyError, match="grew past the dimension"):
             list(islice(preimage_chain(a, b), a.n + 2))
-    _kernel_chains.cache_clear()
 
 
 def test_full_rank_pencils_run_one_chain(monkeypatch):
@@ -841,7 +836,6 @@ def test_full_rank_pencils_run_one_chain(monkeypatch):
         m=7, n=5, rank=5, horizontal=(), vertical=(3, 2), jordan=((EigClass((-1, 1)), (2,)),)
     )
     p = scramble(canonical_of(inv), random.Random(SEED + 33))
-    _kernel_chains.cache_clear()
     assert minimal_indices(p) == ((), (3, 2))
     assert calls == [(7, 5), (5, 7)]
     # the rest runs only the Jordan chain at t - 1, on the 2 x 2 regular part
@@ -850,7 +844,6 @@ def test_full_rank_pencils_run_one_chain(monkeypatch):
     calls.clear()
     assert minimal_indices(p.transposed) == ((3, 2), ())
     assert calls == [(5, 7)]
-    _kernel_chains.cache_clear()
 
 
 @lru_cache(maxsize=1)
@@ -883,10 +876,10 @@ def test_chain_kernels_must_agree_with_the_ranks(monkeypatch):
         (-1, r"no integer t in 0\.\.r reaches"),
     ):
         for p, want in cases:
+            p = Pencil(p.a, p.b)
             # the left limit's deficiency is taken on the transposed pencil
             off = lambda q, v, p=p: (lambda d, ann: (d + delta * (q is p), ann))(*real(q, v))
             monkeypatch.setattr(pencils, "_deficiency", off)
-            _kernel_chains.cache_clear()
             with pytest.raises(InternalConsistencyError, match=message):
                 assert strict_invariants(p) == want
     # at a regular value t > 0 the chain runs again, and its limit's
@@ -908,16 +901,13 @@ def test_chain_kernels_must_agree_with_the_ranks(monkeypatch):
         return d + (seen.count(True) == 2), ann
 
     monkeypatch.setattr(pencils, "_deficiency", second_off)
-    _kernel_chains.cache_clear()
     with pytest.raises(InternalConsistencyError, match="limit at the regular value disagrees"):
         strict_invariants(p)
     monkeypatch.undo()
-    _kernel_chains.cache_clear()
     one, p = _mixed_case()
     # at t - 1 the defect is 2 of a total of 3, so the chain runs; a rank
     # one too high leaves a defect of 1 that its kernel contradicts
     m, t0 = _shifted(p)
-    _kernel_chains.cache_clear()
     real_rank = pencils.rank
     monkeypatch.setattr(pencils, "rank", lambda mat: real_rank(mat) + 1)
     with pytest.raises(InternalConsistencyError, match=r"disagrees with the rank of g\(M\)"):
@@ -934,9 +924,8 @@ def test_deficiency_and_rejection_count_must_agree(monkeypatch):
     real = pencils._deficiency
     monkeypatch.setattr(pencils, "_deficiency", lambda q, v: (lambda d, ann: (d + 1, ann))(*real(q, v)))
     for p, _ in cases:
-        _kernel_chains.cache_clear()
         with pytest.raises(InternalConsistencyError):
-            strict_invariants(p)
+            strict_invariants(Pencil(p.a, p.b))
     monkeypatch.undo()
     real_chain = pencils._kernel_chain
 
@@ -950,18 +939,15 @@ def test_deficiency_and_rejection_count_must_agree(monkeypatch):
     for delta in (1, -1):
         monkeypatch.setattr(pencils, "_kernel_chain", shifted(lambda b: delta))
         for p, _ in cases:
-            _kernel_chains.cache_clear()
             with pytest.raises(InternalConsistencyError, match="rejected|by the left chain's count"):
-                strict_invariants(p)
+                strict_invariants(Pencil(p.a, p.b))
         # the left chain's count alone, on the pencils that are not skew,
         # whose left chain runs on the transposed B
         for p, _ in cases[1::2]:
             monkeypatch.setattr(pencils, "_kernel_chain", shifted(lambda b, p=p: delta * (b is not p.b)))
-            _kernel_chains.cache_clear()
             with pytest.raises(InternalConsistencyError, match="by the left chain's count"):
-                strict_invariants(p)
+                strict_invariants(Pencil(p.a, p.b))
     monkeypatch.undo()
-    _kernel_chains.cache_clear()
 
 
 def test_rejected_candidates_count_the_kernel_of_b():
@@ -1025,6 +1011,30 @@ def test_total_above_the_truth_fails(monkeypatch, infinite):
         strict_invariants(p)
 
 
+def test_an_equal_pencil_computes_its_own_chains(monkeypatch):
+    # the singular structure belongs to the pencil object, not to its
+    # value: an equal pencil built later runs its own chains, so a fault
+    # injected after p was classified shows on it instead of p's results.
+    # A regular pencil with A invertible, where a deficiency one too high
+    # proves a normal rank below rank(A)
+    inv = StrictInvariants(
+        m=4,
+        n=4,
+        rank=4,
+        horizontal=(),
+        vertical=(),
+        jordan=((EigClass((-1, 1)), (2, 1)), (EigClass.infinite(), (1,))),
+    )
+    p = scramble(canonical_of(inv), random.Random(SEED + 38))
+    assert strict_invariants(p) == inv
+    real = pencils._deficiency
+    monkeypatch.setattr(pencils, "_deficiency", lambda q, v: (lambda d, ann: (d + 1, ann))(*real(q, v)))
+    q = Pencil(p.a, p.b)
+    assert q == p and hash(q) == hash(p)
+    with pytest.raises(InternalConsistencyError, match="exceeds the normal rank"):
+        strict_invariants(q)
+
+
 def test_regular_value_on_an_eigenvalue_fails(monkeypatch):
     # the Möbius shift is taken at the pencil's regular value; moved onto
     # the eigenvalue 1 of the class t - 1, A_R + B_R is singular, and the
@@ -1035,7 +1045,7 @@ def test_regular_value_on_an_eigenvalue_fails(monkeypatch):
     assert elementary_divisors(p)[0] == [(one.poly, (2, 1))]
     monkeypatch.setattr(pencils, "_kernel_chains", lambda q: chains._replace(regular=1))
     with pytest.raises(InternalConsistencyError, match="regular value is an eigenvalue"):
-        elementary_divisors(p)
+        elementary_divisors(Pencil(p.a, p.b))
 
 
 def test_mobius_check_can_fail(monkeypatch):
@@ -1221,7 +1231,6 @@ def test_skew_pencils_run_one_chain(monkeypatch):
     while len(jk.kronecker) < 2:
         jk = random_skew_jk(rng)
     p = congruent(skew_canonical(jk), rng)
-    _kernel_chains.cache_clear()
     _, _, widths, heights, right, left, _ = _kernel_chains(p)
     assert len(calls) == 1
     assert widths == heights == jk.kronecker
@@ -1232,7 +1241,6 @@ def test_skew_pencils_run_one_chain(monkeypatch):
     assert not q.a.is_skew()
     assert minimal_indices(q) == (widths, heights)
     assert len(calls) == 2
-    _kernel_chains.cache_clear()
 
 
 def _deflation_case() -> Pencil:
@@ -1351,6 +1359,7 @@ def test_short_first_kernel_of_the_right_chain_raises(monkeypatch):
     real = pencils.preimage_chain
     raised = 0
     for p, want in cases:
+        p = Pencil(p.a, p.b)
 
         def short(m, b, p=p):
             chain = real(m, b)
@@ -1360,7 +1369,6 @@ def test_short_first_kernel_of_the_right_chain_raises(monkeypatch):
             yield from chain
 
         monkeypatch.setattr(pencils, "preimage_chain", short)
-        _kernel_chains.cache_clear()
         low = rank(p.a)
         if want.rank - 1 <= low < p.n:
             with pytest.raises(InternalConsistencyError):
@@ -1370,4 +1378,3 @@ def test_short_first_kernel_of_the_right_chain_raises(monkeypatch):
             assert strict_invariants(p) == want
     assert raised >= 150
     monkeypatch.undo()
-    _kernel_chains.cache_clear()
