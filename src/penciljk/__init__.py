@@ -9,6 +9,7 @@ reached as ``penciljk.semidirect.semidirect``.
 
 from .errors import (
     CertificateNotApplicableError,
+    ClosureSearchLimitError,
     ConstantRankHypothesisError,
     DominanceSelectionError,
     FactorizationLimitError,

@@ -11,7 +11,8 @@ canonical report to stdout.  Exit codes are part of the contract:
   5  the input is not a Lie algebra or not a representation
   6  no closed-form expectation is known for the requested cell
   7  refused: the input exceeds a fixed work limit (a factorization over Z
-     whose recombination tries too many subsets of modular factors)
+     whose recombination tries too many subsets of modular factors, or a
+     bundle closure that tries too many set partitions of eigenvalue slots)
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from functools import lru_cache
 
 from .catalog import build_classical, expected_lie_jk, expected_rep_jk, parse_family
 from .errors import (
+    ClosureSearchLimitError,
     FactorizationLimitError,
     HomomorphismError,
     InputFormatError,
@@ -414,7 +416,7 @@ def main(argv=None) -> int:
     except _InvalidValues as exc:
         sys.stderr.write(f"invalid input values: {exc}\n")
         return EXIT_BAD_ALGEBRA
-    except FactorizationLimitError as exc:
+    except (FactorizationLimitError, ClosureSearchLimitError) as exc:
         sys.stderr.write(f"refused: {exc}\n")
         return EXIT_REFUSED
     except (PencilJKError, ValueError) as exc:

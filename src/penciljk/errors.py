@@ -47,5 +47,10 @@ class FactorizationLimitError(PencilJKError):
     factors than the fixed work limit allows."""
 
 
+class ClosureSearchLimitError(PencilJKError):
+    """Deciding a bundle closure tried more set partitions of the upper
+    signature's eigenvalue slots than the fixed work limit allows."""
+
+
 class InputFormatError(PencilJKError):
     """A JSON payload or command-line argument is malformed."""

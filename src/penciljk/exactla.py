@@ -18,6 +18,14 @@ Kernel and row-space vectors are returned as primitive integer vectors
 (content removed, first nonzero entry positive), so results are
 canonical and cheap to feed back into integer elimination.
 
+A kernel can also be held as a ``KernelView``: one elimination whose
+nullity and free columns are read off the echelon form, and whose
+vectors, the ``kernel_basis`` of the matrix in the same order, are
+back-substituted only when first read.  ``kernel_basis`` is those
+vectors, so one back-substitution routine serves both.  The vector of a
+free column f is zero outside f and the pivot columns left of it, so a
+product with it can run over its nonzero coordinates alone.
+
 ``preimage_chain`` runs the nested kernel chain (Wong sequence)
 
     W_1 = ker M,   W_{k+1} = preimage under M of B(W_k)
@@ -424,6 +432,43 @@ def _back_substitute(rows: list[list[int]], piv_cols: list[int], f: int, n: int)
     return x + [0] * (n - end)
 
 
+class KernelView(Sequence):
+    """The right kernel of a matrix as one elimination: its nullity
+    (``len``) and free columns (``free``, increasing) are read off the
+    echelon form, and the vectors are back-substituted the first time any
+    of them is read, all at once, and kept.  Those vectors are the
+    ``kernel_basis`` of the matrix, in the same order, so a caller that
+    needs only how many functionals vanish on an image pays for no
+    back-substitution."""
+
+    __slots__ = ("n", "free", "_rows", "_pivots", "_vectors")
+
+    def __init__(self, mat: Mat):
+        rows = _int_copy(mat)
+        _, pivots, _, _ = _echelon(rows, mat.n)
+        kept = set(pivots)
+        self.n = mat.n
+        self.free = [f for f in range(mat.n) if f not in kept]
+        self._rows, self._pivots, self._vectors = rows, pivots, None
+
+    @property
+    def vectors(self) -> list[IntVec]:
+        if self._vectors is None:
+            rows, pivots, n = self._rows, self._pivots, self.n
+            self._vectors = [_primitive(_back_substitute(rows, pivots, f, n)) for f in self.free]
+            self._rows = self._pivots = None
+        return self._vectors
+
+    def __len__(self) -> int:
+        return len(self.free)
+
+    def __getitem__(self, i):
+        return self.vectors[i]
+
+    def __iter__(self) -> Iterator[IntVec]:
+        return iter(self.vectors)
+
+
 def kernel_basis(mat: Mat) -> list[IntVec]:
     """Exact basis of the right kernel, as primitive integer vectors.
 
@@ -431,14 +476,10 @@ def kernel_basis(mat: Mat) -> list[IntVec]:
     free coordinates zero, back-substituted in integers and rescaled.  So
     each vector is nonzero at its own free column, zero at the others, and
     zero right of its own (see ``free_columns``); the vectors come in the
-    order of their free columns.
+    order of their free columns.  They are the vectors of a
+    ``KernelView``, which can give the count and the free columns alone.
     """
-    n = mat.n
-    rows = _int_copy(mat)
-    _, piv_cols, _, _ = _echelon(rows, n)
-    piv_set = set(piv_cols)
-    free = [f for f in range(n) if f not in piv_set]
-    return [_primitive(_back_substitute(rows, piv_cols, f, n)) for f in free]
+    return KernelView(mat).vectors
 
 
 def free_columns(basis: Sequence[IntVec]) -> list[int]:

@@ -69,11 +69,26 @@ def _require(obj: dict, key: str, kind, where: str):
     return val
 
 
+def _int_strings(row: list) -> list[int] | None:
+    """The ints of a row of integer strings, by one ``int`` per entry, or
+    None when some entry is not one.  ``str_to_rat`` reads an integer
+    string with that same ``int``, and the caller reads any other row by
+    ``str_to_rat``, so the values and errors are those it gives."""
+    if not all(type(x) is str for x in row):
+        return None
+    try:
+        return [int(x) for x in row]
+    except ValueError:
+        return None
+
+
 def _matrix_from_json(rows, m: int, n: int, where: str) -> Mat:
     """A matrix whose entries all read as ints (plain JSON integers, or
     integer strings read by ``str_to_rat``) becomes integer rows as they
     are; any other entry is read by ``str_to_rat``, row by row, so a bad
-    entry and a bad row are reported in the order they appear."""
+    entry and a bad row are reported in the order they appear.  A row of
+    strings is read in one pass first (``_int_strings``), as the catalog
+    files that ``rep_to_json`` writes hold only integer strings."""
     if not isinstance(rows, list) or len(rows) != m:
         raise InputFormatError(f"{where} must be a list of {m} rows")
     out = []
@@ -82,8 +97,11 @@ def _matrix_from_json(rows, m: int, n: int, where: str) -> Mat:
         if not isinstance(row, list) or len(row) != n:
             raise InputFormatError(f"each row of {where} must have {n} entries")
         if not all(type(x) is int for x in row):
-            row = [str_to_rat(x) for x in row]
-            plain = plain and all(type(x) is int for x in row)
+            ints = _int_strings(row)
+            if ints is None:
+                ints = [str_to_rat(x) for x in row]
+                plain = plain and all(type(x) is int for x in ints)
+            row = ints
         out.append(row)
     return Mat.from_ints(out, n) if plain else Mat(out, n=n)
 

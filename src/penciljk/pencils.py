@@ -67,10 +67,17 @@ complements, chosen on the free coordinates of a kernel basis
 (``_complement``), give a square pencil
 Q (A + t*B) P, of size n minus sum(w) minus sum(u - 1), that is strictly
 equivalent to the Jordan part of the Kronecker form (see
-``_regular_part``).  Eigenvalue data is read off that regular part
-A_R + t*B_R, of size n_R.  The pencil's regular value t0, the first
-integer t >= 0 at which it reaches its normal rank, is also the first
-with det(A_R + t*B_R) != 0, and one ``exactla.solve`` gives the n_R x n_R
+``_regular_part``).  The two kernels are ``exactla.KernelView``s of the
+limits' images: their counts give and check the deficiencies, and their
+vectors are back-substituted only when the Jordan part and the singular
+part are both nonempty, which is when complements are built from them.
+Those vectors are mostly zeros, and Q and P enter the products through
+their nonzero coordinates alone (``_restricted``).
+
+Eigenvalue data is read off that regular part A_R + t*B_R, of size
+n_R.  The pencil's regular value t0, the first integer t >= 0 at which
+it reaches its normal rank, is also the first at which
+det(A_R + t*B_R) != 0, and one ``exactla.solve`` gives the n_R x n_R
 matrix M = (A_R + t0*B_R)^-1 B_R.  Since A_R + t*B_R equals
 (A_R + t0*B_R)(I + (t - t0) M), M's characteristic polynomial gives the
 determinant of the regular part up to a constant (``_class_totals``).
@@ -94,9 +101,10 @@ Each ``Pencil`` keeps its own singular structure, ``Pencil.chains``:
 ``_kernel_chains`` proves the normal rank, runs both chains once at the
 regular value and returns the normal rank, the regular value, the
 widths, the heights, the two limits and the functionals vanishing on
-AV + BV at the regular value, which the regular part reuses.  The rank,
-the regular value, the minimal indices, the regular part and the skew
-core and mantle (``skewjk``) all read it.  A ``Pencil`` also keeps its
+AV + BV at the regular value, as the kernel view whose count proved the
+normal rank, which the regular part reuses.  The rank, the regular
+value, the minimal indices, the regular part and the skew core and
+mantle (``skewjk``) all read it.  A ``Pencil`` also keeps its
 skewness and its transpose, and an invariants record the signature its
 construction checked, so nothing is computed twice, and nothing outlives
 the object that owns it.
@@ -111,8 +119,10 @@ the normal rank), the left limit's deficiency against the same normal
 rank for a pencil that is not skew, each limit's membership in the
 kernel it is completed in, the regular part's size, its invertibility
 at the regular value, M against the system it solves, and each class's
-defects against its total.  The dimension bookkeeping then checks the
-chains against the rank.  Its rules are stated once, in
+defects against its total.  Every count is read off an elimination, so
+no check waits for the functionals to be back-substituted.  The
+dimension bookkeeping then checks the chains against the rank.  Its
+rules are stated once, in
 ``strata.BundleSig``: ``StrictInvariants`` and ``skewjk.SkewJK`` check
 their class order and build their signatures for the rest
 (``_check_record``).
@@ -123,16 +133,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd, lcm
-from operator import mul
+from operator import itemgetter, mul
 from typing import NamedTuple, Sequence
 
 from .errors import InternalConsistencyError
 from .exactla import (
     IntVec,
+    KernelView,
     Mat,
     charpoly,
     free_columns,
-    kernel_basis,
     pivot_columns,
     preimage_chain,
     rank,
@@ -313,22 +323,23 @@ def _kernel_chain(
     return dims, basis, rejected
 
 
-def _deficiency(p: Pencil, v: Sequence[IntVec]) -> tuple[int, list[IntVec]]:
+def _deficiency(p: Pencil, v: Sequence[IntVec]) -> tuple[int, KernelView]:
     """dim V - dim(AV + BV) for the limit V of a kernel chain of p, spanned
-    by the independent vectors v, and a basis of the functionals vanishing
-    on AV + BV: the kernel of the matrix whose rows are the vectors Bv.
+    by the independent vectors v, and the functionals vanishing on
+    AV + BV: the kernel of the matrix whose rows are the vectors Bv, as a
+    ``KernelView``.  The deficiency is read off its count, so the
+    functionals themselves are back-substituted only where
+    ``_regular_part`` builds complements from them.
 
     The limit of the chain run at any mu satisfies V = M^-1(BV) for
     M = A + mu*B, so MV lies in BV, AV = MV - mu*BV lies in BV, and
     AV + BV = BV: the rows Av would add nothing.  The deficiency is then
     dim V - dim BV = dim(V ∩ ker B), which the chain also counts, by
     another route, as the candidates it rejected (``exactla``);
-    ``_kernel_chains`` compares the two.  V = 0 needs no elimination;
-    every functional vanishes on its image."""
-    if not v:
-        return 0, [tuple(int(i == j) for j in range(p.m)) for i in range(p.m)]
+    ``_kernel_chains`` compares the two.  For V = 0 the matrix has no
+    rows, and every functional vanishes on its image."""
     image = [[sum(map(mul, row, x)) for row in p.b.rows] for x in v]
-    ann = kernel_basis(Mat.from_ints(image, p.m))
+    ann = KernelView(Mat.from_ints(image, p.m))
     return len(v) - (p.m - len(ann)), ann
 
 
@@ -360,8 +371,9 @@ def _widths_from_dims(dims: list[int]) -> tuple[int, ...]:
 
 class _Chains(NamedTuple):
     """A pencil's singular structure: normal rank, regular value, widths,
-    heights, the limits of the right and left kernel chains, and a basis of
-    the functionals vanishing on the right limit's image AV + BV."""
+    heights, the limits of the right and left kernel chains, and the
+    functionals vanishing on the right limit's image AV + BV, as the
+    ``KernelView`` whose count proved the normal rank."""
 
     rank: int
     regular: int
@@ -369,7 +381,7 @@ class _Chains(NamedTuple):
     heights: tuple[int, ...]
     right: tuple[IntVec, ...]
     left: tuple[IntVec, ...]
-    ann_image: tuple[IntVec, ...]
+    ann_image: KernelView
 
 
 def _kernel_chains(p: Pencil) -> _Chains:
@@ -442,7 +454,7 @@ def _kernel_chains(p: Pencil) -> _Chains:
         _widths_from_dims(left_dims),
         tuple(right),
         tuple(left),
-        tuple(ann_image),
+        ann_image,
     )
 
 
@@ -470,11 +482,12 @@ def minimal_indices(p: Pencil) -> tuple[tuple[int, ...], tuple[int, ...]]:
 # eigenvalue structure
 
 
-def _complement(inside: Sequence[IntVec], basis: list[IntVec], n: int) -> list[IntVec]:
-    """Vectors of ``basis``, the ``kernel_basis`` of some matrix, that
-    complete the independent ``inside``, which must lie in its span, to a
-    basis of that span: each basis[j] outside the span of ``inside`` and
-    basis[:j], so the pivots of [inside | basis] beyond ``inside``.
+def _complement(inside: Sequence[IntVec], basis: Sequence[IntVec], n: int) -> list[IntVec]:
+    """Vectors of ``basis``, the kernel of some matrix (a ``KernelView``
+    or a ``kernel_basis``), that complete the independent ``inside``,
+    which must lie in its span, to a basis of that span: each basis[j]
+    outside the span of ``inside`` and basis[:j], so the pivots of
+    [inside | basis] beyond ``inside``.
 
     They are read off the free columns f_1 < ... < f_k of ``basis``
     (``exactla.free_columns``).  basis[j] is nonzero at f_j and zero right
@@ -511,11 +524,32 @@ def _complement(inside: Sequence[IntVec], basis: list[IntVec], n: int) -> list[I
     return [w for j, w in enumerate(basis) if j not in skip]
 
 
+def _products(rows: Sequence[Sequence[int]], vectors: Sequence[IntVec]) -> list[list[int]]:
+    """[[row . v for row in rows] for v in vectors], each product taken
+    over the nonzero coordinates of v only, for nonzero vectors."""
+    out = []
+    for v in vectors:
+        support = [j for j, x in enumerate(v) if x]
+        coeffs = [v[j] for j in support]
+        if len(support) == 1:
+            # an itemgetter of one index returns the entry, not a tuple
+            (j,), (c,) = support, coeffs
+            out.append([c * r[j] for r in rows])
+        else:
+            pick = itemgetter(*support)
+            out.append([sum(map(mul, pick(r), coeffs)) for r in rows])
+    return out
+
+
 def _restricted(mat: Mat, left: list[IntVec], right: list[IntVec], scale: int) -> list[list[int]]:
     """The integer rows of scale * Q mat_int P, with Q's rows ``left`` and
-    P's columns ``right``."""
-    images = [[sum(map(mul, row, v)) for row in mat.rows] for v in right]
-    return [[scale * sum(map(mul, q, w)) for w in images] for q in left]
+    P's columns ``right``.
+
+    Both are vectors of kernel views, each zero outside its free column
+    and the pivot columns left of it (``exactla``), so most of their
+    coordinates are zero, and both products run over the nonzero ones:
+    first the images mat_int P, then Q times those."""
+    return [[scale * x for x in r] for r in _products(_products(mat.rows, right), left)]
 
 
 def _regular_part(p: Pencil) -> Pencil:
@@ -543,6 +577,11 @@ def _regular_part(p: Pencil) -> Pencil:
     ker U.  When the Jordan dimension n - sum(w) - sum(u - 1) is 0, C_J
     and R_J are 0, so ker U = V and Ann W = Z: the regular part is the
     0 x 0 pencil, and only those two dimensions are checked.
+
+    Ann W and ker U are ``KernelView``s, so the checks above read only
+    their counts, and their vectors are back-substituted only in the
+    branch that builds the complements from them.  A pencil with no
+    singular block returns first and reads neither.
 
     Both parts are scaled by the product D of the pencil's denominators,
     D * (A + tB) having integer rows, which changes no eigenvalue data.

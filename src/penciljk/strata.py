@@ -18,8 +18,16 @@ API and not a test oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
-from .errors import CertificateNotApplicableError
+from .errors import CertificateNotApplicableError, ClosureSearchLimitError
+
+# ``bundle_closure_contains`` tries set partitions of the upper slots, a
+# Bell number of them.  Every pair of up to ten upper slots, at most
+# Bell(10) = 115,975 partitions, answers within this budget; past it, as
+# for eleven slots (Bell(11) = 678,570), the pair is refused rather than
+# left to run for hours.
+MAX_SLOT_PARTITIONS = 120_000
 
 
 def _desc(values) -> tuple[int, ...]:
@@ -294,7 +302,11 @@ def bundle_closure_contains(upper: BundleSig, lower: BundleSig) -> bool:
     of the upper slots is merged by entrywise sorted sums, and each
     distinct merged slot tuple goes to the slot matching alone.  The
     number of set partitions is a Bell number, so this loop sets the
-    cost when the upper signature has many slots.
+    cost when the upper signature has many slots.  It counts the
+    partitions it tries, so a pair that matches early answers whatever
+    its slot count, and it raises :class:`ClosureSearchLimitError` when
+    ``MAX_SLOT_PARTITIONS`` partitions left the pair undecided and
+    another one remains.
     """
     if (upper.m, upper.n) != (lower.m, lower.n):
         raise ValueError("signatures must have the same shape")
@@ -304,13 +316,19 @@ def bundle_closure_contains(upper: BundleSig, lower: BundleSig) -> bool:
         return False
     hu = len(upper.horizontal)
     tried = set()
-    for partition in _set_partitions(list(upper.slots)):
+    partitions = _set_partitions(list(upper.slots))
+    for partition in islice(partitions, MAX_SLOT_PARTITIONS):
         slots = _canonical_slots(map(_segre_sum, partition))
         if slots in tried:
             continue
         tried.add(slots)
         if _slots_match(slots, hu, lower):
             return True
+    if next(partitions, None) is not None:
+        raise ClosureSearchLimitError(
+            f"bundle closure tried {MAX_SLOT_PARTITIONS} set partitions of "
+            f"the {len(upper.slots)} upper eigenvalue slots without deciding"
+        )
     return False
 
 

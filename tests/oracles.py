@@ -17,7 +17,12 @@ of a kernel chain eliminates its stacked matrix from scratch instead of
 continuing one elimination, the Bareiss elimination updates whole rows
 instead of only the cells right of each pivot, the complement of a chain
 limit inside a kernel comes from the pivot columns of [inside | basis]
-instead of the free coordinates of the kernel basis, the core of a skew pencil is spanned at
+instead of the free coordinates of the kernel basis, the functionals
+vanishing on a chain limit's image are back-substituted at once by
+``kernel_basis`` instead of held as a kernel view, the regular part is
+multiplied out over every coordinate of its complements instead of their
+nonzero ones, matrix rows of integer strings are read entry by entry
+instead of in one pass, the core of a skew pencil is spanned at
 dim + 1 regular points instead of read off the kernel chain's limit,
 invariant factors come from a Smith form of A + t*B over Q[t] instead of
 the elementary divisors of the regular part, structure constants are
@@ -50,12 +55,15 @@ from operator import mul
 from penciljk.exactla import (
     IntVec,
     Mat,
+    free_columns,
     kernel_basis,
     pivot_columns,
     preimage_chain,
     rank,
     row_space_basis,
 )
+from penciljk.errors import InputFormatError
+from penciljk.jsonio import str_to_rat
 from penciljk.pencils import Pencil
 from penciljk.polys import (
     ZPoly,
@@ -463,6 +471,71 @@ def pivot_complement(inside, basis, n: int) -> list[IntVec]:
     rows = [[v[i] for v in vectors] for i in range(n)]
     skip = len(inside)
     return [basis[j - skip] for j in pivot_columns(Mat.from_ints(rows, len(vectors))) if j >= skip]
+
+
+def eager_deficiency(p: Pencil, v) -> tuple[int, list[IntVec]]:
+    """``pencils._deficiency`` with its functionals back-substituted at
+    once: dim V - dim BV for the span V of the independent vectors v, and
+    the ``kernel_basis`` of the rows Bv, the unit vectors when v is
+    empty."""
+    if not v:
+        return 0, [tuple(int(i == j) for j in range(p.m)) for i in range(p.m)]
+    image = [[sum(map(mul, row, x)) for row in p.b.rows] for x in v]
+    ann = kernel_basis(Mat.from_ints(image, p.m))
+    return len(v) - (p.m - len(ann)), ann
+
+
+def dense_restricted(mat: Mat, left, right, scale: int) -> list[list[int]]:
+    """``pencils._restricted`` over every coordinate: the integer rows of
+    scale * Q mat_int P, with Q's rows ``left`` and P's columns ``right``."""
+    images = [[sum(map(mul, row, v)) for row in mat.rows] for v in right]
+    return [[scale * sum(map(mul, q, w)) for w in images] for q in left]
+
+
+def per_entry_matrix(rows, m: int, n: int, where: str) -> Mat:
+    """``jsonio._matrix_from_json`` with every row that is not all JSON
+    integers read entry by entry through ``str_to_rat``."""
+    if not isinstance(rows, list) or len(rows) != m:
+        raise InputFormatError(f"{where} must be a list of {m} rows")
+    out = []
+    plain = True
+    for row in rows:
+        if not isinstance(row, list) or len(row) != n:
+            raise InputFormatError(f"each row of {where} must have {n} entries")
+        if not all(type(x) is int for x in row):
+            row = [str_to_rat(x) for x in row]
+            plain = plain and all(type(x) is int for x in row)
+        out.append(row)
+    return Mat.from_ints(out, n) if plain else Mat(out, n=n)
+
+
+def patch_dense_checks(monkeypatch, pencils) -> dict[str, int]:
+    """Wrap ``pencils._deficiency`` and ``pencils._restricted`` so that
+    every call must agree with ``eager_deficiency`` and
+    ``dense_restricted``: the same count, the same free columns and the
+    same functionals in the same order, and the same restricted rows.
+    Returns the number of calls of each, which grows as they run."""
+    calls = {"deficiency": 0, "restricted": 0}
+    real_deficiency, real_restricted = pencils._deficiency, pencils._restricted
+
+    def deficiency(q, v):
+        d, view = real_deficiency(q, v)
+        want_d, want = eager_deficiency(q, v)
+        assert (d, len(view)) == (want_d, len(want))
+        assert view.free == free_columns(want)
+        assert list(view) == want
+        calls["deficiency"] += 1
+        return d, view
+
+    def restricted(mat, left, right, scale):
+        rows = real_restricted(mat, left, right, scale)
+        assert rows == dense_restricted(mat, left, right, scale)
+        calls["restricted"] += 1
+        return rows
+
+    monkeypatch.setattr(pencils, "_deficiency", deficiency)
+    monkeypatch.setattr(pencils, "_restricted", restricted)
+    return calls
 
 
 def dense_core(p: Pencil) -> list[IntVec]:

@@ -5,6 +5,7 @@ import signal
 
 import pytest
 
+import penciljk.strata as strata
 from penciljk.cli import main
 
 SL2 = {
@@ -370,6 +371,42 @@ def test_bundle_leq_on_huge_indices_and_sizes(tmp_path, capsys):
             code = main(_leq_argv(tmp_path, *small))
             assert code == (3 if flip else 0)
             assert _within(1.0, _leq_argv(tmp_path, *huge)) == code
+    capsys.readouterr()
+
+
+def _bell(k: int) -> int:
+    # the Bell triangle: each row starts with the last entry of the one above
+    row = [1]
+    for _ in range(k):
+        nxt = [row[-1]]
+        for x in row:
+            nxt.append(nxt[-1] + x)
+        row = nxt
+    return row[0]
+
+
+def test_bundle_leq_refuses_past_the_partition_budget(tmp_path, capsys, monkeypatch):
+    # every pair of up to ten upper slots answers within the budget, and an
+    # eleven-slot search could take all Bell(11) partitions.  With the
+    # budget cut to 60 (Bell(5) = 52 < 60 < Bell(6) = 203), a false pair of
+    # six upper slots is refused with exit code 7, and a true pair of six
+    # that matches at its 14th partition still answers, since partitions
+    # are counted, not slots
+    assert [_bell(k) for k in (5, 6, 10, 11)] == [52, 203, 115_975, 678_570]
+    assert _bell(10) <= strata.MAX_SLOT_PARTITIONS < _bell(11)
+    monkeypatch.setattr(strata, "MAX_SLOT_PARTITIONS", 60)
+    regular = lambda n, slots: {"m": n, "n": n, "rank": n, "horizontal": [], "vertical": [], "slots": slots}
+    upper = regular(7, [[1, 1]] + [[1]] * 5)
+    for lower, code in ((regular(7, [[1]] * 7), 7), (regular(7, [[4, 1], [1], [1]]), 0)):
+        assert main(_leq_argv(tmp_path, upper, lower)) == code
+        out, err = capsys.readouterr()
+        if code == 7:
+            assert out == ""
+            assert err.startswith("refused: bundle closure tried 60 set partitions of the 6 upper")
+        else:
+            assert json.loads(out)["contains"] is True
+    # five slots stay within the cut budget, and a false pair answers
+    assert main(_leq_argv(tmp_path, regular(6, [[1, 1]] + [[1]] * 4), regular(6, [[1]] * 6))) == 3
     capsys.readouterr()
 
 

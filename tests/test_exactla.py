@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from penciljk.exactla import (
+    KernelView,
     Mat,
     _echelon,
     _reduced,
@@ -287,3 +288,25 @@ def test_kernel_basis_vectors_sit_on_their_free_columns():
         for v, f in zip(ker, free):
             assert v[f] and not any(v[f + 1 :])
             assert not any(v[g] for g in free if g != f)
+
+
+def test_kernel_view_counts_before_it_back_substitutes():
+    # the count and the free columns come off the elimination alone; the
+    # vectors, back-substituted on first read and kept, annihilate the
+    # matrix, are those of ``kernel_basis`` in the same order, and are zero
+    # outside their free column and the pivot columns left of it
+    rng = random.Random(SEED + 44)
+    for _ in range(300):
+        m, n = rng.randint(0, 6), rng.randint(1, 8)
+        a = Mat.from_ints(_sparse_low_rank(rng, m, n), n)
+        view = KernelView(a)
+        pivots = pivot_columns(a) if m else []
+        assert len(view) == n - rank(a)
+        assert view.free == [j for j in range(n) if j not in pivots]
+        assert view._vectors is None
+        vectors = list(view)
+        assert view.vectors is view.vectors
+        assert vectors == kernel_basis(a) == [view[i] for i in range(len(view))]
+        for v, f in zip(vectors, view.free):
+            assert all(x == 0 for x in apply(a, v))
+            assert not any(v[j] for j in range(n) if j != f and (j > f or j not in pivots))

@@ -24,7 +24,7 @@ import penciljk.pencils as pencils
 from penciljk import cli
 from penciljk.pencils import EigClass
 
-from oracles import pivot_complement
+from oracles import patch_dense_checks, pivot_complement
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "golden_cli.json")
 
@@ -105,6 +105,18 @@ def test_golden_complements_match_the_pivot_oracle(tmp_path, monkeypatch):
     for request in GOLDEN_DATA["requests"]:
         assert _run(request["argv"]) == (request["code"], request["stdout"])
     assert len(calls) >= 70
+
+
+def test_golden_functionals_and_restrictions_match_the_dense_oracles(tmp_path, monkeypatch):
+    # every chain limit's functionals the replay takes, for every pencil it
+    # classifies, have the count and vectors of the eager ``kernel_basis``
+    # route, and every regular part the rows of the dense product
+    calls = patch_dense_checks(monkeypatch, pencils)
+    _write_inputs(str(tmp_path), GOLDEN_DATA["files"])
+    monkeypatch.chdir(tmp_path)
+    for request in GOLDEN_DATA["requests"]:
+        assert _run(request["argv"]) == (request["code"], request["stdout"])
+    assert calls["deficiency"] >= 200 and calls["restricted"] >= 90
 
 
 def _record() -> None:

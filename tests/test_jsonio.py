@@ -1,6 +1,7 @@
 """JSON serialization: exact rationals, pencils, algebras, signatures."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -30,7 +31,8 @@ from penciljk.pencils import EigClass, strict_invariants
 from penciljk.skewjk import SkewJK
 from penciljk.strata import BundleSig, SkewBundleSig
 
-from helpers import _sl2, pencil_from_lists, pencil_to_json
+from helpers import SEED, _sl2, pencil_from_lists, pencil_to_json
+from oracles import per_entry_matrix
 
 
 def test_rational_conversions():
@@ -130,6 +132,61 @@ def test_integer_rows_load_as_the_fraction_path(rows, tmp_path, capsys, monkeypa
         runs.append((code, *capsys.readouterr()))
     assert runs[0] == runs[1]
     assert runs[0][0] == (0 if isinstance(want, Mat) else 2)
+
+
+def _integer_string(rng) -> str:
+    digits = str(rng.randint(0, 10**rng.randint(1, 12)))
+    if len(digits) > 2 and rng.random() < 0.3:
+        digits = digits[0] + "_" + digits[1:]
+    sign = rng.choice(("", "", "-", "+"))
+    pad = lambda: rng.choice(("", "", " ", "\t"))
+    return pad() + sign + digits + pad()
+
+
+# entries that are not integer strings: rationals, floats, bools, other
+# JSON values and strings that neither ``int`` nor ``Fraction`` reads
+_OTHER_STRINGS = ("3/4", " -6/8 ", "1/0", "1e3", "1.5", "٣", "x", "", "1__0", "--1", "1 2")
+_OTHER_VALUES = (2.0, -3.0, 2.5, True, False, None, [1])
+
+
+def _random_row(rng, n: int) -> list:
+    kind = rng.random()
+    if kind < 0.5:
+        row = [_integer_string(rng) for _ in range(n)]
+    else:
+        row = [
+            rng.choice(
+                (
+                    lambda: rng.randint(-99, 99),
+                    lambda: _integer_string(rng),
+                    lambda: rng.choice(_OTHER_VALUES),
+                )
+            )()
+            for _ in range(n)
+        ]
+    if kind < 0.8 and rng.random() < 0.3:
+        row[rng.randrange(n)] = rng.choice(_OTHER_STRINGS)
+    return row if rng.random() < 0.97 else row[:-1]
+
+
+def test_string_rows_load_as_the_per_entry_route():
+    # rows of integer strings are read in one pass, and any other row entry
+    # by entry; the values, the choice of integer rows and every error and
+    # its order are those of reading each entry by ``str_to_rat``
+    rng = random.Random(SEED + 43)
+    seen = {"loaded": 0, "refused": 0, "string rows": 0}
+    for _ in range(2000):
+        rows = [_random_row(rng, 3) for _ in range(3)]
+        seen["string rows"] += sum(all(type(x) is str for x in r) for r in rows)
+        outcomes = []
+        for load in (jsonio._matrix_from_json, per_entry_matrix):
+            try:
+                outcomes.append(load(rows, 3, 3, "mats[0]"))
+            except InputFormatError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1], rows
+        seen["loaded" if isinstance(outcomes[0], Mat) else "refused"] += 1
+    assert min(seen.values()) >= 300, seen
 
 
 def test_class_strings():

@@ -26,6 +26,7 @@ from penciljk.pencils import (
     _class_matrix,
     _class_totals,
     _complement,
+    _deficiency,
     _kernel_chains,
     _regular_part,
     _sizes_at_class,
@@ -62,6 +63,7 @@ from oracles import (
     fraction_candidates,
     fraction_det,
     interp_det,
+    patch_dense_checks,
     pencil_entries,
     pivot_complement,
     resolvent_sizes,
@@ -1324,6 +1326,57 @@ def test_complement_matches_pivot_oracle():
                 _complement(inside[:-1] + [tuple(v)], basis, n)
             moved += 1
     assert partial >= 100 and moved >= 100
+
+
+def test_kernel_views_and_sparse_restriction_match_the_dense_oracles(monkeypatch):
+    # on 150 scrambled strict and 150 congruent skew pencils, each
+    # deficiency has the count, free columns and functionals of the eager
+    # ``kernel_basis`` route, and each regular part has the rows of the
+    # product over every coordinate of its complements
+    calls = patch_dense_checks(monkeypatch, pencils)
+    rng = random.Random(SEED + 41)
+    for k in range(300):
+        if k % 2:
+            inv = random_strict_invariants(rng, 7, 8)
+            assert strict_invariants(scramble(canonical_of(inv), rng)) == inv
+        else:
+            jk = random_skew_jk(rng, 8)
+            assert skew_jk_invariants(congruent(skew_canonical(jk), rng)) == jk
+    assert calls["deficiency"] >= 450 and calls["restricted"] >= 150
+
+
+def test_functionals_are_back_substituted_only_for_complements(monkeypatch):
+    # a pencil with an empty Jordan part, or with no singular block, reads
+    # its kernel views only for their counts, strict or skew; the probe
+    # sees the back-substitutions of a pencil with both parts, ker U for
+    # the columns and then Ann W for the rows
+    read = []
+    real = exactla.KernelView.vectors
+
+    def vectors(view):
+        if view._vectors is None:
+            read.append(len(view))
+        return real.fget(view)
+
+    monkeypatch.setattr(exactla.KernelView, "vectors", property(vectors))
+    rng = random.Random(SEED + 42)
+    one = EigClass((-1, 1))
+    for inv in (
+        StrictInvariants(m=4, n=5, rank=3, horizontal=(3, 1), vertical=(2,), jordan=()),
+        StrictInvariants(
+            m=4, n=4, rank=4, horizontal=(), vertical=(), jordan=((one, (2, 1)), (EigClass.infinite(), (1,)))
+        ),
+    ):
+        assert strict_invariants(scramble(canonical_of(inv), rng)) == inv
+    for jk in (
+        SkewJK(dim=9, kronecker=(3, 2, 1), jordan=()),
+        SkewJK(dim=6, kronecker=(), jordan=((one, (4, 2)),)),
+    ):
+        assert skew_jk_invariants(congruent(skew_canonical(jk), rng)) == jk
+    assert read == []
+    p = _deflation_case()
+    strict_invariants(p)
+    assert read == [len(_deficiency(p.transposed, list(p.chains.left))[1]), len(p.chains.ann_image)]
 
 
 def test_limit_vector_outside_the_kernel_raises(monkeypatch):
