@@ -2,19 +2,23 @@
 
 An algebra is held as its nonzero brackets, integer structure constants
 over one denominator, and a representation as one operator per basis
-element, ``Mat``s.  Both structure checks read one integer defect,
-rho([e_i, e_j]) - [rho(e_i), rho(e_j)]; on the adjoint operators its
-column k is minus the Jacobiator of (e_i, e_j, e_k).  The defect is
-built from the brackets and the operators' nonzero entries only, since
-classical operators are almost all zeros, and a check reads only the
-positions it holds.  Both pencils come from one sparse contraction with
-a vector: the Poisson matrix <x, [e_i, e_j]> fills (i, j) and (j, i)
-from each nonzero bracket, and the contraction operator of a
-representation, whose column i is the i-th operator applied to x, runs
-over the operators' nonzero entries, so the cost of either grows with
-the nonzero entries and not with dim^3.  Invariants of a generic pair
-are estimated by sampling integer points and keeping the signature that
-dominates all others under bundle closure.
+element, ``Mat``s.  Classical operators are almost all zeros, so both
+structure checks sum integers over nonzero terms only.  The Jacobi check
+sums the Jacobiator of each sorted triple from pairs of nonzero brackets
+that share an index, [e_i, e_j] with a coordinate on e_k and a nonzero
+[e_k, e_l]; the Jacobiator is alternating, so the sorted triples of
+distinct indices decide the identity.  The homomorphism check sums
+rho([e_i, e_j]) - [rho(e_i), rho(e_j)] from the brackets and from pairs
+of nonzero operator entries chained through their middle index.
+
+Both pencils come from one sparse contraction with a vector: the
+Poisson matrix <x, [e_i, e_j]> fills (i, j) and (j, i) from each nonzero
+bracket, and the contraction operator of a representation, whose column
+i is the i-th operator applied to x, runs over the operators' nonzero
+entries, so the cost of either grows with the nonzero entries and not
+with dim^3.  Invariants of a generic pair are estimated by sampling
+integer points and keeping the signature that dominates all others under
+bundle closure.
 """
 
 from __future__ import annotations
@@ -44,13 +48,7 @@ EMPIRICAL = "empirical"
 
 
 # ---------------------------------------------------------------------------
-# integer operators
-
-
-def _int_ops(mats) -> tuple[list[list[list[int]]], int]:
-    """The operators as integer rows over their least common denominator."""
-    den = lcm(*[m.den for m in mats])
-    return [[[den // m.den * x for x in r] for r in m.rows] for m in mats], den
+# sparse contraction
 
 
 def _contract(terms, den: int, x, m: int, n: int) -> Mat:
@@ -61,39 +59,6 @@ def _contract(terms, den: int, x, m: int, n: int) -> Mat:
     for a, i, b, c in terms:
         rows[a][i] += c * xs[b]
     return Mat.from_ints(rows, n, den * xden)
-
-
-def _defects(g: "LieAlgebra", mats):
-    """Yield (i, j, D) for each basis pair i < j, where D maps positions
-    (a, b) to the entries of the integer matrix
-    e r^2 (rho([e_i, e_j]) - [rho(e_i), rho(e_j)]); positions missing from
-    D hold zero, and a listed entry may be zero too.
-
-    The brackets of g are c^k_ij = C_ijk / e, and mats are
-    rho(e_k) = R[k] / r, so D = r sum_k C_ijk R[k] - e [R[i], R[j]].
-    Classical operators are almost all zeros, so every sum runs over
-    nonzero entries only.
-    """
-    e = g.den
-    rs, r = _int_ops(mats)
-    sparse = [[[(b, x) for b, x in enumerate(row) if x] for row in op] for op in rs]
-    pairs: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for i, j, k, c in g.brackets:
-        pairs.setdefault((i, j), []).append((k, c))
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            d: dict[tuple[int, int], int] = {}
-            for k, c in pairs.get((i, j), ()):
-                for a, row in enumerate(sparse[k]):
-                    for b, x in row:
-                        d[a, b] = d.get((a, b), 0) + r * c * x
-            for left, right, sign in ((i, j, -e), (j, i, e)):
-                outer = sparse[right]
-                for a, row in enumerate(sparse[left]):
-                    for mid, x in row:
-                        for b, y in outer[mid]:
-                            d[a, b] = d.get((a, b), 0) + sign * x * y
-            yield i, j, d
 
 
 # ---------------------------------------------------------------------------
@@ -157,12 +122,39 @@ class LieAlgebra:
 
 
 def check_jacobi(g: LieAlgebra):
-    """All basis triples (i, j, k), i < j < k, violating the Jacobi identity."""
-    return [
-        (i, j, k)
-        for i, j, d in _defects(g, g.ad)
-        for k in sorted({b for (_, b), x in d.items() if x and b > j})
-    ]
+    """All basis triples (i, j, l), i < j < l, violating the Jacobi identity,
+    in sorted order.
+
+    The Jacobiator J(x, y, z) = [[x, y], z] + [[y, z], x] + [[z, x], y] of
+    an antisymmetric bracket is alternating: it vanishes when two
+    arguments agree and changes sign with each transposition.  So the
+    identity holds exactly when J vanishes on every sorted triple of
+    distinct basis elements.  Each bracket (a, b, k, c), a < b, gives the
+    term [[e_a, e_b], e_z] for every z with [e_k, e_z] nonzero, as
+    c times the coordinates of [e_k, e_z]: an integer over den^2.  The
+    term enters J of the sorted triple with the sign of the permutation
+    that sorts (a, b, z), negative exactly when z lies between a and b;
+    z = a or z = b belongs to no triple.  So only pairs of nonzero
+    brackets sharing the index k are summed.
+    """
+    # partners[k] holds (z, t, c): e_t has coordinate c in [e_k, e_z]
+    partners: list[list[tuple[int, int, int]]] = [[] for _ in range(g.dim)]
+    for i, j, k, c in g.brackets:
+        partners[i].append((j, k, c))
+        partners[j].append((i, k, -c))
+    sums: dict[tuple[int, int, int, int], int] = {}
+    for a, b, k, c in g.brackets:
+        for z, t, d in partners[k]:
+            if z > b:
+                key, x = (a, b, z, t), c * d
+            elif z < a:
+                key, x = (z, a, b, t), c * d
+            elif a < z < b:
+                key, x = (a, z, b, t), -c * d
+            else:
+                continue
+            sums[key] = sums.get(key, 0) + x
+    return sorted({key[:3] for key, x in sums.items() if x})
 
 
 @dataclass(frozen=True)
@@ -181,26 +173,58 @@ class Representation:
                 raise ValueError("operators must be square of the space dimension")
 
     @cached_property
-    def _ints(self) -> tuple[list[list[list[int]]], int]:
-        return _int_ops(self.mats)
+    def _den(self) -> int:
+        """The least common denominator of the operators."""
+        return lcm(*[m.den for m in self.mats])
 
     @cached_property
     def _terms(self) -> tuple[tuple[int, int, int, int], ...]:
         """Entry (a, b) of the i-th operator, as the term (a, i, b, c) of
-        the contraction operator, over the denominator of ``_ints``."""
-        ops = self._ints[0]
+        the contraction operator, c an integer over ``_den``."""
+        r = self._den
         return tuple(
-            (a, i, b, c)
-            for i, op in enumerate(ops)
-            for a, row in enumerate(op)
+            (a, i, b, r // m.den * c)
+            for i, m in enumerate(self.mats)
+            for a, row in enumerate(m.rows)
             for b, c in enumerate(row)
             if c
         )
 
 
 def check_homomorphism(rho: Representation):
-    """All basis pairs (i, j) where the bracket is not matched."""
-    return [(i, j) for i, j, d in _defects(rho.algebra, rho.mats) if any(d.values())]
+    """All basis pairs (i, j), i < j, where rho([e_i, e_j]) differs from
+    [rho(e_i), rho(e_j)], in sorted order.
+
+    With brackets C / e and operator entries R / r (the terms of the
+    contraction operator), the pair's defect times e r^2 is the integer
+    matrix r sum_k C_ijk R_k - e (R_i R_j - R_j R_i).  It is summed from
+    nonzero terms only: r C x for each bracket and each entry x of its
+    R_k, and e x y for each pair of entries x of R_i at (a, mid) and y of
+    R_j at (mid, b), chained through the middle index, subtracted from
+    (i, j) when i < j and added to (j, i) when i > j.  Products with
+    i = j cancel in the commutator and are skipped.
+    """
+    g, r = rho.algebra, rho._den
+    e = g.den
+    entries: list[list[tuple[int, int, int]]] = [[] for _ in range(g.dim)]
+    by_row: list[list[tuple[int, int, int]]] = [[] for _ in range(rho.dim_v)]
+    for a, i, b, x in rho._terms:
+        entries[i].append((a, b, x))
+        by_row[a].append((i, b, x))
+    sums: dict[tuple[int, int, int, int], int] = {}
+    for i, j, k, c in g.brackets:
+        for a, b, x in entries[k]:
+            sums[i, j, a, b] = sums.get((i, j, a, b), 0) + r * c * x
+    for a, i, mid, x in rho._terms:
+        for j, b, y in by_row[mid]:
+            if i < j:
+                key, xy = (i, j, a, b), -e * x * y
+            elif i > j:
+                key, xy = (j, i, a, b), e * x * y
+            else:
+                continue
+            sums[key] = sums.get(key, 0) + xy
+    return sorted({key[:2] for key, x in sums.items() if x})
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +244,7 @@ def rep_operator(rho: Representation, x) -> Mat:
     """The dimV x dim matrix whose i-th column is the i-th operator applied to x."""
     if len(x) != rho.dim_v:
         raise ValueError("vector length must match the space dimension")
-    return _contract(rho._terms, rho._ints[1], x, rho.dim_v, rho.algebra.dim)
+    return _contract(rho._terms, rho._den, x, rho.dim_v, rho.algebra.dim)
 
 
 def lie_pencil(g: LieAlgebra, x, a) -> Pencil:
@@ -228,7 +252,7 @@ def lie_pencil(g: LieAlgebra, x, a) -> Pencil:
 
 
 def rep_pencil(rho: Representation, x, a) -> Pencil:
-    return Pencil(rep_operator(rho, x), rep_operator(rho, a).scale(-1))
+    return Pencil(rep_operator(rho, x), -rep_operator(rho, a))
 
 
 # ---------------------------------------------------------------------------

@@ -38,14 +38,17 @@ NOT_APPLICABLE = "not-applicable"
 
 
 def dual_representation(rho: Representation) -> Representation:
-    """The contragredient action: each operator becomes its negative transpose.
+    """The contragredient action: each operator becomes its negative transpose,
+    read column by column off its integer rows over the same denominator.
 
     Nothing is checked here: when rho is a homomorphism, so is its dual,
     since -[X, Y]^T = [-X^T, -Y^T] and transposition is linear.
     """
-    return Representation(
-        rho.algebra, rho.dim_v, tuple(m.transpose().scale(-1) for m in rho.mats)
+    mats = tuple(
+        Mat.from_ints([[-x for x in col] for col in zip(*m.rows)], m.m, m.den)
+        for m in rho.mats
     )
+    return Representation(rho.algebra, rho.dim_v, mats)
 
 
 def direct_sum(rho: Representation, copies: int) -> Representation:
@@ -68,7 +71,7 @@ def semidirect(rho: Representation) -> LieAlgebra:
     """
     g = rho.algebra
     n = g.dim
-    r = rho._ints[1]
+    r = rho._den
     den = lcm(g.den, r)
     brackets = [(i, j, k, den // g.den * c) for i, j, k, c in g.brackets]
     # [e_i, v_b] = rho(e_i) v_b, whose coordinate on v_a is entry (a, b)
@@ -88,7 +91,7 @@ def verify_block_structure(q: LieAlgebra, rho: Representation, x, a) -> bool:
     n = rho.algebra.dim
     full = lie_poisson_matrix(q, tuple(x) + tuple(a))
     g_idx, v_idx = range(n), range(n, q.dim)
-    coupling = rep_operator(dual_representation(rho), a).scale(-1)
+    coupling = -rep_operator(dual_representation(rho), a)
     return (
         full.submatrix(g_idx, g_idx) == lie_poisson_matrix(rho.algebra, x)
         and full.submatrix(g_idx, v_idx) == coupling.transpose()

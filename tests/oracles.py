@@ -694,7 +694,8 @@ def smith_invariant_factors(entries) -> list[Poly]:
 def cyclic_jacobi(dim: int, entries) -> list[tuple[int, int, int]]:
     """Basis triples i < j < k where [[e_i, e_j], e_k] + [[e_j, e_k], e_i]
     + [[e_k, e_i], e_j] is nonzero, for the antisymmetric brackets given by
-    the (i, j, k, c) list with i < j."""
+    the (i, j, k, c) list with i < j.  Every bracket is expanded densely
+    over the basis; only the zero products are skipped."""
     table = [[[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)]
     for i, j, k, c in entries:
         table[i][j][k] += Fraction(c)
@@ -703,10 +704,13 @@ def cyclic_jacobi(dim: int, entries) -> list[tuple[int, int, int]]:
     def bracket(u, v):
         out = [Fraction(0)] * dim
         for i, ui in enumerate(u):
+            if not ui:
+                continue
             for j, vj in enumerate(v):
-                if ui and vj:
+                if vj:
                     for k, c in enumerate(table[i][j]):
-                        out[k] += ui * vj * c
+                        if c:
+                            out[k] += ui * vj * c
         return out
 
     basis = [[Fraction(int(i == t)) for t in range(dim)] for i in range(dim)]
@@ -717,7 +721,8 @@ def cyclic_jacobi(dim: int, entries) -> list[tuple[int, int, int]]:
                 acc = [Fraction(0)] * dim
                 for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
                     for t, v in enumerate(bracket(table[a][b], basis[c])):
-                        acc[t] += v
+                        if v:
+                            acc[t] += v
                 if any(acc):
                     bad.append((i, j, k))
     return bad

@@ -6,7 +6,10 @@ import signal
 import pytest
 
 import penciljk.strata as strata
+from penciljk.catalog import Family, build_classical
 from penciljk.cli import main
+from penciljk.jsonio import lie_to_json, rep_to_json
+from penciljk.semidirect import direct_sum
 
 SL2 = {
     "dim": 3,
@@ -188,6 +191,32 @@ def test_bad_algebra_exit_codes(tmp_path, capsys):
     rep_oor = write(tmp_path, "rep_oor.json", {**SL2_STD, "algebra": "oor.json"})
     assert main(["semidirect", "--rep", rep_oor]) == 5
     assert "invalid input values" in capsys.readouterr().err
+
+
+def test_invalid_algebra_names_the_first_three_failures(tmp_path, capsys):
+    # realistic sizes: sl(3) with [e_0, e_2] = e_6 doubled, and two copies
+    # of the defining action of sp(4) with entry (0, 1) of the first
+    # operator set to 1.  These lines were read off the dense defect
+    # checks that the sparse sums replaced, and must not move
+    g, _ = build_classical(Family("sl", 3))
+    lie = lie_to_json(g)
+    assert lie["brackets"][0] == {"i": 0, "j": 2, "k": 6, "c": "1"}
+    lie["brackets"][0]["c"] = "2"
+    bad_lie = write(tmp_path, "sl3.json", lie)
+    assert main(["lie", bad_lie]) == 5
+    assert capsys.readouterr().err == (
+        "invalid algebra: jacobi identity fails at basis triples [(0, 1, 2), (0, 2, 3), (0, 2, 4)]\n"
+    )
+    _, rho = build_classical(Family("sp", 4))
+    rep = rep_to_json(direct_sum(rho, 2))
+    assert rep["mats"][0][0][1] == "0"
+    rep["mats"][0][0][1] = "1"
+    bad_rep = write(tmp_path, "sp4_m2.json", rep)
+    for argv in (["rep", bad_rep], ["semidirect", "--rep", bad_rep], ["semidirect", "--rep", bad_rep, "--verify-dual"]):
+        assert main(argv) == 5, argv
+        assert capsys.readouterr().err == (
+            "invalid algebra: operators fail the bracket at pairs [(0, 2), (0, 3), (0, 5)]\n"
+        ), argv
 
 
 def test_internal_value_error_is_a_failed_computation(tmp_path, capsys, monkeypatch):

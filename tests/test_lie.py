@@ -22,6 +22,7 @@ from penciljk.lie import (
     lie_poisson_matrix,
     rep_operator,
 )
+from penciljk.semidirect import direct_sum, dual_representation, semidirect
 from penciljk.skewjk import SkewJK
 from penciljk.strata import abstract_signature
 
@@ -85,6 +86,37 @@ def _random_entries(rng, dim):
     return out
 
 
+def _catalog_structures():
+    """Every classical family up to n = 4 with one to three copies of its
+    defining action and the duals of those: yields the algebras, their
+    semi-direct sums with each representation, and the representations."""
+    for name, sizes in (("gl", (1, 2, 3, 4)), ("sl", (2, 3, 4)), ("so", (2, 3, 4)), ("sp", (2, 4))):
+        for n in sizes:
+            g, rho = build_classical(Family(name, n))
+            algebras, reps = [g], []
+            for m in (1, 2, 3):
+                copies = direct_sum(rho, m)
+                reps += [copies, dual_representation(copies)]
+            algebras += [semidirect(r) for r in reps]
+            yield f"{name}:{n}", algebras, reps
+
+
+def _perturbed(rng, values, slots):
+    """Copies of the coefficients ``values``, (slot, coefficient) pairs over
+    ``slots``: one with a nonzero coefficient changed, which may cancel it,
+    and one with a zero coefficient set, unless no slot holds zero."""
+    present = dict(values)
+    changed = dict(present)
+    changed[rng.choice(sorted(present))] += Fraction(rng.choice((-2, -1, 1, 3)), rng.choice((1, 2)))
+    out = [changed]
+    empty = [slot for slot in slots if slot not in present]
+    if empty:
+        added = dict(present)
+        added[rng.choice(empty)] = Fraction(rng.choice((-2, -1, 1, 3)), rng.choice((1, 2)))
+        out.append(added)
+    return out
+
+
 def test_check_jacobi_matches_cyclic_sum_oracle():
     rng = random.Random(SEED)
     broken = 0
@@ -96,6 +128,22 @@ def test_check_jacobi_matches_cyclic_sum_oracle():
         broken += bool(expected)
     # both verdicts occur, so the comparison is not vacuous either way
     assert 50 < broken < 250
+    # classical algebras and their semi-direct sums, one coefficient changed
+    rng = random.Random(SEED + 6)
+    broken = compared = 0
+    for label, algebras, _ in _catalog_structures():
+        for g in algebras:
+            assert check_jacobi(g) == [], label
+            if not g.brackets:
+                continue
+            slots = [(i, j, k) for i in range(g.dim) for j in range(i + 1, g.dim) for k in range(g.dim)]
+            for coeffs in _perturbed(rng, [((i, j, k), c) for i, j, k, c in g.entries()], slots):
+                entries = [(*key, c) for key, c in coeffs.items()]
+                expected = cyclic_jacobi(g.dim, entries)
+                assert check_jacobi(LieAlgebra(g.dim, entries)) == expected, (label, g.dim)
+                broken += bool(expected)
+                compared += 1
+    assert 0 < broken < compared
 
 
 def test_change_basis_keeps_jacobi_and_index():
@@ -148,6 +196,27 @@ def test_check_homomorphism():
         tampered = Representation(g, rho.dim_v, mats)
         bad = check_homomorphism(tampered)
         assert bad and bad == _unmatched_pairs(tampered)
+    # copies of every classical action up to n = 4 and their duals, one
+    # entry changed where it is nonzero and where it is zero
+    rng = random.Random(SEED + 7)
+    broken = compared = 0
+    for label, _, reps in _catalog_structures():
+        for rho in reps:
+            assert check_homomorphism(rho) == [], label
+            g, d = rho.algebra, rho.dim_v
+            slots = [(k, a, b) for k in range(g.dim) for a in range(d) for b in range(d)]
+            values = [((k, a, b), rho.mats[k].entry(a, b)) for k, a, b in slots if rho.mats[k].rows[a][b]]
+            for coeffs in _perturbed(rng, values, slots):
+                rows = [[[Fraction(0)] * d for _ in range(d)] for _ in range(g.dim)]
+                for (k, a, b), c in coeffs.items():
+                    rows[k][a][b] = c
+                tampered = Representation(g, d, tuple(Mat(r) for r in rows))
+                bad = check_homomorphism(tampered)
+                assert bad == _unmatched_pairs(tampered), label
+                broken += bool(bad)
+                compared += 1
+    # every change breaks the bracket except on the one-dimensional gl(1) and so(2)
+    assert 0 < broken < compared
 
 
 def test_poisson_matrix_heisenberg():

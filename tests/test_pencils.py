@@ -799,13 +799,18 @@ def test_dependent_candidates_are_rejected(monkeypatch):
     monkeypatch.setattr(exactla, "_reduced", recorded)
     rng = random.Random(SEED + 35)
     chains = []
-    while len(chains) < 50:
+    # capped, so that a hook the chain no longer calls fails here instead
+    # of drawing for ever
+    for _ in range(5000):
         a, b = _chain_pair(rng)
         rejected.append(0)
         bases = [basis for basis, _ in islice(preimage_chain(a, b), 6)]
         assert _same_chain(bases, list(islice(restart_chain(a, b), 6)), a.n)
         if rejected[-1]:
             chains.append((a, b))
+            if len(chains) == 50:
+                break
+    assert len(chains) == 50
     # width-1 horizontal blocks are zero columns, in ker M and ker B
     inv = StrictInvariants(
         m=4, n=7, rank=4, horizontal=(3, 1, 1), vertical=(), jordan=((EigClass((-2, 1)), (2,)),)
