@@ -273,6 +273,18 @@ def test_semidirect_command(tmp_path, capsys):
         capsys, ["--samples", "5", "semidirect", "--lie", lie, "--rep", rep]
     )
     assert code == 0
+    # the same algebra written differently: a coefficient as "4/2", one
+    # bracket split into two entries that sum to it, the brackets reordered
+    e_h, f_h, e_f = SL2["brackets"][1], SL2["brackets"][2], SL2["brackets"][0]
+    for name, brackets in (
+        ("sl2_ratio.json", [e_f, e_h, dict(f_h, c="4/2")]),
+        ("sl2_split.json", [e_f, dict(e_h, c=-3), dict(e_h, c=1), f_h]),
+        ("sl2_reordered.json", [f_h, e_f, e_h]),
+    ):
+        same = write(tmp_path, name, {"dim": 3, "brackets": brackets})
+        assert main(["--samples", "5", "semidirect", "--lie", same, "--rep", rep]) == 0, name
+    wider = write(tmp_path, "sl2_dim4.json", dict(SL2, dim=4))
+    assert main(["--samples", "5", "semidirect", "--lie", wider, "--rep", rep]) == 2
     heis = write(
         tmp_path, "heis.json", {"dim": 3, "brackets": [{"i": 0, "j": 1, "k": 2, "c": 1}]}
     )

@@ -1,11 +1,13 @@
 """Byte-for-byte replay of recorded CLI reports.
 
-``data/golden_cli.json`` holds the input files of 79 fast requests
+``data/golden_cli.json`` holds the input files of 81 fast requests
 (``pencil``, ``pencil --skew``, ``lie``, ``rep``, small ``semidirect``
 cells with and without ``--verify-dual``, ``bundle-leq`` pairs up to
 7 x 8, small ``tables`` cells including one without a known Lie table,
-and a few malformed inputs) with the stdout and exit code each one produced when it
-was recorded.  A change of any report, however small, fails here.  A
+a few malformed inputs, and one ``lie`` and one ``rep`` request whose
+samples draw two distinct signatures, so that selection by dominance
+runs) with the stdout and exit code each one produced when it was
+recorded.  A change of any report, however small, fails here.  A
 change that is meant to alter reports re-records them with
 
     PYTHONPATH=src python tests/test_golden.py --record

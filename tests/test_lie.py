@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from penciljk.catalog import Family, build_classical, expected_rep_jk
-from penciljk.errors import InternalConsistencyError
+from penciljk.errors import DominanceSelectionError, InternalConsistencyError
 from penciljk.exactla import Mat
 from penciljk.lie import (
     CERTIFIED,
@@ -14,6 +14,7 @@ from penciljk.lie import (
     Representation,
     Sampler,
     SkewJKReport,
+    _select_maximal,
     check_homomorphism,
     check_jacobi,
     jk_invariants_of_lie,
@@ -352,6 +353,39 @@ def test_sample_count_validation():
         jk_invariants_of_lie(euclidean2(), Sampler(SEED), samples=0)
     with pytest.raises(ValueError):
         lie_index(euclidean2(), Sampler(SEED), samples=0)
+
+
+def _never(s, t):
+    raise AssertionError("a single distinct signature needs no comparison")
+
+
+def test_select_maximal_single_signature_is_the_first_sample():
+    assert _select_maximal(["b", "b", "b"], _never) == 0
+
+
+def test_select_maximal_takes_the_first_sample_of_the_dominant_signature():
+    # under s >= t one signature dominates all others
+    assert _select_maximal([1, 3, 2, 3, 1], lambda s, t: s >= t) == 1
+    assert _select_maximal([2, 1, 2], lambda s, t: s >= t) == 0
+
+
+def test_select_maximal_breaks_ties_by_frequency_then_repr():
+    # 2 and 3 both dominate everything, 1 dominates nothing
+    dominates = lambda s, t: s != 1  # noqa: E731
+    assert _select_maximal([1, 2, 3, 3, 2, 3], dominates) == 2
+    assert _select_maximal([1, 3, 2, 2, 3, 2], dominates) == 2
+    # equal frequencies: the smaller repr wins, wherever it first occurs
+    assert _select_maximal(["b", "a", "b", "a"], lambda s, t: True) == 1
+    assert _select_maximal(["a", "b", "b", "a"], lambda s, t: True) == 0
+
+
+def test_select_maximal_refuses_when_nothing_dominates():
+    with pytest.raises(DominanceSelectionError):
+        _select_maximal(["a", "b", "a"], lambda s, t: False)
+    # a chain without transitivity: "a" dominates "b" and "b" dominates
+    # "c", but nothing dominates both others
+    with pytest.raises(DominanceSelectionError):
+        _select_maximal(["a", "b", "c"], lambda s, t: (s, t) in {("a", "b"), ("b", "c")})
 
 
 def test_index_used_is_the_smallest_sampled_corank():
