@@ -45,6 +45,8 @@ from .jsonio import (
     skew_to_json,
 )
 from .lie import (
+    HEIGHT,
+    SAMPLES,
     Sampler,
     check_homomorphism,
     check_jacobi,
@@ -74,8 +76,8 @@ EXIT_REFUSED = 7
 @dataclass(frozen=True)
 class RunConfig:
     seed: int
-    samples: int = 25
-    bound: int = 101
+    samples: int = SAMPLES
+    bound: int = HEIGHT
     fmt: str = "json"
 
     def __post_init__(self) -> None:
@@ -240,7 +242,7 @@ def cmd_semidirect(args, cfg: RunConfig) -> int:
     g = rho.algebra
     if args.lie is not None:
         lie = _construct(lie_from_json, load_json(args.lie))
-        if lie.ad != g.ad:
+        if (lie.dim, lie.entries()) != (g.dim, g.entries()):
             # brackets other than the ones already checked: a broken algebra
             # is reported as such before the disagreement
             _require_jacobi(lie)
@@ -359,8 +361,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact pencil and Lie algebra invariants",
     )
     top.add_argument("--seed", type=int, default=0, help="sampling seed")
-    top.add_argument("--samples", type=int, default=25, help="sample count")
-    top.add_argument("--bound", type=int, default=101, help="coordinate height")
+    top.add_argument("--samples", type=int, default=SAMPLES, help="sample count")
+    top.add_argument("--bound", type=int, default=HEIGHT, help="coordinate height")
     top.add_argument("--format", choices=("json", "text"), default="json")
     sub = top.add_subparsers(dest="command", required=True)
 

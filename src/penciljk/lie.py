@@ -45,6 +45,9 @@ from .strata import (
 
 CERTIFIED = "certified"
 EMPIRICAL = "empirical"
+# the default sample count and coordinate height of sampled invariants
+SAMPLES = 25
+HEIGHT = 101
 
 
 # ---------------------------------------------------------------------------
@@ -71,10 +74,8 @@ class LieAlgebra:
     ``brackets`` holds the tuples (i, j, k, c), sorted, with i < j and c a
     nonzero integer: the structure constant c^k_ij, the coordinate of e_k
     in [e_i, e_j], is c / ``den``.  Entries given for the same (i, j, k)
-    are summed, and those that cancel are dropped.  ``ad`` are the adjoint
-    operators ad(e_i) = [e_i, -], built when first asked for: column j of
-    ``ad[i]`` is the coordinate vector of [e_i, e_j], so entry (k, j) of
-    ``ad[i]`` is c^k_ij.
+    are summed, and those that cancel are dropped, so two algebras with
+    the same structure constants hold equal brackets.
     """
 
     def __init__(self, dim: int, entries):
@@ -103,14 +104,6 @@ class LieAlgebra:
         self.brackets = tuple((i, j, k, c) for (i, j, k), c in sorted(sums.items()) if c)
 
     @cached_property
-    def ad(self) -> tuple[Mat, ...]:
-        planes = [[[0] * self.dim for _ in range(self.dim)] for _ in range(self.dim)]
-        for i, j, k, c in self.brackets:
-            planes[i][k][j] = c
-            planes[j][k][i] = -c
-        return tuple(Mat.from_ints(rows, self.dim, self.den) for rows in planes)
-
-    @cached_property
     def _poisson_terms(self) -> tuple[tuple[int, int, int, int], ...]:
         """The bracket c^k_ij read into entry (i, j) of a Poisson matrix,
         and its negative into entry (j, i)."""
@@ -118,7 +111,8 @@ class LieAlgebra:
 
     def entries(self):
         """The sparse (i, j, k, c) list with i < j, sorted, c a Fraction."""
-        return [(i, j, k, self.ad[i].entry(k, j)) for i, j, k, _ in self.brackets]
+        coeffs = Mat.from_ints([[c for *_, c in self.brackets]], len(self.brackets), self.den)
+        return [(i, j, k, c) for (i, j, k, _), c in zip(self.brackets, coeffs.row(0))]
 
 
 def check_jacobi(g: LieAlgebra):
@@ -264,7 +258,7 @@ class Sampler:
     """Deterministic integer point source: coordinates uniform in [-height, height]."""
 
     seed: int
-    height: int = 101
+    height: int = HEIGHT
 
     def __post_init__(self) -> None:
         if self.height < 1:
@@ -284,12 +278,7 @@ def _select_maximal(signatures, contains):
     index of the first sample carrying the winning signature.  Ties among
     equal maxima break by frequency, then by a fixed sort of the signature.
     """
-    distinct = []
-    for s in signatures:
-        if s not in distinct:
-            distinct.append(s)
-    if len(distinct) == 1:
-        return signatures.index(distinct[0])
+    distinct = list(dict.fromkeys(signatures))
     maxima = [
         s for s in distinct if all(s == t or contains(s, t) for t in distinct)
     ]
@@ -297,8 +286,24 @@ def _select_maximal(signatures, contains):
         raise DominanceSelectionError(
             "no sampled signature dominates all others; raise the sampling height"
         )
-    maxima.sort(key=lambda s: (-signatures.count(s), repr(s)))
-    return signatures.index(maxima[0])
+    return signatures.index(min(maxima, key=lambda s: (-signatures.count(s), repr(s))))
+
+
+def _sample(structure, dim: int, sampler: Sampler, samples: int, pencil, classify, contains):
+    """Classify sampled pencils of a structure and select the dominant one.
+
+    For each sample, x and then a are drawn with ``dim`` coordinates, and
+    ``classify(pencil(structure, x, a))`` is recorded.  Returns the
+    records and the index ``_select_maximal`` picks under ``contains``.
+    """
+    if samples < 1:
+        raise ValueError("at least one sample is required")
+    records = []
+    for _ in range(samples):
+        x = sampler.covector(dim)
+        a = sampler.covector(dim)
+        records.append(classify(pencil(structure, x, a)))
+    return records, _select_maximal([r.signature for r in records], contains)
 
 
 @dataclass(frozen=True)
@@ -327,22 +332,16 @@ class RepJK:
 
 
 def jk_invariants_of_lie(
-    g: LieAlgebra, sampler: Sampler, samples: int = 25
+    g: LieAlgebra, sampler: Sampler, samples: int = SAMPLES
 ) -> SkewJKReport:
     """Invariants of the pencil of Poisson matrices at a generic covector pair."""
-    if samples < 1:
-        raise ValueError("at least one sample is required")
-    folded: list[SkewJK] = []
-    for _ in range(samples):
-        x = sampler.covector(g.dim)
-        a = sampler.covector(g.dim)
-        folded.append(skew_jk_invariants(lie_pencil(g, x, a)))
-    sigs = [jk.signature for jk in folded]
-    win = _select_maximal(sigs, skew_bundle_closure_contains)
+    folded, win = _sample(
+        g, g.dim, sampler, samples, lie_pencil, skew_jk_invariants, skew_bundle_closure_contains
+    )
     # one Kronecker index per unit of the pencil's corank dim - rank
     index_used = min(len(jk.kronecker) for jk in folded)
     status = EMPIRICAL
-    if index_used > 0 and certify_generic_lie(sigs[win], index_used):
+    if index_used > 0 and certify_generic_lie(folded[win].signature, index_used):
         status = CERTIFIED
     return SkewJKReport(
         invariants=folded[win],
@@ -353,22 +352,16 @@ def jk_invariants_of_lie(
 
 
 def jk_invariants_of_rep(
-    rho: Representation, sampler: Sampler, samples: int = 25
+    rho: Representation, sampler: Sampler, samples: int = SAMPLES
 ) -> RepJK:
     """Invariants of the contraction pencil at a generic vector pair."""
-    if samples < 1:
-        raise ValueError("at least one sample is required")
-    invs: list[StrictInvariants] = []
-    for _ in range(samples):
-        x = sampler.covector(rho.dim_v)
-        a = sampler.covector(rho.dim_v)
-        invs.append(strict_invariants(rep_pencil(rho, x, a)))
-    sigs = [inv.signature for inv in invs]
-    win = _select_maximal(sigs, bundle_closure_contains)
+    invs, win = _sample(
+        rho, rho.dim_v, sampler, samples, rep_pencil, strict_invariants, bundle_closure_contains
+    )
     rmax = max(inv.rank for inv in invs)
     status = EMPIRICAL
     try:
-        if certify_generic_repr(sigs[win], rho.dim_v, rho.algebra.dim, rmax):
+        if certify_generic_repr(invs[win].signature, rho.dim_v, rho.algebra.dim, rmax):
             status = CERTIFIED
     except CertificateNotApplicableError:
         pass

@@ -21,6 +21,7 @@ from math import lcm
 
 from .exactla import Mat
 from .lie import (
+    SAMPLES,
     LieAlgebra,
     RepJK,
     Representation,
@@ -130,7 +131,7 @@ class DualTheoremReport:
 
 
 def check_dual_theorem(
-    rho: Representation, sampler: Sampler, samples: int = 25
+    rho: Representation, sampler: Sampler, samples: int = SAMPLES
 ) -> DualTheoremReport:
     """Compare sampled invariants of q = rho.algebra + V with the
     dual-representation prediction.

@@ -239,7 +239,7 @@ def test_lie_algebra_roundtrip():
     obj = lie_to_json(g)
     assert obj["dim"] == 3
     back = lie_from_json(json.loads(json.dumps(obj)))
-    assert back.ad == g.ad
+    assert (back.dim, back.entries()) == (g.dim, g.entries())
     with pytest.raises(InputFormatError):
         lie_from_json({"dim": 2, "brackets": [{"i": 0, "j": 1, "k": 0}]})
     with pytest.raises(InputFormatError):
@@ -258,7 +258,7 @@ def test_representation_roundtrip_and_path(tmp_path):
     ]
     inline = {"algebra": lie_to_json(g), "dimV": 2, "mats": mats}
     rho = rep_from_json(inline)
-    assert rho.dim_v == 2 and rho.algebra.ad == g.ad
+    assert rho.dim_v == 2 and (rho.algebra.dim, rho.algebra.entries()) == (g.dim, g.entries())
     assert rep_from_json(rep_to_json(rho)).mats == rho.mats
 
     alg_file = tmp_path / "alg.json"

@@ -80,11 +80,12 @@ def test_semidirect_structure():
     assert check_jacobi(q) == []
     # the brackets of g, the action, and an abelian part: ad(xi) is
     # block diagonal and ad(v) maps into V
+    ad, g_ad = fraction_adjoint(q.dim, q.entries()), fraction_adjoint(g.dim, g.entries())
     for i in range(3):
-        assert q.ad[i] == Mat.block_diag([g.ad[i], rho.mats[i]])
+        assert ad[i] == Mat.block_diag([g_ad[i], rho.mats[i]])
     for b in range(2):
-        v_part = q.ad[3 + b].submatrix(range(3, 5), range(5))
-        assert q.ad[3 + b].submatrix(range(3), range(5)).is_zero()
+        v_part = ad[3 + b].submatrix(range(3, 5), range(5))
+        assert ad[3 + b].submatrix(range(3), range(5)).is_zero()
         assert v_part.submatrix(range(2), range(3, 5)).is_zero()
         for j in range(3):
             # [v_b, e_j] = -rho(e_j) v_b
@@ -137,7 +138,6 @@ def test_semidirect_matches_dense_oracles_on_catalog_cells():
         entries = fraction_semidirect_entries(rho)
         assert q.entries() == entries
         ad = fraction_adjoint(q.dim, entries)
-        assert list(q.ad) == ad
         dual = dual_representation(rho)
         for _ in range(2):
             x = tuple(rng.randint(-101, 101) for _ in range(q.dim))
