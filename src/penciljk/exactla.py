@@ -25,6 +25,11 @@ back-substituted only when first read.  ``kernel_basis`` is those
 vectors, so one back-substitution routine serves both.  The vector of a
 free column f is zero outside f and the pivot columns left of it, so a
 product with it can run over its nonzero coordinates alone.
+Back-substitution sets x_f to the pivot D of the last pivot row left of
+f, which is the minor of the input on those rows and pivot columns.  By
+Cramer's rule D times the solution with x_f = 1 is an integer vector, so
+every division is exact and no step takes a gcd or rescales x; the
+content comes off once, at the end.
 
 ``preimage_chain`` runs the nested kernel chain (Wong sequence)
 
@@ -406,29 +411,29 @@ def _primitive(ints: Sequence[int]) -> IntVec:
 
 
 def _back_substitute(rows: list[list[int]], piv_cols: list[int], f: int, n: int) -> list[int]:
-    """The kernel vector of echelon rows with x_f = 1 at the free column f
-    and every other free coordinate zero, up to a nonzero integer factor,
-    as an integer vector of length n; ``rows[k]`` is the row of the pivot
-    in column ``piv_cols[k]``, and the pivot columns increase.
+    """The kernel vector of echelon rows with x_f = D at the free column f
+    and every other free coordinate zero, as an integer vector of length
+    n; ``rows[k]`` is the row of the pivot in column ``piv_cols[k]``, the
+    pivot columns increase, and D is the pivot of the last pivot row left
+    of f (1 when there is none).
 
     Only the pivots left of f are solved for: a row whose pivot lies right
     of f involves only columns right of it, where x is zero, so its
     coordinate is zero too, and every sum runs over the columns up to f.
-    The caller removes the content, once, from the part it keeps."""
+    The k pivot rows left of f are fraction-free combinations of k input
+    rows, and their last pivot D is the k x k minor of those rows on the
+    pivot columns (Sylvester's identity).  By Cramer's rule D times the
+    solution with x_f = 1 is an integer vector, so with x_f = D every
+    coordinate is an integer, and each step is one exact division by its
+    pivot.  The caller removes the content, once, from the part it keeps."""
     end = f + 1
+    left = bisect_left(piv_cols, f)
     x = [0] * end
-    x[f] = 1
-    for k in range(bisect_left(piv_cols, f) - 1, -1, -1):
+    x[f] = rows[left - 1][piv_cols[left - 1]] if left else 1
+    for k in range(left - 1, -1, -1):
         c = piv_cols[k]
-        s = sum(map(mul, rows[k][c + 1 : end], x[c + 1 :]))
-        if s:
-            # x_c = -s / pivot: scale x so the quotient is an integer
-            p = rows[k][c]
-            g = gcd(s, p)
-            if p != g:
-                q = p // g
-                x = [v * q for v in x]
-            x[c] = -s // g
+        row = rows[k]
+        x[c] = -sum(map(mul, row[c + 1 : end], x[c + 1 :])) // row[c]
     return x + [0] * (n - end)
 
 

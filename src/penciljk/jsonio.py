@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from .errors import InputFormatError
 from .exactla import Mat
@@ -266,8 +267,63 @@ def rep_to_json(rho: Representation) -> dict:
 
 
 def emit(obj) -> str:
-    """Canonical text for a report: sorted keys, two-space indent."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Canonical text for a report: sorted keys, two-space indent.
+
+    The text is ``json.dumps(obj, sort_keys=True, indent=2)`` and a
+    newline, written directly: objects and arrays open a new line per
+    member, indented two spaces deeper, with "," ending every member but
+    the last and ": " after each key; empty ones are {} and [].  Strings
+    go through ``json.encoder.encode_basestring_ascii``, ints through
+    ``int.__repr__``, and True, False and None are true, false and null.
+    A dict key that is not a string, or a value of any other type, raises
+    ``TypeError``.  ``json.dumps`` falls back to its pure-Python encoder
+    whenever it indents, which is slower than writing the text here."""
+    out: list[str] = []
+    _emit(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _emit(obj, newline: str, out: list[str]) -> None:
+    """Append the text of obj, whose lines continue with ``newline``."""
+    if type(obj) is str:
+        out.append(_quote(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        lead = "{" + inner
+        for key in sorted(obj):
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(lead)
+            out.append(_quote(key))
+            out.append(": ")
+            _emit(obj[key], inner, out)
+            lead = "," + inner
+        out.append(newline + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        lead = "[" + inner
+        for item in obj:
+            out.append(lead)
+            _emit(item, inner, out)
+            lead = "," + inner
+        out.append(newline + "]")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def load_json(path: str):

@@ -277,8 +277,13 @@ def _select_maximal(signatures, contains):
     signatures: list of anonymous signatures, one per sample.  Returns the
     index of the first sample carrying the winning signature.  Ties among
     equal maxima break by frequency, then by a fixed sort of the signature.
+    Signatures are compared by ``==`` only: a frozen dataclass would
+    recompute its hash on every lookup, which costs more than the scan.
     """
-    distinct = list(dict.fromkeys(signatures))
+    distinct = []
+    for s in signatures:
+        if s not in distinct:
+            distinct.append(s)
     maxima = [
         s for s in distinct if all(s == t or contains(s, t) for t in distinct)
     ]

@@ -84,16 +84,21 @@ determinant of the regular part up to a constant (``_class_totals``).
 It is factored once over Z: each irreducible factor is a finite class,
 its multiplicity is the exact total block size there, and n_R minus the
 degree is the exact infinite total.  No class without blocks arises.
-Block sizes at every class, finite or infinite, are read off M's powers
-(``_sizes_at_class``): the Möbius map mu = 1/(t0 - lambda) carries the
+Block sizes at every class, finite or infinite, are the Jordan sizes of
+M (``_sizes_at_class``): the Möbius map mu = 1/(t0 - lambda) carries the
 blocks at each eigenvalue lambda onto M's Jordan blocks at mu, and the
 infinite blocks onto those at mu = 0.
 A class f of degree d becomes g(mu) = mu^d f(t0 - 1/mu), of degree d
 because f(t0) != 0, and a block of size s adds d * min(k, s) to
-dim ker g(M)^k.  One rank of an integer multiple of g(M) gives the
-first defect; the nested-kernel chain of g(M) with B = I runs only when
-that falls short of the total, and stops when it reaches the total.
-Every matrix this eliminates has n_R rows, whatever the class degree.
+dim ker g(M)^k.  For d >= 2 one rank of an integer multiple G of g(M)
+gives the first defect, and the nested-kernel chain of G with B = I
+runs only when that falls short of the total, stopping when it reaches
+it.  For d = 1 and at infinity (A_R + t0*B_R) g(M) is the pencil's own
+matrix f0*B_R - f1*A_R, or B_R, so the rank and the Wong chain are taken
+on the regular pencil, whose entries are small where G's have the size
+of a determinant; there the defects and the totals come from different
+matrices.  Every matrix this eliminates has n_R rows, whatever the
+class degree.
 Eliminating A + t*B as a polynomial matrix would give the same answers
 but suffers badly from coefficient growth.
 
@@ -660,7 +665,8 @@ def _shifted_class(cls: tuple[int, ...] | None, t0: int) -> list[int]:
 
 def _class_matrix(m: Mat, t0: int, cls: tuple[int, ...] | None) -> Mat:
     """The integer matrix G = D^d g(M) of a class (see ``_shifted_class``),
-    for M = X / D stored as integer rows X over the denominator D.
+    for M = X / D stored as integer rows X over the denominator D; the
+    package builds it only for classes of degree 2 or more.
 
     G = sum_j g_j D^(d-j) X^j, by Horner's rule in integers.
     """
@@ -679,12 +685,13 @@ def _class_matrix(m: Mat, t0: int, cls: tuple[int, ...] | None) -> Mat:
 
 
 def _sizes_at_class(
-    m: Mat, t0: int, cls: tuple[int, ...] | None, total: int
+    m: Mat, t0: int, cls: tuple[int, ...] | None, total: int, reg: Pencil | None = None
 ) -> tuple[int, ...]:
-    """Jordan block sizes of a square regular pencil A + t*B at an
+    """Jordan block sizes of a square regular pencil reg = A + t*B at an
     irreducible class cls, or at infinity when cls is None, whose total
     block size is ``total``; t0 is not an eigenvalue and
-    M = (A + t0*B)^-1 B.
+    M = (A + t0*B)^-1 B.  With reg None the pencil read is I + (t - t0) M,
+    which is strictly equivalent to it.
 
     With P = A + t0*B, invertible,
 
@@ -712,22 +719,47 @@ def _sizes_at_class(
 
         dim ker g(M)^k = d * sum over blocks at cls of min(k, size).
 
-    The infinite class is g(mu) = mu with d = 1.  ``_class_matrix``
-    builds G = D^d g(M) in integers, with the kernels of g(M)^k.
+    The infinite class is g(mu) = mu with d = 1.
 
-    The first dimension comes from one rank of G, and the chain
-    W_1 = ker G, W_{k+1} = G^-1(W_k) = ker G^(k+1) of
-    ``preimage_chain(G, I)`` runs only when that falls short of the
-    total, so every matrix eliminated has n rows.  The defect
-    dim W_k / d grows strictly until it reaches the total, at the largest
-    size, so the chain stops there; a dimension not divisible by d, a
-    defect above the total, or one that repeats below it, is an internal
-    error.
+    For a class of degree 2 or more, ``_class_matrix`` builds
+    G = D^d g(M) in integers, and the chain W_1 = ker G,
+    W_{k+1} = G^-1(W_k) = ker G^(k+1) is ``preimage_chain(G, I)``.  For
+    f = f0 + f1*t, g(mu) = f(t0) mu - f1 and P g(M) = f0*B - f1*A; at
+    infinity P g(M) = B.  So the pencil's own matrix H = f1*A - f0*B, or
+    B, has the kernel of g(M), and since W_k = ker g(M)^k is invariant
+    under M, invertible on it for a finite class, and under
+    P^-1 A = I - t0 M, invertible on it at infinity, the chains
+    ``preimage_chain(H, B)`` and ``preimage_chain(B, A)`` (the Wong chain
+    of the pencil at the eigenvalue, or of the reversed pencil at 0) are
+    the same W_k.  Their entries are those of the pencil, where G's have
+    the size of a determinant.
+
+    The first dimension comes from one rank of G or H, and the chain runs
+    only when that falls short of the total, so every matrix eliminated
+    has n rows; its first kernel is checked against that rank.  The
+    defect dim W_k / d grows strictly until it reaches the total, at the
+    largest size, so the chain stops there; a dimension not divisible by
+    d, a defect above the total, or one that repeats below it, is an
+    internal error.  The totals come from the determinant of M
+    (``_class_totals``), so for a degree-1 or the infinite class they are
+    checked against defects taken on another matrix.
     """
     if total == 0:
         return ()
-    d = 1 if cls is None else len(cls) - 1
-    g = _class_matrix(m, t0, cls)
+    if reg is None:
+        den, x = m.den, m.rows
+        a = [[den * (i == j) - t0 * v for j, v in enumerate(r)] for i, r in enumerate(x)]
+        reg = Pencil(Mat.from_ints(a, m.n, den), m)
+    if cls is None:
+        d, g, b = 1, reg.b, reg.a
+    elif len(cls) == 2:
+        (f0, f1), a, b = cls, reg.a, reg.b
+        ca, cb = f1 * b.den, f0 * a.den
+        rows = [[ca * x - cb * y for x, y in zip(ra, rb)] for ra, rb in zip(a.rows, b.rows)]
+        d, g = 1, Mat.from_ints(rows, m.n)
+    else:
+        d, g = len(cls) - 1, _class_matrix(m, t0, cls)
+        b = Mat.from_ints([[int(i == j) for j in range(m.n)] for i in range(m.n)], m.n)
     dim = g.n - rank(g)
     chain = None
     defects: list[int] = []
@@ -749,8 +781,7 @@ def _sizes_at_class(
         if defect == total:
             return _widths_from_dims(defects)
         if chain is None:
-            identity = Mat.from_ints([[int(i == j) for j in range(g.n)] for i in range(g.n)], g.n)
-            chain = preimage_chain(g, identity)
+            chain = preimage_chain(g, b)
             if len(next(chain)[0]) != dim:
                 raise InternalConsistencyError(
                     "the Jordan chain's kernel disagrees with the rank of g(M)"
@@ -764,7 +795,9 @@ def elementary_divisors(
     """Finite classes with size multisets, plus infinite block sizes, all
     read off the regular part's Möbius-shifted matrix
     M = (A_R + t0*B_R)^-1 B_R = N / D: the totals from its characteristic
-    polynomial, the sizes from its powers.
+    polynomial, the sizes from the powers of g(M) at classes of degree 2
+    or more, and from the Wong chain of the regular pencil itself at
+    degree-1 classes and at infinity.
 
     The shift t0 is the pencil's regular value.  The singular blocks have
     the same rank at every t, so rank(A + t*B) reaches the normal rank
@@ -786,8 +819,8 @@ def elementary_divisors(
     if product != [[m.den * x for x in r] for r in reg.b.rows]:
         raise InternalConsistencyError("the Möbius-shifted matrix does not solve its system")
     totals, inf_total = _class_totals(m, t0)
-    finite = [(cls, _sizes_at_class(m, t0, cls, total)) for cls, total in totals]
-    return finite, _sizes_at_class(m, t0, None, inf_total)
+    finite = [(cls, _sizes_at_class(m, t0, cls, total, reg)) for cls, total in totals]
+    return finite, _sizes_at_class(m, t0, None, inf_total, reg)
 
 
 # ---------------------------------------------------------------------------

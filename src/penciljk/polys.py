@@ -13,9 +13,12 @@ coefficient to reach the monic rational form.
 The factorization is the classical Zassenhaus algorithm (von zur Gathen
 and Gerhard, *Modern Computer Algebra*, chapters 14 and 15), in pure
 Python.  The content and any power of t come off first; Yun's algorithm
-on primitive integer remainder sequences gives the squarefree parts.  For
-each part, a few primes that keep its leading coefficient and keep it
-squarefree are tried, each by distinct-degree factorization, and the one
+on primitive integer remainder sequences gives the squarefree parts.  A
+linear part is irreducible, and a quadratic part splits exactly when its
+discriminant is a perfect square (``math.isqrt``), into two linear
+factors read off the square root.  For each part of degree 3 or more, a
+few primes that keep its leading coefficient and keep it squarefree are
+tried, each by distinct-degree factorization, and the one
 with the fewest factors is kept; the degrees a factor over Z could have
 must be subset sums of the factor degrees mod every prime tried, which
 often proves a part irreducible at once.  Equal-degree (Cantor and
@@ -367,10 +370,22 @@ def _degree_sums(degrees: list[int]) -> int:
 
 def _zfactor_squarefree(f: ZPoly) -> list[ZPoly]:
     """Primitive irreducible factors of a primitive squarefree f with a
-    positive leading coefficient and f(0) != 0."""
+    positive leading coefficient and f(0) != 0.
+
+    A quadratic c + b t + a t^2 splits over Q exactly when its
+    discriminant b^2 - 4ac is a square s^2, into the primitive parts of
+    2a t + b - s and 2a t + b + s, whose product is f by Gauss's lemma;
+    otherwise it is irreducible."""
     n = len(f) - 1
     if n == 1:
         return [f]
+    if n == 2:
+        c, b, a = f
+        disc = b * b - 4 * a * c
+        s = isqrt(disc) if disc > 0 else 0
+        if s * s != disc:
+            return [f]
+        return [_zprimitive([b - s, 2 * a]), _zprimitive([b + s, 2 * a])]
     # choose among a few good primes the one with the fewest factors; a
     # factor over Z is a product of factors mod every prime, so its degree
     # is a subset sum of the factor degrees mod each of them

@@ -12,7 +12,10 @@ squarefree parts come from Yun's algorithm over Q instead of over Z,
 block sizes come from ranks of k-fold block bidiagonal resolvents of the
 whole pencil, or from the kernel chain of the regular part with the
 class's root adjoined as a companion matrix, instead of the powers of
-one Möbius-shifted matrix of the regular part, each step
+one Möbius-shifted matrix of the regular part, and at degree-1 and
+infinite classes from those powers instead of the Wong chain of the
+regular pencil, kernel vectors are back-substituted with gcd rescaling
+instead of from the Cramer-scaled free coordinate, each step
 of a kernel chain eliminates its stacked matrix from scratch instead of
 continuing one elimination, the Bareiss elimination updates whole rows
 instead of only the cells right of each pivot, the complement of a chain
@@ -47,9 +50,10 @@ returned in the package's stored form, primitive integer tuples.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations, zip_longest
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 from penciljk.exactla import (
@@ -64,7 +68,7 @@ from penciljk.exactla import (
 )
 from penciljk.errors import InputFormatError
 from penciljk.jsonio import str_to_rat
-from penciljk.pencils import Pencil
+from penciljk.pencils import Pencil, _class_matrix
 from penciljk.polys import (
     ZPoly,
     _zadd,
@@ -406,6 +410,49 @@ def _sizes_from_defects(defects: list[int]) -> tuple[int, ...]:
     for k in range(len(counts) - 1, 0, -1):
         sizes.extend([k] * (counts[k - 1] - counts[k]))
     return tuple(sizes)
+
+
+def power_sizes(m: Mat, t0: int, cls: tuple[int, ...] | None, total: int) -> tuple[int, ...]:
+    """Block sizes at a class, at infinity for cls None, read off the
+    kernels of the powers of G = D^d g(M) for every class, as
+    ``pencils._sizes_at_class`` read them before degree-1 and infinite
+    classes moved to the Wong chain of the regular pencil: one rank of G,
+    then ``preimage_chain(G, I)`` until the defect reaches ``total``."""
+    if total == 0:
+        return ()
+    d = 1 if cls is None else len(cls) - 1
+    g = _class_matrix(m, t0, cls)
+    identity = Mat.from_ints([[int(i == j) for j in range(g.n)] for i in range(g.n)], g.n)
+    dims = [g.n - rank(g)]
+    chain = preimage_chain(g, identity)
+    if len(next(chain)[0]) != dims[0]:
+        raise AssertionError("the kernel of G disagrees with its rank")
+    while dims[-1] < d * total:
+        dims.append(len(next(chain)[0]))
+        if dims[-1] <= dims[-2]:
+            raise AssertionError("the kernels of the powers of G stop below the total")
+    return _sizes_from_defects([0] + [k // d for k in dims])
+
+
+def gcd_back_substitute(rows: list[list[int]], piv_cols: list[int], f: int, n: int) -> list[int]:
+    """The kernel vector of fraction-free echelon rows at the free column f,
+    up to a nonzero integer factor, as ``exactla._back_substitute`` found
+    it before it started x_f at a pivot: x_f = 1, and at every pivot whose
+    quotient would not be an integer, x is first multiplied by the pivot
+    over its gcd with the sum."""
+    end = f + 1
+    x = [0] * end
+    x[f] = 1
+    for k in range(bisect_left(piv_cols, f) - 1, -1, -1):
+        c = piv_cols[k]
+        s = sum(map(mul, rows[k][c + 1 : end], x[c + 1 :]))
+        if s:
+            p = rows[k][c]
+            g = gcd(s, p)
+            if p != g:
+                x = [v * (p // g) for v in x]
+            x[c] = -s // g
+    return x + [0] * (n - end)
 
 
 def restart_chain(m: Mat, b: Mat):

@@ -1,6 +1,7 @@
 """Fraction-free linear algebra over the rationals."""
 
 import random
+from bisect import bisect_left
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,9 @@ import pytest
 from penciljk.exactla import (
     KernelView,
     Mat,
+    _back_substitute,
     _echelon,
+    _primitive,
     _reduced,
     charpoly,
     det,
@@ -31,7 +34,13 @@ from helpers import (
     vstack,
     zeros,
 )
-from oracles import fraction_det, fraction_solve, full_row_echelon, solve_unique
+from oracles import (
+    fraction_det,
+    fraction_solve,
+    full_row_echelon,
+    gcd_back_substitute,
+    solve_unique,
+)
 
 
 def test_matrix_shapes_and_blocks():
@@ -310,3 +319,30 @@ def test_kernel_view_counts_before_it_back_substitutes():
         for v, f in zip(vectors, view.free):
             assert all(x == 0 for x in apply(a, v))
             assert not any(v[j] for j in range(n) if j != f and (j > f or j not in pivots))
+
+
+def test_cramer_back_substitution_matches_gcd_oracle():
+    # started at the pivot of the last pivot row left of its free column,
+    # a vector back-substitutes by exact divisions alone: on random
+    # Bareiss forms, sparse and dense, it is an integer kernel vector with
+    # that pivot at its free column, and its primitive form is the one
+    # the gcd-rescaling oracle gives
+    rng = random.Random(SEED + 45)
+    scaled = 0
+    for i in range(400):
+        m, n = rng.randint(1, 7), rng.randint(1, 9)
+        if i % 2:
+            rows = _sparse_low_rank(rng, m, n)
+        else:
+            rows = [[rng.randint(-20, 20) for _ in range(n)] for _ in range(m)]
+        mat = Mat.from_ints(rows, n)
+        echelon = [list(r) for r in rows]
+        _, pivots, _, _ = _echelon(echelon, n)
+        for f in (j for j in range(n) if j not in pivots):
+            x = _back_substitute(echelon, pivots, f, n)
+            k = bisect_left(pivots, f)
+            assert x[f] == (echelon[k - 1][pivots[k - 1]] if k else 1)
+            assert not any(apply(mat, x))
+            assert _primitive(x) == _primitive(gcd_back_substitute(echelon, pivots, f, n))
+            scaled += abs(x[f]) > 1
+    assert scaled >= 200

@@ -1,4 +1,5 @@
-"""The pure-Python factorization over Z against sympy as an oracle."""
+"""The pure-Python factorization over Z against sympy as an oracle, and
+against standard-library oracles where sympy is not installed."""
 
 import io
 import json
@@ -7,15 +8,16 @@ import random
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from itertools import product
-from math import comb
+from math import comb, gcd
 
 import pytest
 
 import penciljk.pencils as pencils
 import penciljk.polys as polys
 from penciljk.errors import FactorizationLimitError
-from penciljk.polys import _zmul, integer_factors
+from penciljk.polys import _zmul, integer_factors, poly_sort_key
 
 from oracles import sympy_factors
 from qpoly import monic
@@ -38,6 +40,7 @@ def swinnerton_dyer(k):
 
 
 def test_random_products_match_sympy():
+    pytest.importorskip("sympy")
     rng = random.Random(2024)
     for _ in range(150):
         p = [rng.choice((1, -1, 2, -6, 15))]
@@ -52,6 +55,7 @@ def test_random_products_match_sympy():
 
 
 def test_signs_contents_powers_of_t_and_constants():
+    pytest.importorskip("sympy")
     cases = [
         [5], [-3], [0], [], [0, 0, 4], [0, 0, 0, -7],
         [-6, 0, 2, 0, 0, -2],  # negative leading coefficient and content 2
@@ -69,6 +73,7 @@ def test_signs_contents_powers_of_t_and_constants():
 
 @pytest.mark.parametrize("k", [3, 4])
 def test_swinnerton_dyer_polynomials(k):
+    pytest.importorskip("sympy")
     f = swinnerton_dyer(k)
     assert integer_factors(f) == sympy_factors(f) == [(tuple(f), 1)]
     # f(t) * f(t - 1) * f(t): recombination has to find two true factors
@@ -80,6 +85,7 @@ def test_swinnerton_dyer_polynomials(k):
 
 
 def test_golden_replay_determinants_match_sympy(tmp_path, monkeypatch):
+    pytest.importorskip("sympy")
     seen = []
 
     def checked(p):
@@ -98,6 +104,7 @@ def test_golden_replay_determinants_match_sympy(tmp_path, monkeypatch):
 
 def test_many_modular_factors_with_cheap_recombination():
     # t**60 - 1: 12 cyclotomic factors, at least 21 factors mod every prime
+    pytest.importorskip("sympy")
     f = [-1] + [0] * 59 + [1]
     assert integer_factors(f) == sympy_factors(f)
     assert len(integer_factors(f)) == 12
@@ -105,6 +112,7 @@ def test_many_modular_factors_with_cheap_recombination():
 
 def test_factorization_limit_is_refused(monkeypatch):
     # 8 quadratic factors mod the chosen prime: 162 subsets of size <= 4
+    pytest.importorskip("sympy")
     f = swinnerton_dyer(4)
     monkeypatch.setattr(polys, "MAX_RECOMBINATION_SUBSETS", 100)
     with pytest.raises(FactorizationLimitError) as exc:
@@ -162,3 +170,89 @@ def test_fresh_cli_process_does_not_import_sympy(tmp_path):
     imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
     assert "penciljk.polys" in imported
     assert not {m for m in imported if m.split(".")[0] == "sympy"}
+
+
+def _divisors(k: int) -> list[int]:
+    return [d for d in range(1, k + 1) if k % d == 0]
+
+
+def _rational_roots(f) -> set[Fraction]:
+    """Rational roots of c + b t + a t^2 with a > 0 and c != 0, by trying
+    every +-p/q with p dividing c and q dividing a."""
+    c, b, a = f
+    return {
+        Fraction(s * p, q)
+        for p in _divisors(abs(c))
+        for q in _divisors(a)
+        for s in (1, -1)
+        if a * p * p + s * b * p * q + c * q * q == 0
+    }
+
+
+def _irreducible_mod_some_prime(f) -> bool:
+    """Whether c + b t + a t^2 has no root mod some odd prime p below 2,000
+    that does not divide a: its discriminant is then a non-residue
+    (Euler's criterion), and a quadratic irreducible mod p is irreducible
+    over Q."""
+    c, b, a = f
+    disc = b * b - 4 * a * c
+    for p in range(3, 2000, 2):
+        if all(p % q for q in range(3, int(p**0.5) + 1, 2)) and a % p:
+            if pow(disc % p, (p - 1) // 2, p) == p - 1:
+                return True
+    return False
+
+
+def _primitive_quadratic(c: int, b: int, a: int):
+    g = gcd(c, b, a) * (1 if a > 0 else -1)
+    return [c // g, b // g, a // g]
+
+
+def test_quadratic_parts_split_by_the_discriminant(monkeypatch):
+    # 2,000 primitive squarefree quadratics with a nonzero constant term,
+    # factored without distinct-degree factorization: small ones against a
+    # divisor search for rational roots, 200-bit products of two linear
+    # factors against those factors, and 200-bit random ones, of either
+    # sign of discriminant, against a prime they are irreducible mod; and
+    # against sympy where it is installed
+    def unused(*args):
+        raise AssertionError("a quadratic part went through the modular factorization")
+
+    monkeypatch.setattr(polys, "_distinct_degree", unused)
+    rng = random.Random(2026)
+    cases = []
+    while len(cases) < 2000:
+        kind = len(cases) % 4
+        if kind == 0:
+            f = _primitive_quadratic(rng.randint(-30, 30), rng.randint(-30, 30), rng.randint(1, 30))
+            roots = _rational_roots(f) if f[0] else set()
+            expected = sorted(((-r.numerator, r.denominator) for r in roots), key=poly_sort_key)
+        elif kind == 1:
+            u, v = (_primitive_quadratic(0, rng.randint(-(2**100), 2**100), rng.randint(1, 2**100))[1:] for _ in range(2))
+            f = _zmul(u, v)
+            expected = sorted({tuple(u), tuple(v)}, key=poly_sort_key)
+        else:
+            big = lambda: rng.randint(-(2**200), 2**200)  # noqa: E731
+            a, c = big(), big()
+            if kind == 3:
+                # a and c of one sign and b small: a negative discriminant
+                c = abs(c) if a > 0 else -abs(c)
+            f = _primitive_quadratic(c, rng.randint(-(2**20), 2**20) if kind == 3 else big(), a)
+            assert _irreducible_mod_some_prime(f), f
+            expected = []
+        if not (f[0] and f[2]) or f[1] ** 2 == 4 * f[0] * f[2]:
+            continue
+        if len(expected) == 1:  # a repeated root from the same factor twice
+            continue
+        cases.append((f, [(g, 1) for g in expected] or [(tuple(f), 1)]))
+    split = 0
+    for f, expected in cases:
+        assert integer_factors(f) == expected, f
+        split += len(expected) == 2
+    assert split >= 500
+    try:
+        import sympy  # noqa: F401
+    except ImportError:
+        return
+    for f, expected in cases[::7]:
+        assert sympy_factors(f) == expected, f

@@ -1,6 +1,7 @@
 """JSON serialization: exact rationals, pencils, algebras, signatures."""
 
 import json
+import os
 import random
 from fractions import Fraction
 
@@ -280,6 +281,61 @@ def test_emit_is_canonical_and_idempotent():
     assert text.endswith("\n")
     assert text.index('"a"') < text.index('"b"')
     assert emit(json.loads(text)) == text
+
+
+# strings a report could carry, and some it never does: quotes,
+# backslashes, control characters, non-ASCII and astral characters
+_AWKWARD = (
+    "",
+    "t^2-1/2*t",
+    'quote " inside',
+    "back\\slash",
+    "tab\tnew\nline\rreturn",
+    "\x00\x01\x1f\x7f",
+    "é ü ñ",
+    "中文",
+    "\u2028\u2029",
+    "\U0001f600",
+    "/",
+)
+
+
+def _report_like(rng, depth: int = 0):
+    """A random value of a report's shape: nested dicts and lists, empty
+    ones among them, with ints of every size, bools, None and strings."""
+    kind = rng.randrange(8 if depth < 4 else 5)
+    if kind == 0:
+        return rng.choice(_AWKWARD) + rng.choice(("", "x", "0"))
+    if kind == 1:
+        return rng.choice(
+            (0, 1, -1, rng.randint(-999, 999), rng.randint(2**64, 2**200), -rng.randint(2**63, 2**200))
+        )
+    if kind == 2:
+        return rng.choice((True, False, None))
+    if kind in (3, 4):
+        return rng.choice(([], {}, [[]], [{}], {"": []}, {"k": {}}))
+    if kind == 5:
+        return [_report_like(rng, depth + 1) for _ in range(rng.randint(1, 4))]
+    return {rng.choice(_AWKWARD) + str(i): _report_like(rng, depth + 1) for i in range(rng.randint(1, 4))}
+
+
+def test_emit_matches_json_dumps_on_random_reports():
+    # the direct emitter writes exactly what json.dumps writes with sorted
+    # keys and a two-space indent, on random report-shaped values and on
+    # every JSON report of the golden replay
+    rng = random.Random(SEED + 61)
+    for _ in range(2000):
+        obj = _report_like(rng)
+        assert emit(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    with open(os.path.join(os.path.dirname(__file__), "data", "golden_cli.json"), encoding="utf-8") as fh:
+        golden = json.load(fh)
+    reports = [r["stdout"] for r in golden["requests"] if r["stdout"].startswith("{")]
+    assert len(reports) > 50
+    for text in reports:
+        assert emit(json.loads(text)) == text
+    for bad in (1.5, Fraction(1, 2), {1, 2}, {1: "int key"}, [b"bytes"]):
+        with pytest.raises(TypeError):
+            emit(bad)
 
 
 def test_load_json_errors(tmp_path):

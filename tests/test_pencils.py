@@ -8,6 +8,7 @@ import weakref
 from functools import lru_cache
 from fractions import Fraction
 from itertools import islice
+from math import gcd
 from operator import mul
 
 import pytest
@@ -62,10 +63,12 @@ from oracles import (
     eval_rank,
     fraction_candidates,
     fraction_det,
+    gcd_back_substitute,
     interp_det,
     patch_dense_checks,
     pencil_entries,
     pivot_complement,
+    power_sizes,
     resolvent_sizes,
     restart_chain,
     smith_invariant_factors,
@@ -627,6 +630,70 @@ def test_mobius_sizes_match_companion_chain_and_resolvents():
     assert sum(t0 >= 2 for t0 in shifts) >= 100 and max(shifts) >= 3
 
 
+# block sizes that a semisimple class cannot have: repeated and unequal
+_UNEVEN_SIZES = ((3, 1), (2, 2), (2, 1, 1))
+
+
+def _rational_class(rng, other: EigClass | None = None) -> EigClass:
+    """The class of a random root u/v with |u| <= 4 and v <= 3, stored as
+    (-u, v), other than ``other``."""
+    while True:
+        u, v = rng.randint(-4, 4), rng.randint(1, 3)
+        if gcd(u, v) == 1 and EigClass((-u, v)) != other:
+            return EigClass((-u, v))
+
+
+def test_pencil_route_sizes_match_powers_of_g(monkeypatch):
+    # at a degree-1 class and at infinity the sizes come from the Wong
+    # chain of the regular pencil, whose entries are the pencil's, and
+    # G = D^d g(M) is built only for classes of degree 2 or more; on
+    # scrambled pencils with non-semisimple rational and infinite blocks,
+    # some next to a quadratic class, a second rational class or singular
+    # blocks, they equal the sizes read off the powers of G and those the
+    # pencil was built with
+    real = pencils._class_matrix
+
+    def higher_degree_only(m, t0, cls):
+        assert cls is not None and len(cls) > 2
+        return real(m, t0, cls)
+
+    monkeypatch.setattr(pencils, "_class_matrix", higher_degree_only)
+    rng = random.Random(SEED + 19)
+    seen = set()
+    for i in range(90):
+        first = _rational_class(rng)
+        jordan = [(first, rng.choice(_UNEVEN_SIZES)), (EigClass.infinite(), rng.choice(_UNEVEN_SIZES))]
+        if i % 3 == 0:
+            jordan.append((EigClass((-2, 0, 1)), (rng.randint(1, 2),)))
+        elif i % 3 == 1:
+            jordan.append((_rational_class(rng, first), (rng.randint(1, 2),)))
+        jordan.sort(key=lambda cs: cs[0].sort_key())
+        singular = i % 2
+        jdim = sum(c.root_count * sum(sizes) for c, sizes in jordan)
+        inv = StrictInvariants(
+            m=jdim + 2 * singular,
+            n=jdim + 2 * singular,
+            rank=jdim + singular,
+            horizontal=(2,) * singular,
+            vertical=(1,) * singular,
+            jordan=tuple(jordan),
+        )
+        p = scramble(canonical_of(inv), rng, bound=3)
+        reg, t0 = _regular_part(p), regular_value(p)
+        m = solve(reg.at(t0), reg.b)
+        totals, inf_total = _class_totals(m, t0)
+        found = {}
+        for cls, total in totals + [(None, inf_total)]:
+            sizes = _sizes_at_class(m, t0, cls, total, reg)
+            assert sizes == power_sizes(m, t0, cls, total)
+            found[cls] = sizes
+            if cls is None or len(cls) == 2:
+                seen.add((cls is None, sizes))
+        assert found == {c.poly: sizes for c, sizes in inv.jordan}
+        assert strict_invariants(p) == inv
+    assert seen >= {(inf, sizes) for inf in (False, True) for sizes in _UNEVEN_SIZES}
+
+
 def test_jordan_chain_eliminates_only_regular_part_rows(monkeypatch):
     # t^3 - 2 with sizes (3, 1) on a 12 x 12 regular part: G = D^3 g(M) is
     # 12 x 12 too, and the chain runs to its third step with at most
@@ -737,6 +804,31 @@ def test_continued_chain_matches_restart_oracle_on_pencils():
         for a, b in pairs:
             bases = [basis for basis, _ in islice(preimage_chain(a, b), 6)]
             assert _same_chain(bases, list(islice(restart_chain(a, b), 6)), a.n)
+
+
+def test_continued_chain_back_substitution_matches_gcd_oracle(monkeypatch):
+    # every vector a chain back-substitutes, from its first elimination or
+    # from one continued into appended columns, is the one the
+    # gcd-rescaling oracle gives, up to its content and sign
+    real = exactla._back_substitute
+    calls = []
+
+    def checked(rows, pivots, f, n):
+        x = real(rows, pivots, f, n)
+        assert exactla._primitive(x) == exactla._primitive(gcd_back_substitute(rows, pivots, f, n))
+        calls.append(f)
+        return x
+
+    monkeypatch.setattr(exactla, "_back_substitute", checked)
+    rng = random.Random(SEED + 33)
+    continued = 0
+    for _ in range(500):
+        a, b = _chain_pair(rng)
+        start = len(calls)
+        for _ in islice(preimage_chain(a, b), 6):
+            pass
+        continued += any(f >= a.n for f in calls[start:])
+    assert continued >= 100
 
 
 def test_continued_rows_equal_one_stacked_elimination(monkeypatch):
@@ -1141,8 +1233,8 @@ def test_no_candidate_without_blocks(monkeypatch):
     returned = []
     real = pencils._sizes_at_class
 
-    def recorded(m, t0, cls, total):
-        sizes = real(m, t0, cls, total)
+    def recorded(m, t0, cls, total, reg):
+        sizes = real(m, t0, cls, total, reg)
         returned.append((cls, sizes))
         return sizes
 

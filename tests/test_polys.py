@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 from math import gcd
 
+import pytest
+
 from penciljk.polys import (
     _zgcd,
     _zmul,
@@ -125,6 +127,7 @@ def test_coprime_basis_handles_powers_and_fractions():
 def test_integer_factors_match_fraction_path():
     # products of linear, quadratic and cubic irreducibles with random
     # multiplicities and integer scalings; two products share some factors
+    pytest.importorskip("sympy")
     pool = [
         P(0, 1), P(-1, 1), P(3, 1), P(Fraction(1, 2), 1), P(Fraction(-2, 3), 1),
         P(1, 0, 1), P(-2, 0, 1), P(-1, -1, 1), P(Fraction(-1, 2), 0, 1),
