@@ -21,15 +21,17 @@ canonical and cheap to feed back into integer elimination.
 A kernel can also be held as a ``KernelView``: one elimination whose
 nullity and free columns are read off the echelon form, and whose
 vectors, the ``kernel_basis`` of the matrix in the same order, are
-back-substituted only when first read.  ``kernel_basis`` is those
-vectors, so one back-substitution routine serves both.  The vector of a
-free column f is zero outside f and the pivot columns left of it, so a
-product with it can run over its nonzero coordinates alone.
+back-substituted only when first read.  One back-substitution routine
+serves ``KernelView``, ``kernel_basis`` (those vectors), the candidates
+of ``preimage_chain`` and ``solve``, whose right-hand sides are the free
+columns of [a | b].  The vector of a free column f is zero outside f and
+the pivot columns left of it, so a product with it can run over its
+nonzero coordinates alone.
 Back-substitution sets x_f to the pivot D of the last pivot row left of
 f, which is the minor of the input on those rows and pivot columns.  By
 Cramer's rule D times the solution with x_f = 1 is an integer vector, so
 every division is exact and no step takes a gcd or rescales x; the
-content comes off once, at the end.
+content comes off once, at the end, where a kernel vector is wanted.
 
 ``preimage_chain`` runs the nested kernel chain (Wong sequence)
 
@@ -350,34 +352,27 @@ def det(mat: Mat) -> Fraction:
 def solve(a: Mat, b: Mat) -> Mat:
     """The matrix X with a X = b, for an invertible square a.
 
-    One elimination of [a_int | b_int] leaves an upper triangular a part
-    whose last pivot D is +-det(a_int).  By Cramer's rule D * a_int^-1 is
-    an integer matrix, so D times each solution entry is an integer, and
-    back-substitution computes those integers with exact divisions.  The
-    denominators give X = (da / db) * a_int^-1 b_int.
+    One elimination of [a_int | b_int] leaves an upper triangular a part,
+    its i-th pivot in column i, whose last pivot D is +-det(a_int).  The
+    column n + j of b_int is then a free column whose kernel vector, as
+    ``_back_substitute`` starts it at x_(n+j) = D, is (-D a_int^-1 b_j, D):
+    minus its first n entries are column j of D * a_int^-1 b_int, integers
+    by Cramer's rule.  The denominators give X = (da / db) * a_int^-1 b_int.
     """
     n, k = a.n, b.n
     if a.m != n or b.m != n:
         raise ValueError(f"cannot solve a {a.m}x{n} system for {b.m} rows")
     rows = [list(ra) + list(rb) for ra, rb in zip(a.rows, b.rows)]
-    r, _, _, last = _echelon(rows, n)
+    r, pivots, _, last = _echelon(rows, n)
     if r < n:
         raise ZeroDivisionError("singular matrix")
-    # a full-rank square echelon form has its k-th pivot in column k; each
-    # row back-substitutes all k right-hand sides at once
+    # a negative D turns into a positive denominator by negating X's rows
+    sign = -1 if last > 0 else 1
     out: list[list[int]] = [[] for _ in range(n)]
-    for i in range(n - 1, -1, -1):
-        row = rows[i]
-        acc = [last * y for y in row[n:]]
-        for c in range(i + 1, n):
-            h = row[c]
-            if h:
-                acc = [a - h * x for a, x in zip(acc, out[c])]
-        pivot = row[i]
-        out[i] = [a // pivot for a in acc]
-    if last < 0:
-        last, out = -last, [[-x for x in r] for r in out]
-    return Mat.from_ints([[a.den * x for x in r] for r in out], k, b.den * last)
+    for j in range(n, n + k):
+        for row, x in zip(out, _back_substitute(rows, pivots, j, j + 1)):
+            row.append(sign * a.den * x)
+    return Mat.from_ints(out, k, b.den * abs(last))
 
 
 def charpoly(rows: Sequence[Sequence[int]]) -> list[int]:
@@ -480,18 +475,11 @@ def kernel_basis(mat: Mat) -> list[IntVec]:
     One vector per free column f: the solution with x_f = 1 and the other
     free coordinates zero, back-substituted in integers and rescaled.  So
     each vector is nonzero at its own free column, zero at the others, and
-    zero right of its own (see ``free_columns``); the vectors come in the
-    order of their free columns.  They are the vectors of a
-    ``KernelView``, which can give the count and the free columns alone.
+    zero right of its own; the vectors come in the order of their free
+    columns.  They are the vectors of a ``KernelView``, which also holds
+    the count and the free columns, read off the elimination.
     """
     return KernelView(mat).vectors
-
-
-def free_columns(basis: Sequence[IntVec]) -> list[int]:
-    """The free column of each vector of a ``kernel_basis``: its last
-    nonzero coordinate, since back-substitution leaves every coordinate
-    right of the free one zero."""
-    return [len(v) - 1 - next(i for i, x in enumerate(reversed(v)) if x) for v in basis]
 
 
 def row_space_basis(vectors: Sequence[Sequence], n: int) -> list[IntVec]:

@@ -63,8 +63,8 @@ Trenn 2012): the right one spans exactly the columns of the horizontal
 blocks, the left one the rows of the vertical blocks.  Together with
 their images under A and B they split the singular part off, as in Van
 Dooren's (1979) staircase reduction but in exact arithmetic: two
-complements, chosen on the free coordinates of a kernel basis
-(``_complement``), give a square pencil
+complements, chosen on the free columns a kernel view's elimination
+found (``_complement``), give a square pencil
 Q (A + t*B) P, of size n minus sum(w) minus sum(u - 1), that is strictly
 equivalent to the Jordan part of the Kronecker form (see
 ``_regular_part``).  The two kernels are ``exactla.KernelView``s of the
@@ -147,7 +147,6 @@ from .exactla import (
     KernelView,
     Mat,
     charpoly,
-    free_columns,
     pivot_columns,
     preimage_chain,
     rank,
@@ -487,23 +486,22 @@ def minimal_indices(p: Pencil) -> tuple[tuple[int, ...], tuple[int, ...]]:
 # eigenvalue structure
 
 
-def _complement(inside: Sequence[IntVec], basis: Sequence[IntVec], n: int) -> list[IntVec]:
-    """Vectors of ``basis``, the kernel of some matrix (a ``KernelView``
-    or a ``kernel_basis``), that complete the independent ``inside``,
-    which must lie in its span, to a basis of that span: each basis[j]
-    outside the span of ``inside`` and basis[:j], so the pivots of
-    [inside | basis] beyond ``inside``.
+def _complement(inside: Sequence[IntVec], basis: KernelView) -> list[IntVec]:
+    """Vectors of ``basis``, the kernel of some matrix, that complete the
+    independent ``inside``, which must lie in its span, to a basis of that
+    span: each basis[j] outside the span of ``inside`` and basis[:j], so
+    the pivots of [inside | basis] beyond ``inside``.
 
-    They are read off the free columns f_1 < ... < f_k of ``basis``
-    (``exactla.free_columns``).  basis[j] is nonzero at f_j and zero right
-    of it, so restricting to those k coordinates is triangular with a
-    nonzero diagonal on the basis, and injective on its span; it carries
-    span(basis[:j]) onto the span of the first j - 1 unit vectors.  So
-    basis[j] lies in span(inside) + span(basis[:j]) exactly when some
-    vector of span(inside) has its last nonzero free coordinate at f_j.
-    Those j are the pivots of the |inside| x k matrix of free coordinates
-    with its columns reversed, an elimination of k columns in place of
-    one of n rows, and every other basis[j] is kept.
+    They are read off the free columns f_1 < ... < f_k that the kernel
+    view's elimination found (``basis.free``).  basis[j] is nonzero at f_j
+    and zero right of it, so restricting to those k coordinates is
+    triangular with a nonzero diagonal on the basis, and injective on its
+    span; it carries span(basis[:j]) onto the span of the first j - 1 unit
+    vectors.  So basis[j] lies in span(inside) + span(basis[:j]) exactly
+    when some vector of span(inside) has its last nonzero free coordinate
+    at f_j.  Those j are the pivots of the |inside| x k matrix of free
+    coordinates with its columns reversed, an elimination of k columns in
+    place of one of n rows, and every other basis[j] is kept.
 
     That inside lies in the span is checked by exact integer products:
     basis[j] is zero at the other free columns, so the coefficient of v
@@ -512,10 +510,10 @@ def _complement(inside: Sequence[IntVec], basis: Sequence[IntVec], n: int) -> li
     vector outside the span would leave a complement of the wrong size
     under [inside | basis], and raises here.
     """
-    free = free_columns(basis)
+    free = basis.free
     heads = [w[f] for w, f in zip(basis, free)]
     den = lcm(*heads)
-    cols = list(zip(*basis)) if basis else [()] * n
+    cols = list(zip(*basis)) if basis else [()] * basis.n
     for v in inside:
         coeffs = [v[f] * (den // h) for f, h in zip(free, heads)]
         if [sum(map(mul, coeffs, col)) for col in cols] != [den * x for x in v]:
@@ -611,8 +609,8 @@ def _regular_part(p: Pencil) -> Pencil:
         if len(ker_coimage) != len(right) or len(ann_image) != len(left):
             raise InternalConsistencyError("the regular part is not square of the Jordan dimension")
         return Pencil(Mat.from_ints((), 0), Mat.from_ints((), 0))
-    cols = _complement(right, ker_coimage, p.n)
-    rows = cols if skew else _complement(left, ann_image, p.m)
+    cols = _complement(right, ker_coimage)
+    rows = cols if skew else _complement(left, ann_image)
     if len(cols) != size or len(rows) != size:
         raise InternalConsistencyError("the regular part is not square of the Jordan dimension")
     return Pencil(
@@ -646,12 +644,9 @@ def _class_totals(m: Mat, t0: int) -> tuple[list[tuple[tuple[int, ...], int]], i
     return integer_factors(poly), n - (len(coeffs) - 1)
 
 
-def _shifted_class(cls: tuple[int, ...] | None, t0: int) -> list[int]:
+def _shifted_class(cls: tuple[int, ...], t0: int) -> list[int]:
     """Integer coefficients, lowest degree first, of a nonzero multiple of
-    g(mu) = mu^d f(t0 - 1/mu) for the finite class f = cls of degree d,
-    or of g(mu) = mu for the infinite class (cls None)."""
-    if cls is None:
-        return [0, 1]
+    g(mu) = mu^d f(t0 - 1/mu) for the finite class f = cls of degree d."""
     d = len(cls) - 1
     g = [0] * (d + 1)
     power = [1]  # (t0 mu - 1)^i, lowest degree first
@@ -663,7 +658,7 @@ def _shifted_class(cls: tuple[int, ...] | None, t0: int) -> list[int]:
     return g
 
 
-def _class_matrix(m: Mat, t0: int, cls: tuple[int, ...] | None) -> Mat:
+def _class_matrix(m: Mat, t0: int, cls: tuple[int, ...]) -> Mat:
     """The integer matrix G = D^d g(M) of a class (see ``_shifted_class``),
     for M = X / D stored as integer rows X over the denominator D; the
     package builds it only for classes of degree 2 or more.
@@ -685,13 +680,12 @@ def _class_matrix(m: Mat, t0: int, cls: tuple[int, ...] | None) -> Mat:
 
 
 def _sizes_at_class(
-    m: Mat, t0: int, cls: tuple[int, ...] | None, total: int, reg: Pencil | None = None
+    m: Mat, t0: int, cls: tuple[int, ...] | None, total: int, reg: Pencil
 ) -> tuple[int, ...]:
     """Jordan block sizes of a square regular pencil reg = A + t*B at an
     irreducible class cls, or at infinity when cls is None, whose total
     block size is ``total``; t0 is not an eigenvalue and
-    M = (A + t0*B)^-1 B.  With reg None the pencil read is I + (t - t0) M,
-    which is strictly equivalent to it.
+    M = (A + t0*B)^-1 B.
 
     With P = A + t0*B, invertible,
 
@@ -721,7 +715,8 @@ def _sizes_at_class(
 
     The infinite class is g(mu) = mu with d = 1.
 
-    For a class of degree 2 or more, ``_class_matrix`` builds
+    M is read only at classes of degree 2 or more, and reg at the others,
+    so both are always given.  At degree 2 or more ``_class_matrix`` builds
     G = D^d g(M) in integers, and the chain W_1 = ker G,
     W_{k+1} = G^-1(W_k) = ker G^(k+1) is ``preimage_chain(G, I)``.  For
     f = f0 + f1*t, g(mu) = f(t0) mu - f1 and P g(M) = f0*B - f1*A; at
@@ -746,10 +741,6 @@ def _sizes_at_class(
     """
     if total == 0:
         return ()
-    if reg is None:
-        den, x = m.den, m.rows
-        a = [[den * (i == j) - t0 * v for j, v in enumerate(r)] for i, r in enumerate(x)]
-        reg = Pencil(Mat.from_ints(a, m.n, den), m)
     if cls is None:
         d, g, b = 1, reg.b, reg.a
     elif len(cls) == 2:

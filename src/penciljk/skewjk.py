@@ -26,7 +26,7 @@ from .errors import (
     RegularPointHypothesisError,
     SparsityPatternError,
 )
-from .exactla import IntVec, Mat, kernel_basis
+from .exactla import IntVec, KernelView, Mat
 from .pencils import (
     EigClass,
     Pencil,
@@ -104,15 +104,18 @@ def core_subspace(p: Pencil) -> list[IntVec]:
     return list(p.chains.right)
 
 
-def mantle_subspace(p: Pencil) -> list[IntVec]:
-    """Orthogonal complement of the core with respect to a regular form."""
+def mantle_subspace(p: Pencil) -> KernelView:
+    """Orthogonal complement of the core with respect to a regular form,
+    as the kernel view of the rows form^T k over the core vectors k: its
+    dimension is read off that one elimination, and its vectors are
+    back-substituted only when first read (see ``exactla``)."""
     _require_skew(p)
     chains = p.chains
     # the rows form^T k, scaled by the denominator of the form, which
     # changes no kernel
     cols = list(zip(*p.at(chains.regular).rows))
     rows = [[sum(map(mul, col, k)) for col in cols] for k in chains.right]
-    return kernel_basis(Mat.from_ints(rows, p.n))
+    return KernelView(Mat.from_ints(rows, p.n))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,9 @@ of a kernel chain eliminates its stacked matrix from scratch instead of
 continuing one elimination, the Bareiss elimination updates whole rows
 instead of only the cells right of each pivot, the complement of a chain
 limit inside a kernel comes from the pivot columns of [inside | basis]
-instead of the free coordinates of the kernel basis, the functionals
+instead of the free coordinates of the kernel basis, the free columns
+of a kernel basis are read off its vectors' last nonzero coordinates
+instead of the elimination that made it, the functionals
 vanishing on a chain limit's image are back-substituted at once by
 ``kernel_basis`` instead of held as a kernel view, the regular part is
 multiplied out over every coordinate of its complements instead of their
@@ -59,7 +61,6 @@ from operator import mul
 from penciljk.exactla import (
     IntVec,
     Mat,
-    free_columns,
     kernel_basis,
     pivot_columns,
     preimage_chain,
@@ -412,6 +413,13 @@ def _sizes_from_defects(defects: list[int]) -> tuple[int, ...]:
     return tuple(sizes)
 
 
+def class_matrix(m: Mat, t0: int, cls: tuple[int, ...] | None) -> Mat:
+    """G = D^d g(M) for every class, M = X / D: ``pencils._class_matrix``
+    for a finite class of any degree, and X itself at infinity (cls None),
+    where g(mu) = mu."""
+    return Mat.from_ints(m.rows, m.n) if cls is None else _class_matrix(m, t0, cls)
+
+
 def power_sizes(m: Mat, t0: int, cls: tuple[int, ...] | None, total: int) -> tuple[int, ...]:
     """Block sizes at a class, at infinity for cls None, read off the
     kernels of the powers of G = D^d g(M) for every class, as
@@ -421,7 +429,7 @@ def power_sizes(m: Mat, t0: int, cls: tuple[int, ...] | None, total: int) -> tup
     if total == 0:
         return ()
     d = 1 if cls is None else len(cls) - 1
-    g = _class_matrix(m, t0, cls)
+    g = class_matrix(m, t0, cls)
     identity = Mat.from_ints([[int(i == j) for j in range(g.n)] for i in range(g.n)], g.n)
     dims = [g.n - rank(g)]
     chain = preimage_chain(g, identity)
@@ -509,6 +517,13 @@ def full_row_echelon(
         piv_cols.append(c)
         r += 1
     return r, piv_cols, sign, prev
+
+
+def free_columns(basis) -> list[int]:
+    """The free column of each vector of a ``kernel_basis``, read off the
+    vectors instead of the elimination: its last nonzero coordinate, since
+    back-substitution leaves every coordinate right of the free one zero."""
+    return [len(v) - 1 - next(i for i, x in enumerate(reversed(v)) if x) for v in basis]
 
 
 def pivot_complement(inside, basis, n: int) -> list[IntVec]:

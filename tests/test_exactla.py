@@ -15,7 +15,6 @@ from penciljk.exactla import (
     _reduced,
     charpoly,
     det,
-    free_columns,
     kernel_basis,
     pivot_columns,
     rank,
@@ -37,6 +36,7 @@ from helpers import (
 from oracles import (
     fraction_det,
     fraction_solve,
+    free_columns,
     full_row_echelon,
     gcd_back_substitute,
     solve_unique,
@@ -175,6 +175,28 @@ def test_solve_matches_fraction_gauss_jordan():
         shifted = a + b.scale(t0)
         assert det(a) == 0 and det(a + b) == 0 and det(shifted) != 0
         assert solve(shifted, b).tolist() == fraction_solve(shifted.tolist(), b.tolist())
+
+
+def test_solve_keeps_empty_right_sides_and_a_positive_denominator():
+    # X is stored canonically, rows over a positive denominator, whatever
+    # the sign of the last pivot D of [a | b]; with no right-hand side it
+    # is n rows of width 0
+    rng = random.Random(SEED + 46)
+    negative = empty = 0
+    for _ in range(200):
+        n, k = rng.randint(1, 5), rng.randint(0, 3)
+        a = Mat.from_ints([[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)], n)
+        b = Mat.from_ints([[rng.randint(-4, 4) for _ in range(k)] for _ in range(n)], k, rng.randint(1, 3))
+        expected = fraction_solve(a.tolist(), b.tolist())
+        if expected is None:
+            continue
+        x = solve(a, b)
+        assert x == Mat(expected, n=k) and x.den > 0
+        assert x.shape == (n, k)
+        echelon = [list(ra) + list(rb) for ra, rb in zip(a.rows, b.rows)]
+        negative += k > 0 and _echelon(echelon, n)[3] < 0
+        empty += k == 0
+    assert negative >= 40 and empty >= 20
 
 
 def test_charpoly_matches_fraction_det():

@@ -95,9 +95,9 @@ def test_golden_complements_match_the_pivot_oracle(tmp_path, monkeypatch):
     calls = []
     real = pencils._complement
 
-    def checked(inside, basis, n):
-        kept = real(inside, basis, n)
-        assert kept == pivot_complement(inside, basis, n)
+    def checked(inside, basis):
+        kept = real(inside, basis)
+        assert kept == pivot_complement(inside, basis, basis.n)
         calls.append(len(kept))
         return kept
 

@@ -3,8 +3,9 @@ module imports a name it never uses, the Lie layer does not import
 ``fractions``, only ``exactla`` drives the Bareiss elimination and no
 other module imports its private names, only ``strata`` states the
 Kronecker counts and bookkeeping, no function but the CLI's parser
-builder is a memo, and every function the benchmark tracer wraps by name
-still exists."""
+builder is a memo, every function the benchmark tracer wraps by name
+still exists, and every module-level function has a package caller, a
+benchmark that names it, or a place among the paper's techniques."""
 
 import ast
 import importlib
@@ -230,3 +231,59 @@ def test_tracer_targets_exist(tracer):
         if not callable(getattr(importlib.import_module(f"penciljk.{module}"), func, None))
     ]
     assert missing == []
+
+
+def uncalled_functions(sources: dict[str, str]) -> list[tuple[str, str]]:
+    """(module, function) for each module-level function of the given
+    sources (module name -> text) that no code outside its own body names;
+    an import alone names nothing."""
+    defs = []
+    named: dict[str, set] = {}
+    for module, source in sources.items():
+        for top in ast.parse(source).body:
+            own = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+            if own:
+                defs.append((module, own))
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    named.setdefault(node.id, set()).add((module, own))
+    return [(module, f) for module, f in defs if not named.get(f, set()) - {(module, f)}]
+
+
+def _package_imports(source: str) -> set[tuple[str, str]]:
+    """(module, name) for each name the source imports from ``penciljk``."""
+    return {
+        (node.module.split(".")[-1], alias.name)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.module and node.module.startswith("penciljk.")
+        for alias in node.names
+    }
+
+
+# the paper's techniques, offered to users though no command reaches them
+PAPER_TECHNIQUES = {"enumerate_signatures", "verify_block_structure", "jk_of_block_pencil"}
+
+
+def test_uncalled_function_check_can_fail():
+    sources = {"a": "def f():\n    g()\ndef g(): ...\ndef h():\n    h()\n", "b": "from a import f, h\nf()\n"}
+    assert uncalled_functions(sources) == [("a", "h")]
+    assert _package_imports("def w():\n    from penciljk.jsonio import emit\n") == {("jsonio", "emit")}
+
+
+def test_every_package_function_has_a_user(tracer):
+    """Code the package does not call leaves ``src/``, unless the
+    benchmark names it or it is one of the paper's techniques."""
+    sources = {}
+    for name in sorted(os.listdir(PACKAGE)):
+        if name.endswith(".py"):
+            with open(os.path.join(PACKAGE, name), encoding="utf-8") as fh:
+                sources[name[: -len(".py")]] = fh.read()
+    with open(os.path.join(ROOT, "bench", "workloads.py"), encoding="utf-8") as fh:
+        benchmarked = _package_imports(fh.read())
+    benchmarked |= set(tracer.LAYERS) | {("jsonio", name) for name in tracer.JSONIO_FUNCTIONS}
+    unused = [
+        f"{module}.{f}"
+        for module, f in uncalled_functions(sources)
+        if (module, f) not in benchmarked and f not in PAPER_TECHNIQUES
+    ]
+    assert unused == []

@@ -24,7 +24,6 @@ from penciljk.pencils import (
     EigClass,
     Pencil,
     StrictInvariants,
-    _class_matrix,
     _class_totals,
     _complement,
     _deficiency,
@@ -59,6 +58,7 @@ from helpers import (
 )
 from oracles import (
     all_minor_totals,
+    class_matrix,
     companion_sizes,
     eval_rank,
     fraction_candidates,
@@ -431,9 +431,9 @@ def test_minor_bound_stops_resolvent_ranks(monkeypatch):
     # defect 2 at k = 1 already meets the total, so no kernel is taken and
     # the chain runs no step; g(M) is 6 wide, where the companion expansion
     # of the regular part would be 3 * 6 and that of the whole pencil 3 * 8
-    assert _sizes_at_class(m, t0, cubic, 2) == (1, 1)
+    assert _sizes_at_class(m, t0, cubic, 2, reg) == (1, 1)
     assert calls == [(6, 6)]
-    assert _sizes_at_class(m, t0, None, 0) == ()
+    assert _sizes_at_class(m, t0, None, 0, reg) == ()
     assert calls == [(6, 6)]
     # once the rank scan and the chains are done, that one g(M) is all the
     # eigenvalue stage ranks
@@ -455,31 +455,32 @@ def test_sizes_without_a_tight_bound_agree():
         if r == 0:
             continue
         cases = _chain_cases(p, with_empty_infinity=True)
-        for m, t0, cls, total, whole, oracle_cls in cases:
+        for m, t0, reg, cls, total, whole, oracle_cls in cases:
             expected = resolvent_sizes(whole, oracle_cls, r)
             assert sum(expected) == total
-            assert _sizes_at_class(m, t0, cls, total) == expected
+            assert _sizes_at_class(m, t0, cls, total, reg) == expected
             with pytest.raises(InternalConsistencyError):
-                _sizes_at_class(m, t0, cls, total + 1)
+                _sizes_at_class(m, t0, cls, total + 1, reg)
         checked += 1
 
 
-def _shifted(p: Pencil) -> tuple[Mat, int]:
-    """M = (A_R + t0 B_R)^-1 B_R of the regular part of p, and t0, the
-    regular value of p."""
+def _shifted(p: Pencil) -> tuple[Mat, int, Pencil]:
+    """M = (A_R + t0 B_R)^-1 B_R of the regular part A_R + t B_R of p, t0,
+    the regular value of p, and the regular part."""
     reg, t0 = _regular_part(p), regular_value(p)
-    return solve(reg.at(t0), reg.b), t0
+    return solve(reg.at(t0), reg.b), t0, reg
 
 
 def _chain_cases(p: Pencil, with_empty_infinity: bool = False) -> list[tuple]:
     # every class of the pencil, finite and infinite (None), with its total
-    # and the regular part's M and t0, and the whole pencil with the class
-    # the resolvent oracle reads it at (the reversed pencil at 0 for infinity)
-    m, t0 = _shifted(p)
+    # and the regular part with its M and t0, and the whole pencil with the
+    # class the resolvent oracle reads it at (the reversed pencil at 0 for
+    # infinity)
+    m, t0, reg = _shifted(p)
     totals, inf_total = _class_totals(m, t0)
-    cases = [(m, t0, cls, total, p, cls) for cls, total in totals]
+    cases = [(m, t0, reg, cls, total, p, cls) for cls, total in totals]
     if inf_total or with_empty_infinity:
-        cases.append((m, t0, None, inf_total, reversed_pencil(p), (0, 1)))
+        cases.append((m, t0, reg, None, inf_total, reversed_pencil(p), (0, 1)))
     return cases
 
 
@@ -534,11 +535,11 @@ def test_jordan_chain_matches_resolvent_oracle():
         cases.append((p, r, expected))
     for p, r, expected in cases:
         found = {}
-        for m, t0, cls, total, whole, oracle_cls in _chain_cases(p):
-            sizes = _sizes_at_class(m, t0, cls, total)
+        for m, t0, reg, cls, total, whole, oracle_cls in _chain_cases(p):
+            sizes = _sizes_at_class(m, t0, cls, total, reg)
             assert sizes == resolvent_sizes(whole, oracle_cls, r)
             with pytest.raises(InternalConsistencyError, match="stop below the total"):
-                _sizes_at_class(m, t0, cls, total + 1)
+                _sizes_at_class(m, t0, cls, total + 1, reg)
             found[oracle_cls] = sizes
         assert found == expected
 
@@ -620,7 +621,7 @@ def test_mobius_sizes_match_companion_chain_and_resolvents():
         found = {}
         for cls, total in totals + ([(None, inf_total)] if inf_total else []):
             q, at = (reg, cls) if cls else (reversed_pencil(reg), (0, 1))
-            sizes = _sizes_at_class(m, t0, cls, total)
+            sizes = _sizes_at_class(m, t0, cls, total, reg)
             assert sizes == companion_sizes(q, at) == resolvent_sizes(q, at, reg.n)
             found[cls] = sizes
             degrees.add(len(cls) - 1 if cls else None)
@@ -707,8 +708,8 @@ def test_jordan_chain_eliminates_only_regular_part_rows(monkeypatch):
         m=12, n=12, rank=12, horizontal=(), vertical=(), jordan=((EigClass(cubic), (3, 1)),)
     )
     p = scramble(canonical_of(inv), random.Random(SEED + 17))
-    assert _regular_part(p).shape == (12, 12)
-    m, t0 = _shifted(p)
+    m, t0, reg = _shifted(p)
+    assert reg.shape == (12, 12)
     shapes = []
     real = exactla._echelon
 
@@ -717,7 +718,7 @@ def test_jordan_chain_eliminates_only_regular_part_rows(monkeypatch):
         return real(rows, n, *state)
 
     monkeypatch.setattr(exactla, "_echelon", recorded)
-    assert _sizes_at_class(m, t0, cubic, 4) == (3, 1)
+    assert _sizes_at_class(m, t0, cubic, 4, reg) == (3, 1)
     # one rank of G, one elimination of [G | I] from column 0, then per
     # step the same elimination continued from the last width, with I's
     # 12 columns still carried; no row space is eliminated
@@ -797,10 +798,10 @@ def test_continued_chain_matches_restart_oracle_on_pencils():
         pairs = [(q.at(mu), q.b) for q in (p, p.transposed)]
         reg = _regular_part(p)
         if reg.n:
-            m, t0 = _shifted(p)
+            m, t0, _ = _shifted(p)
             identity = Mat.from_ints([[int(i == j) for j in range(reg.n)] for i in range(reg.n)], reg.n)
             classes = [cls for cls, _ in _class_totals(m, t0)[0]] + [None]
-            pairs += [(_class_matrix(m, t0, cls), identity) for cls in classes]
+            pairs += [(class_matrix(m, t0, cls), identity) for cls in classes]
         for a, b in pairs:
             bases = [basis for basis, _ in islice(preimage_chain(a, b), 6)]
             assert _same_chain(bases, list(islice(restart_chain(a, b), 6)), a.n)
@@ -1006,11 +1007,11 @@ def test_chain_kernels_must_agree_with_the_ranks(monkeypatch):
     one, p = _mixed_case()
     # at t - 1 the defect is 2 of a total of 3, so the chain runs; a rank
     # one too high leaves a defect of 1 that its kernel contradicts
-    m, t0 = _shifted(p)
+    m, t0, reg = _shifted(p)
     real_rank = pencils.rank
     monkeypatch.setattr(pencils, "rank", lambda mat: real_rank(mat) + 1)
     with pytest.raises(InternalConsistencyError, match=r"disagrees with the rank of g\(M\)"):
-        _sizes_at_class(m, t0, one.poly, 3)
+        _sizes_at_class(m, t0, one.poly, 3, reg)
 
 
 def test_deficiency_and_rejection_count_must_agree(monkeypatch):
@@ -1178,7 +1179,7 @@ def test_integer_candidates_match_fraction_path():
         r = pencil_rank(p)
         if r == 0:
             continue
-        totals, inf_total = _class_totals(*_shifted(p))
+        totals, inf_total = _class_totals(*_shifted(p)[:2])
         assert (totals, inf_total) == all_minor_totals(p, r)
         reg = _regular_part(p)
         det = interp_det(reg)
@@ -1216,7 +1217,7 @@ def test_integer_candidates_match_fraction_path():
         p = scramble(canonical_of(inv), rng, bound=3)
         reg = _regular_part(p)
         assert reg.shape == (jdim, jdim)
-        totals, inf_total = _class_totals(*_shifted(p))
+        totals, inf_total = _class_totals(*_shifted(p)[:2])
         assert totals == [(c.poly, sum(s)) for c, s in inv.jordan if not c.is_infinite]
         assert inf_total == sum(infinite_sizes(inv))
         candidates, inf_bound = fraction_candidates(p, inv.rank)
@@ -1406,7 +1407,7 @@ def test_complement_matches_pivot_oracle():
     partial = moved = 0
     for _ in range(400):
         m, n = rng.randint(0, 6), rng.randint(1, 8)
-        basis = exactla.kernel_basis(_low_rank(rng, m, n, rng.randint(0, min(m, n))))
+        basis = exactla.KernelView(_low_rank(rng, m, n, rng.randint(0, min(m, n))))
         inside: list[tuple[int, ...]] = []
         for _ in range(rng.randint(0, len(basis))):
             used = rng.sample(range(len(basis)), rng.randint(1, len(basis)))
@@ -1414,15 +1415,15 @@ def test_complement_matches_pivot_oracle():
             v = tuple(sum(c * w[i] for c, w in coeffs) for i in range(n))
             if rank(Mat.from_ints(inside + [v], n)) > len(inside):
                 inside.append(v)
-        assert _complement(inside, basis, n) == pivot_complement(inside, basis, n)
+        assert _complement(inside, basis) == pivot_complement(inside, basis, n)
         partial += 0 < len(inside) < len(basis)
-        free = exactla.free_columns(basis)
+        free = basis.free
         bound = [j for j in range(n) if j not in free]
         if inside and bound:
             v = list(inside[-1])
             v[rng.choice(bound)] += rng.choice((-1, 1))
             with pytest.raises(InternalConsistencyError, match="outside the kernel"):
-                _complement(inside[:-1] + [tuple(v)], basis, n)
+                _complement(inside[:-1] + [tuple(v)], basis)
             moved += 1
     assert partial >= 100 and moved >= 100
 
@@ -1487,7 +1488,7 @@ def test_limit_vector_outside_the_kernel_raises(monkeypatch):
     p = _deflation_case()
     real_chains = _kernel_chains(p)
     ker_coimage = pencils._deficiency(p.transposed, list(real_chains.left))[1]
-    free = exactla.free_columns(ker_coimage)
+    free = ker_coimage.free
     bound = next(j for j in range(p.n) if j not in free)
     v = list(real_chains.right[-1])
     v[bound] += 1

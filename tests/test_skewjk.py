@@ -6,7 +6,6 @@ import random
 import pytest
 
 import penciljk.exactla as exactla
-import penciljk.skewjk as skewjk
 from penciljk.errors import (
     ConstantRankHypothesisError,
     InternalConsistencyError,
@@ -151,29 +150,44 @@ def test_core_matches_dense_oracle():
 def test_core_and_mantle_reuse_the_kernel_chain(monkeypatch):
     # widths 3 and 1 and a class at t = 1: once the invariants are known,
     # the core is the cached limit of the kernel chain and costs no
-    # elimination, and the mantle costs one kernel
+    # elimination, and the mantle's dimension costs one kernel view, whose
+    # one elimination gives the count with no back-substitution; its
+    # vectors are back-substituted only when read
     jk = SkewJK(dim=10, kronecker=(3, 1), jordan=((EigClass((-1, 1)), (2, 2)),))
     p = congruent(skew_canonical(jk), random.Random(SEED + 3))
     assert skew_jk_invariants(p) == jk
-    eliminations, kernels = [], []
-    real_echelon, real_kernel = exactla._echelon, skewjk.kernel_basis
+    eliminations, kernels, substituted = [], [], []
+    real_echelon, real_view, real_back = (
+        exactla._echelon,
+        exactla.KernelView.__init__,
+        exactla._back_substitute,
+    )
 
     def echelon(rows, n):
         eliminations.append(n)
         return real_echelon(rows, n)
 
-    def kernel(mat):
+    def view(self, mat):
         kernels.append(mat.shape)
-        return real_kernel(mat)
+        real_view(self, mat)
+
+    def back_substitute(rows, pivots, f, n):
+        substituted.append(f)
+        return real_back(rows, pivots, f, n)
 
     monkeypatch.setattr(exactla, "_echelon", echelon)
-    monkeypatch.setattr(skewjk, "kernel_basis", kernel)
+    monkeypatch.setattr(exactla.KernelView, "__init__", view)
+    monkeypatch.setattr(exactla, "_back_substitute", back_substitute)
     core = core_subspace(p)
     assert len(core) == 4
     assert eliminations == []
-    assert len(mantle_subspace(p)) == 4 + 4
+    mantle = mantle_subspace(p)
+    assert len(mantle) == 4 + 4
     assert kernels == [(4, 10)]
     assert eliminations == [10]
+    assert substituted == []
+    assert len(list(mantle)) == 8
+    assert substituted == mantle.free and eliminations == [10]
 
 
 def _block_example():
