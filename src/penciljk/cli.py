@@ -23,7 +23,7 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .catalog import build_classical, expected_lie_jk, expected_rep_jk, parse_family
+from .catalog import Family, build_classical, expected_lie_jk, expected_rep_jk
 from .errors import (
     ClosureSearchLimitError,
     FactorizationLimitError,
@@ -305,7 +305,7 @@ def cmd_bundle_leq(args, cfg: RunConfig) -> int:
 
 def cmd_tables(args, cfg: RunConfig) -> int:
     try:
-        fam = parse_family(f"{args.family}:{args.n}")
+        fam = Family(args.family, args.n)
     except ValueError as exc:
         raise InputFormatError(str(exc)) from None
     if args.m < 1:

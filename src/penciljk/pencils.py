@@ -84,21 +84,22 @@ determinant of the regular part up to a constant (``_class_totals``).
 It is factored once over Z: each irreducible factor is a finite class,
 its multiplicity is the exact total block size there, and n_R minus the
 degree is the exact infinite total.  No class without blocks arises.
-Block sizes at every class, finite or infinite, are the Jordan sizes of
-M (``_sizes_at_class``): the Möbius map mu = 1/(t0 - lambda) carries the
-blocks at each eigenvalue lambda onto M's Jordan blocks at mu, and the
-infinite blocks onto those at mu = 0.
-A class f of degree d becomes g(mu) = mu^d f(t0 - 1/mu), of degree d
-because f(t0) != 0, and a block of size s adds d * min(k, s) to
-dim ker g(M)^k.  For d >= 2 one rank of an integer multiple G of g(M)
-gives the first defect, and the nested-kernel chain of G with B = I
-runs only when that falls short of the total, stopping when it reaches
-it.  For d = 1 and at infinity (A_R + t0*B_R) g(M) is the pencil's own
-matrix f0*B_R - f1*A_R, or B_R, so the rank and the Wong chain are taken
-on the regular pencil, whose entries are small where G's have the size
-of a determinant; there the defects and the totals come from different
-matrices.  Every matrix this eliminates has n_R rows, whatever the
-class degree.
+The Möbius map mu = 1/(t0 - lambda) carries the blocks at each
+eigenvalue lambda onto M's Jordan blocks at mu, and the infinite blocks
+onto those at mu = 0.  A class f of degree d becomes
+g(mu) = mu^d f(t0 - 1/mu), of degree d because f(t0) != 0, and a block
+of size s adds d * min(k, s) to dim ker g(M)^k (``_sizes_at_class``).
+For d >= 2 one rank of an integer multiple G of g(M) gives the first
+defect.  For d = 1, (A_R + t0*B_R) g(M) is the pencil's own matrix
+f0*B_R - f1*A_R, so the rank is taken on the regular pencil, whose
+entries are small where G's have the size of a determinant; there the
+defects and the totals come from different matrices.  The infinite
+class is the class t of the reversed regular pencil B_R + s*A_R, so it
+takes the degree-1 route.  When that rank falls short of the total, the
+chain of G with B = I, or the Wong chain of the regular pencil, runs in
+``_kernel_chain``, which drives every chain here, and stops once its
+dimension reaches d times the total.  Every matrix this eliminates has
+n_R rows, whatever the class degree.
 Eliminating A + t*B as a polynomial matrix would give the same answers
 but suffers badly from coefficient growth.
 
@@ -298,17 +299,22 @@ class StrictInvariants:
 
 
 def _kernel_chain(
-    m_at_mu: Mat, b: Mat, dim: int | None
+    m_at_mu: Mat, b: Mat, dim: int | None, limit: int | None = None
 ) -> tuple[list[int], list[IntVec], int]:
     """Dimensions of the nested kernel chain W_1 <= W_2 <= ... until stable,
-    a basis of its limit V, and the number of candidates the chain
-    rejected, which is dim(V ∩ ker B) (see ``exactla``).
+    or until dim W_k reaches ``limit``, a basis of the last W_k, and the
+    number of candidates the chain rejected, which at a stable W_k = V is
+    dim(V ∩ ker B) (see ``exactla``).  This is the one driver of
+    ``preimage_chain`` here: the singular chains and the Jordan chains of
+    ``_sizes_at_class`` all run through it.
 
     ``dim`` is dim W_1 = n - rank(M) where another route already gives
     it: a chain with dim 0 stays zero and is not run, and any other's
     first kernel is checked against it.  With ``dim`` None the chain's
     first step gives dim W_1 itself, which is then the only elimination
-    of M, and a chain whose W_1 is zero stops there.
+    of M, and a chain whose W_1 is zero stops there.  Only a Jordan chain
+    knows its limit in advance, from the determinant; stopping there saves
+    the step that would find the chain stable.
     """
     if dim == 0:
         return [0], [], 0
@@ -317,9 +323,8 @@ def _kernel_chain(
     if dim is not None and len(basis) != dim:
         raise InternalConsistencyError("the kernel of the chain disagrees with the rank")
     dims = [len(basis)]
-    if not basis:
-        return dims, basis, rejected
-    for new_basis, rejected in chain:
+    while basis and (limit is None or len(basis) < limit):
+        new_basis, rejected = next(chain)
         if len(new_basis) == len(basis):
             break
         dims.append(len(new_basis))
@@ -680,12 +685,13 @@ def _class_matrix(m: Mat, t0: int, cls: tuple[int, ...]) -> Mat:
 
 
 def _sizes_at_class(
-    m: Mat, t0: int, cls: tuple[int, ...] | None, total: int, reg: Pencil
+    m: Mat, t0: int, cls: tuple[int, ...], total: int, reg: Pencil
 ) -> tuple[int, ...]:
     """Jordan block sizes of a square regular pencil reg = A + t*B at an
-    irreducible class cls, or at infinity when cls is None, whose total
-    block size is ``total``; t0 is not an eigenvalue and
-    M = (A + t0*B)^-1 B.
+    irreducible class cls whose total block size is ``total``; t0 is not an
+    eigenvalue and M = (A + t0*B)^-1 B.  The infinite blocks of reg are
+    its reversed pencil's blocks at s = 0, so ``elementary_divisors``
+    reads them as the class t, (0, 1), of Pencil(B, A).
 
     With P = A + t0*B, invertible,
 
@@ -713,82 +719,63 @@ def _sizes_at_class(
 
         dim ker g(M)^k = d * sum over blocks at cls of min(k, size).
 
-    The infinite class is g(mu) = mu with d = 1.
+    M and t0 are read only at classes of degree 2 or more, and reg only at
+    degree 1, where the argument below needs no more than some point that
+    is not an eigenvalue; so the infinite class passes the reversed pencil
+    with the M and t0 of the pencil itself.  At degree 2 or more ``_class_matrix`` builds G = D^d g(M) in integers,
+    and the chain W_1 = ker G, W_{k+1} = G^-1(W_k) = ker G^(k+1) is the
+    chain of G with B = I.  For f = f0 + f1*t, g(mu) = f(t0) mu - f1 and
+    P g(M) = f0*B - f1*A, so the pencil's own matrix H = f1*A - f0*B has
+    the kernel of g(M), and since W_k = ker g(M)^k is invariant under M
+    and M is invertible on it, the chain of H with B, the Wong chain of
+    the pencil at the eigenvalue, is the same W_k.  Its entries are those
+    of the pencil, where G's have the size of a determinant.  At the class
+    t of the reversed pencil H is a multiple of B, and its chain is that
+    of B with A.
 
-    M is read only at classes of degree 2 or more, and reg at the others,
-    so both are always given.  At degree 2 or more ``_class_matrix`` builds
-    G = D^d g(M) in integers, and the chain W_1 = ker G,
-    W_{k+1} = G^-1(W_k) = ker G^(k+1) is ``preimage_chain(G, I)``.  For
-    f = f0 + f1*t, g(mu) = f(t0) mu - f1 and P g(M) = f0*B - f1*A; at
-    infinity P g(M) = B.  So the pencil's own matrix H = f1*A - f0*B, or
-    B, has the kernel of g(M), and since W_k = ker g(M)^k is invariant
-    under M, invertible on it for a finite class, and under
-    P^-1 A = I - t0 M, invertible on it at infinity, the chains
-    ``preimage_chain(H, B)`` and ``preimage_chain(B, A)`` (the Wong chain
-    of the pencil at the eigenvalue, or of the reversed pencil at 0) are
-    the same W_k.  Their entries are those of the pencil, where G's have
-    the size of a determinant.
-
-    The first dimension comes from one rank of G or H, and the chain runs
-    only when that falls short of the total, so every matrix eliminated
-    has n rows; its first kernel is checked against that rank.  The
-    defect dim W_k / d grows strictly until it reaches the total, at the
-    largest size, so the chain stops there; a dimension not divisible by
-    d, a defect above the total, or one that repeats below it, is an
-    internal error.  The totals come from the determinant of M
-    (``_class_totals``), so for a degree-1 or the infinite class they are
-    checked against defects taken on another matrix.
+    The first dimension comes from one rank of G or H, which settles the
+    sizes when it reaches d * total, every block then being of size 1.
+    Otherwise ``_kernel_chain`` runs the chain, checks its first kernel
+    against that rank, and stops once dim W_k reaches d * total, at the
+    largest size, or when W_k stops growing.  So every matrix eliminated
+    has n rows, and a dimension not divisible by d, or a last one other
+    than d * total, is an internal error.  The totals come from the
+    determinant of M (``_class_totals``), so for a degree-1 or the
+    infinite class they are checked against defects taken on another
+    matrix.
     """
     if total == 0:
         return ()
-    if cls is None:
-        d, g, b = 1, reg.b, reg.a
-    elif len(cls) == 2:
+    d = len(cls) - 1
+    if d == 1:
         (f0, f1), a, b = cls, reg.a, reg.b
         ca, cb = f1 * b.den, f0 * a.den
         rows = [[ca * x - cb * y for x, y in zip(ra, rb)] for ra, rb in zip(a.rows, b.rows)]
-        d, g = 1, Mat.from_ints(rows, m.n)
+        g = Mat.from_ints(rows, reg.n)
     else:
-        d, g = len(cls) - 1, _class_matrix(m, t0, cls)
+        g = _class_matrix(m, t0, cls)
         b = Mat.from_ints([[int(i == j) for j in range(m.n)] for i in range(m.n)], m.n)
     dim = g.n - rank(g)
-    chain = None
-    defects: list[int] = []
-    while True:
-        if dim % d:
-            raise InternalConsistencyError(
-                "Jordan chain dimension not divisible by the class degree"
-            )
-        defect = dim // d
-        if defect > total:
-            raise InternalConsistencyError(
-                "Jordan chain defect exceeds the total from the determinant"
-            )
-        if defect <= (defects[-1] if defects else 0):
-            raise InternalConsistencyError(
-                "Jordan chain defects stop below the total from the determinant"
-            )
-        defects.append(defect)
-        if defect == total:
-            return _widths_from_dims(defects)
-        if chain is None:
-            chain = preimage_chain(g, b)
-            if len(next(chain)[0]) != dim:
-                raise InternalConsistencyError(
-                    "the Jordan chain's kernel disagrees with the rank of g(M)"
-                )
-        dim = len(next(chain)[0])
+    dims = [dim] if dim >= d * total else _kernel_chain(g, b, dim, d * total)[0]
+    if any(k % d for k in dims) or dims[-1] != d * total:
+        raise InternalConsistencyError(
+            "Jordan chain dimensions are not multiples of the class degree, "
+            "or stop below the total from the determinant, or pass it"
+        )
+    return _widths_from_dims([k // d for k in dims])
 
 
 def elementary_divisors(
     p: Pencil,
 ) -> tuple[list[tuple[tuple[int, ...], tuple[int, ...]]], tuple[int, ...]]:
     """Finite classes with size multisets, plus infinite block sizes, all
-    read off the regular part's Möbius-shifted matrix
-    M = (A_R + t0*B_R)^-1 B_R = N / D: the totals from its characteristic
+    read off the regular part A_R + t*B_R and its Möbius-shifted matrix
+    M = (A_R + t0*B_R)^-1 B_R = N / D: the totals from M's characteristic
     polynomial, the sizes from the powers of g(M) at classes of degree 2
     or more, and from the Wong chain of the regular pencil itself at
-    degree-1 classes and at infinity.
+    degree-1 classes.  The infinite blocks are those of the reversed
+    pencil B_R + s*A_R at its class s, a degree-1 class read like the
+    others.
 
     The shift t0 is the pencil's regular value.  The singular blocks have
     the same rank at every t, so rank(A + t*B) reaches the normal rank
@@ -811,7 +798,7 @@ def elementary_divisors(
         raise InternalConsistencyError("the Möbius-shifted matrix does not solve its system")
     totals, inf_total = _class_totals(m, t0)
     finite = [(cls, _sizes_at_class(m, t0, cls, total, reg)) for cls, total in totals]
-    return finite, _sizes_at_class(m, t0, None, inf_total, reg)
+    return finite, _sizes_at_class(m, t0, (0, 1), inf_total, Pencil(reg.b, reg.a))
 
 
 # ---------------------------------------------------------------------------

@@ -75,10 +75,6 @@ def format_poly(p: Sequence[int], var: str = "x") -> str:
 ZPoly = list[int]
 
 
-def _zdeg(p: ZPoly) -> int:
-    return len(p) - 1
-
-
 def _ztrim(p: ZPoly) -> ZPoly:
     while p and p[-1] == 0:
         p.pop()
@@ -112,32 +108,20 @@ def _zcontent(p: ZPoly) -> int:
     return g
 
 
-def _zpseudo_divmod(a: ZPoly, b: ZPoly) -> tuple[int, ZPoly, ZPoly]:
-    """Return (s, q, r) with s*a = q*b + r, deg r < deg b, s a power of lc(b)."""
-    if not b:
-        raise ZeroDivisionError
-    da, db = _zdeg(a), _zdeg(b)
-    if da < db:
-        return 1, [], list(a)
-    lead = b[-1]
-    s = 1
-    r = list(a)
-    q = [0] * (da - db + 1)
-    for i in range(da, db - 1, -1):
-        if len(r) - 1 < i:
-            continue
-        c = r[i] if i < len(r) else 0
-        if c == 0:
-            continue
-        # scale remainder so the division is integral
-        s *= lead
+def _zprem(a: ZPoly, b: ZPoly) -> ZPoly:
+    """The pseudo-remainder r of a by b: s*a = q*b + r with deg r < deg b
+    for some quotient q and some power s of b's leading coefficient, both
+    discarded.  Each step scales the remainder by that coefficient, so the
+    division stays integral, and cancels its leading term."""
+    r = _ztrim(list(a))
+    db, lead = len(b) - 1, b[-1]
+    while len(r) > db:
+        c, shift = r[-1], len(r) - 1 - db
         r = [lead * x for x in r]
-        q = [lead * x for x in q]
-        q[i - db] += c
         for j, bc in enumerate(b):
-            r[i - db + j] -= c * bc
+            r[shift + j] -= c * bc
         _ztrim(r)
-    return s, _ztrim(q), r
+    return r
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +155,7 @@ def _zgcd(a: ZPoly, b: ZPoly) -> ZPoly:
     if len(a) < len(b):
         a, b = b, a
     while b:
-        _, _, r = _zpseudo_divmod(a, b)
+        r = _zprem(a, b)
         a, b = b, _zprimitive(r) if r else r
     return a
 

@@ -74,9 +74,7 @@ from penciljk.polys import (
     ZPoly,
     _zadd,
     _zcontent,
-    _zdeg,
     _zmul,
-    _zpseudo_divmod,
     _ztrim,
 )
 from penciljk.errors import CertificateNotApplicableError
@@ -629,6 +627,38 @@ def dense_core(p: Pencil) -> list[IntVec]:
 def pencil_entries(p: Pencil) -> list[list[Poly]]:
     """Entries of A + t*B as degree <= 1 polynomials in t."""
     return [[Poly([p.a.entry(i, j), p.b.entry(i, j)]) for j in range(p.n)] for i in range(p.m)]
+
+
+def _zdeg(p: ZPoly) -> int:
+    return len(p) - 1
+
+
+def _zpseudo_divmod(a: ZPoly, b: ZPoly) -> tuple[int, ZPoly, ZPoly]:
+    """Return (s, q, r) with s*a = q*b + r, deg r < deg b, s a power of lc(b)."""
+    if not b:
+        raise ZeroDivisionError
+    da, db = _zdeg(a), _zdeg(b)
+    if da < db:
+        return 1, [], list(a)
+    lead = b[-1]
+    s = 1
+    r = list(a)
+    q = [0] * (da - db + 1)
+    for i in range(da, db - 1, -1):
+        if len(r) - 1 < i:
+            continue
+        c = r[i] if i < len(r) else 0
+        if c == 0:
+            continue
+        # scale remainder so the division is integral
+        s *= lead
+        r = [lead * x for x in r]
+        q = [lead * x for x in q]
+        q[i - db] += c
+        for j, bc in enumerate(b):
+            r[i - db + j] -= c * bc
+        _ztrim(r)
+    return s, _ztrim(q), r
 
 
 def _zscale_sub(a: ZPoly, s: int, b: ZPoly, q: ZPoly) -> ZPoly:

@@ -1,7 +1,8 @@
 """Checks on the package's source layout rather than its answers: no
 module imports a name it never uses, the Lie layer does not import
 ``fractions``, only ``exactla`` drives the Bareiss elimination and no
-other module imports its private names, only ``strata`` states the
+other module imports its private names, in ``pencils`` only
+``_kernel_chain`` drives ``preimage_chain``, only ``strata`` states the
 Kronecker counts and bookkeeping, no function but the CLI's parser
 builder is a memo, every function the benchmark tracer wraps by name
 still exists, and every module-level function has a package caller, a
@@ -145,7 +146,30 @@ def test_modules_import_only_public_exactla_names():
     assert found == {}
 
 
-BOOKKEEPING_MESSAGES = ("count must be n - rank", "count must be m - rank", "bookkeeping failed")
+def _functions_naming(source: str, name: str) -> list[str]:
+    """Every function of the source, methods and nested ones included, whose
+    code mentions ``name``; a mention in a string does not count."""
+    return [
+        node.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and name in _named(ast.unparse(node))
+    ]
+
+
+def test_one_function_drives_the_kernel_chains():
+    source = (
+        "from .exactla import preimage_chain\n"
+        "def a(m, b):\n    return preimage_chain(m, b)\n"
+        "def b(m, b):\n    return exactla.preimage_chain(m, b)\n"
+        "def c():\n    'runs no preimage_chain'\n"
+    )
+    assert _functions_naming(source, "preimage_chain") == ["a", "b"]
+    with open(os.path.join(PACKAGE, "pencils.py"), encoding="utf-8") as fh:
+        assert _functions_naming(fh.read(), "preimage_chain") == ["_kernel_chain"]
+
+
+BOOKKEEPING_MESSAGES =("count must be n - rank", "count must be m - rank", "bookkeeping failed")
 
 
 def _raised_messages(source: str) -> set[str]:

@@ -433,7 +433,7 @@ def test_minor_bound_stops_resolvent_ranks(monkeypatch):
     # of the regular part would be 3 * 6 and that of the whole pencil 3 * 8
     assert _sizes_at_class(m, t0, cubic, 2, reg) == (1, 1)
     assert calls == [(6, 6)]
-    assert _sizes_at_class(m, t0, None, 0, reg) == ()
+    assert _sizes_at_class(m, t0, (0, 1), 0, reversed_pencil(reg)) == ()
     assert calls == [(6, 6)]
     # once the rank scan and the chains are done, that one g(M) is all the
     # eigenvalue stage ranks
@@ -472,15 +472,16 @@ def _shifted(p: Pencil) -> tuple[Mat, int, Pencil]:
 
 
 def _chain_cases(p: Pencil, with_empty_infinity: bool = False) -> list[tuple]:
-    # every class of the pencil, finite and infinite (None), with its total
-    # and the regular part with its M and t0, and the whole pencil with the
-    # class the resolvent oracle reads it at (the reversed pencil at 0 for
-    # infinity)
+    # every class of the pencil, finite and infinite, with its total, M
+    # and t0, the class and pencil the sizes are read at (the class t of
+    # the reversed regular part for infinity), and the whole pencil with
+    # the class the resolvent oracle reads it at (the reversed pencil at 0
+    # for infinity)
     m, t0, reg = _shifted(p)
     totals, inf_total = _class_totals(m, t0)
     cases = [(m, t0, reg, cls, total, p, cls) for cls, total in totals]
     if inf_total or with_empty_infinity:
-        cases.append((m, t0, reg, None, inf_total, reversed_pencil(p), (0, 1)))
+        cases.append((m, t0, reversed_pencil(reg), (0, 1), inf_total, reversed_pencil(p), (0, 1)))
     return cases
 
 
@@ -621,7 +622,7 @@ def test_mobius_sizes_match_companion_chain_and_resolvents():
         found = {}
         for cls, total in totals + ([(None, inf_total)] if inf_total else []):
             q, at = (reg, cls) if cls else (reversed_pencil(reg), (0, 1))
-            sizes = _sizes_at_class(m, t0, cls, total, reg)
+            sizes = _sizes_at_class(m, t0, at, total, q)
             assert sizes == companion_sizes(q, at) == resolvent_sizes(q, at, reg.n)
             found[cls] = sizes
             degrees.add(len(cls) - 1 if cls else None)
@@ -685,7 +686,8 @@ def test_pencil_route_sizes_match_powers_of_g(monkeypatch):
         totals, inf_total = _class_totals(m, t0)
         found = {}
         for cls, total in totals + [(None, inf_total)]:
-            sizes = _sizes_at_class(m, t0, cls, total, reg)
+            q, at = (reg, cls) if cls else (reversed_pencil(reg), (0, 1))
+            sizes = _sizes_at_class(m, t0, at, total, q)
             assert sizes == power_sizes(m, t0, cls, total)
             found[cls] = sizes
             if cls is None or len(cls) == 2:
@@ -728,6 +730,43 @@ def test_jordan_chain_eliminates_only_regular_part_rows(monkeypatch):
         (12, 12 + 6, 12, (12,)),
         (12, 18 + 3, 12, (18,)),
     ]
+
+
+def test_pencil_route_chain_stops_at_the_total(monkeypatch):
+    # t - 1 with sizes (3, 1) and infinity with sizes (2, 1) on a 7 x 7
+    # regular part: the degree-1 matrix H = A - B and, at the class t of
+    # the reversed part, B are 7 x 7 like the pencil.  Each chain
+    # eliminates [H | -B], or [B | -A], once from column 0, carrying the
+    # pencil's other 7 columns along, and continues it in the columns the
+    # last step added only: dim W_k = 2, 3, 4 at t - 1 and 2, 3 at
+    # infinity.  Both stop once the dimension reaches the total from the
+    # determinant, with no step that would find the chain stable
+    inv = StrictInvariants(
+        m=7,
+        n=7,
+        rank=7,
+        horizontal=(),
+        vertical=(),
+        jordan=((EigClass((-1, 1)), (3, 1)), (EigClass.infinite(), (2, 1))),
+    )
+    p = scramble(canonical_of(inv), random.Random(SEED + 43))
+    m, t0, reg = _shifted(p)
+    assert reg.shape == (7, 7)
+    assert _class_totals(m, t0) == ([((-1, 1), 4)], 3)
+    shapes = []
+    real = exactla._echelon
+
+    def recorded(rows, n, *state):
+        shapes.append((len(rows), n, len(rows[0]) - n, state[:1]))
+        return real(rows, n, *state)
+
+    monkeypatch.setattr(exactla, "_echelon", recorded)
+    assert _sizes_at_class(m, t0, (-1, 1), 4, reg) == (3, 1)
+    # one rank of H, then the chain's first kernel and two steps
+    assert shapes == [(7, 7, 0, ()), (7, 7, 7, (0,)), (7, 7 + 2, 7, (7,)), (7, 9 + 1, 7, (9,))]
+    shapes.clear()
+    assert _sizes_at_class(m, t0, (0, 1), 3, reversed_pencil(reg)) == (2, 1)
+    assert shapes == [(7, 7, 0, ()), (7, 7, 7, (0,)), (7, 7 + 2, 7, (7,))]
 
 
 def _low_rank(rng, m: int, n: int, r: int) -> Mat:
@@ -1010,7 +1049,7 @@ def test_chain_kernels_must_agree_with_the_ranks(monkeypatch):
     m, t0, reg = _shifted(p)
     real_rank = pencils.rank
     monkeypatch.setattr(pencils, "rank", lambda mat: real_rank(mat) + 1)
-    with pytest.raises(InternalConsistencyError, match=r"disagrees with the rank of g\(M\)"):
+    with pytest.raises(InternalConsistencyError, match="the kernel of the chain disagrees with the rank"):
         _sizes_at_class(m, t0, one.poly, 3, reg)
 
 
@@ -1248,10 +1287,11 @@ def test_no_candidate_without_blocks(monkeypatch):
         start = len(returned)
         finite, inf_sizes = elementary_divisors(p)
         calls = returned[start:]
-        # one call per finite class, each with blocks, then one for infinity
+        # one call per finite class, each with blocks, then one for
+        # infinity, at the class t of the reversed regular part
         assert calls[:-1] == finite
         assert all(sizes for _, sizes in calls[:-1])
-        assert calls[-1] == (None, inf_sizes)
+        assert calls[-1] == ((0, 1), inf_sizes)
 
 
 def _transposed_invariants(inv: StrictInvariants) -> StrictInvariants:
