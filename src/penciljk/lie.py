@@ -321,10 +321,9 @@ class SkewJKReport:
     index_used: int
 
     def __post_init__(self) -> None:
-        if len(self.invariants.kronecker) < self.index_used:
-            raise InternalConsistencyError(
-                "fewer Kronecker indices than the pencil corank bound"
-            )
+        # the dominant signature has the largest rank, so the smallest corank
+        if len(self.invariants.kronecker) != self.index_used:
+            raise InternalConsistencyError("the dominant sample's corank is not the smallest sampled corank")
 
 
 @dataclass(frozen=True)
@@ -364,6 +363,8 @@ def jk_invariants_of_rep(
         rho, rho.dim_v, sampler, samples, rep_pencil, strict_invariants, bundle_closure_contains
     )
     rmax = max(inv.rank for inv in invs)
+    if invs[win].rank != rmax:
+        raise InternalConsistencyError("the dominant sample's rank is not the largest sampled rank")
     status = EMPIRICAL
     try:
         if certify_generic_repr(invs[win].signature, rho.dim_v, rho.algebra.dim, rmax):

@@ -106,14 +106,13 @@ but suffers badly from coefficient growth.
 Each ``Pencil`` keeps its own singular structure, ``Pencil.chains``:
 ``_kernel_chains`` proves the normal rank, runs both chains once at the
 regular value and returns the normal rank, the regular value, the
-widths, the heights, the two limits and the functionals vanishing on
-AV + BV at the regular value, as the kernel view whose count proved the
-normal rank, which the regular part reuses.  The rank, the regular
-value, the minimal indices, the regular part and the skew core and
-mantle (``skewjk``) all read it.  A ``Pencil`` also keeps its
-skewness and its transpose, and an invariants record the signature its
-construction checked, so nothing is computed twice, and nothing outlives
-the object that owns it.
+widths, the heights, the two limits and their annihilators, kernel
+views built there alone, where every deficiency is checked.  The rank,
+the regular value, the minimal indices, the regular part and the skew
+core and mantle (``skewjk``; the mantle is the right annihilator) all
+read it.  A ``Pencil`` also keeps its skewness and its transpose, and an
+invariants record the signature its construction checked, so nothing is
+computed twice, and nothing outlives the object that owns it.
 
 Each step checks itself: each chain's first kernel against the rank at
 its point where the normal rank gives it (the left chain, and the right
@@ -337,16 +336,15 @@ def _deficiency(p: Pencil, v: Sequence[IntVec]) -> tuple[int, KernelView]:
     by the independent vectors v, and the functionals vanishing on
     AV + BV: the kernel of the matrix whose rows are the vectors Bv, as a
     ``KernelView``.  The deficiency is read off its count, so the
-    functionals themselves are back-substituted only where
-    ``_regular_part`` builds complements from them.
+    functionals themselves are back-substituted only when first read.
 
     The limit of the chain run at any mu satisfies V = M^-1(BV) for
     M = A + mu*B, so MV lies in BV, AV = MV - mu*BV lies in BV, and
     AV + BV = BV: the rows Av would add nothing.  The deficiency is then
     dim V - dim BV = dim(V ∩ ker B), which the chain also counts, by
     another route, as the candidates it rejected (``exactla``);
-    ``_kernel_chains`` compares the two.  For V = 0 the matrix has no
-    rows, and every functional vanishes on its image."""
+    ``_kernel_chains`` checks both.  For V = 0 the matrix has no rows,
+    and every functional vanishes on its image."""
     image = [[sum(map(mul, row, x)) for row in p.b.rows] for x in v]
     ann = KernelView(Mat.from_ints(image, p.m))
     return len(v) - (p.m - len(ann)), ann
@@ -380,9 +378,10 @@ def _widths_from_dims(dims: list[int]) -> tuple[int, ...]:
 
 class _Chains(NamedTuple):
     """A pencil's singular structure: normal rank, regular value, widths,
-    heights, the limits of the right and left kernel chains, and the
-    functionals vanishing on the right limit's image AV + BV, as the
-    ``KernelView`` whose count proved the normal rank."""
+    heights, the limits V and Z of the right and left kernel chains, and
+    their annihilators as ``KernelView``s (``_deficiency``): the kernels
+    of the rows Bv over V, whose count proved the normal rank, and of the
+    rows B^T z over Z.  A skew pencil's two of each are one."""
 
     rank: int
     regular: int
@@ -391,6 +390,7 @@ class _Chains(NamedTuple):
     right: tuple[IntVec, ...]
     left: tuple[IntVec, ...]
     ann_image: KernelView
+    ker_coimage: KernelView
 
 
 def _kernel_chains(p: Pencil) -> _Chains:
@@ -421,10 +421,11 @@ def _kernel_chains(p: Pencil) -> _Chains:
     blocks.  A skew pencil's transpose is its negative, whose chain is the
     same computation, so there the left chain is the right one.
 
+    Both limits' annihilators (``_deficiency``) are built here alone.
     Each chain also counts the candidates it rejected, dim(V ∩ ker B) at
-    its limit (see ``exactla``), which is the limit's deficiency taken by
-    another route.  Once both chains have run, the left one's count is
-    checked against m - r, one per vertical block, and the right one's
+    its limit (see ``exactla``), the limit's deficiency by another route.
+    The left one's count and its limit's deficiency are each checked
+    against m - r, one per vertical block, and the right one's count
     against the deficiency that proved r, so a fault in ``_deficiency``
     that shifts both limits alike cannot pass.
     """
@@ -443,15 +444,18 @@ def _kernel_chains(p: Pencil) -> _Chains:
                 "the chain limit at the regular value disagrees with the normal rank"
             )
     if p.is_skew:
-        left_dims, left = right_dims, right
+        left_dims, left, ker_coimage = right_dims, right, ann_image
     else:
         pt = p.transposed
         left_dims, left, left_rejected = _kernel_chain(pt.at(mu), pt.b, p.m - r)
-        # dim Z - dim(A^T Z + B^T Z) for the left limit Z, counted by its chain
+        # dim Z - dim(A^T Z + B^T Z) for the left limit Z, counted twice
         if left_rejected != p.m - r:
             raise InternalConsistencyError(
                 "the vertical blocks' coimage has the wrong dimension by the left chain's count"
             )
+        left_deficiency, ker_coimage = _deficiency(pt, left)
+        if left_deficiency != p.m - r:
+            raise InternalConsistencyError("the vertical blocks' coimage has the wrong dimension")
     if rejected != deficiency:
         raise InternalConsistencyError(
             "the right chain limit's deficiency disagrees with the candidates its chain rejected"
@@ -464,6 +468,7 @@ def _kernel_chains(p: Pencil) -> _Chains:
         tuple(right),
         tuple(left),
         ann_image,
+        ker_coimage,
     )
 
 
@@ -578,23 +583,20 @@ def _regular_part(p: Pencil) -> Pencil:
     invertible changes of basis.  For a skew pencil Z = V, U = W and
     hence Q = P.
 
-    Ann W comes with the chains, from the elimination that proved or
-    checked the normal rank r on V.  Z loses one dimension per vertical
-    block under A and B, so for a pencil that is not skew
-    dim Z - dim U = m - r is checked here, on the elimination that gives
-    ker U.  When the Jordan dimension n - sum(w) - sum(u - 1) is 0, C_J
-    and R_J are 0, so ker U = V and Ann W = Z: the regular part is the
-    0 x 0 pencil, and only those two dimensions are checked.
-
-    Ann W and ker U are ``KernelView``s, so the checks above read only
-    their counts, and their vectors are back-substituted only in the
-    branch that builds the complements from them.  A pencil with no
-    singular block returns first and reads neither.
+    Ann W and ker U come with the chains, from the eliminations whose
+    counts proved the normal rank r and checked dim Z - dim U = m - r.
+    When the Jordan dimension n - sum(w) - sum(u - 1) is 0, C_J and R_J
+    are 0, so ker U = V and Ann W = Z: the regular part is the 0 x 0
+    pencil, and only those two dimensions are checked.  Both are
+    ``KernelView``s, so that check reads only their counts, and their
+    vectors are back-substituted only in the branch that builds the
+    complements from them.  A pencil with no singular block returns
+    first and reads neither.
 
     Both parts are scaled by the product D of the pencil's denominators,
     D * (A + tB) having integer rows, which changes no eigenvalue data.
     """
-    normal, _, widths, heights, right, left, ann_image = p.chains
+    _, _, widths, heights, right, left, ann_image, ker_coimage = p.chains
     if not right and not left:
         # the general branch gives these rows too, through identity
         # complements, but at about ten times the cost
@@ -602,20 +604,13 @@ def _regular_part(p: Pencil) -> Pencil:
             Mat.from_ints([[p.b.den * x for x in r] for r in p.a.rows], p.n),
             Mat.from_ints([[p.a.den * y for y in r] for r in p.b.rows], p.n),
         )
-    skew = p.is_skew
-    if skew:
-        ker_coimage = ann_image
-    else:
-        deficiency, ker_coimage = _deficiency(p.transposed, left)
-        if deficiency != p.m - normal:
-            raise InternalConsistencyError("the vertical blocks' coimage has the wrong dimension")
     size = p.n - sum(widths) - sum(u - 1 for u in heights)
     if not size:
         if len(ker_coimage) != len(right) or len(ann_image) != len(left):
             raise InternalConsistencyError("the regular part is not square of the Jordan dimension")
         return Pencil(Mat.from_ints((), 0), Mat.from_ints((), 0))
     cols = _complement(right, ker_coimage)
-    rows = cols if skew else _complement(left, ann_image)
+    rows = cols if p.is_skew else _complement(left, ann_image)
     if len(cols) != size or len(rows) != size:
         raise InternalConsistencyError("the regular part is not square of the Jordan dimension")
     return Pencil(

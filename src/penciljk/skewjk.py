@@ -11,14 +11,15 @@ block of dimension 2k-1) and one even size per Jordan pair.
 three-group block split off two smaller pencils, under hypotheses it
 checks and reports one by one.  That block reduction belongs to the
 paper's second technique (semi-direct sums), so it is part of the API
-and not a test oracle.
+and not a test oracle.  The core and the mantle cost no elimination:
+they are the right kernel chain's limit and its annihilator, built and
+checked in ``pencils._kernel_chains`` and kept in ``Pencil.chains``.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from operator import mul
 
 from .errors import (
     ConstantRankHypothesisError,
@@ -26,7 +27,7 @@ from .errors import (
     RegularPointHypothesisError,
     SparsityPatternError,
 )
-from .exactla import IntVec, KernelView, Mat
+from .exactla import IntVec, KernelView
 from .pencils import (
     EigClass,
     Pencil,
@@ -106,16 +107,18 @@ def core_subspace(p: Pencil) -> list[IntVec]:
 
 def mantle_subspace(p: Pencil) -> KernelView:
     """Orthogonal complement of the core with respect to a regular form,
-    as the kernel view of the rows form^T k over the core vectors k: its
-    dimension is read off that one elimination, and its vectors are
-    back-substituted only when first read (see ``exactla``)."""
+    as the kernel view ``Pencil.chains.ann_image`` of the rows Bv over the
+    core V, whose vectors are back-substituted when first read.
+
+    The mantle is the kernel of the rows M^T k = -Mk over V for the form
+    M = A + mu*B at the chains' regular value mu.  The two agree when V
+    is the right chain's limit at mu and dim V - dim BV = n - r: the first
+    gives V = M^-1(BV), so MV <= BV, and ker M <= V, of dimension n - r;
+    the second then gives dim MV = dim BV, so MV = BV, and one row space
+    has one echelon form, so even the free columns and vectors agree.
+    """
     _require_skew(p)
-    chains = p.chains
-    # the rows form^T k, scaled by the denominator of the form, which
-    # changes no kernel
-    cols = list(zip(*p.at(chains.regular).rows))
-    rows = [[sum(map(mul, col, k)) for col in cols] for k in chains.right]
-    return KernelView(Mat.from_ints(rows, p.n))
+    return p.chains.ann_image
 
 
 # ---------------------------------------------------------------------------

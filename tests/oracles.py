@@ -29,6 +29,8 @@ multiplied out over every coordinate of its complements instead of their
 nonzero ones, matrix rows of integer strings are read entry by entry
 instead of in one pass, the core of a skew pencil is spanned at
 dim + 1 regular points instead of read off the kernel chain's limit,
+its mantle is the kernel of the rows (A + mu*B)^T k over the core
+instead of the annihilator of the core's image under B,
 invariant factors come from a Smith form of A + t*B over Q[t] instead of
 the elementary divisors of the regular part, structure constants are
 solved one commutator at a time instead of all at once by one solve,
@@ -60,6 +62,7 @@ from operator import mul
 
 from penciljk.exactla import (
     IntVec,
+    KernelView,
     Mat,
     kernel_basis,
     pivot_columns,
@@ -615,6 +618,17 @@ def dense_core(p: Pencil) -> list[IntVec]:
             found += 1
         t += 1
     return row_space_basis(vectors, p.n)
+
+
+def form_mantle(p: Pencil) -> KernelView:
+    """The mantle of a skew pencil by its definition, the orthogonal
+    complement of the core under the form A + mu*B at the chains' regular
+    value mu: the kernel view of the rows (A + mu*B)^T k over the core
+    vectors k, scaled by the form's denominator, which changes no kernel."""
+    chains = p.chains
+    cols = list(zip(*p.at(chains.regular).rows))
+    rows = [[sum(map(mul, col, k)) for col in cols] for k in chains.right]
+    return KernelView(Mat.from_ints(rows, p.n))
 
 
 # ---------------------------------------------------------------------------

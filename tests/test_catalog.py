@@ -3,9 +3,11 @@ copies, and the closed-form invariant tables."""
 
 import pytest
 
+import penciljk.catalog as catalog
 from penciljk.catalog import (
     Family,
     _basis_matrices,
+    _expand,
     _structure_entries,
     build_classical,
     expected_lie_jk,
@@ -90,6 +92,36 @@ def test_structure_constants_reject_a_basis_not_closed():
     assert len(mats) == 7
     with pytest.raises(InternalConsistencyError, match="basis not closed under commutators"):
         _structure_entries(mats)
+
+
+def test_build_classical_refuses_a_faulty_basis(monkeypatch):
+    # one basis matrix dropped, one structure constant moved by one, or
+    # every structure constant doubled, which keeps the Jacobi identity
+    # (it is homogeneous) and breaks the action
+    fam = Family("sl", 3)
+    monkeypatch.setattr(catalog, "_basis_matrices", lambda f: _basis_matrices(f)[:-1])
+    with pytest.raises(InternalConsistencyError, match="basis size does not match the dimension"):
+        build_classical(fam)
+    monkeypatch.undo()
+
+    def moved(mats):
+        (i, j, k, c), *rest = _structure_entries(mats)
+        return [(i, j, k, c + 1)] + rest
+
+    monkeypatch.setattr(catalog, "_structure_entries", moved)
+    with pytest.raises(InternalConsistencyError, match="jacobi identity fails at"):
+        build_classical(fam)
+    monkeypatch.setattr(
+        catalog, "_structure_entries", lambda mats: [(i, j, k, 2 * c) for i, j, k, c in _structure_entries(mats)]
+    )
+    with pytest.raises(InternalConsistencyError, match="defining action fails at"):
+        build_classical(fam)
+
+
+def test_table_cells_refuse_a_negative_block_count():
+    assert _expand([(3, 2), (1, 0)]) == (3, 3)
+    with pytest.raises(InternalConsistencyError, match="negative block count in a table cell"):
+        _expand([(3, 2), (1, -1)])
 
 
 def test_matrix_shapes_of_the_families():

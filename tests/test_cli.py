@@ -121,6 +121,7 @@ def test_malformed_inputs(tmp_path, capsys):
     good = write(tmp_path, "g.json", {"m": 1, "n": 1, "A": [["1"]], "B": [["0"]]})
     assert main(["--samples", "0", "pencil", good]) == 2
     assert main(["--seed", "-1", "pencil", good]) == 2
+    assert main(["--bound", "1", "pencil", good]) == 2
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2

@@ -2,7 +2,9 @@
 module imports a name it never uses, the Lie layer does not import
 ``fractions``, only ``exactla`` drives the Bareiss elimination and no
 other module imports its private names, in ``pencils`` only
-``_kernel_chain`` drives ``preimage_chain``, only ``strata`` states the
+``_kernel_chain`` drives ``preimage_chain`` and only ``_kernel_chains``
+builds the chain limits' annihilators, ``skewjk`` builds no kernel view
+of its own, only ``strata`` states the
 Kronecker counts and bookkeeping, no function but the CLI's parser
 builder is a memo, every function the benchmark tracer wraps by name
 still exists, and every module-level function has a package caller, a
@@ -167,6 +169,45 @@ def test_one_function_drives_the_kernel_chains():
     assert _functions_naming(source, "preimage_chain") == ["a", "b"]
     with open(os.path.join(PACKAGE, "pencils.py"), encoding="utf-8") as fh:
         assert _functions_naming(fh.read(), "preimage_chain") == ["_kernel_chain"]
+
+
+def _callers(source: str, name: str) -> list[str]:
+    """The functions of the source, methods and nested ones included, that
+    call ``name``, bare or as an attribute, in the order met, and
+    "<module>" for a call outside every function."""
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if called == name and owner not in found:
+                found.append(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_one_function_builds_the_chain_limits_annihilators():
+    """``pencils._kernel_chains`` builds both chain limits' annihilators
+    and makes every deficiency check; the skew mantle reads one of them
+    from ``Pencil.chains`` and builds no kernel view of its own."""
+    source = (
+        "from .exactla import KernelView\n"
+        "def a(m):\n    return KernelView(m)\n"
+        "def b(m) -> KernelView:\n    return exactla.KernelView(m)\n"
+        "def c(m) -> KernelView:\n    'builds no KernelView(m)'\n    return m\n"
+        "KernelView(0)\n"
+    )
+    assert _callers(source, "KernelView") == ["a", "b", "<module>"]
+    with open(os.path.join(PACKAGE, "pencils.py"), encoding="utf-8") as fh:
+        assert _callers(fh.read(), "_deficiency") == ["_kernel_chains"]
+    with open(os.path.join(PACKAGE, "skewjk.py"), encoding="utf-8") as fh:
+        assert _callers(fh.read(), "KernelView") == []
 
 
 BOOKKEEPING_MESSAGES =("count must be n - rank", "count must be m - rank", "bookkeeping failed")

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import penciljk.lie as lie_module
 from penciljk.catalog import Family, build_classical, expected_rep_jk
 from penciljk.errors import DominanceSelectionError, InternalConsistencyError
 from penciljk.exactla import Mat
@@ -343,11 +344,29 @@ def test_jk_of_standard_sl2_representation():
 
 
 def test_report_validation():
+    # one Kronecker index against a smallest sampled corank of 2, or of 0
     jk = SkewJK(dim=3, kronecker=(2,), jordan=())
-    with pytest.raises(InternalConsistencyError):
-        SkewJKReport(
-            invariants=jk, genericity_status=CERTIFIED, samples_used=5, index_used=2
-        )
+    for index_used in (2, 0):
+        with pytest.raises(InternalConsistencyError, match="not the smallest sampled corank"):
+            SkewJKReport(
+                invariants=jk, genericity_status=CERTIFIED, samples_used=5, index_used=index_used
+            )
+
+
+def test_selecting_a_lower_rank_sample_raises(monkeypatch):
+    # a selection that picks a sample of the lowest rank in place of the
+    # dominant one: the Heisenberg algebra's sampled coranks and a nilpotent
+    # action's sampled ranks vary at height 1, so both reports must refuse
+    def lowest(rank):
+        return lambda sigs, contains: min(range(len(sigs)), key=lambda i: rank(sigs[i]))
+
+    monkeypatch.setattr(lie_module, "_select_maximal", lowest(lambda sig: -len(sig.kronecker)))
+    with pytest.raises(InternalConsistencyError, match="not the smallest sampled corank"):
+        jk_invariants_of_lie(heisenberg(), Sampler(SEED, height=1), samples=12)
+    rho = Representation(LieAlgebra(1, []), 2, (Mat([[0, 1], [0, 0]]),))
+    monkeypatch.setattr(lie_module, "_select_maximal", lowest(lambda sig: sig.rank))
+    with pytest.raises(InternalConsistencyError, match="not the largest sampled rank"):
+        jk_invariants_of_rep(rho, Sampler(SEED, height=1), samples=30)
 
 
 def test_sample_count_validation():

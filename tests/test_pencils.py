@@ -26,7 +26,6 @@ from penciljk.pencils import (
     StrictInvariants,
     _class_totals,
     _complement,
-    _deficiency,
     _kernel_chains,
     _regular_part,
     _sizes_at_class,
@@ -1373,10 +1372,10 @@ def test_skew_pencils_run_one_chain(monkeypatch):
     while len(jk.kronecker) < 2:
         jk = random_skew_jk(rng)
     p = congruent(skew_canonical(jk), rng)
-    _, _, widths, heights, right, left, _ = _kernel_chains(p)
+    _, _, widths, heights, right, left, ann_image, ker_coimage = _kernel_chains(p)
     assert len(calls) == 1
     assert widths == heights == jk.kronecker
-    assert left == right
+    assert left == right and ker_coimage is ann_image
     # a strictly equivalent pencil that is not skew runs both chains
     calls.clear()
     q = scramble(p, rng)
@@ -1410,20 +1409,24 @@ def _deflation_case() -> Pencil:
 def test_deflation_checks_can_fail(monkeypatch, fault, message):
     p = _deflation_case()
     real_chains = _kernel_chains(p)
-    right, left = real_chains.right, real_chains.left
     # a vector outside the horizontal (or vertical) blocks in place of the
     # last one of the chain limit, the limit short of one vector, or a
-    # regular part with a zero column; the image of the right limit is
-    # cached with it, so a right limit that moves without it leaves a
-    # complement of the wrong size
-    outside = tuple([1] * p.n)
-    if fault == "right":
-        chains = real_chains._replace(right=right[:-1] + (outside,))
-    elif fault == "left":
-        chains = real_chains._replace(left=left[:-1] + (tuple([1] * p.m),))
-    elif fault == "drop":
-        chains = real_chains._replace(right=right[:-1])
-    if fault == "singular":
+    # regular part with a zero column; both limits' annihilators are cached
+    # with them, so a right limit that moves without them leaves a
+    # complement of the wrong size, while a left limit that leaves its
+    # chain with the vector gets an annihilator of the wrong size, past
+    # the chain's own count
+    if fault == "left":
+        real_chain = pencils._kernel_chain
+
+        def outside_left(m, b, dim):
+            dims, basis, rejected = real_chain(m, b, dim)
+            if b is p.transposed.b:
+                basis = basis[:-1] + [tuple([1] * p.m)]
+            return dims, basis, rejected
+
+        monkeypatch.setattr(pencils, "_kernel_chain", outside_left)
+    elif fault == "singular":
         real = pencils._regular_part
 
         def zero_column(q):
@@ -1433,9 +1436,12 @@ def test_deflation_checks_can_fail(monkeypatch, fault, message):
 
         monkeypatch.setattr(pencils, "_regular_part", zero_column)
     else:
+        right = real_chains.right[:-1] + ((tuple([1] * p.n),) if fault == "right" else ())
+        chains = real_chains._replace(right=right)
         monkeypatch.setattr(pencils, "_kernel_chains", lambda q: chains)
-    with pytest.raises(InternalConsistencyError, match=message):
+    with pytest.raises(InternalConsistencyError, match=message) as raised:
         elementary_divisors(p)
+    assert "count" not in str(raised.value)
 
 
 def test_complement_matches_pivot_oracle():
@@ -1516,7 +1522,7 @@ def test_functionals_are_back_substituted_only_for_complements(monkeypatch):
     assert read == []
     p = _deflation_case()
     strict_invariants(p)
-    assert read == [len(_deficiency(p.transposed, list(p.chains.left))[1]), len(p.chains.ann_image)]
+    assert read == [len(p.chains.ker_coimage), len(p.chains.ann_image)]
 
 
 def test_limit_vector_outside_the_kernel_raises(monkeypatch):
@@ -1527,7 +1533,7 @@ def test_limit_vector_outside_the_kernel_raises(monkeypatch):
     # the complement must raise
     p = _deflation_case()
     real_chains = _kernel_chains(p)
-    ker_coimage = pencils._deficiency(p.transposed, list(real_chains.left))[1]
+    ker_coimage = real_chains.ker_coimage
     free = ker_coimage.free
     bound = next(j for j in range(p.n) if j not in free)
     v = list(real_chains.right[-1])

@@ -1,11 +1,13 @@
 """Folded invariants of skew-symmetric pencils: congruence roundtrips,
 core/mantle dimensions, and the three-group block reduction."""
 
+import json
 import random
 
 import pytest
 
 import penciljk.exactla as exactla
+import penciljk.pencils as pencils
 from penciljk.errors import (
     ConstantRankHypothesisError,
     InternalConsistencyError,
@@ -13,6 +15,7 @@ from penciljk.errors import (
     SparsityPatternError,
 )
 from penciljk.exactla import row_space_basis
+from penciljk.jsonio import pencil_from_json
 from penciljk.pencils import EigClass
 from penciljk.skewjk import (
     SkewJK,
@@ -31,7 +34,8 @@ from helpers import (
     random_skew_jk,
     skew_canonical,
 )
-from oracles import dense_core
+from oracles import dense_core, form_mantle
+from test_golden import GOLDEN_DATA
 
 
 def test_fold_of_canonical_examples():
@@ -58,6 +62,16 @@ def test_rejects_non_skew_input():
         skew_jk_invariants(p)
     with pytest.raises(ValueError):
         core_subspace(p)
+
+
+def test_unpaired_jordan_sizes_raise(monkeypatch):
+    # (1 + t) J has two blocks of size 1 at t = -1; one block of size 2
+    # there keeps the dimension bookkeeping and cannot be folded
+    p = pencil_from_lists([[0, 1], [-1, 0]], [[0, 1], [-1, 0]])
+    assert skew_jk_invariants(p).jordan == ((EigClass((1, 1)), (2,)),)
+    monkeypatch.setattr(pencils, "elementary_divisors", lambda q: ([((1, 1), (2,))], ()))
+    with pytest.raises(InternalConsistencyError, match="jordan pairing failed on a skew pencil"):
+        skew_jk_invariants(p)
 
 
 def test_skewjk_validation():
@@ -149,10 +163,11 @@ def test_core_matches_dense_oracle():
 
 def test_core_and_mantle_reuse_the_kernel_chain(monkeypatch):
     # widths 3 and 1 and a class at t = 1: once the invariants are known,
-    # the core is the cached limit of the kernel chain and costs no
-    # elimination, and the mantle's dimension costs one kernel view, whose
-    # one elimination gives the count with no back-substitution; its
-    # vectors are back-substituted only when read
+    # the core is the cached limit of the kernel chain and the mantle the
+    # cached annihilator of its image, so neither costs an elimination, and
+    # the mantle's dimension, the count of that view, no back-substitution.
+    # Its vectors were back-substituted once, for the regular part's
+    # complement, and reading them costs nothing more
     jk = SkewJK(dim=10, kronecker=(3, 1), jordan=((EigClass((-1, 1)), (2, 2)),))
     p = congruent(skew_canonical(jk), random.Random(SEED + 3))
     assert skew_jk_invariants(p) == jk
@@ -183,11 +198,35 @@ def test_core_and_mantle_reuse_the_kernel_chain(monkeypatch):
     assert eliminations == []
     mantle = mantle_subspace(p)
     assert len(mantle) == 4 + 4
-    assert kernels == [(4, 10)]
-    assert eliminations == [10]
-    assert substituted == []
+    assert mantle is p.chains.ann_image
+    assert kernels == eliminations == substituted == []
     assert len(list(mantle)) == 8
-    assert substituted == mantle.free and eliminations == [10]
+    assert kernels == eliminations == substituted == []
+
+
+def test_mantle_is_the_annihilator_of_the_core_image():
+    # the mantle read off the chains (the kernel of the rows Bv over the
+    # core) against its definition (the kernel of the rows (A + mu*B)^T k),
+    # free columns and vectors, on every skew input of the golden replay
+    # and on 100 congruent pencils, a third of them with eigenvalues at
+    # t = 0 and t = 1, whose chains run again at mu = 2
+    cases = [
+        p
+        for r in GOLDEN_DATA["requests"]
+        if "--skew" in r["argv"]
+        for p in [pencil_from_json(json.loads(GOLDEN_DATA["files"][r["argv"][-2]]))]
+        if p.is_skew
+    ]
+    assert len(cases) == 11
+    rng = random.Random(SEED + 4)
+    cases += [congruent(skew_canonical(_core_case(rng, i)), rng, bound=3) for i in range(100)]
+    rerun = 0
+    for p in cases:
+        view, want = mantle_subspace(p), form_mantle(p)
+        assert view.free == want.free
+        assert list(view) == list(want)
+        rerun += p.chains.regular > 0
+    assert rerun >= 34
 
 
 def _block_example():
